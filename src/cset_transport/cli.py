@@ -37,7 +37,7 @@ def _num(v: float) -> str:
         return "inf"
     if v == int(v):
         return str(int(v))
-    return repr(v)
+    return repr(float(v))  # numpy scalars repr as np.float64(...)
 
 
 def _json_num(v: float):

@@ -1,13 +1,14 @@
 """Sparse linear-program model, a self-contained two-phase revised simplex
 solver, and a deterministic LP text format.
 
-All variables are nonnegative; finite upper bounds are turned into rows
-internally.  The solver keeps an explicit basis inverse, reinverts it
-periodically, and prices with Dantzig's rule, switching to Bland's rule
-whenever a run of degenerate pivots suggests cycling (and back after the
-next improving step), so termination is guaranteed while typical
-transportation-style programs stay fast.  Pivoting is deterministic, so
-repeated solves of the same model are bit-identical.
+All variables are nonnegative; finite positive upper bounds are turned into
+rows internally, and a variable with upper bound 0 is fixed at zero by leaving
+it out of the simplex altogether (no column, no bound row).  The solver keeps
+an explicit basis inverse, reinverts it periodically, and prices with
+Dantzig's rule, switching to Bland's rule whenever a run of degenerate pivots
+suggests cycling (and back after the next improving step), so termination is
+guaranteed while typical transportation-style programs stay fast.  Pivoting
+is deterministic, so repeated solves of the same model are bit-identical.
 """
 
 from __future__ import annotations
@@ -290,7 +291,10 @@ class _Simplex:
 
 
 def _standardize(model: LpModel):
-    """Rows A x (rel) b with b >= 0, plus upper-bound rows, in sparse terms."""
+    """Rows A x (rel) b with b >= 0, plus upper-bound rows, in sparse terms.
+
+    A variable with upper bound 0 is fixed at zero: it gets no bound row here
+    and no column in ``solve``."""
     out = []
     flip = {"<=": ">=", ">=": "<=", "=": "="}
     for _, terms, rel, rhs in model.constraints:
@@ -299,7 +303,7 @@ def _standardize(model: LpModel):
         else:
             out.append((list(terms), rel, rhs))
     for idx, u in enumerate(model.var_upper):
-        if math.isfinite(u):
+        if math.isfinite(u) and u != 0.0:
             out.append(([(idx, 1.0)], "<=", u))
     return out
 
@@ -314,17 +318,22 @@ def solve(
     constraint within ``feas_tol``.  Numerical breakdown raises, never passes
     silently."""
     model.validate()
-    n = model.num_vars
     rows = _standardize(model)
     m = len(rows)
-    c_orig = np.zeros(n)
+    # simplex columns: variables with upper bound 0 have none and stay at 0
+    live = [idx for idx, u in enumerate(model.var_upper) if u != 0.0]
+    col = [-1] * model.num_vars
+    for k, idx in enumerate(live):
+        col[idx] = k
+    n = len(live)
+    c_orig = np.zeros(model.num_vars)
     for idx, coef in model.objective.items():
         c_orig[idx] = coef
 
     if m == 0:
-        if np.any(c_orig < 0):
+        if np.any(c_orig[live] < 0):
             return LpSolution("unbounded", None, None, list(model.var_names))
-        return LpSolution("optimal", 0.0, np.zeros(n), list(model.var_names))
+        return LpSolution("optimal", 0.0, np.zeros(model.num_vars), list(model.var_names))
 
     # slack for <=, surplus for >=, artificial for >= and =
     n_slack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
@@ -334,15 +343,17 @@ def solve(
     coo_v: list[float] = []
     b = np.zeros(m)
     c2 = np.zeros(total)
-    c2[:n] = c_orig
+    c2[:n] = c_orig[live]
     basis = []
     art_cols = []
     s = 0
     for i, (terms, rel, rhs) in enumerate(rows):
         for idx, coef in terms:
-            coo_r.append(i)
-            coo_c.append(idx)
-            coo_v.append(coef)
+            k = col[idx]
+            if k >= 0:
+                coo_r.append(i)
+                coo_c.append(k)
+                coo_v.append(coef)
         b[i] = rhs
         if rel == "<=":
             coo_r.append(i), coo_c.append(n + s), coo_v.append(1.0)
@@ -415,7 +426,8 @@ def solve(
 
     x = np.zeros(sx.n)
     x[sx.basis] = sx.xB
-    values = np.maximum(x[:n], 0.0)  # clip basic round-off of order pivot_tol
+    values = np.zeros(model.num_vars)
+    values[live] = np.maximum(x[:n], 0.0)  # clip basic round-off of order pivot_tol
     _recheck(model, values, feas_tol)
     objective = float(c_orig @ values)
     return LpSolution("optimal", objective, values, list(model.var_names))

@@ -78,6 +78,12 @@ def test_hausdorff_weak_pair(capsys):
     assert out.splitlines()[0] == "2"
 
 
+def test_hausdorff_prints_plain_float(capsys):
+    code, out, _ = run_cli(capsys, "hausdorff", "builtin:fig9x", "builtin:fig9y", "--p", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "1.4142135623730951"
+
+
 def test_hausdorff_infinite(capsys):
     code, out, _ = run_cli(
         capsys, "hausdorff", "builtin:c4discrete", "builtin:c2", "--class", "mm"

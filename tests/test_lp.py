@@ -173,3 +173,71 @@ def test_optimal_solutions_satisfy_constraints():
             else:
                 assert lhs >= rhs - 1e-7
     assert checked > 10
+
+
+def _pinned_ray_model(pin):
+    # min -x + y s.t. x + y >= 1: unbounded along x unless x is held at 0
+    m = LpModel()
+    x = m.add_variable("x", upper=0.0 if pin else np.inf)
+    y = m.add_variable("y")
+    m.add_objective(x, -1.0)
+    m.add_objective(y, 1.0)
+    m.add_constraint("c", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+    return m
+
+
+def test_zero_upper_bound_variable_held_at_zero():
+    assert solve(_pinned_ray_model(pin=False)).status == "unbounded"
+    sol = solve(_pinned_ray_model(pin=True))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1.0)
+    assert sol.value("x") == 0.0
+    assert sol.value("y") == pytest.approx(1.0)
+    # with no rows left at all the bound alone decides
+    m = LpModel()
+    m.add_objective(m.add_variable("x", upper=0.0), -1.0)
+    sol = solve(m)
+    assert sol.status == "optimal" and sol.objective == 0.0
+
+
+def test_zero_upper_bounds_round_trip():
+    m = _pinned_ray_model(pin=True)
+    text = export_lp(m)
+    assert text.endswith("BOUNDS\nx <= 0\nEND\n")
+    again = parse_lp(text)
+    assert again.var_upper == [0.0, np.inf]
+    assert export_lp(again) == text
+    assert solve(again).objective == pytest.approx(solve(m).objective)
+
+
+def test_rows_over_zero_bounded_variables_only():
+    m = LpModel()
+    x = m.add_variable("x", upper=0.0)
+    y = m.add_variable("y", upper=0.0)
+    m.add_constraint("need", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+    assert solve(m).status == "infeasible"
+    m.constraints[0] = ("need", [(x, 1.0), (y, 1.0)], "=", 0.0)
+    sol = solve(m)
+    assert sol.status == "optimal" and np.array_equal(sol.values, [0.0, 0.0])
+    # a positive bound is still enforced beside the zero ones
+    z = m.add_variable("z", upper=2.0)
+    m.add_constraint("over", [(x, 1.0), (z, 1.0)], ">=", 3.0)
+    assert solve(m).status == "infeasible"
+
+
+def test_random_lps_with_zero_bounds_against_vertex_enumeration():
+    rng = np.random.default_rng(44)
+    pinned = 0
+    for trial in range(80):
+        model = _random_model(rng)
+        for i in range(model.num_vars):
+            if rng.random() < 0.3:
+                model.var_upper[i] = 0.0
+                pinned += 1
+        status, want = brute_force_lp(model)
+        sol = solve(model)
+        assert sol.status == status, f"trial {trial}: {sol.status} vs {status}"
+        if status == "optimal":
+            assert sol.objective == pytest.approx(want, abs=1e-6), f"trial {trial}"
+            assert all(sol.values[i] == 0.0 for i, u in enumerate(model.var_upper) if u == 0.0)
+    assert pinned > 40

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from cset_transport.gallery import (
 from cset_transport.hausdorff import HausdorffConfig
 from cset_transport.lp import export_lp, parse_lp, solve
 from cset_transport.markov import compose_kernels, embed_function, identity_kernel
-from cset_transport.mm import INF, MeasureData, counting_measure, discrete_metric
+from cset_transport.mm import (
+    INF,
+    MeasureData,
+    MetricData,
+    counting_measure,
+    discrete_metric,
+    uniform_measure,
+)
 from cset_transport.relax import (
     markov_feasibility_lp,
     markov_feasible,
@@ -28,7 +36,7 @@ from cset_transport.relax import (
     wasserstein_cset_lp,
 )
 from cset_transport.theory import builtin_theory
-from cset_transport.transport import wasserstein_measures
+from cset_transport.transport import optimal_coupling, wasserstein_measures
 
 from oracles import random_graph
 
@@ -314,3 +322,124 @@ def test_export_wasserstein_round_trip():
     s1, s2 = solve(prog.model), solve(again)
     assert s1.status == s2.status == "optimal"
     assert s1.objective == pytest.approx(s2.objective, abs=1e-9)
+
+
+def _random_lawvere(rng, n):
+    """Min-plus closure of a random matrix with inf and zero entries; the
+    finite entries sit on a dyadic grid, so exact triangle equalities (the
+    rows the builder drops) are common."""
+    d = rng.choice([0.5, 0.75, 1.0, 1.25, 1.5, 2.0], size=(n, n))
+    u = rng.random((n, n))
+    d[u < 0.35] = INF
+    d[u > 0.93] = 0.0
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return MetricData(n, d)
+
+
+def _lawvere_graph(rng, nv, max_e):
+    g = random_graph(rng, max_v=nv, max_e=max_e, min_v=nv)
+    return g.with_data(
+        metrics={"V": _random_lawvere(rng, nv), "E": discrete_metric(g.sets["E"])},
+        measures={"V": uniform_measure(nv), "E": uniform_measure(g.sets["E"])},
+    )
+
+
+def _assert_distance_rows(x, y, cert, p, ob):
+    """The kernel at ``ob`` satisfies every distance row of the unreduced
+    program: W_p(phi(x1, .), phi(x2, .))^p <= d(x1, x2)^p for all finite pairs."""
+    phi = cert.components[ob].p
+    dX, dY = x.metric(ob).d, y.metric(ob).d
+    ny = y.sets[ob]
+    for x1 in range(x.sets[ob]):
+        for x2 in range(x.sets[ob]):
+            if x1 == x2 or dX[x1, x2] == INF:
+                continue
+            w = optimal_coupling(
+                MeasureData(ny, phi[x1]), MeasureData(ny, phi[x2]), dY**p
+            ).cost
+            assert w <= dX[x1, x2] ** p + 1e-7, (x1, x2, w, dX[x1, x2])
+
+
+def test_reduced_distance_rows_certify_every_row():
+    # the reduced program relaxes the unreduced one, so kernels that satisfy
+    # every unreduced row prove the two values equal
+    rng = np.random.default_rng(57)
+    finite_nonzero = offdiag = implied = certified = 0
+    for trial in range(30):
+        x = _lawvere_graph(rng, int(rng.integers(3, 6)), 5)
+        y = _lawvere_graph(rng, int(rng.integers(2, 5)), 6)
+        p = float(1 + trial % 2)
+        dX = x.metric("V").d
+        off = ~np.eye(x.sets["V"], dtype=bool)
+        offdiag += int(off.sum())
+        finite_nonzero += int(np.sum(np.isfinite(dX[off]) & (dX[off] > 0)))
+        note = wasserstein_cset_lp(x, y, p).eliminated.get("pi_obj_pairs", {})
+        found = re.search(r"(\d+) implied", note.get("V", ""))
+        implied += int(found.group(1)) if found else 0
+        dist, cert = wasserstein_cset_distance(x, y, p)
+        if cert is None:
+            continue
+        certified += 1
+        _assert_distance_rows(x, y, cert, p, "V")
+    assert 3 * finite_nonzero >= offdiag
+    assert certified >= 15 and implied >= 10
+
+
+def test_zero_distance_pair_does_not_split_rows():
+    # d(a,b) = d(b,a) = 0: a split rule allowing a zero leg would drop (a,c)
+    # through b and (b,c) through a, leaving c free to follow its attribute
+    attr = line_metric(4)
+    x = attributed_set([0, 0, 3], attr, measure="counting")
+    x = x.with_data(
+        metrics={**x.metrics, "*": MetricData(3, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])}
+    )
+    y = attributed_set([0, 3], attr)
+    y = y.with_data(
+        metrics={**y.metrics, "*": MetricData(2, [[0, 3], [3, 0]])},
+        measures={**y.measures, "*": MeasureData(2, np.array([3.0, 3.0]))},
+    )
+    dist, cert = wasserstein_cset_distance(x, y, 1.0)
+    # a and b stay on the codomain point at attribute 0, and c, 3 away from
+    # them, can move only 1/3 of its mass to the point at attribute 3
+    assert dist == pytest.approx(2.0, abs=1e-7)
+    _assert_distance_rows(x, y, cert, 1.0, "*")
+
+
+def test_split_rule_compares_distances_not_their_powers():
+    # d(a,z) + d(z,b) = 2.5 > d(a,b) = 2 keeps the (a,b) row, although
+    # d(a,z)^2 + d(z,b)^2 = 3.25 <= 4; without it the kernels could follow
+    # the attributes onto codomain points 2.5 apart
+    attr = line_metric(3)
+    x = attributed_set([0, 1, 2], attr, measure="counting")
+    x = x.with_data(
+        metrics={**x.metrics, "*": MetricData(3, [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])}
+    )
+    y = attributed_set([0, 1, 2], attr)
+    y = y.with_data(
+        metrics={
+            **y.metrics,
+            "*": MetricData(3, [[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]]),
+        },
+        measures={**y.measures, "*": MeasureData(3, np.full(3, 3.0))},
+    )
+    assert wasserstein_cset_lp(x, y, 2.0).eliminated["pi_obj_pairs"]["*"] == (
+        "kept 6 of 9 self-product rows; 0 implied by the triangle inequality"
+    )
+    dist, cert = wasserstein_cset_distance(x, y, 2.0)
+    assert dist > 0.1
+    _assert_distance_rows(x, y, cert, 2.0, "*")
+
+
+def test_cycle_rows_reduce_to_edges():
+    # C6 -> C9 used to stall the simplex on 30 distance blocks
+    x, y = directed_cycle(6), directed_cycle(9)
+    prog = wasserstein_cset_lp(x, y, 1.0)
+    _, pairs, _ = prog.layout["pi_obj"]["V"]
+    assert sorted(pairs) == [(i, (i + 1) % 6) for i in range(6)]
+    assert prog.eliminated["pi_obj_pairs"]["V"] == (
+        "kept 6 of 36 self-product rows; 24 implied by the triangle inequality"
+    )
+    dist, _ = wasserstein_cset_distance(x, y, 1.0)
+    assert dist == pytest.approx(0.0, abs=1e-9)
