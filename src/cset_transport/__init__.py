@@ -25,8 +25,6 @@ from .theory import (
 from .cset import (
     Instance,
     Transformation,
-    count_transformations,
-    enumerate_transformations,
     evaluate_path,
     find_homomorphism,
     instance_from_json,

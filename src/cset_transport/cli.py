@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import gallery
-from .cset import load_instance, validate_instance
+from .cset import SEARCH_NODE_GUARD, load_instance, validate_instance
 from .errors import CsetTransportError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
 from .lp import export_lp
@@ -228,8 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", default="1", help="order p" + (" (or inf)" if with_inf else ""))
 
     def arg_guard(sp):
-        sp.add_argument("--guard", type=int, default=10**7)
-        sp.add_argument("--force", action="store_true")
+        sp.add_argument(
+            "--guard", type=int, default=SEARCH_NODE_GUARD,
+            help="most search nodes (candidate values tried) before refusing",
+        )
+        sp.add_argument("--force", action="store_true", help="search past the guard")
 
     sp = sub.add_parser("validate", help="validate an instance file")
     sp.add_argument("instance")

@@ -1,5 +1,5 @@
-"""Finite instances of a theory: validation, path evaluation, homomorphism
-search, and enumeration of (not necessarily natural) transformations.
+"""Finite instances of a theory: validation, path evaluation, naturality
+and homomorphism search.
 
 Elements of each carrier set are the integers 0..n-1, so the action of a
 generator is a plain integer array and composites are array lookups.
@@ -7,7 +7,6 @@ generator is a plain integer array and composites are array lookups.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -34,15 +33,13 @@ __all__ = [
     "evaluate_path",
     "find_homomorphism",
     "is_natural",
-    "enumerate_transformations",
-    "count_transformations",
     "instance_from_json",
     "instance_to_json",
     "load_instance",
-    "ENUMERATION_GUARD",
+    "SEARCH_NODE_GUARD",
 ]
 
-ENUMERATION_GUARD = 10**7
+# node budget of every search: find_homomorphism, hausdorff_distance and the CLI
 SEARCH_NODE_GUARD = 10**7
 
 
@@ -282,86 +279,6 @@ def find_homomorphism(
                 return None
             pob, pi = order[k]
             assign[pob][pi] = -1
-
-
-def _all_maps(n_from: int, n_to: int):
-    """All functions {0..n_from-1} -> {0..n_to-1} in lexicographic order."""
-    if n_from == 0:
-        yield np.zeros(0, dtype=int)
-        return
-    for tup in itertools.product(range(n_to), repeat=n_from):
-        yield np.asarray(tup, dtype=int)
-
-
-def candidate_components(
-    x: Instance,
-    y: Instance,
-    component_filter=None,
-    guard: int = ENUMERATION_GUARD,
-    force: bool = False,
-) -> dict[str, list[np.ndarray]]:
-    """Per-object lists of admissible component maps, in lexicographic order.
-
-    ``component_filter(obj, mapping) -> bool`` restricts the per-object maps;
-    fixed objects always contribute exactly the identity.  Raises
-    GuardExceeded when the product of candidate counts would exceed ``guard``
-    (pass force=True to proceed anyway).
-    """
-    _check_same_theory(x, y)
-    _check_fixed(x, y)
-    out = {}
-    for ob in x.theory.objects:
-        nx_, ny_ = x.sets[ob], y.sets[ob]
-        if ob in x.fixed:
-            ident = np.arange(nx_)
-            if component_filter is not None and not component_filter(ob, ident):
-                out[ob] = []
-            else:
-                out[ob] = [ident]
-            continue
-        if nx_ > 0 and ny_ == 0:
-            out[ob] = []
-            continue
-        raw = ny_**nx_
-        if raw > guard and not force:
-            raise GuardExceeded(
-                f"object {ob!r} alone has {raw} candidate maps "
-                f"(guard {guard}); pass --force to enumerate anyway",
-                raw,
-            )
-        if component_filter is None:
-            out[ob] = list(_all_maps(nx_, ny_))
-        else:
-            out[ob] = [m for m in _all_maps(nx_, ny_) if component_filter(ob, m)]
-    sizes = [len(v) for v in out.values()]
-    total = math.prod(sizes)
-    if total > guard and not force:
-        raise GuardExceeded(
-            f"{total} candidate transformations exceed the guard {guard}; "
-            "pass --force to enumerate anyway",
-            total,
-        )
-    return out
-
-
-def enumerate_transformations(
-    x: Instance,
-    y: Instance,
-    component_filter=None,
-    guard: int = ENUMERATION_GUARD,
-    force: bool = False,
-):
-    """Yield every transformation whose components pass the per-object filter,
-    in lexicographic order of component tuples (objects in declaration order)."""
-    cands = candidate_components(x, y, component_filter, guard, force)
-    objects = list(x.theory.objects)
-    for combo in itertools.product(*(cands[ob] for ob in objects)):
-        yield Transformation(dict(zip(objects, combo)))
-
-
-def count_transformations(x, y, component_filter=None, guard=ENUMERATION_GUARD, force=False):
-    cands = candidate_components(x, y, component_filter, guard, force)
-    return math.prod(len(v) for v in cands.values())
 
 
 # -- JSON input/output --------------------------------------------------------

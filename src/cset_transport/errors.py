@@ -27,7 +27,7 @@ class DimensionError(CsetTransportError):
 
 
 class GuardExceeded(CsetTransportError):
-    """An enumeration or search exceeded its size guard."""
+    """A search exceeded its node budget; ``count`` is the nodes visited."""
 
     def __init__(self, message, count):
         super().__init__(message)

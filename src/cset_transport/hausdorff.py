@@ -12,8 +12,10 @@ Admissibility is a per-object component filter:
 
 The search is an exhaustive backtracking over component entries in
 lexicographic order, with exact incremental pruning, so the reported witness
-is the lexicographically first minimizer; identical to filtering the full
-enumeration but far faster.
+is the lexicographically first minimizer over all admissible transformations.
+Its size guard is a node budget, as in :func:`find_homomorphism`: one node is
+one candidate value tried at one entry, and past ``guard`` nodes the search
+raises GuardExceeded unless ``force`` is set.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cset import (
-    ENUMERATION_GUARD,
+    SEARCH_NODE_GUARD,
     Instance,
     Transformation,
     _check_fixed,
     _check_same_theory,
-    find_homomorphism,
 )
 from .errors import GuardExceeded, InstanceError
-from .mm import INF, MeasureData, TOL, ext_mul, ext_root, is_measure_decreasing, is_short_map, lp_distance
+from .mm import INF, MeasureData, TOL, ext_mul, ext_root, lp_distance
 
 __all__ = [
     "HausdorffConfig",
@@ -52,7 +53,7 @@ class HausdorffConfig:
     p: float = 1.0
     component_class: str = "mm"
     symmetrize: str = "none"
-    guard: int = ENUMERATION_GUARD
+    guard: int = SEARCH_NODE_GUARD
     force: bool = False
 
     def __post_init__(self):
@@ -91,17 +92,6 @@ def transformation_weight(x: Instance, y: Instance, t: Transformation, gen: str,
     return lp_distance(top, bot, _weight_measure(x, g.dom, p), y.metric(g.cod), p)
 
 
-def component_filter_for(cls: str, x: Instance, y: Instance):
-    """The per-object admissibility predicate used by hausdorff_distance."""
-    if cls == "all":
-        return None
-    if cls == "met":
-        return lambda ob, f: is_short_map(f, x.metric(ob), y.metric(ob))
-    return lambda ob, f: is_short_map(f, x.metric(ob), y.metric(ob)) and is_measure_decreasing(
-        f, x.measure(ob), y.measure(ob)
-    )
-
-
 def _check_data(x: Instance, y: Instance, cfg: HausdorffConfig) -> None:
     need_metrics = cfg.component_class in ("met", "mm")
     for ob in x.theory.objects:
@@ -123,7 +113,8 @@ class _Search:
     ascending; candidates per slot ascend, which makes the traversal
     lexicographic.  Weight terms are accumulated as soon as both entries of a
     generator-element pair are known; admissibility (shortness, measure
-    decrease) is checked incrementally, both exactly.
+    decrease) is checked incrementally, both exactly.  Every candidate value
+    tried at a slot is one node of the budget ``cfg.guard``.
     """
 
     def __init__(self, x, y, cfg):
@@ -154,6 +145,8 @@ class _Search:
         }
         self.best = INF
         self.best_assign = None
+        self.nodes = 0
+        self.node_guard = INF if cfg.force else cfg.guard
 
     def _term(self, g, e):
         """mu-weighted p-th power (or sup term) of one naturality defect cell."""
@@ -210,6 +203,13 @@ class _Search:
             values = [i]
         else:
             values = range(self.y.sets[ob])
+        self.nodes += len(values)
+        if self.nodes > self.node_guard:
+            raise GuardExceeded(
+                f"Hausdorff search exceeded {self.cfg.guard} nodes; "
+                "pass --force to search anyway",
+                self.nodes,
+            )
         for v in values:
             if not self._admissible(ob, i, v):
                 continue
@@ -230,48 +230,6 @@ class _Search:
             self.assign[ob][i] = -1
 
 
-def _check_guard(x: Instance, y: Instance, cfg: HausdorffConfig) -> None:
-    """Bound the product of per-object admissible-candidate counts.
-
-    The cheap raw bound (|Y(c)|^|X(c)| per movable object) is tried first;
-    only when it exceeds the guard are the per-object filters counted
-    exactly, which costs one pass over each object's map space.
-    """
-    from .cset import _all_maps
-
-    raw = 1
-    for ob in x.theory.objects:
-        if x.sets[ob] > 0 and y.sets[ob] == 0:
-            raw = 0
-            break
-        if ob not in x.fixed:
-            raw *= max(1, y.sets[ob]) ** x.sets[ob]
-    if raw <= cfg.guard:
-        return
-    filt = component_filter_for(cfg.component_class, x, y)
-    total = 1
-    for ob in x.theory.objects:
-        if ob in x.fixed:
-            continue
-        per = max(1, y.sets[ob]) ** x.sets[ob]
-        if per > cfg.guard:
-            raise GuardExceeded(
-                f"object {ob!r} alone has {per} candidate maps (guard {cfg.guard}); "
-                "pass --force to search anyway",
-                per,
-            )
-        if filt is None:
-            total *= per
-        else:
-            total *= sum(1 for m in _all_maps(x.sets[ob], y.sets[ob]) if filt(ob, m))
-    if total > cfg.guard:
-        raise GuardExceeded(
-            f"{total} candidate transformations exceed the guard {cfg.guard}; "
-            "pass --force to search anyway",
-            total,
-        )
-
-
 def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = None) -> HausdorffResult:
     """Exact Hausdorff distance from x to y under the configured component
     class, with the lexicographically first minimizing transformation as
@@ -280,9 +238,6 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
     _check_same_theory(x, y)
     _check_fixed(x, y)
     _check_data(x, y, cfg)
-    if not cfg.force:
-        _check_guard(x, y, cfg)
-
     agg, witness = _Search(x, y, cfg).run()
     distance = agg if cfg.p == INF else ext_root(agg, cfg.p)
     weights = {}
@@ -311,16 +266,14 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
 
 def classical_hausdorff(xs: Instance, ys: Instance) -> float:
     """Hausdorff distance between attributed sets over a shared attribute
-    space, in non-symmetric sup-inf form; cross-checked against the general
-    search."""
+    space, in non-symmetric sup-inf form."""
     _check_same_theory(xs, ys)
+    _check_fixed(xs, ys)
     t = xs.theory
     attrs = [g for g in t.generators if g.cod in xs.fixed]
     if len(t.generators) != 1 or len(attrs) != 1:
         raise InstanceError("classical form needs exactly one generator into a fixed object")
     g = attrs[0]
-    if g.cod not in xs.fixed or xs.sets[g.cod] != ys.sets[g.cod]:
-        raise InstanceError("attribute spaces differ")
     dA_x, dA_y = xs.metric(g.cod), ys.metric(g.cod)
     if not np.array_equal(
         np.nan_to_num(dA_x.d, posinf=-1), np.nan_to_num(dA_y.d, posinf=-1)
@@ -328,33 +281,18 @@ def classical_hausdorff(xs: Instance, ys: Instance) -> float:
         raise InstanceError("attribute spaces differ")
     ax, ay = xs.maps[g.name], ys.maps[g.name]
     if xs.sets[g.dom] == 0:
-        direct = 0.0
-    elif ys.sets[g.dom] == 0:
-        direct = INF
-    else:
-        direct = max(min(float(dA_x.d[a, b]) for b in ay) for a in ax)
-
-    cfg = HausdorffConfig(p=INF, component_class="met")
-    general = hausdorff_distance(xs, ys, cfg).distance
-    if not (general == direct or abs(general - direct) <= TOL):
-        raise InstanceError(
-            f"sup-inf form ({direct}) disagrees with the general search ({general})"
-        )
-    return general
+        return 0.0
+    if ys.sets[g.dom] == 0:
+        return INF
+    return max(min(float(dA_x.d[a, b]) for b in ay) for a in ax)
 
 
-def discrete_hausdorff_is_hom(x: Instance, y: Instance, guard: int = ENUMERATION_GUARD, force: bool = False) -> bool:
+def discrete_hausdorff_is_hom(x: Instance, y: Instance, guard: int = SEARCH_NODE_GUARD, force: bool = False) -> bool:
     """With discrete metrics everywhere, zero Hausdorff distance is the same
-    thing as the existence of a homomorphism; this runs both and checks."""
+    thing as the existence of a homomorphism; this tests the distance."""
     for inst in (x, y):
         for ob in inst.theory.objects:
             if not inst.metric(ob).is_discrete():
                 raise InstanceError(f"object {ob!r} does not carry the discrete metric")
     cfg = HausdorffConfig(p=INF, component_class="met", guard=guard, force=force)
-    dist = hausdorff_distance(x, y, cfg).distance
-    hom = find_homomorphism(x, y)
-    if (dist == 0.0) != (hom is not None):
-        raise InstanceError(
-            "internal inconsistency: zero distance and homomorphism existence disagree"
-        )
-    return hom is not None
+    return hausdorff_distance(x, y, cfg).distance == 0.0

@@ -20,7 +20,6 @@ __all__ = [
     "FiniteKernel",
     "JointMeasure",
     "MarkovTransformation",
-    "pair_index",
     "compose_kernels",
     "apply_measure",
     "product_measure",
@@ -34,11 +33,6 @@ __all__ = [
 ]
 
 KERNEL_TOL = 1e-9
-
-
-def pair_index(i: int, j: int, n_second: int) -> int:
-    """Row-major index of (i, j) in a product with second factor of size n_second."""
-    return i * n_second + j
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,9 @@
 
 These deliberately avoid the code paths they check: the LP oracle
 enumerates polytope vertices with dense linear algebra, transport values
-come from that oracle, shortest paths from explicit path enumeration, and
-Hausdorff minima from full product enumeration with a from-scratch weight
-formula.
+come from that oracle, shortest paths from explicit path enumeration,
+transformations from the full product of component maps, and Hausdorff
+minima from that product with a from-scratch weight formula.
 """
 
 from __future__ import annotations
@@ -205,6 +205,21 @@ def _all_maps(n_from, n_to):
         yield ()
         return
     yield from itertools.product(range(n_to), repeat=n_from)
+
+
+def all_transformations(x, y):
+    """Every transformation X -> Y, natural or not, in lexicographic order of
+    component tuples (objects in declaration order); fixed objects are pinned
+    to the identity."""
+    from cset_transport.cset import Transformation
+
+    objects = list(x.theory.objects)
+    cands = [
+        [tuple(range(x.sets[ob]))] if ob in x.fixed else list(_all_maps(x.sets[ob], y.sets[ob]))
+        for ob in objects
+    ]
+    for combo in itertools.product(*cands):
+        yield Transformation(dict(zip(objects, combo)))
 
 
 def _lp_weight(x, y, comps, gen, p):

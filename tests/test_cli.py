@@ -84,6 +84,18 @@ def test_hausdorff_prints_plain_float(capsys):
     assert out.splitlines()[0] == "1.4142135623730951"
 
 
+def test_hausdorff_node_guard(capsys):
+    code, out, err = run_cli(capsys, "hausdorff", "builtin:fig9x", "builtin:fig9y", "--guard", "5")
+    assert code == 1
+    assert out == ""
+    assert "--force" in err
+    code, out, _ = run_cli(
+        capsys, "hausdorff", "builtin:fig9x", "builtin:fig9y", "--guard", "5", "--force"
+    )
+    assert code == 0
+    assert out.strip() == "2"
+
+
 def test_hausdorff_infinite(capsys):
     code, out, _ = run_cli(
         capsys, "hausdorff", "builtin:c4discrete", "builtin:c2", "--class", "mm"

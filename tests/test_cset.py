@@ -6,8 +6,6 @@ import pytest
 from cset_transport.cset import (
     Instance,
     Transformation,
-    count_transformations,
-    enumerate_transformations,
     evaluate_path,
     find_homomorphism,
     instance_from_json,
@@ -15,11 +13,11 @@ from cset_transport.cset import (
     is_natural,
     validate_instance,
 )
-from cset_transport.errors import GuardExceeded, InstanceError
+from cset_transport.errors import InstanceError
 from cset_transport.gallery import diamond, directed_cycle, loop, path_graph
 from cset_transport.theory import Path, builtin_theory
 
-from oracles import random_graph
+from oracles import all_transformations, random_graph
 
 
 def cycle(n):
@@ -120,7 +118,7 @@ def test_hom_agrees_with_enumeration():
         y = random_graph(rng, max_v=3, max_e=3)
         found = find_homomorphism(x, y)
         any_natural = any(
-            is_natural(x, y, t) for t in enumerate_transformations(x, y)
+            is_natural(x, y, t) for t in all_transformations(x, y)
         )
         if found is not None:
             assert is_natural(x, y, found)
@@ -144,17 +142,19 @@ def test_enumeration_counts():
     one = builtin_theory("One")
     a = Instance(one, {"*": 1}, {})
     b = Instance(one, {"*": 3}, {})
-    assert count_transformations(a, a) == 1
-    assert count_transformations(a, b) == 3
-    assert len(list(enumerate_transformations(a, b))) == 3
+    assert len(list(all_transformations(a, a))) == 1
+    assert len(list(all_transformations(a, b))) == 3
 
 
 def test_enumeration_injective_count():
-    def injective(ob, f):
+    def injective(f):
         return len(set(f.tolist())) == len(f)
 
     # every vertex/edge injection pairs up independently
-    n = count_transformations(cycle(2), cycle(4), injective)
+    n = sum(
+        all(injective(f) for f in t.components.values())
+        for t in all_transformations(cycle(2), cycle(4))
+    )
     assert n == 12 * 12 == 144
 
 
@@ -162,24 +162,15 @@ def test_enumeration_lex_order():
     one = builtin_theory("One")
     a = Instance(one, {"*": 2}, {})
     b = Instance(one, {"*": 2}, {})
-    seq = [t.components["*"].tolist() for t in enumerate_transformations(a, b)]
+    seq = [t.components["*"].tolist() for t in all_transformations(a, b)]
     assert seq == [[0, 0], [0, 1], [1, 0], [1, 1]]
-
-
-def test_enumeration_guard():
-    x = Instance(builtin_theory("One"), {"*": 20}, {})
-    y = Instance(builtin_theory("One"), {"*": 20}, {})
-    with pytest.raises(GuardExceeded) as exc:
-        list(enumerate_transformations(x, y))
-    assert exc.value.count == 20**20
-    assert "--force" in str(exc.value)
 
 
 def test_enumeration_fixed_pinned():
     aset = builtin_theory("ASet")
     x = Instance(aset, {"*": 1, "A": 2}, {"attr": [0]}, fixed={"A"})
     y = Instance(aset, {"*": 2, "A": 2}, {"attr": [0, 1]}, fixed={"A"})
-    ts = list(enumerate_transformations(x, y))
+    ts = list(all_transformations(x, y))
     assert len(ts) == 2
     for t in ts:
         assert t.components["A"].tolist() == [0, 1]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cset_transport.cset import Instance, Transformation, enumerate_transformations
+from cset_transport.cset import Instance, Transformation, find_homomorphism
 from cset_transport.errors import GuardExceeded, InstanceError
 from cset_transport.gallery import (
     attributed_set,
@@ -26,7 +26,7 @@ from cset_transport.hausdorff import (
 from cset_transport.mm import INF, MeasureData, counting_measure, discrete_metric
 from cset_transport.theory import Path, builtin_theory
 
-from oracles import brute_hausdorff, random_metric
+from oracles import all_transformations, brute_hausdorff, random_graph, random_metric
 
 MM1 = HausdorffConfig(p=1.0, component_class="mm")
 
@@ -154,6 +154,8 @@ def test_classical_hausdorff_random_vs_supinf():
             for a in xs.maps["attr"]
         )
         assert classical_hausdorff(xs, ys) == want
+        general = hausdorff_distance(xs, ys, HausdorffConfig(p=INF, component_class="met"))
+        assert general.distance == want
 
 
 def test_classical_hausdorff_rejects_different_spaces():
@@ -169,6 +171,13 @@ def test_discrete_reduction_is_hom():
     assert discrete_hausdorff_is_hom(x, y)
     assert not discrete_hausdorff_is_hom(loop("discrete"), directed_cycle(3, "discrete"))
     assert discrete_hausdorff_is_hom(y, y)
+    rng = np.random.default_rng(35)
+    for _ in range(30):
+        x, y = (
+            g.with_data(metrics={ob: discrete_metric(g.sets[ob]) for ob in ("V", "E")})
+            for g in (random_graph(rng, 3, 3), random_graph(rng, 3, 3))
+        )
+        assert discrete_hausdorff_is_hom(x, y) == (find_homomorphism(x, y) is not None)
 
 
 def test_discrete_reduction_requires_discrete_metrics():
@@ -177,14 +186,22 @@ def test_discrete_reduction_requires_discrete_metrics():
 
 
 def test_guard_exceeded():
-    x, y = weak_pair(6, 6)
+    # the guard counts search nodes: this search visits 39,200 of them
+    x, y = weak_pair(4, 8)
     with pytest.raises(GuardExceeded) as exc:
         hausdorff_distance(x, y, HausdorffConfig(p=1.0, component_class="mm", guard=1000))
     assert exc.value.count > 1000
     res = hausdorff_distance(
         x, y, HausdorffConfig(p=1.0, component_class="mm", guard=1000, force=True)
     )
-    assert res.distance == 0.0
+    assert res.distance == 4.0
+
+
+def test_default_guard_answers_weak_pair_5_8():
+    # 45,158,400 admissible transformations, but only 121,672 search nodes
+    res = hausdorff_distance(*weak_pair(5, 8))
+    assert res.distance == 3.0
+    assert res.witness is not None
 
 
 def test_fixed_attribute_graph_formula():
@@ -254,7 +271,7 @@ def test_composite_weight_subadditive():
             measures={"*": counting_measure(m)},
         )
         comp = Path("*", ("T", "T"))
-        for t in enumerate_transformations(x, y):
+        for t in all_transformations(x, y):
             w1 = transformation_weight(x, y, t, "T", 1.0)
             # weight at the composite path, computed directly
             from cset_transport.cset import evaluate_path
