@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from . import gallery
 from .cset import SEARCH_NODE_GUARD, load_instance, validate_instance
 from .errors import CsetTransportError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
@@ -185,7 +183,8 @@ def cmd_wk(args):
     n = FiniteKernel.from_json(data["n"])
     mu = MeasureData(len(data["mu"]), data["mu"])
     d = _metric_from_matrix(data["d"])
-    res = wasserstein_kernels(m, n, mu, d, _parse_p(str(data.get("p", args.p))))
+    p = args.p if args.p is not None else data.get("p", 1)
+    res = wasserstein_kernels(m, n, mu, d, _parse_p(str(p)))
     payload = {"cost": _json_num(res.cost)}
     _emit(args, [_num(res.cost)], payload)
     return 0
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wk", help="Wasserstein distance between two kernels")
     sp.add_argument("problem_file", help="JSON with m, n, mu, d, p")
-    sp.add_argument("--p", default="1")
+    sp.add_argument("--p", help="order p (default: the file's p, else 1)")
     sp.set_defaults(fn=cmd_wk)
 
     sp = add("export-lp", cmd_export_lp, arg_xy, help="print a program in LP text form")

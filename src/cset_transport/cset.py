@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np

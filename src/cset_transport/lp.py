@@ -4,11 +4,12 @@ solver, and a deterministic LP text format.
 All variables are nonnegative; finite positive upper bounds are turned into
 rows internally, and a variable with upper bound 0 is fixed at zero by leaving
 it out of the simplex altogether (no column, no bound row).  The solver keeps
-an explicit basis inverse, reinverts it periodically, and prices with
-Dantzig's rule, switching to Bland's rule whenever a run of degenerate pivots
-suggests cycling (and back after the next improving step), so termination is
-guaranteed while typical transportation-style programs stay fast.  Pivoting
-is deterministic, so repeated solves of the same model are bit-identical.
+an explicit basis inverse, reinverts it periodically, and enters one column
+per iteration: the most negative reduced cost (Dantzig's rule), or the least
+eligible index (Bland's rule) while a run of degenerate pivots suggests
+cycling, until the next improving step.  Bland's rule guarantees termination;
+Dantzig's keeps typical transportation-style programs fast.  Pivoting is
+deterministic, so repeated solves of the same model are bit-identical.
 """
 
 from __future__ import annotations
@@ -131,18 +132,17 @@ class _Simplex:
     """Revised simplex on rows A x = b, x >= 0, with sparse columns and an
     explicit, periodically rebuilt basis inverse."""
 
-    def __init__(self, A: _SparseCols, b, pivot_tol, max_iter):
+    def __init__(self, A: _SparseCols, b):
         self.A = A
         self.b = b
         self.m = A.m
         self.n = A.ncols
-        self.pivot_tol = pivot_tol
-        self.max_iter = max_iter
+        self.max_iter = max(5000, 200 * (self.m + 1))
         self.pivots = 0
         # phase-2 guard: basic variables in this set sit at zero and must not
         # grow, so they leave (step 0) as soon as the entering column would
         # push them up
-        self.zero_guard: np.ndarray | None = None
+        self.zero_guard = np.zeros(self.n, dtype=bool)
 
     def set_basis(self, basis):
         self.basis = np.asarray(basis, dtype=int)
@@ -193,7 +193,7 @@ class _Simplex:
 
     def _ratio_select(self, d, bland):
         """Minimum-ratio leaving row, or None when the column is unblocked."""
-        pos = np.flatnonzero(d > self.pivot_tol)
+        pos = np.flatnonzero(d > PIVOT_TOL)
         if pos.size == 0:
             return None
         ratios = self.xB[pos] / d[pos]
@@ -210,24 +210,17 @@ class _Simplex:
     def run(self, c, allowed):
         """Minimize c.x over the current system; returns 'optimal' or 'unbounded'.
 
-        Entering variable: Dantzig pricing, softened by probing a few of the
-        most negative candidates and preferring one that permits a
-        nondegenerate step (degenerate stalls are the norm on these highly
-        redundant transportation-like programs).  After a long stall the rule
-        degrades to Bland's least-index selection, which cannot cycle.
-        Leaving variable: minimum ratio with a deterministic lexicographic
-        tie-break.
+        Each iteration prices once and enters one column.  Entering variable:
+        Dantzig's most negative reduced cost; after a long run of degenerate
+        pivots the rule degrades to Bland's least eligible index, which cannot
+        cycle, and returns to Dantzig after the next improving step.  Leaving
+        variable: minimum ratio with a deterministic lexicographic tie-break
+        (least basic index under Bland's rule).
         """
         opt_tol = 1e-11
-        probe = 8
         bland = False
         stall = 0
         cB = c[self.basis].copy()
-
-        def apply_pivot(leave_pos, j, d, step):
-            self.pivot(leave_pos, j, d, step)
-            cB[leave_pos] = c[j]
-
         for _ in range(self.max_iter):
             y = cB @ self.Binv
             reduced = c - self.A.transpose_dot(y)
@@ -239,54 +232,37 @@ class _Simplex:
                     continue
                 return "optimal"
             if bland:
-                order = [int(candidates[0])]
+                j = int(candidates[0])
             else:
-                rc = reduced[candidates]
-                k = min(probe, candidates.size)
-                part = np.argpartition(rc, k - 1)[:k]
-                order = [int(candidates[i]) for i in part[np.argsort(rc[part], kind="stable")]]
-            chosen = None
-            guard_pivot = None
-            for j in order:
-                d = self.direction(j)
-                if self.zero_guard is not None:
-                    # pivot a shrinking-guarded basic out at step zero, but
-                    # only on a well-sized element
-                    guarded = np.flatnonzero(self.zero_guard[self.basis] & (d < -1e-7))
-                    if guarded.size:
-                        guard_pivot = (j, d, int(guarded[0]))
-                        break
+                j = int(candidates[np.argmin(reduced[candidates])])
+            d = self.direction(j)
+            # pivot a shrinking-guarded basic out at step zero, but only on a
+            # well-sized element
+            guarded = np.flatnonzero(self.zero_guard[self.basis] & (d < -1e-7))
+            if guarded.size:
+                leave_pos, step = int(guarded[0]), 0.0
+            else:
                 sel = self._ratio_select(d, bland)
                 if sel is None:
                     if self.dirty:
-                        chosen = "refresh"
-                        break
+                        self.refactor()
+                        continue
                     return "unbounded"
-                if chosen is None or chosen == "refresh" or sel[1] > 1e-12:
-                    chosen = (j, d, sel[0], sel[1])
-                if sel[1] > 1e-12:
-                    break
-            if guard_pivot is not None:
-                j, d, pos_g = guard_pivot
-                apply_pivot(pos_g, j, d, 0.0)
-                continue
-            if chosen == "refresh" or chosen is None:
-                self.refactor()
-                continue
-            j, d, leave_pos, step = chosen
-            if d[leave_pos] < 1e-6 and self.dirty:
-                # a pivot element this small is usually drift noise: rebuild
-                # the inverse exactly and re-price before committing
-                self.refactor()
-                continue
-            if step <= 1e-12:
-                stall += 1
-                if stall > BLAND_AFTER:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            apply_pivot(leave_pos, j, d, step)
+                leave_pos, step = sel
+                if d[leave_pos] < 1e-6 and self.dirty:
+                    # a pivot element this small is usually drift noise:
+                    # rebuild the inverse exactly and re-price before committing
+                    self.refactor()
+                    continue
+                if step <= 1e-12:
+                    stall += 1
+                    if stall > BLAND_AFTER:
+                        bland = True
+                else:
+                    stall = 0
+                    bland = False
+            self.pivot(leave_pos, j, d, step)
+            cB[leave_pos] = c[j]
         raise LpNumericalError(f"simplex exceeded {self.max_iter} iterations")
 
 
@@ -308,14 +284,9 @@ def _standardize(model: LpModel):
     return out
 
 
-def solve(
-    model: LpModel,
-    pivot_tol: float = PIVOT_TOL,
-    feas_tol: float = FEAS_TOL,
-    max_iter: int | None = None,
-) -> LpSolution:
+def solve(model: LpModel) -> LpSolution:
     """Two-phase simplex; optimal solutions are basic and satisfy every
-    constraint within ``feas_tol``.  Numerical breakdown raises, never passes
+    constraint within ``FEAS_TOL``.  Numerical breakdown raises, never passes
     silently."""
     model.validate()
     rows = _standardize(model)
@@ -381,9 +352,7 @@ def solve(
     is_artificial = np.zeros(total, dtype=bool)
     is_artificial[art_cols] = True
 
-    if max_iter is None:
-        max_iter = max(5000, 200 * (m + 1))
-    sx = _Simplex(A, b, pivot_tol, max_iter)
+    sx = _Simplex(A, b)
     sx.set_basis(basis)
 
     if art_cols:
@@ -398,12 +367,12 @@ def solve(
         everything = np.ones(total, dtype=bool)
         status = sx.run(c1, allowed=everything)
         art_mass = float(art_cost[sx.basis] @ sx.xB)
-        if status != "optimal" or art_mass > feas_tol:
+        if status != "optimal" or art_mass > FEAS_TOL:
             status = sx.run(art_cost, allowed=everything)
             if status != "optimal":
                 raise LpNumericalError("phase 1 reported unbounded; this cannot happen")
             art_mass = float(art_cost[sx.basis] @ sx.xB)
-            if art_mass > feas_tol:
+            if art_mass > FEAS_TOL:
                 return LpSolution("infeasible", None, None, list(model.var_names))
         _drive_out_artificials(sx, is_artificial)
         sx.zero_guard = is_artificial
@@ -427,8 +396,8 @@ def solve(
     x = np.zeros(sx.n)
     x[sx.basis] = sx.xB
     values = np.zeros(model.num_vars)
-    values[live] = np.maximum(x[:n], 0.0)  # clip basic round-off of order pivot_tol
-    _recheck(model, values, feas_tol)
+    values[live] = np.maximum(x[:n], 0.0)  # clip basic round-off of order PIVOT_TOL
+    _recheck(model, values)
     objective = float(c_orig @ values)
     return LpSolution("optimal", objective, values, list(model.var_names))
 
@@ -453,24 +422,24 @@ def _drive_out_artificials(sx: _Simplex, is_artificial):
             sx.pivot(pos, j, d, sx.xB[pos] / d[pos])
 
 
-def _recheck(model: LpModel, x, feas_tol):
+def _recheck(model: LpModel, x):
     """Independent residual check of a claimed-optimal point."""
     for cname, terms, rel, rhs in model.constraints:
         lhs = sum(coef * x[idx] for idx, coef in terms)
         resid = lhs - rhs
         ok = (
-            abs(resid) <= feas_tol
+            abs(resid) <= FEAS_TOL
             if rel == "="
-            else resid <= feas_tol
+            else resid <= FEAS_TOL
             if rel == "<="
-            else resid >= -feas_tol
+            else resid >= -FEAS_TOL
         )
         if not ok:
             raise LpNumericalError(
                 f"solution violates constraint {cname!r} by {abs(resid):.3e}"
             )
     for idx, u in enumerate(model.var_upper):
-        if x[idx] < -feas_tol or x[idx] > u + feas_tol:
+        if x[idx] < -FEAS_TOL or x[idx] > u + FEAS_TOL:
             raise LpNumericalError(f"solution violates bounds of {model.var_names[idx]!r}")
 
 

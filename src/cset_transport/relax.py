@@ -24,8 +24,7 @@ other.  For unit shortest-path metrics only the edges remain.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,7 +206,7 @@ def _triangle_implied(d: np.ndarray) -> np.ndarray:
     return implied
 
 
-def _require_data(x: Instance, y: Instance, cls: str) -> None:
+def _require_data(x: Instance, y: Instance) -> None:
     t = x.theory
     for ob in t.objects:
         x.metric(ob)
@@ -259,7 +258,7 @@ def wasserstein_cset_lp(
         raise ValueError(f"component_class must be one of {WASSERSTEIN_CLASSES}")
     _check_same_theory(x, y)
     _check_fixed(x, y)
-    _require_data(x, y, component_class)
+    _require_data(x, y)
     _check_fixed_spaces(x, y)
 
     t = x.theory
@@ -455,15 +454,11 @@ def wasserstein_cset_lp(
 
     # a stochastic row with every variable pinned is structurally infeasible
     if infinite is None:
-        pinned = {name for name in pins}
         for ob in movable:
             _, nx_, ny_ = layout["phi"][ob]
             for i in range(nx_):
-                names = [
-                    model.var_names[_phi_var(layout["phi"], ob, i, j)]
-                    for j in range(ny_)
-                ]
-                if names and all(nm in pinned for nm in names):
+                row = [_phi_var(layout["phi"], ob, i, j) for j in range(ny_)]
+                if row and all(model.var_upper[idx] == 0.0 for idx in row):
                     infinite = f"every image of {ob!r}[{i}] is forbidden by infinite costs"
 
     return WassersteinProgram(

@@ -9,7 +9,7 @@ then src".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DslSyntaxError, TheoryError
 

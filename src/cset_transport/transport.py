@@ -8,15 +8,14 @@ cost is reported as inf.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 from .lp import LpModel, solve
-from .markov import FiniteKernel, embed_function
-from .mm import INF, MeasureData, MetricData, ext_mul, ext_root, lp_distance
+from .markov import FiniteKernel
+from .mm import INF, MeasureData, MetricData, ext_mul, ext_root
 
 __all__ = [
     "OtResult",

@@ -145,6 +145,26 @@ def test_ot_and_wk(tmp_path, capsys):
     assert out.strip() == "2"
 
 
+def test_wk_explicit_p_wins_over_file(tmp_path, capsys):
+    problem = {
+        "m": {"rows": 1, "cols": 2, "p": [[0.5, 0.5]]},
+        "n": {"rows": 1, "cols": 2, "p": [[0.0, 1.0]]},
+        "mu": [1.0],
+        "d": [[0, 2], [2, 0]],
+        "p": 1,
+    }
+    wk = tmp_path / "wk.json"
+    wk.write_text(json.dumps(problem))
+    code, out, _ = run_cli(capsys, "wk", str(wk))
+    assert code == 0 and out.strip() == "1"
+    code, out, _ = run_cli(capsys, "wk", str(wk), "--p", "2")
+    assert code == 0 and out.strip() == "1.4142135623730951"
+    del problem["p"]
+    wk.write_text(json.dumps(problem))
+    code, out, _ = run_cli(capsys, "wk", str(wk))
+    assert code == 0 and out.strip() == "1"
+
+
 def test_export_lp_feasibility(capsys):
     code, out, _ = run_cli(
         capsys, "export-lp", "builtin:loop", "builtin:fig7y", "--problem", "feasibility"

@@ -120,6 +120,25 @@ def test_deterministic_resolve():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("bound_as_row", [True, False])
+def test_beale_cycling_example(bound_as_row):
+    # Beale's degenerate program: Dantzig pricing with ratio ties broken by
+    # the first row cycles on it forever, so this needs the Bland backstop
+    m = LpModel()
+    x6_upper = np.inf if bound_as_row else 1.0
+    x = [m.add_variable(f"x{i}", upper=x6_upper if i == 6 else np.inf) for i in (4, 5, 6, 7)]
+    for idx, coef in zip(x, (-0.75, 150.0, -0.02, 6.0)):
+        m.add_objective(idx, coef)
+    m.add_constraint("r1", list(zip(x, (0.25, -60.0, -0.04, 9.0))), "<=", 0.0)
+    m.add_constraint("r2", list(zip(x, (0.5, -90.0, -0.02, 3.0))), "<=", 0.0)
+    if bound_as_row:
+        m.add_constraint("r3", [(x[2], 1.0)], "<=", 1.0)
+    sol = solve(m)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-0.05)
+    assert sol.values == pytest.approx([0.04, 0.0, 1.0, 0.0])
+
+
 def _random_model(rng):
     n = int(rng.integers(1, 6))
     k = int(rng.integers(1, 6))
