@@ -5,11 +5,14 @@ All variables are nonnegative; finite positive upper bounds are turned into
 rows internally, and a variable with upper bound 0 is fixed at zero by leaving
 it out of the simplex altogether (no column, no bound row).  The solver keeps
 an explicit basis inverse, reinverts it periodically, and enters one column
-per iteration: the most negative reduced cost (Dantzig's rule), or the least
-eligible index (Bland's rule) while a run of degenerate pivots suggests
-cycling, until the next improving step.  Bland's rule guarantees termination;
-Dantzig's keeps typical transportation-style programs fast.  Pivoting is
-deterministic, so repeated solves of the same model are bit-identical.
+per iteration: the most negative reduced cost (Dantzig's rule), leaving by
+the plain minimum ratio.  Degeneracy has one defence: the simplex runs on a
+right-hand side raised by a fixed tiny pattern (Wolfe's perturbation), which
+makes ratio ties, zero steps and hence cycling vanish with probability 1.
+Infeasibility is decided, and the answer polished, on the exact right-hand
+side; every answer is then certified against the unperturbed model, primal
+by residuals and dual by reduced costs.  The pattern is fixed, so repeated
+solves of the same model are bit-identical.
 """
 
 from __future__ import annotations
@@ -26,9 +29,16 @@ __all__ = ["LpModel", "LpSolution", "solve", "export_lp", "parse_lp"]
 
 INF = math.inf
 
-PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-7
-BLAND_AFTER = 64
+# Tolerances.  A "relative" one is scaled by max(1, |v|) of the value v it
+# names (PERTURB by 1 + |b_i|); the others are absolute.
+PIVOT_TOL = 1e-10  # smallest direction entry the ratio test pivots on
+FEAS_TOL = 1e-7  # residual _recheck allows; artificial mass that means infeasible
+OPT_TOL = 1e-11  # a reduced cost below -OPT_TOL enters the basis
+DUAL_TOL = 1e-9  # relative to max|c|: the final basis's reduced costs must reach -DUAL_TOL
+GUARD_TOL = 1e-7  # smallest |element| a zero-guard leave or an artificial drive-out pivots on
+SNAP_TOL = 1e-12  # relative to max x_B: smaller polished basic values are exact zeros
+BLEND = 1e-4  # relative to max|c|: weight of the real objective in phase 1
+PERTURB = 1e-9  # relative to |b_i|: size of the right-hand-side perturbation, << FEAS_TOL
 REFACTOR_EVERY = 256
 
 _RELATIONS = ("=", "<=", ">=")
@@ -181,86 +191,44 @@ class _Simplex:
             self.xB[leave_pos] = step
             np.clip(self.xB, 0.0, None, out=self.xB)
 
-    def _leave_lex(self, ties, d):
-        """Deterministic tie-break: minimize a fixed projection of the
-        candidate tableau rows, a vectorized stand-in for the lexicographic
-        rule (Bland's rule remains the termination backstop)."""
-        if not hasattr(self, "_lexw") or self._lexw.shape[0] != self.m:
-            rng = np.random.default_rng(0)
-            self._lexw = rng.random(self.m) + 0.5
-        vals = (self.Binv[ties] @ self._lexw) / d[ties]
-        return int(ties[np.argmin(vals)])
-
-    def _ratio_select(self, d, bland):
-        """Minimum-ratio leaving row, or None when the column is unblocked."""
-        pos = np.flatnonzero(d > PIVOT_TOL)
-        if pos.size == 0:
-            return None
-        ratios = self.xB[pos] / d[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + 1e-12]
-        if ties.size == 1:
-            leave_pos = int(ties[0])
-        elif bland:
-            leave_pos = int(ties[np.argmin(self.basis[ties])])
-        else:
-            leave_pos = self._leave_lex(ties, d)
-        return leave_pos, max(best, 0.0)
-
     def run(self, c, allowed):
         """Minimize c.x over the current system; returns 'optimal' or 'unbounded'.
 
-        Each iteration prices once and enters one column.  Entering variable:
-        Dantzig's most negative reduced cost; after a long run of degenerate
-        pivots the rule degrades to Bland's least eligible index, which cannot
-        cycle, and returns to Dantzig after the next improving step.  Leaving
-        variable: minimum ratio with a deterministic lexicographic tie-break
-        (least basic index under Bland's rule).
+        Each iteration prices once and enters the column with the most
+        negative reduced cost (Dantzig's rule).  The leaving row is the plain
+        minimum ratio: on the perturbed right-hand side ties and zero steps
+        are accidents of measure zero, so no tie-break or anti-cycling rule
+        is needed.  A zero-guarded basic that the column would push up leaves
+        first, at step 0.  Before "optimal" or "unbounded" is returned the
+        inverse is rebuilt and the iteration re-priced, so both verdicts rest
+        on a fresh inverse.
         """
-        opt_tol = 1e-11
-        bland = False
-        stall = 0
         cB = c[self.basis].copy()
         for _ in range(self.max_iter):
             y = cB @ self.Binv
             reduced = c - self.A.transpose_dot(y)
-            eligible = allowed & ~self.in_basis & (reduced < -opt_tol)
+            eligible = allowed & ~self.in_basis & (reduced < -OPT_TOL)
             candidates = np.flatnonzero(eligible)
             if candidates.size == 0:
                 if self.dirty:
                     self.refactor()
                     continue
                 return "optimal"
-            if bland:
-                j = int(candidates[0])
-            else:
-                j = int(candidates[np.argmin(reduced[candidates])])
+            j = int(candidates[np.argmin(reduced[candidates])])
             d = self.direction(j)
-            # pivot a shrinking-guarded basic out at step zero, but only on a
-            # well-sized element
-            guarded = np.flatnonzero(self.zero_guard[self.basis] & (d < -1e-7))
+            guarded = np.flatnonzero(self.zero_guard[self.basis] & (d < -GUARD_TOL))
             if guarded.size:
                 leave_pos, step = int(guarded[0]), 0.0
             else:
-                sel = self._ratio_select(d, bland)
-                if sel is None:
+                pos = np.flatnonzero(d > PIVOT_TOL)
+                if pos.size == 0:
                     if self.dirty:
                         self.refactor()
                         continue
                     return "unbounded"
-                leave_pos, step = sel
-                if d[leave_pos] < 1e-6 and self.dirty:
-                    # a pivot element this small is usually drift noise:
-                    # rebuild the inverse exactly and re-price before committing
-                    self.refactor()
-                    continue
-                if step <= 1e-12:
-                    stall += 1
-                    if stall > BLAND_AFTER:
-                        bland = True
-                else:
-                    stall = 0
-                    bland = False
+                ratios = self.xB[pos] / d[pos]
+                k = int(np.argmin(ratios))
+                leave_pos, step = int(pos[k]), max(float(ratios[k]), 0.0)
             self.pivot(leave_pos, j, d, step)
             cB[leave_pos] = c[j]
         raise LpNumericalError(f"simplex exceeded {self.max_iter} iterations")
@@ -285,9 +253,9 @@ def _standardize(model: LpModel):
 
 
 def solve(model: LpModel) -> LpSolution:
-    """Two-phase simplex; optimal solutions are basic and satisfy every
-    constraint within ``FEAS_TOL``.  Numerical breakdown raises, never passes
-    silently."""
+    """Two-phase simplex; optimal solutions are basic, satisfy every
+    constraint within ``FEAS_TOL`` and come with a dual-feasible final basis.
+    Numerical breakdown raises, never passes silently."""
     model.validate()
     rows = _standardize(model)
     m = len(rows)
@@ -352,8 +320,13 @@ def solve(model: LpModel) -> LpSolution:
     is_artificial = np.zeros(total, dtype=bool)
     is_artificial[art_cols] = True
 
-    sx = _Simplex(A, b)
+    # the simplex runs on b raised by a fixed pattern far below FEAS_TOL, so
+    # ratio ties and zero steps vanish with probability 1; the exact b comes
+    # back to decide infeasibility and to polish
+    rng = np.random.default_rng(0)
+    sx = _Simplex(A, b + PERTURB * (1.0 + np.abs(b)) * rng.uniform(0.5, 1.0, m))
     sx.set_basis(basis)
+    scale = max(1.0, float(np.abs(c2).max()))
 
     if art_cols:
         art_cost = np.zeros(total)
@@ -362,12 +335,21 @@ def solve(model: LpModel) -> LpSolution:
         # near-optimal vertex (degenerate plateaus otherwise make phase 2
         # start far away); infeasibility is re-certified with the pure
         # artificial objective below, so the blend cannot mask it
-        scale = max(1.0, float(np.abs(c2).max()))
-        c1 = art_cost + (1e-4 / scale) * c2
+        c1 = art_cost + (BLEND / scale) * c2
         everything = np.ones(total, dtype=bool)
         status = sx.run(c1, allowed=everything)
-        art_mass = float(art_cost[sx.basis] @ sx.xB)
-        if status != "optimal" or art_mass > FEAS_TOL:
+        # feasibility is judged on the exact b: the perturbation may close a
+        # gap wider than FEAS_TOL, or open one on a redundant row
+        exact = sx.Binv @ b
+        negative = exact.min() < -FEAS_TOL
+        if status != "optimal" or negative or float(art_cost[sx.basis] @ exact) > FEAS_TOL:
+            sx.b = b
+            if negative:
+                # the simplex needs a feasible start; the first basis is
+                # feasible for every b >= 0
+                sx.set_basis(basis)
+            else:
+                sx.refactor()
             status = sx.run(art_cost, allowed=everything)
             if status != "optimal":
                 raise LpNumericalError("phase 1 reported unbounded; this cannot happen")
@@ -381,8 +363,10 @@ def solve(model: LpModel) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, None, list(model.var_names))
 
-    # polish the basic solution: exact inverse of the final basis plus two
-    # rounds of iterative refinement kill the drift of incremental updates
+    # polish the basic solution on the exact b: exact inverse of the final
+    # basis plus two rounds of iterative refinement kill the drift of
+    # incremental updates and the perturbation
+    sx.b = b
     sx.refactor()
     B = sx.A.dense_submatrix(sx.basis)
     for _ in range(2):
@@ -390,8 +374,14 @@ def solve(model: LpModel) -> LpSolution:
     np.clip(sx.xB, 0.0, None, out=sx.xB)
     # basic values this far below the solver's resolution are exact zeros;
     # without the snap, p-th roots downstream amplify femto-scale noise
-    snap = 1e-12 * max(1.0, float(np.max(sx.xB, initial=0.0)))
+    snap = SNAP_TOL * max(1.0, float(np.max(sx.xB, initial=0.0)))
     sx.xB[sx.xB < snap] = 0.0
+    # dual certificate: y = c_B B^-1 must price every column the program
+    # may use at a nonnegative reduced cost, else the basis is not optimal
+    reduced = c2 - sx.A.transpose_dot(c2[sx.basis] @ sx.Binv)
+    worst = float(reduced[~is_artificial].min(initial=0.0))
+    if worst < -DUAL_TOL * scale:
+        raise LpNumericalError(f"final basis is not dual feasible: reduced cost {worst:.3e}")
 
     x = np.zeros(sx.n)
     x[sx.basis] = sx.xB
@@ -415,7 +405,7 @@ def _drive_out_artificials(sx: _Simplex, is_artificial):
         row = sx.A.transpose_dot(sx.Binv[pos])
         row[is_artificial] = 0.0
         row[sx.in_basis] = 0.0
-        cand = np.flatnonzero(np.abs(row) > 1e-7)
+        cand = np.flatnonzero(np.abs(row) > GUARD_TOL)
         if cand.size:
             j = int(cand[0])
             d = sx.direction(j)

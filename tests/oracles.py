@@ -1,10 +1,11 @@
-"""Independent brute-force oracles used to derive expected values.
+"""Independent oracles used to derive expected values.
 
-These deliberately avoid the code paths they check: the LP oracle
-enumerates polytope vertices with dense linear algebra, transport values
-come from that oracle, shortest paths from explicit path enumeration,
-transformations from the full product of component maps, and Hausdorff
-minima from that product with a from-scratch weight formula.
+These deliberately avoid the code paths they check: the LP oracles
+enumerate polytope vertices with dense linear algebra or call HiGHS (scipy,
+a test-only dependency), transport values come from the vertex oracle,
+shortest paths from explicit path enumeration, transformations from the
+full product of component maps, and Hausdorff minima from that product with
+a from-scratch weight formula.
 """
 
 from __future__ import annotations
@@ -132,6 +133,42 @@ def brute_force_lp(model):
     if _recession_unbounded(model):
         return "unbounded", None
     return "optimal", min(float(c @ v) for v in vertices)
+
+
+def highs_solve(model):
+    """(status, objective) from HiGHS through ``scipy.optimize.linprog``; a
+    second, production-grade solver for programs too large to enumerate."""
+    from scipy.optimize import linprog
+
+    n = model.num_vars
+    c = np.zeros(n)
+    for idx, coef in model.objective.items():
+        c[idx] += coef
+    ub, b_ub, eq, b_eq = [], [], [], []
+    for _, terms, rel, rhs in model.constraints:
+        row = np.zeros(n)
+        for idx, coef in terms:
+            row[idx] += coef
+        if rel == "=":
+            eq.append(row)
+            b_eq.append(rhs)
+        else:
+            sign = 1.0 if rel == "<=" else -1.0
+            ub.append(sign * row)
+            b_ub.append(sign * rhs)
+    res = linprog(
+        c,
+        A_ub=np.array(ub) if ub else None,
+        b_ub=b_ub or None,
+        A_eq=np.array(eq) if eq else None,
+        b_eq=b_eq or None,
+        bounds=[(0.0, u if math.isfinite(u) else None) for u in model.var_upper],
+        method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    if status is None:
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    return status, float(res.fun) if status == "optimal" else None
 
 
 # -- transport oracle ----------------------------------------------------------

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from cset_transport.errors import LpError
+from cset_transport import lp
+from cset_transport.errors import LpError, LpNumericalError
 from cset_transport.lp import LpModel, export_lp, parse_lp, solve
 
-from oracles import brute_force_lp
+from oracles import brute_force_lp, highs_solve
 
 
 def minx_model():
@@ -114,16 +117,19 @@ def test_round_trip_parse():
 
 
 def test_deterministic_resolve():
-    m = minx_model()
-    a, b = solve(m), solve(m)
-    assert a.objective == b.objective
-    assert np.array_equal(a.values, b.values)
+    rng = np.random.default_rng(45)
+    for m in [minx_model()] + [_degenerate_model(rng) for _ in range(20)]:
+        a, b = solve(m), solve(m)
+        assert a.status == b.status
+        assert a.objective == b.objective
+        assert a.values is b.values is None or np.array_equal(a.values, b.values)
 
 
 @pytest.mark.parametrize("bound_as_row", [True, False])
 def test_beale_cycling_example(bound_as_row):
     # Beale's degenerate program: Dantzig pricing with ratio ties broken by
-    # the first row cycles on it forever, so this needs the Bland backstop
+    # the first row cycles on it forever; the right-hand-side perturbation
+    # must break those ties
     m = LpModel()
     x6_upper = np.inf if bound_as_row else 1.0
     x = [m.add_variable(f"x{i}", upper=x6_upper if i == 6 else np.inf) for i in (4, 5, 6, 7)]
@@ -260,3 +266,92 @@ def test_random_lps_with_zero_bounds_against_vertex_enumeration():
             assert sol.objective == pytest.approx(want, abs=1e-6), f"trial {trial}"
             assert all(sol.values[i] == 0.0 for i, u in enumerate(model.var_upper) if u == 0.0)
     assert pinned > 40
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5])
+def test_scaled_duplicate_row_stays_feasible(scale):
+    # the perturbation makes a+b = 5s and 2a+2b = 10s disagree by more than
+    # FEAS_TOL at this scale, so feasibility must be judged on the exact b
+    m = LpModel()
+    a, b = m.add_variable("a"), m.add_variable("b")
+    m.add_objective(a, 1.0)
+    m.add_objective(b, 2.0)
+    m.add_constraint("r1", [(a, 1.0), (b, 1.0)], "=", 5 * scale)
+    m.add_constraint("r2", [(a, 2.0), (b, 2.0)], "=", 10 * scale)
+    m.add_constraint("r3", [(a, 1.0)], "<=", 3 * scale)
+    sol = solve(m)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(7 * scale)
+    assert sol.values == pytest.approx([3 * scale, 2 * scale])
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-4])
+def test_infeasible_within_the_perturbation(gap):
+    # x <= 5e6 and x >= 5e6 + gap: infeasible by more than FEAS_TOL but by
+    # less than the perturbation of these rows, which can close the gap
+    m = LpModel()
+    x = m.add_variable("x")
+    m.add_objective(x, 1.0)
+    m.add_constraint("hi", [(x, 1.0)], "<=", 5e6)
+    m.add_constraint("lo", [(x, 1.0)], ">=", 5e6 + gap)
+    assert solve(m).status == "infeasible"
+
+
+def _degenerate_model(rng):
+    """Small integer program with right-hand sides up to 1e5: most rows pass
+    through one lattice point, so vertices are degenerate, and some rows
+    come twice, scaled or negated."""
+    n = int(rng.integers(2, 8))
+    scale = float(rng.choice([1.0, 1e3, 1e5]))
+    m = LpModel()
+    for i in range(n):
+        bounded = rng.random() < 0.25
+        m.add_variable(f"x{i}", upper=scale * float(rng.integers(0, 4)) if bounded else np.inf)
+        if rng.random() < 0.8:
+            m.add_objective(i, float(rng.integers(-3, 4)))
+    point = rng.integers(0, 3, n) * (rng.random(n) < 0.5)
+    flip = {"=": "=", "<=": ">=", ">=": "<="}
+    for r in range(int(rng.integers(1, 7))):
+        a = rng.integers(-2, 3, n) * (rng.random(n) < 0.7)
+        if not a.any():
+            a[int(rng.integers(n))] = 1
+        rel = str(rng.choice(["=", "<=", ">="]))
+        through = rng.random() < 0.7
+        rhs = scale * (float(a @ point) if through else float(rng.integers(-3, 4)))
+        terms = [(i, float(v)) for i, v in enumerate(a) if v]
+        m.add_constraint(f"c{r}", terms, rel, rhs)
+        if rng.random() < 0.25:
+            f = float(rng.choice([2.0, -1.0, 3.0]))
+            twin = [(i, f * v) for i, v in terms]
+            m.add_constraint(f"c{r}_twin", twin, rel if f > 0 else flip[rel], f * rhs)
+    return m
+
+
+def test_degenerate_lps_against_highs():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(46)
+    seen = set()
+    for trial in range(300):
+        model = _degenerate_model(rng)
+        status, want = highs_solve(model)
+        sol = solve(model)
+        seen.add(status)
+        assert sol.status == status, f"trial {trial}: {sol.status} vs {status}"
+        if status == "optimal":
+            assert math.isclose(sol.objective, want, rel_tol=1e-6, abs_tol=1e-6), f"trial {trial}"
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_dual_certificate_rejects_a_suboptimal_basis(monkeypatch):
+    # min -x - y over x + 2y <= 4, 3x + y <= 6: the slack basis is feasible
+    # but not optimal, and stopping the simplex there must not pass
+    m = LpModel()
+    x, y = m.add_variable("x"), m.add_variable("y")
+    m.add_objective(x, -1.0)
+    m.add_objective(y, -1.0)
+    m.add_constraint("r1", [(x, 1.0), (y, 2.0)], "<=", 4.0)
+    m.add_constraint("r2", [(x, 3.0), (y, 1.0)], "<=", 6.0)
+    assert solve(m).objective == pytest.approx(-2.8)
+    monkeypatch.setattr(lp._Simplex, "run", lambda self, c, allowed: "optimal")
+    with pytest.raises(LpNumericalError, match="not dual feasible"):
+        solve(m)

@@ -26,6 +26,7 @@ from cset_transport.mm import (
     MetricData,
     counting_measure,
     discrete_metric,
+    shortest_path_metric,
     uniform_measure,
 )
 from cset_transport.relax import (
@@ -443,3 +444,35 @@ def test_cycle_rows_reduce_to_edges():
     )
     dist, _ = wasserstein_cset_distance(x, y, 1.0)
     assert dist == pytest.approx(0.0, abs=1e-9)
+
+
+def _mm_graph(src, tgt):
+    """Graph on 6 vertices, shortest-path V metric, discrete E metric, counting
+    measures."""
+    g = Instance(
+        builtin_theory("Graph"), {"E": len(src), "V": 6}, {"src": src, "tgt": tgt}
+    )
+    return g.with_data(
+        metrics={"V": shortest_path_metric(g), "E": discrete_metric(len(src))},
+        measures={"V": counting_measure(6), "E": counting_measure(len(src))},
+    )
+
+
+@pytest.mark.parametrize(
+    "x_maps, y_maps",
+    [
+        # the simplex hit a singular basis on this program
+        (([3, 5, 0, 4, 2, 1], [2, 0, 4, 3, 1, 5]), ([3, 5, 4, 0, 1, 2], [5, 1, 0, 3, 2, 4])),
+        # and stalled at a degenerate phase-1 vertex until its iteration cap here
+        (([2, 4, 3, 1, 0, 5], [1, 3, 0, 4, 5, 2]), ([2, 3, 1, 4, 5, 0], [4, 2, 0, 5, 1, 3])),
+    ],
+)
+def test_relabelled_c6_pairs_solve(x_maps, y_maps):
+    # both graphs are relabellings of C6, so W_2 between them is 0; the
+    # programs (720 vars, 246 rows) are highly degenerate, and a simplex that
+    # broke ratio ties lexicographically, with Bland's rule after a stall,
+    # failed on each
+    x, y = _mm_graph(*x_maps), _mm_graph(*y_maps)
+    dist, cert = wasserstein_cset_distance(x, y, 2.0)
+    assert dist == pytest.approx(0.0, abs=1e-9)
+    assert cert is not None
