@@ -9,10 +9,11 @@ per iteration: the most negative reduced cost (Dantzig's rule), leaving by
 the plain minimum ratio.  Degeneracy has one defence: the simplex runs on a
 right-hand side raised by a fixed tiny pattern (Wolfe's perturbation), which
 makes ratio ties, zero steps and hence cycling vanish with probability 1.
-Infeasibility is decided, and the answer polished, on the exact right-hand
-side; every answer is then certified against the unperturbed model, primal
-by residuals and dual by reduced costs.  The pattern is fixed, so repeated
-solves of the same model are bit-identical.
+Infeasibility is decided, and the answer taken, on the exact right-hand
+side: where a basis found on the perturbed one is infeasible on it, a dual
+simplex re-optimizes.  Every answer is then certified against the
+unperturbed model, primal by residuals and dual by reduced costs.  The
+pattern is fixed, so repeated solves of the same model are bit-identical.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ FEAS_TOL = 1e-7  # residual _recheck allows; artificial mass that means infeasib
 OPT_TOL = 1e-11  # a reduced cost below -OPT_TOL enters the basis
 DUAL_TOL = 1e-9  # relative to max|c|: the final basis's reduced costs must reach -DUAL_TOL
 GUARD_TOL = 1e-7  # smallest |element| a zero-guard leave or an artificial drive-out pivots on
+PRIMAL_TOL = 1e-9  # a basic value on the exact b below -max(PRIMAL_TOL,
+ROUND_TOL = 1e-14  # ROUND_TOL * max|b|) is repaired; the 2nd term covers rounding
 SNAP_TOL = 1e-12  # relative to max x_B: smaller polished basic values are exact zeros
 BLEND = 1e-4  # relative to max|c|: weight of the real objective in phase 1
-PERTURB = 1e-9  # relative to |b_i|: size of the right-hand-side perturbation, << FEAS_TOL
+PERTURB = 1e-9  # relative to 1 + |b_i|: size of the right-hand-side perturbation
 REFACTOR_EVERY = 256
 
 _RELATIONS = ("=", "<=", ">=")
@@ -148,6 +151,7 @@ class _Simplex:
         self.m = A.m
         self.n = A.ncols
         self.max_iter = max(5000, 200 * (self.m + 1))
+        self.primal_tol = max(PRIMAL_TOL, ROUND_TOL * float(np.abs(b).max(initial=0.0)))
         self.pivots = 0
         # phase-2 guard: basic variables in this set sit at zero and must not
         # grow, so they leave (step 0) as soon as the entering column would
@@ -232,6 +236,37 @@ class _Simplex:
             self.pivot(leave_pos, j, d, step)
             cB[leave_pos] = c[j]
         raise LpNumericalError(f"simplex exceeded {self.max_iter} iterations")
+
+    def repair(self, b, c, allowed):
+        """Move to right-hand side b and run the dual simplex from the basis
+        that ``run`` left optimal for c, until no basic value is below
+        -primal_tol: the basis is then optimal for c on b.  Bland's rule for
+        the dual (the least basic column among the negative values leaves,
+        the least index among the minimum ratios enters) rules out cycling.
+        Ends on a fresh inverse."""
+        self.b = b
+        self.refactor()
+        for _ in range(self.max_iter):
+            neg = np.flatnonzero(self.xB < -self.primal_tol)
+            if neg.size == 0:
+                break
+            r = int(neg[np.argmin(self.basis[neg])])
+            alpha = self.A.transpose_dot(self.Binv[r])
+            cand = np.flatnonzero(allowed & ~self.in_basis & (alpha < -PIVOT_TOL))
+            if cand.size == 0:
+                # no column can raise this value, so it is negative by
+                # rounding (or the program is infeasible); the polish clips
+                # it and _recheck judges the point
+                break
+            reduced = c - self.A.transpose_dot(c[self.basis] @ self.Binv)
+            ratios = np.maximum(reduced[cand], 0.0) / -alpha[cand]
+            j = int(cand[np.argmin(ratios)])
+            self.pivot(r, j, self.direction(j), 0.0)
+            self.xB = self.Binv @ self.b
+        else:
+            raise LpNumericalError(f"dual simplex exceeded {self.max_iter} iterations")
+        if self.dirty:
+            self.refactor()
 
 
 def _standardize(model: LpModel):
@@ -320,9 +355,9 @@ def solve(model: LpModel) -> LpSolution:
     is_artificial = np.zeros(total, dtype=bool)
     is_artificial[art_cols] = True
 
-    # the simplex runs on b raised by a fixed pattern far below FEAS_TOL, so
-    # ratio ties and zero steps vanish with probability 1; the exact b comes
-    # back to decide infeasibility and to polish
+    # the primal simplex runs on b raised by a fixed pattern, so ratio ties
+    # and zero steps vanish with probability 1; the questions on the exact b
+    # (is the program feasible, which point is the answer) go to the dual
     rng = np.random.default_rng(0)
     sx = _Simplex(A, b + PERTURB * (1.0 + np.abs(b)) * rng.uniform(0.5, 1.0, m))
     sx.set_basis(basis)
@@ -333,28 +368,16 @@ def solve(model: LpModel) -> LpSolution:
         art_cost[art_cols] = 1.0
         # blending in a little of the real objective steers phase 1 toward a
         # near-optimal vertex (degenerate plateaus otherwise make phase 2
-        # start far away); infeasibility is re-certified with the pure
-        # artificial objective below, so the blend cannot mask it
+        # start far away); a blended optimum that keeps artificial mass is
+        # re-run with the pure artificial objective, so the blend cannot mask
+        # feasibility or fake infeasibility
         c1 = art_cost + (BLEND / scale) * c2
         everything = np.ones(total, dtype=bool)
         status = sx.run(c1, allowed=everything)
-        # feasibility is judged on the exact b: the perturbation may close a
-        # gap wider than FEAS_TOL, or open one on a redundant row
-        exact = sx.Binv @ b
-        negative = exact.min() < -FEAS_TOL
-        if status != "optimal" or negative or float(art_cost[sx.basis] @ exact) > FEAS_TOL:
-            sx.b = b
-            if negative:
-                # the simplex needs a feasible start; the first basis is
-                # feasible for every b >= 0
-                sx.set_basis(basis)
-            else:
-                sx.refactor()
-            status = sx.run(art_cost, allowed=everything)
-            if status != "optimal":
+        if status != "optimal" or _exact_mass(sx, b, c1, art_cost) > FEAS_TOL:
+            if sx.run(art_cost, allowed=everything) != "optimal":
                 raise LpNumericalError("phase 1 reported unbounded; this cannot happen")
-            art_mass = float(art_cost[sx.basis] @ sx.xB)
-            if art_mass > FEAS_TOL:
+            if _exact_mass(sx, b, art_cost, art_cost) > FEAS_TOL:
                 return LpSolution("infeasible", None, None, list(model.var_names))
         _drive_out_artificials(sx, is_artificial)
         sx.zero_guard = is_artificial
@@ -363,11 +386,9 @@ def solve(model: LpModel) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, None, list(model.var_names))
 
-    # polish the basic solution on the exact b: exact inverse of the final
-    # basis plus two rounds of iterative refinement kill the drift of
-    # incremental updates and the perturbation
-    sx.b = b
-    sx.refactor()
+    # re-optimize the final basis on the exact b, then polish: two rounds of
+    # iterative refinement kill the drift of incremental updates
+    sx.repair(b, c2, ~is_artificial)
     B = sx.A.dense_submatrix(sx.basis)
     for _ in range(2):
         sx.xB += sx.Binv @ (sx.b - B @ sx.xB)
@@ -386,10 +407,26 @@ def solve(model: LpModel) -> LpSolution:
     x = np.zeros(sx.n)
     x[sx.basis] = sx.xB
     values = np.zeros(model.num_vars)
-    values[live] = np.maximum(x[:n], 0.0)  # clip basic round-off of order PIVOT_TOL
+    values[live] = x[:n]
     _recheck(model, values)
     objective = float(c_orig @ values)
     return LpSolution("optimal", objective, values, list(model.var_names))
+
+
+def _exact_mass(sx: _Simplex, b, c, art_cost):
+    """Artificial mass of the optimum of c on the exact b, from a basis that
+    ``run`` left optimal for c on the perturbed b.  If the basis is
+    infeasible on the exact b, the dual simplex finds that optimum on the
+    side, and the basis comes back for the runs on the perturbed b."""
+    exact = sx.Binv @ b
+    if exact.min() >= -sx.primal_tol:
+        return float(art_cost[sx.basis] @ exact)
+    perturbed, basis = sx.b, sx.basis.copy()
+    sx.repair(b, c, np.ones(sx.n, dtype=bool))
+    mass = float(art_cost[sx.basis] @ sx.xB)
+    sx.b = perturbed
+    sx.set_basis(basis)
+    return mass
 
 
 def _drive_out_artificials(sx: _Simplex, is_artificial):
@@ -415,19 +452,11 @@ def _drive_out_artificials(sx: _Simplex, is_artificial):
 def _recheck(model: LpModel, x):
     """Independent residual check of a claimed-optimal point."""
     for cname, terms, rel, rhs in model.constraints:
-        lhs = sum(coef * x[idx] for idx, coef in terms)
-        resid = lhs - rhs
-        ok = (
-            abs(resid) <= FEAS_TOL
-            if rel == "="
-            else resid <= FEAS_TOL
-            if rel == "<="
-            else resid >= -FEAS_TOL
-        )
-        if not ok:
-            raise LpNumericalError(
-                f"solution violates constraint {cname!r} by {abs(resid):.3e}"
-            )
+        resid = sum(coef * x[idx] for idx, coef in terms) - rhs
+        low_ok = rel == "<=" or resid >= -FEAS_TOL
+        high_ok = rel == ">=" or resid <= FEAS_TOL
+        if not (low_ok and high_ok):
+            raise LpNumericalError(f"solution violates constraint {cname!r} by {abs(resid):.3e}")
     for idx, u in enumerate(model.var_upper):
         if x[idx] < -FEAS_TOL or x[idx] > u + FEAS_TOL:
             raise LpNumericalError(f"solution violates bounds of {model.var_names[idx]!r}")
@@ -474,7 +503,7 @@ def export_lp(model: LpModel) -> str:
 _TERM_RE = re.compile(r"\s*\+\s*")
 
 
-def _parse_terms(text, index):
+def _parse_terms(text, var):
     terms = []
     text = text.strip()
     if text == "0":
@@ -483,18 +512,15 @@ def _parse_terms(text, index):
         pieces = part.split()
         if len(pieces) != 2:
             raise LpError(f"cannot parse term {part!r}")
-        coef, name = pieces
-        if name not in index:
-            raise LpError(f"unknown variable {name!r} in LP text")
-        terms.append((index[name], float(coef)))
+        terms.append((var(pieces[1]), float(pieces[0])))
     return terms
 
 
 def parse_lp(text: str) -> LpModel:
     """Parse the export_lp format back into a model (round-trip inverse).
 
-    Variables are reconstructed from their appearance order in the objective,
-    constraints, and bounds.
+    Variables are created in their order of first appearance in the
+    objective, constraints, and bounds.
     """
     lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("MINIMIZE"):
@@ -507,34 +533,15 @@ def parse_lp(text: str) -> LpModel:
         raise LpError("LP text is missing SUBJECT TO")
     bounds_at = lines.index("BOUNDS") if "BOUNDS" in lines else len(lines) - 1
 
-    # first pass: collect variable names in order of appearance
-    order: list[str] = []
-
-    def see(name):
-        if name not in order:
-            order.append(name)
-
-    def scan_terms(text):
-        text = text.strip()
-        if text == "0":
-            return
-        for part in _TERM_RE.split(text):
-            pieces = part.split()
-            if len(pieces) == 2:
-                see(pieces[1])
-
-    scan_terms(lines[0][len("MINIMIZE"):])
-    for ln in lines[sub_at + 1 : bounds_at]:
-        scan_terms(ln.split(":", 1)[1].rsplit(None, 2)[0] if ":" in ln else "")
-    for ln in lines[bounds_at + 1 : len(lines) - 1] if bounds_at < len(lines) - 1 else []:
-        see(ln.split()[0])
-
     model = LpModel()
-    index = {}
-    for name in order:
-        index[name] = model.add_variable(name)
+    index: dict[str, int] = {}
 
-    for idx, coef in _parse_terms(lines[0][len("MINIMIZE"):] or "0", index):
+    def var(name):
+        if name not in index:
+            index[name] = model.add_variable(name)
+        return index[name]
+
+    for idx, coef in _parse_terms(lines[0][len("MINIMIZE"):] or "0", var):
         model.add_objective(idx, coef)
     for ln in lines[sub_at + 1 : bounds_at]:
         if ":" not in ln:
@@ -543,15 +550,12 @@ def parse_lp(text: str) -> LpModel:
         mrel = re.search(r"(<=|>=|=)\s*([^<>=]+)$", rest)
         if not mrel:
             raise LpError(f"cannot parse constraint {ln!r}")
-        rel = mrel.group(1)
-        rhs = float(mrel.group(2))
-        terms = _parse_terms(rest[: mrel.start()], index)
-        model.add_constraint(cname.strip(), terms, rel, rhs)
-    if bounds_at < len(lines) - 1:
-        for ln in lines[bounds_at + 1 : len(lines) - 1]:
-            pieces = ln.split()
-            if len(pieces) != 3 or pieces[1] != "<=":
-                raise LpError(f"cannot parse bound {ln!r}")
-            model.var_upper[index[pieces[0]]] = float(pieces[2])
+        terms = _parse_terms(rest[: mrel.start()], var)
+        model.add_constraint(cname.strip(), terms, mrel.group(1), float(mrel.group(2)))
+    for ln in lines[bounds_at + 1 : -1]:
+        pieces = ln.split()
+        if len(pieces) != 3 or pieces[1] != "<=":
+            raise LpError(f"cannot parse bound {ln!r}")
+        model.var_upper[var(pieces[0])] = float(pieces[2])
     model.validate()
     return model

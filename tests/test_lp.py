@@ -297,6 +297,52 @@ def test_infeasible_within_the_perturbation(gap):
     assert solve(m).status == "infeasible"
 
 
+@pytest.mark.parametrize("tight_first", [True, False])
+def test_phase2_answer_is_feasible_on_exact_b(tight_first):
+    # min -x over x <= 5e6 and x <= 5e6 + 1e-5: in one of the two orders the
+    # perturbed right-hand sides make the looser row bind, and that basis
+    # must be repaired on the exact b, not clipped into a violation
+    m = LpModel()
+    x = m.add_variable("x")
+    m.add_objective(x, -1.0)
+    caps = [5e6, 5e6 + 1e-5]
+    for i, cap in enumerate(caps if tight_first else caps[::-1]):
+        m.add_constraint(f"c{i}", [(x, 1.0)], "<=", cap)
+    sol = solve(m)
+    assert sol.status == "optimal"
+    assert sol.value("x") == 5e6
+
+
+def _beale_phase1_model(k, tight_first):
+    """Beale's cycling program moved into phase 1: the artificial of row e
+    equals k + (Beale's objective), so the pure artificial objective prices
+    like Beale's.  Rows capping z make the blended phase 1 end on a basis
+    that is infeasible on the exact b in one of the two orders."""
+    m = LpModel()
+    x = [m.add_variable(f"x{i}") for i in (4, 5, 6, 7)]
+    z = m.add_variable("z")
+    m.add_objective(z, -1.0)
+    m.add_constraint("r1", list(zip(x, (0.25, -60.0, -0.04, 9.0))), "<=", 0.0)
+    m.add_constraint("r2", list(zip(x, (0.5, -90.0, -0.02, 3.0))), "<=", 0.0)
+    m.add_constraint("r3", [(x[2], 1.0)], "<=", 1.0)
+    m.add_constraint("e", list(zip(x, (0.75, -150.0, 0.02, -6.0))), "=", k)
+    caps = [5e6, 5e6 + 1e-5]
+    for i, cap in enumerate(caps if tight_first else caps[::-1]):
+        m.add_constraint(f"z{i}", [(z, 1.0)], "<=", cap)
+    return m
+
+
+@pytest.mark.parametrize("tight_first", [True, False])
+def test_phase1_rerun_on_degenerate_program(tight_first):
+    # Beale's objective reaches at least -0.05, so row e is infeasible for
+    # k = 1 and feasible for k = 0.04; both verdicts go through the pure
+    # artificial re-run, which must not cycle
+    assert solve(_beale_phase1_model(1.0, tight_first)).status == "infeasible"
+    sol = solve(_beale_phase1_model(0.04, tight_first))
+    assert sol.status == "optimal"
+    assert sol.value("z") == 5e6
+
+
 def _degenerate_model(rng):
     """Small integer program with right-hand sides up to 1e5: most rows pass
     through one lattice point, so vertices are degenerate, and some rows
