@@ -10,9 +10,15 @@ Admissibility is a per-object component filter:
 * ``all``: no restriction (the values then need not satisfy the triangle
   inequality).
 
-The search is an exhaustive backtracking over component entries in
-lexicographic order, with exact incremental pruning, so the reported witness
-is the lexicographically first minimizer over all admissible transformations.
+The search is a branch and bound over component entries in lexicographic
+order.  A branch is cut when its running aggregate, plus an admissible lower
+bound on what its unassigned entries must still add, cannot strictly beat
+the best transformation found so far.  The lower bound comes from the
+naturality terms with one entry assigned: each charges its other entry, per
+candidate value, what it would add, and each unassigned entry will add at
+least the least of its summed charges.  Only branches without a strict improvement
+are cut, and the traversal order is fixed, so the reported witness is the
+lexicographically first minimizer over all admissible transformations.
 Its size guard is a node budget, as in :func:`find_homomorphism`: one node is
 one candidate value tried at one entry, and past ``guard`` nodes the search
 raises GuardExceeded unless ``force`` is set.
@@ -20,7 +26,8 @@ raises GuardExceeded unless ``force`` is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +39,7 @@ from .cset import (
     _check_same_theory,
 )
 from .errors import GuardExceeded, InstanceError
-from .mm import INF, MeasureData, TOL, ext_mul, ext_root, lp_distance
+from .mm import INF, MeasureData, TOL, ext_root, lp_distance
 
 __all__ = [
     "HausdorffConfig",
@@ -69,9 +76,14 @@ class HausdorffConfig:
 
 @dataclass(frozen=True, eq=False)
 class HausdorffResult:
+    """The distance, the lexicographically first minimizing transformation
+    (None when the distance is infinite), its defect per generator, and the
+    search nodes visited (the sum of both searches when symmetrized)."""
+
     distance: float
     witness: Transformation | None
-    per_generator_weights: dict[str, float] = field(default_factory=dict)
+    per_generator_weights: dict[str, float]
+    nodes: int
 
 
 def _weight_measure(x: Instance, ob: str, p: float) -> MeasureData | None:
@@ -107,102 +119,130 @@ def _check_data(x: Instance, y: Instance, cfg: HausdorffConfig) -> None:
 
 
 class _Search:
-    """Backtracking minimization over admissible transformations.
+    """Branch and bound over admissible transformations.
 
     Slots are component entries in declaration order of objects, elements
     ascending; candidates per slot ascend, which makes the traversal
-    lexicographic.  Weight terms are accumulated as soon as both entries of a
-    generator-element pair are known; admissibility (shortness, measure
-    decrease) is checked incrementally, both exactly.  Every candidate value
-    tried at a slot is one node of the budget ``cfg.guard``.
+    lexicographic.  A term ``(g, e)`` joins the slot of ``e`` at ``g.dom`` with
+    the slot of ``X(g)(e)`` at ``g.cod``.  It fires when the later of the two
+    is assigned, adding its mu-weighted ``d^p`` (its ``d`` at p = inf) to the
+    aggregate ``acc``.  Admissibility (shortness, measure decrease) filters
+    each slot's candidates exactly.  Every candidate value tried at a slot,
+    admissible or not, is one node of the budget ``cfg.guard``.
+
+    A term is pending when exactly one of its slots is assigned.  It charges
+    the other slot, per candidate, the value it would add.  ``lb`` sums over
+    the unassigned slots the least, over candidates, of the summed charges
+    (at p = inf: the max over slots of the least of the maxed charges), and a
+    branch is cut when ``acc + lb`` cannot strictly beat the incumbent.  At
+    finite p the cut keeps a relative slack larger than the rounding of both
+    sums, so rounding never cuts a branch where the plain search would find a
+    strict improvement.  Assigning a slot pushes its charges onto the later
+    slots; backtracking restores the saved sums and minimums instead of
+    subtracting, since ``inf - inf`` is NaN.
     """
 
     def __init__(self, x, y, cfg):
-        self.x, self.y, self.cfg = x, y, cfg
-        self.p = cfg.p
+        self.cfg = cfg
+        self.inf_p = cfg.p == INF
+        short = cfg.component_class in ("met", "mm")
+        meas = cfg.component_class == "mm"
         t = x.theory
-        self.objects = list(t.objects)
-        self.slots = []
-        slot_of = {}
-        for ob in self.objects:
+        slots, slot_of, self.spans = [], {}, {}
+        for ob in t.objects:
+            self.spans[ob] = (len(slots), x.sets[ob])
             for i in range(x.sets[ob]):
-                slot_of[ob, i] = len(self.slots)
-                self.slots.append((ob, i))
-        # term (f, e) fires when the later of its two entries is assigned
-        self.triggers = [[] for _ in self.slots]
+                slot_of[ob, i] = len(slots)
+                slots.append((ob, i))
+        n = len(slots)
+        fixes = [i if ob in x.fixed else -1 for ob, i in slots]
+        # d^p of each codomain metric, as nested lists (d itself at p = inf)
+        tables = {}
         for g in t.generators:
+            if g.cod not in tables:
+                d = y.metric(g.cod).d.tolist()
+                tables[g.cod] = d if self.inf_p else [
+                    [INF if v == INF else v**cfg.p for v in row] for row in d
+                ]
+        fire = [[] for _ in range(n)]
+        pushes = [[] for _ in range(n)]
+        nterms = 0
+        for g in t.generators:
+            table = tables[g.cod]
+            xf, yf = x.maps[g.name].tolist(), y.maps[g.name].tolist()
+            # a pending term charges its cod slot column yf[u] of the table
+            # when its dom entry u is known, and its dom slot row w read
+            # through yf when its cod entry w is known
+            cols = [[row[c] for row in table] for c in yf]
+            rows = [[row[c] for c in yf] for row in table]
+            mu = _weight_measure(x, g.dom, cfg.p)
             for e in range(x.sets[g.dom]):
-                s_dom = slot_of[g.dom, e]
-                s_cod = slot_of[g.cod, int(x.maps[g.name][e])]
-                self.triggers[max(s_dom, s_cod)].append((g, e))
-        self.assign = {ob: np.full(x.sets[ob], -1) for ob in self.objects}
-        self.short = cfg.component_class in ("met", "mm")
-        self.meas = cfg.component_class == "mm"
-        if self.meas:
-            self.push = {ob: np.zeros(y.sets[ob]) for ob in self.objects}
-        self.weight_mu = {
-            g.dom: _weight_measure(x, g.dom, cfg.p) for g in t.generators
-        }
+                w = 1.0 if mu is None else float(mu.w[e])
+                if w <= 0:
+                    continue  # adds and charges nothing
+                nterms += 1
+                s_dom, s_cod = slot_of[g.dom, e], slot_of[g.cod, xf[e]]
+                fire[max(s_dom, s_cod)].append((s_dom, s_cod, w, table, yf))
+                if s_dom < s_cod:
+                    pushes[s_dom].append((s_cod, fixes[s_cod], cols, w))
+                elif s_cod < s_dom:
+                    pushes[s_cod].append((s_dom, fixes[s_dom], rows, w))
+        # per object: Y's metric and its transpose, the mass pushed onto
+        # each point of Y so far, and each point's capacity
+        dys = {ob: (y.metric(ob).d.tolist(), y.metric(ob).d.T.tolist())
+               for ob in t.objects} if short else {}
+        pushed = {ob: ([0.0] * y.sets[ob], [float(w) + TOL for w in y.measure(ob).w])
+                  for ob in t.objects} if meas else {}
+        self.info = []
+        for k, (ob, i) in enumerate(slots):
+            values = [i] if fixes[k] >= 0 else list(range(y.sets[ob]))
+            # shortness against the earlier entries of the component; an
+            # infinite bound both ways holds for every candidate
+            checks, dy, dyt = [], None, None
+            if short:
+                dx = x.metric(ob).d
+                dy, dyt = dys[ob]
+                for j in range(i):
+                    a, b = float(dx[i, j]) + TOL, float(dx[j, i]) + TOL
+                    if a < INF or b < INF:
+                        checks.append((slot_of[ob, j], a, b))
+            push = cap = mass = None
+            if meas:
+                push, cap = pushed[ob]
+                mass = float(x.measure(ob).w[i])
+            self.info.append((values, checks, dy, dyt, push, cap, mass, fire[k], pushes[k]))
+        self.n = n
+        self.val = [-1] * n
+        # per slot, the sum (max at p = inf) of its charges per candidate,
+        # and the slot's share of lb
+        self.sums = [[0.0] * y.sets[ob] for ob, _ in slots]
+        self.mins = [
+            s[f] if f >= 0 else min(s, default=INF) for s, f in zip(self.sums, fixes)
+        ]
+        # each sum adds at most n + nterms non-negative floats, so it lies
+        # within (n + nterms) * eps / 2 of its exact value, relatively
+        self.slack = 1.0 + 2 * (n + nterms + 1) * sys.float_info.epsilon
         self.best = INF
-        self.best_assign = None
+        self.best_val = None
         self.nodes = 0
         self.node_guard = INF if cfg.force else cfg.guard
 
-    def _term(self, g, e):
-        """mu-weighted p-th power (or sup term) of one naturality defect cell."""
-        u = self.assign[g.dom][e]
-        w = self.assign[g.cod][int(self.x.maps[g.name][e])]
-        dval = self.y.metric(g.cod).d[w, int(self.y.maps[g.name][u])]
-        mu = self.weight_mu[g.dom]
-        if self.p == INF:
-            if mu is not None and mu.w[e] <= 0:
-                return 0.0
-            return dval
-        if mu.w[e] <= 0:
-            return 0.0
-        return ext_mul(mu.w[e], INF if dval == INF else dval**self.p)
-
-    def _admissible(self, ob, i, v):
-        if self.short:
-            dX, dY = self.x.metric(ob).d, self.y.metric(ob).d
-            comp = self.assign[ob]
-            for j in range(self.x.sets[ob]):
-                w = comp[j]
-                if w < 0:
-                    continue
-                if dY[v, w] > dX[i, j] + TOL or dY[w, v] > dX[j, i] + TOL:
-                    return False
-        if self.meas:
-            mu_x = self.x.measure(ob).w[i]
-            if self.push[ob][v] + mu_x > self.y.measure(ob).w[v] + TOL:
-                return False
-        return True
-
     def run(self):
         self._dfs(0, 0.0)
-        if self.best_assign is None:
+        if self.best_val is None:
             return INF, None
-        witness = Transformation({ob: arr.copy() for ob, arr in self.best_assign.items()})
+        witness = Transformation({
+            ob: np.array(self.best_val[start:start + size], dtype=int)
+            for ob, (start, size) in self.spans.items()
+        })
         return self.best, witness
 
-    def _agg(self, acc, term):
-        return max(acc, term) if self.p == INF else acc + term
-
     def _dfs(self, k, acc):
-        if acc > self.best or (acc == self.best and self.best_assign is not None):
+        if k == self.n:
+            # the cuts guarantee this is a strict improvement
+            self.best, self.best_val = acc, self.val[:]
             return
-        if acc == INF and self.best == INF:
-            return
-        if k == len(self.slots):
-            # the entry pruning guarantees this is a strict improvement
-            self.best = acc
-            self.best_assign = {ob: arr.copy() for ob, arr in self.assign.items()}
-            return
-        ob, i = self.slots[k]
-        if ob in self.x.fixed:
-            values = [i]
-        else:
-            values = range(self.y.sets[ob])
+        values, checks, dy, dyt, push, cap, mass, fire, pushes = self.info[k]
         self.nodes += len(values)
         if self.nodes > self.node_guard:
             raise GuardExceeded(
@@ -210,24 +250,48 @@ class _Search:
                 "pass --force to search anyway",
                 self.nodes,
             )
+        val, sums, mins, inf_p = self.val, self.sums, self.mins, self.inf_p
+        for j, a, b in checks:
+            into, out = dyt[val[j]], dy[val[j]]
+            values = [v for v in values if into[v] <= a and out[v] <= b]
+        if push is not None:
+            values = [v for v in values if push[v] + mass <= cap[v]]
         for v in values:
-            if not self._admissible(ob, i, v):
-                continue
-            self.assign[ob][i] = v
-            if self.meas:
-                self.push[ob][v] += self.x.measure(ob).w[i]
+            val[k] = v
+            if push is not None:
+                before = push[v]
+                push[v] = before + mass
+            best = self.best
             added = acc
-            ok = True
-            for g, e in self.triggers[k]:
-                added = self._agg(added, self._term(g, e))
-                if added > self.best:
-                    ok = False
+            for s_dom, s_cod, w, table, yf in fire:
+                term = table[val[s_cod]][yf[val[s_dom]]]
+                if inf_p:
+                    added = max(added, term)
+                else:
+                    added += w * term
+                if added > best:
                     break
-            if ok:
-                self._dfs(k + 1, added)
-            if self.meas:
-                self.push[ob][v] -= self.x.measure(ob).w[i]
-            self.assign[ob][i] = -1
+            if added < best:
+                saved = []
+                for s, f, vecs, w in pushes:
+                    old, vec = sums[s], vecs[v]
+                    if inf_p:
+                        new = [max(a, c) for a, c in zip(old, vec)]
+                    else:
+                        new = [a + w * c for a, c in zip(old, vec)]
+                    saved.append((s, old, mins[s]))
+                    sums[s] = new
+                    mins[s] = new[f] if f >= 0 else min(new, default=INF)
+                if inf_p:
+                    cut = max(mins[k + 1:], default=0.0) >= best
+                else:
+                    cut = added + sum(mins[k + 1:]) >= best * self.slack
+                if not cut:
+                    self._dfs(k + 1, added)
+                for s, old, m in reversed(saved):
+                    sums[s], mins[s] = old, m
+            if push is not None:
+                push[v] = before
 
 
 def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = None) -> HausdorffResult:
@@ -238,7 +302,8 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
     _check_same_theory(x, y)
     _check_fixed(x, y)
     _check_data(x, y, cfg)
-    agg, witness = _Search(x, y, cfg).run()
+    search = _Search(x, y, cfg)
+    agg, witness = search.run()
     distance = agg if cfg.p == INF else ext_root(agg, cfg.p)
     weights = {}
     if witness is not None:
@@ -246,7 +311,7 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
             g.name: transformation_weight(x, y, witness, g.name, cfg.p)
             for g in x.theory.generators
         }
-    result = HausdorffResult(distance, witness, weights)
+    result = HausdorffResult(distance, witness, weights, search.nodes)
 
     if cfg.symmetrize != "none":
         back = hausdorff_distance(
@@ -260,7 +325,9 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
                 if INF in (result.distance, back.distance)
                 else 0.5 * (result.distance + back.distance)
             )
-        return HausdorffResult(combined, result.witness, result.per_generator_weights)
+        return HausdorffResult(
+            combined, result.witness, result.per_generator_weights, result.nodes + back.nodes
+        )
     return result
 
 

@@ -318,6 +318,99 @@ def brute_hausdorff(x, y, p, component_class="mm"):
     return best
 
 
+class _UnboundedSearch:
+    """The exhaustive backtracking search without a lower bound: slots are
+    component entries (objects in declaration order, elements ascending),
+    candidates ascend, a term is added once both of its entries are set, and
+    only a strict improvement replaces the incumbent."""
+
+    def __init__(self, x, y, p, component_class):
+        from cset_transport.mm import INF, TOL
+
+        self.x, self.y, self.p, self.tol = x, y, p, TOL
+        self.slots = [(ob, i) for ob in x.theory.objects for i in range(x.sets[ob])]
+        slot_of = {s: k for k, s in enumerate(self.slots)}
+        self.triggers = [[] for _ in self.slots]
+        for g in x.theory.generators:
+            for e in range(x.sets[g.dom]):
+                s_dom = slot_of[g.dom, e]
+                s_cod = slot_of[g.cod, int(x.maps[g.name][e])]
+                self.triggers[max(s_dom, s_cod)].append((g, e))
+        self.assign = {ob: np.full(x.sets[ob], -1) for ob in x.theory.objects}
+        self.short = component_class in ("met", "mm")
+        self.meas = component_class == "mm"
+        self.push = {ob: np.zeros(y.sets[ob]) for ob in x.theory.objects}
+        self.mu = {
+            g.dom: x.measures.get(g.dom) if p == INF else x.measure(g.dom)
+            for g in x.theory.generators
+        }
+        self.best, self.best_assign, self.nodes = INF, None, 0
+
+    def _term(self, g, e):
+        from cset_transport.mm import INF, ext_mul
+
+        u = self.assign[g.dom][e]
+        w = self.assign[g.cod][int(self.x.maps[g.name][e])]
+        dval = self.y.metric(g.cod).d[w, int(self.y.maps[g.name][u])]
+        mu = self.mu[g.dom]
+        if mu is not None and mu.w[e] <= 0:
+            return 0.0
+        if self.p == INF:
+            return dval
+        return ext_mul(mu.w[e], INF if dval == INF else dval**self.p)
+
+    def _admissible(self, ob, i, v):
+        x, y, tol = self.x, self.y, self.tol
+        if self.short:
+            dX, dY = x.metric(ob).d, y.metric(ob).d
+            for j, w in enumerate(self.assign[ob]):
+                if w >= 0 and (dY[v, w] > dX[i, j] + tol or dY[w, v] > dX[j, i] + tol):
+                    return False
+        if self.meas:
+            if self.push[ob][v] + x.measure(ob).w[i] > y.measure(ob).w[v] + tol:
+                return False
+        return True
+
+    def dfs(self, k, acc):
+        from cset_transport.mm import INF
+
+        if acc >= self.best:
+            return
+        if k == len(self.slots):
+            self.best = acc
+            self.best_assign = {ob: a.copy() for ob, a in self.assign.items()}
+            return
+        ob, i = self.slots[k]
+        values = [i] if ob in self.x.fixed else range(self.y.sets[ob])
+        self.nodes += len(values)
+        for v in values:
+            if not self._admissible(ob, i, v):
+                continue
+            self.assign[ob][i] = v
+            self.push[ob][v] += self.x.measure(ob).w[i] if self.meas else 0.0
+            added = acc
+            for g, e in self.triggers[k]:
+                t = self._term(g, e)
+                added = max(added, t) if self.p == INF else added + t
+            self.dfs(k + 1, added)
+            self.push[ob][v] -= self.x.measure(ob).w[i] if self.meas else 0.0
+            self.assign[ob][i] = -1
+
+
+def unbounded_hausdorff(x, y, p, component_class="mm"):
+    """The Hausdorff distance, its lexicographically first minimizing
+    transformation (None when the distance is infinite) and the number of
+    nodes searched, by the search without a lower bound."""
+    from cset_transport.cset import Transformation
+
+    search = _UnboundedSearch(x, y, p, component_class)
+    search.dfs(0, 0.0)
+    if search.best_assign is None:
+        return INF, None, search.nodes
+    dist = search.best if p == INF else search.best ** (1.0 / p)
+    return dist, Transformation(search.best_assign), search.nodes
+
+
 # -- random generators -----------------------------------------------------------
 
 
@@ -334,23 +427,29 @@ def random_graph(rng, max_v=4, max_e=5, min_v=1):
     )
 
 
-def random_metric(rng, n, max_d=4.0, symmetric=False):
-    """Random finite Lawvere metric: min-plus closure of a nonnegative matrix."""
+def random_metric(rng, n, max_d=4.0, symmetric=False, inf_share=0.0):
+    """Random Lawvere metric: min-plus closure of a nonnegative matrix, with
+    about ``inf_share`` of the off-diagonal entries infinite before closure."""
     from cset_transport.mm import MetricData
 
     d = rng.uniform(0.5, max_d, size=(n, n))
     if symmetric:
         d = (d + d.T) / 2
+    if inf_share:
+        d[rng.random((n, n)) < inf_share] = INF
     np.fill_diagonal(d, 0.0)
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
     return MetricData(n, d)
 
 
-def random_measure(rng, n, max_w=2.0):
+def random_measure(rng, n, max_w=2.0, zero_share=0.0):
     from cset_transport.mm import MeasureData
 
-    return MeasureData(n, rng.uniform(0.1, max_w, size=n))
+    w = rng.uniform(0.1, max_w, size=n)
+    if zero_share:
+        w[rng.random(n) < zero_share] = 0.0
+    return MeasureData(n, w)
 
 
 def random_kernel(rng, rows, cols):

@@ -23,10 +23,17 @@ from cset_transport.hausdorff import (
     hausdorff_distance,
     transformation_weight,
 )
-from cset_transport.mm import INF, MeasureData, counting_measure, discrete_metric
+from cset_transport.mm import INF, MeasureData, MetricData, counting_measure, discrete_metric
 from cset_transport.theory import Path, builtin_theory
 
-from oracles import all_transformations, brute_hausdorff, random_graph, random_metric
+from oracles import (
+    all_transformations,
+    brute_hausdorff,
+    random_graph,
+    random_measure,
+    random_metric,
+    unbounded_hausdorff,
+)
 
 MM1 = HausdorffConfig(p=1.0, component_class="mm")
 
@@ -104,13 +111,95 @@ def test_matches_brute_enumeration():
                       "E": MeasureData(me, rng.uniform(0.2, 2, me))},
         )
         for cls in ("mm", "met", "all"):
-            p = float(rng.choice([1.0, 2.0]))
-            got = hausdorff_distance(x, y, HausdorffConfig(p=p, component_class=cls))
-            want = brute_hausdorff(x, y, p, cls)
-            if want == INF:
-                assert got.distance == INF
-            else:
-                assert got.distance == pytest.approx(want, abs=1e-9)
+            for p in (float(rng.choice([1.0, 2.0])), INF):
+                got = hausdorff_distance(x, y, HausdorffConfig(p=p, component_class=cls))
+                want = brute_hausdorff(x, y, p, cls)
+                if want == INF:
+                    assert got.distance == INF
+                else:
+                    assert got.distance == pytest.approx(want, abs=1e-9)
+
+
+def _random_instance(rng, kind, attr_metric):
+    """A small Graph, DDS or fixed-attribute VGraph instance whose metrics
+    have infinite entries and whose measures have zero-mass elements (or,
+    now and then, discrete metrics and counting measures)."""
+    if kind == "DDS":
+        n = int(rng.integers(1, 6))
+        sets, maps = {"*": n}, {"T": rng.integers(0, n, n)}
+    else:
+        nv, ne = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        sets = {"E": ne, "V": nv}
+        maps = {"src": rng.integers(0, nv, ne), "tgt": rng.integers(0, nv, ne)}
+        if kind == "VGraph":
+            sets["A"] = attr_metric.n
+            maps["attr"] = rng.integers(0, attr_metric.n, nv)
+    metrics, measures = {}, {}
+    for ob, n in sets.items():
+        if ob == "A":
+            metrics[ob], measures[ob] = attr_metric, counting_measure(n)
+        elif rng.random() < 0.2:
+            metrics[ob], measures[ob] = discrete_metric(n), counting_measure(n)
+        else:
+            metrics[ob] = random_metric(rng, n, inf_share=0.3)
+            measures[ob] = random_measure(rng, n, zero_share=0.25)
+    fixed = {"A"} if kind == "VGraph" else set()
+    return Instance(builtin_theory(kind), sets, maps, metrics, measures, fixed)
+
+
+def test_matches_unbounded_search():
+    # the lower bound only cuts branches that cannot strictly improve, so
+    # the distance and the lexicographically first witness stay those of
+    # the search without it, which visits at least as many nodes
+    rng = np.random.default_rng(36)
+    for trial in range(120):
+        kind = ("Graph", "DDS", "VGraph")[trial % 3]
+        attr = random_metric(rng, int(rng.integers(1, 5)), inf_share=0.3)
+        x, y = _random_instance(rng, kind, attr), _random_instance(rng, kind, attr)
+        for cls in ("mm", "met", "all"):
+            for p in (1.0, 2.0, INF):
+                got = hausdorff_distance(x, y, HausdorffConfig(p=p, component_class=cls))
+                dist, witness, nodes = unbounded_hausdorff(x, y, p, cls)
+                assert got.distance == dist
+                if witness is None:
+                    assert got.witness is None
+                else:
+                    for ob in x.theory.objects:
+                        assert np.array_equal(got.witness.components[ob], witness.components[ob])
+                assert got.nodes <= nodes
+
+
+def test_rounding_never_cuts_a_strict_improvement():
+    # Both admissible maps send every point to one y, and both cost
+    # 1 + 2^-52 in exact arithmetic.  The search adds the terms of the second
+    # as (1 + 2^-53) + 2^-53 and gets 1, a strict improvement on the first.
+    # Its lower bound sums the same terms as 1 + (2^-53 + 2^-53) = 1 + 2^-52,
+    # which ties the incumbent: a cut without slack would keep the first map.
+    eps = 2.0**-53
+    attr = MetricData(4, [  # points a, b, c0, c1
+        [0.0, 1.0, 1.0 + 2 * eps, 1.0],
+        [1.0, 0.0, 0.0, eps],
+        [1.0 + 2 * eps, 0.0, 0.0, eps],
+        [1.0, eps, eps, 0.0],
+    ])
+
+    def aset(attrs, metric):
+        n = len(attrs)
+        return Instance(
+            builtin_theory("ASet"), {"*": n, "A": 4}, {"attr": attrs},
+            metrics={"*": metric, "A": attr},
+            measures={"*": counting_measure(n), "A": counting_measure(4)},
+            fixed={"A"},
+        )
+
+    x = aset([0, 1, 1], MetricData(3, np.zeros((3, 3))))
+    y = aset([2, 3], discrete_metric(2))
+    res = hausdorff_distance(x, y, HausdorffConfig(p=1.0, component_class="met"))
+    assert res.distance == 1.0
+    assert res.witness.components["*"].tolist() == [1, 1, 1]
+    dist, witness, _ = unbounded_hausdorff(x, y, 1.0, "met")
+    assert dist == 1.0
+    assert witness.components["*"].tolist() == [1, 1, 1]
 
 
 def test_symmetrize_modes():
@@ -186,7 +275,7 @@ def test_discrete_reduction_requires_discrete_metrics():
 
 
 def test_guard_exceeded():
-    # the guard counts search nodes: this search visits 39,200 of them
+    # the guard counts search nodes: this search visits 9,568 of them
     x, y = weak_pair(4, 8)
     with pytest.raises(GuardExceeded) as exc:
         hausdorff_distance(x, y, HausdorffConfig(p=1.0, component_class="mm", guard=1000))
@@ -198,10 +287,27 @@ def test_guard_exceeded():
 
 
 def test_default_guard_answers_weak_pair_5_8():
-    # 45,158,400 admissible transformations, but only 121,672 search nodes
+    # 45,158,400 admissible transformations, but only 11,784 search nodes
     res = hausdorff_distance(*weak_pair(5, 8))
     assert res.distance == 3.0
     assert res.witness is not None
+    assert res.nodes < unbounded_hausdorff(*weak_pair(5, 8), 1.0, "mm")[2]
+
+
+def test_lower_bound_answers_weak_pair_6_10():
+    # the search without the lower bound visits 3,683,810 nodes here
+    res = hausdorff_distance(*weak_pair(6, 10))
+    assert res.distance == 4.0
+    assert res.nodes < 10**5
+
+
+def test_symmetrized_nodes_sum_both_searches():
+    x, y = weak_pair(2, 4)
+    fwd = hausdorff_distance(x, y, MM1).nodes
+    back = hausdorff_distance(y, x, MM1).nodes
+    for mode in ("max", "mean"):
+        cfg = HausdorffConfig(p=1.0, component_class="mm", symmetrize=mode)
+        assert hausdorff_distance(x, y, cfg).nodes == fwd + back
 
 
 def test_fixed_attribute_graph_formula():
