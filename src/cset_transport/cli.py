@@ -125,8 +125,7 @@ def cmd_hausdorff(args):
 
 def cmd_wasserstein(args):
     x, y = load_instance(args.x), load_instance(args.y)
-    cls = {"mm": "mm", "noshort": "noshort"}[args.component_class]
-    dist, cert = wasserstein_cset_distance(x, y, _parse_p(args.p), cls)
+    dist, cert = wasserstein_cset_distance(x, y, _parse_p(args.p), args.component_class)
     lines = [_num(dist)]
     payload = {"distance": _json_num(dist)}
     if cert is not None:
@@ -222,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     def arg_xy(sp):
         sp.add_argument("x")
         sp.add_argument("y")
-
-    def arg_p(sp, with_inf=False):
-        sp.add_argument("--p", default="1", help="order p" + (" (or inf)" if with_inf else ""))
 
     def arg_guard(sp):
         sp.add_argument(

@@ -1,5 +1,5 @@
 """Finite instances of a theory: validation, path evaluation, naturality
-and homomorphism search.
+and homomorphism search (run on the Hausdorff branch and bound).
 
 Elements of each carrier set are the integers 0..n-1, so the action of a
 generator is a plain integer array and composites are array lookups.
@@ -38,7 +38,7 @@ __all__ = [
     "SEARCH_NODE_GUARD",
 ]
 
-# node budget of every search: find_homomorphism, hausdorff_distance and the CLI
+# node budget of the one search, behind find_homomorphism, hausdorff_distance and the CLI
 SEARCH_NODE_GUARD = 10**7
 
 
@@ -60,9 +60,6 @@ class Instance:
             {k: np.asarray(v, dtype=int) for k, v in self.maps.items()},
         )
         object.__setattr__(self, "fixed", frozenset(self.fixed))
-
-    def card(self, obj: str) -> int:
-        return self.sets[obj]
 
     def metric(self, obj: str) -> MetricData:
         if obj not in self.metrics:
@@ -199,85 +196,30 @@ def is_natural(x: Instance, y: Instance, t: Transformation) -> bool:
 def find_homomorphism(
     x: Instance, y: Instance, node_guard: int = SEARCH_NODE_GUARD
 ) -> Transformation | None:
-    """Exhaustive backtracking search for a natural transformation.
+    """The lexicographically first natural transformation X -> Y, or None.
 
-    Objects are filled in declaration order and candidate images ascend, so
-    the first solution found is deterministic.  Components at fixed objects
-    are pinned to the identity.
+    Components fill in declaration order of objects, elements ascending, and
+    candidate images ascend; components at fixed objects are pinned to the
+    identity.  This is the Hausdorff branch and bound at p = inf over every
+    transformation, on costs 0 where a naturality square commutes and inf
+    where it does not: X's measures are dropped so that every square counts.
+    Past ``node_guard`` nodes it raises GuardExceeded.
     """
+    from .hausdorff import HausdorffConfig, _Search
+
     _check_same_theory(x, y)
     _check_fixed(x, y)
-    t = x.theory
-
-    slots = []  # (object, element) in declaration order
-    for ob in t.objects:
-        for i in range(x.sets[ob]):
-            slots.append((ob, i))
-    assign = {ob: np.full(x.sets[ob], -1) for ob in t.objects}
-    for ob in x.fixed:
-        assign[ob] = np.arange(x.sets[ob])
-
-    # preimage lists: for g: b -> c and i in X(c), which e in X(b) hit i
-    preimages = {}
-    for g in t.generators:
-        idx = [[] for _ in range(x.sets[g.cod])]
-        for e, v in enumerate(x.maps[g.name]):
-            idx[v].append(e)
-        preimages[g.name] = idx
-
-    def consistent(ob, i, v):
-        for g in t.generators:
-            if g.dom == ob:
-                j = x.maps[g.name][i]
-                w = assign[g.cod][j]
-                if w >= 0 and w != y.maps[g.name][v]:
-                    return False
-            if g.cod == ob:
-                for e in preimages[g.name][i]:
-                    u = assign[g.dom][e]
-                    if u >= 0 and y.maps[g.name][u] != v:
-                        return False
-        return True
-
-    order = [s for s in slots if s[0] not in x.fixed]
-    # fixed components are pre-assigned; make sure they are consistent already
-    for ob in x.fixed:
-        for i in range(x.sets[ob]):
-            if not consistent(ob, i, assign[ob][i]):
-                return None
-
-    nodes = 0
-    k = 0
-    trail = [0] * len(order)
-    while True:
-        if k == len(order):
-            comps = {ob: assign[ob].copy() for ob in t.objects}
-            return Transformation(comps)
-        ob, i = order[k]
-        found = False
-        for v in range(trail[k], y.sets[ob]):
-            nodes += 1
-            if nodes > node_guard:
-                raise GuardExceeded(
-                    f"homomorphism search exceeded {node_guard} nodes", nodes
-                )
-            if consistent(ob, i, v):
-                assign[ob][i] = v
-                trail[k] = v + 1
-                found = True
-                break
-        if found:
-            k += 1
-            if k < len(order):
-                trail[k] = 0
-        else:
-            trail[k] = 0
-            assign[ob][i] = -1
-            k -= 1
-            if k < 0:
-                return None
-            pob, pi = order[k]
-            assign[pob][pi] = -1
+    tables = {}
+    for ob in {g.cod for g in x.theory.generators}:
+        n = y.sets[ob]
+        tables[ob] = [[0.0 if i == j else INF for j in range(n)] for i in range(n)]
+    cfg = HausdorffConfig(p=INF, component_class="all", guard=node_guard)
+    try:
+        return _Search(x.with_data(measures={}), y, cfg, tables).run()[1]
+    except GuardExceeded as exc:
+        raise GuardExceeded(
+            f"homomorphism search exceeded {node_guard} nodes", exc.count
+        ) from None
 
 
 # -- JSON input/output --------------------------------------------------------

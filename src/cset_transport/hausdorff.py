@@ -19,9 +19,14 @@ candidate value, what it would add, and each unassigned entry will add at
 least the least of its summed charges.  Only branches without a strict improvement
 are cut, and the traversal order is fixed, so the reported witness is the
 lexicographically first minimizer over all admissible transformations.
-Its size guard is a node budget, as in :func:`find_homomorphism`: one node is
-one candidate value tried at one entry, and past ``guard`` nodes the search
-raises GuardExceeded unless ``force`` is set.
+Its size guard is a node budget: one node is one candidate value tried at one
+entry, and past ``guard`` nodes the search raises GuardExceeded unless
+``force`` is set.
+
+The same search answers :func:`find_homomorphism` at its zero level: at
+p = inf over every transformation, with costs 0 where a naturality square
+commutes and inf where it does not, only zero-defect branches are explored
+and the lower bound cuts an entry that has no consistent candidate left.
 """
 
 from __future__ import annotations
@@ -125,8 +130,10 @@ class _Search:
     ascending; candidates per slot ascend, which makes the traversal
     lexicographic.  A term ``(g, e)`` joins the slot of ``e`` at ``g.dom`` with
     the slot of ``X(g)(e)`` at ``g.cod``.  It fires when the later of the two
-    is assigned, adding its mu-weighted ``d^p`` (its ``d`` at p = inf) to the
-    aggregate ``acc``.  Admissibility (shortness, measure decrease) filters
+    is assigned, adding its mu-weighted cost to the aggregate ``acc``; the
+    cost of two points of ``Y(c)`` is read from ``tables[c]``, nested lists
+    the caller builds (``d^p`` for the Hausdorff distance, 0/inf for the
+    homomorphism search).  Admissibility (shortness, measure decrease) filters
     each slot's candidates exactly.  Every candidate value tried at a slot,
     admissible or not, is one node of the budget ``cfg.guard``.
 
@@ -142,7 +149,7 @@ class _Search:
     subtracting, since ``inf - inf`` is NaN.
     """
 
-    def __init__(self, x, y, cfg):
+    def __init__(self, x, y, cfg, tables):
         self.cfg = cfg
         self.inf_p = cfg.p == INF
         short = cfg.component_class in ("met", "mm")
@@ -156,14 +163,6 @@ class _Search:
                 slots.append((ob, i))
         n = len(slots)
         fixes = [i if ob in x.fixed else -1 for ob, i in slots]
-        # d^p of each codomain metric, as nested lists (d itself at p = inf)
-        tables = {}
-        for g in t.generators:
-            if g.cod not in tables:
-                d = y.metric(g.cod).d.tolist()
-                tables[g.cod] = d if self.inf_p else [
-                    [INF if v == INF else v**cfg.p for v in row] for row in d
-                ]
         fire = [[] for _ in range(n)]
         pushes = [[] for _ in range(n)]
         nterms = 0
@@ -302,7 +301,14 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
     _check_same_theory(x, y)
     _check_fixed(x, y)
     _check_data(x, y, cfg)
-    search = _Search(x, y, cfg)
+    # d^p of each codomain metric, as nested lists (d itself at p = inf)
+    tables = {}
+    for ob in {g.cod for g in x.theory.generators}:
+        d = y.metric(ob).d.tolist()
+        tables[ob] = d if cfg.p == INF else [
+            [INF if v == INF else v**cfg.p for v in row] for row in d
+        ]
+    search = _Search(x, y, cfg, tables)
     agg, witness = search.run()
     distance = agg if cfg.p == INF else ext_root(agg, cfg.p)
     weights = {}

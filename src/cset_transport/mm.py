@@ -76,11 +76,6 @@ class MetricData:
         off = ~np.eye(self.n, dtype=bool)
         return bool(np.all(np.isinf(self.d[off])))
 
-    def is_symmetric(self) -> bool:
-        d, dt = self.d, self.d.T
-        both_inf = np.isinf(d) & np.isinf(dt)
-        return bool(np.all(both_inf | (np.abs(np.where(both_inf, 0.0, d - dt)) <= TOL)))
-
 
 @dataclass(frozen=True, eq=False)
 class MeasureData:
@@ -223,10 +218,11 @@ def lp_distance(f, g, muX: MeasureData | None, dY: MetricData, p: float) -> floa
         raise ValueError("order p must be >= 1")
     if muX is None:
         raise InstanceError("a measure on the domain is required when p is finite")
+    # plain floats, so the result is a float and not a numpy scalar
     total = 0.0
-    dvals = dY.d[f, g]
+    dvals, w = dY.d[f, g].tolist(), muX.w.tolist()
     for i in range(n):
-        total += ext_mul(muX.w[i], dvals[i] ** p if dvals[i] != INF else INF)
+        total += ext_mul(w[i], dvals[i] ** p if dvals[i] != INF else INF)
         if total == INF:
             return INF
     return ext_root(total, p)

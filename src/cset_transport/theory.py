@@ -32,9 +32,6 @@ class Path:
     dom: str
     steps: tuple[str, ...] = ()
 
-    def is_identity(self):
-        return not self.steps
-
     def __str__(self):
         if not self.steps:
             return f"id({self.dom})"

@@ -13,7 +13,7 @@ from cset_transport.cset import (
     is_natural,
     validate_instance,
 )
-from cset_transport.errors import InstanceError
+from cset_transport.errors import GuardExceeded, InstanceError
 from cset_transport.gallery import diamond, directed_cycle, loop, path_graph
 from cset_transport.theory import Path, builtin_theory
 
@@ -111,20 +111,99 @@ def test_find_homomorphism_terminal():
         assert np.all(t.components["E"] == 0)
 
 
+def _first_natural(x, y):
+    return next((t for t in all_transformations(x, y) if is_natural(x, y, t)), None)
+
+
+def _random_instance(rng, kind, n_attr=2):
+    """A small random instance: Graph, VGraph with a fixed attribute object,
+    DDS, or SGraph (edges in inverse pairs, plus self-inverse loops)."""
+    if kind == "Graph":
+        return random_graph(rng, max_v=3, max_e=3)
+    if kind == "VGraph":
+        g = random_graph(rng, max_v=3, max_e=3)
+        nv = g.sets["V"]
+        return Instance(
+            builtin_theory("VGraph"),
+            {"E": g.sets["E"], "V": nv, "A": n_attr},
+            {**g.maps, "attr": rng.integers(0, n_attr, nv)},
+            fixed={"A"},
+        )
+    if kind == "DDS":
+        n = int(rng.integers(1, 5))
+        return Instance(builtin_theory("DDS"), {"*": n}, {"T": rng.integers(0, n, n)})
+    nv = int(rng.integers(1, 4))
+    src, tgt, inv = [], [], []
+    for _ in range(int(rng.integers(0, 3))):
+        a, b = (int(v) for v in rng.integers(0, nv, 2))
+        e = len(src)
+        if a == b and rng.random() < 0.5:
+            src, tgt, inv = src + [a], tgt + [a], inv + [e]
+        else:
+            src, tgt, inv = src + [a, b], tgt + [b, a], inv + [e + 1, e]
+    x = Instance(builtin_theory("SGraph"), {"E": len(src), "V": nv},
+                 {"src": src, "tgt": tgt, "inv": inv})
+    validate_instance(x)
+    return x
+
+
 def test_hom_agrees_with_enumeration():
     rng = np.random.default_rng(11)
+    pairs = []
     for _ in range(40):
         x = random_graph(rng, max_v=3, max_e=3)
         y = random_graph(rng, max_v=3, max_e=3)
+        pairs.append((x, y))
+    for kind in ("VGraph", "DDS", "SGraph"):
+        for _ in range(40):
+            n_attr = int(rng.integers(1, 4))
+            pairs.append(tuple(_random_instance(rng, kind, n_attr) for _ in range(2)))
+    for x, y in pairs:
         found = find_homomorphism(x, y)
-        any_natural = any(
-            is_natural(x, y, t) for t in all_transformations(x, y)
-        )
+        first = _first_natural(x, y)
+        any_natural = first is not None
         if found is not None:
             assert is_natural(x, y, found)
             assert any_natural
+            # the witness is the lexicographically first natural map
+            for ob in x.theory.objects:
+                assert found.components[ob].tolist() == first.components[ob].tolist()
         else:
             assert not any_natural
+
+
+def test_hom_checks_fixed_points_of_endomorphisms():
+    # a term whose two entries are one entry (T(0) = 0 below, or a
+    # self-inverse loop) must be checked too
+    dds = builtin_theory("DDS")
+    x = Instance(dds, {"*": 2}, {"T": [1, 1]})
+    y = Instance(dds, {"*": 5}, {"T": [4, 1, 0, 3, 3]})
+    t = find_homomorphism(x, y)
+    assert t.components["*"].tolist() == [1, 1]
+    assert is_natural(x, y, t)
+    sg = builtin_theory("SGraph")
+    x = Instance(sg, {"E": 1, "V": 1}, {"src": [0], "tgt": [0], "inv": [0]})
+    y = Instance(sg, {"E": 2, "V": 1}, {"src": [0, 0], "tgt": [0, 0], "inv": [1, 0]})
+    assert find_homomorphism(x, y) is None
+
+
+def test_hom_forward_checks_edge_images():
+    # Graph declares E before V, so a search that checks an entry only
+    # against entries already assigned tries edge images blind: it spent
+    # the whole 10^7-node budget here
+    x, y = cycle(12), cycle(4)
+    t = find_homomorphism(x, y, node_guard=1000)
+    assert t is not None
+    assert is_natural(x, y, t)
+
+
+def test_hom_guard_exceeded():
+    # C7 -> C14 has no homomorphism; the full search visits 1,190 nodes
+    assert find_homomorphism(cycle(7), cycle(14)) is None
+    with pytest.raises(GuardExceeded, match="homomorphism search") as exc:
+        find_homomorphism(cycle(7), cycle(14), node_guard=100)
+    assert exc.value.count > 100
+    assert "--force" not in str(exc.value)
 
 
 def test_is_natural_identity():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cset_transport.cset import Instance, Transformation, find_homomorphism
+from cset_transport.cset import Instance, Transformation, find_homomorphism, is_natural
 from cset_transport.errors import GuardExceeded, InstanceError
 from cset_transport.gallery import (
     attributed_set,
@@ -267,6 +267,18 @@ def test_discrete_reduction_is_hom():
             for g in (random_graph(rng, 3, 3), random_graph(rng, 3, 3))
         )
         assert discrete_hausdorff_is_hom(x, y) == (find_homomorphism(x, y) is not None)
+        # find_homomorphism runs the same search, so check against enumeration too
+        any_natural = any(is_natural(x, y, t) for t in all_transformations(x, y))
+        assert discrete_hausdorff_is_hom(x, y) == any_natural
+
+
+def test_per_generator_weights_are_floats():
+    for p in (1.0, 2.0, INF):
+        res = hausdorff_distance(*weak_pair(2, 4), HausdorffConfig(p=p, component_class="mm"))
+        assert all(type(w) is float for w in res.per_generator_weights.values())
+    assert repr(hausdorff_distance(*weak_pair(2, 4)).per_generator_weights) == (
+        "{'src': 0.0, 'tgt': 2.0}"
+    )
 
 
 def test_discrete_reduction_requires_discrete_metrics():

@@ -1,4 +1,5 @@
-"""Source hygiene: every library module uses each name it imports."""
+"""Source hygiene: every library module uses each name it imports, and every
+function defined inside another function is referenced there."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,27 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
     unused = [f"{path.name}:{line}: {name}" for name, line in _imported(tree) if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _nested_defs(node):
+    """Functions defined inside ``node``'s body, at any depth, outside classes."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        elif not isinstance(child, ast.ClassDef):
+            yield from _nested_defs(child)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_nested_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    dead = []
+    for outer in ast.walk(tree):
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used = {n.id for n in ast.walk(outer) if isinstance(n, ast.Name)}
+            dead += [
+                f"{path.name}:{f.lineno}: {f.name} in {outer.name}"
+                for f in _nested_defs(outer)
+                if f.name not in used
+            ]
+    assert not dead, "nested functions never referenced:\n" + "\n".join(dead)
