@@ -193,6 +193,18 @@ def is_natural(x: Instance, y: Instance, t: Transformation) -> bool:
     return True
 
 
+class _Diagonal:
+    """The cost table on ``n`` points that reads 0 on the diagonal and inf
+    elsewhere.  It is symmetric, so its rows are its columns; a row is built
+    when it is read, so the table takes no memory of its own."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getitem__(self, i: int) -> list[float]:
+        return [INF] * i + [0.0] + [INF] * (self.n - i - 1)
+
+
 def find_homomorphism(
     x: Instance, y: Instance, node_guard: int = SEARCH_NODE_GUARD
 ) -> Transformation | None:
@@ -204,6 +216,10 @@ def find_homomorphism(
     transformation, on costs 0 where a naturality square commutes and inf
     where it does not: X's measures are dropped so that every square counts.
     Past ``node_guard`` nodes it raises GuardExceeded.
+
+    Memory is linear in the sizes of X and Y; time per node is linear in the
+    size of Y's sets, so a search into sets of hundreds of elements that
+    finds nothing can take tens of seconds (``C3 -> C300``: about 30 s).
     """
     from .hausdorff import HausdorffConfig, _Search
 
@@ -211,8 +227,8 @@ def find_homomorphism(
     _check_fixed(x, y)
     tables = {}
     for ob in {g.cod for g in x.theory.generators}:
-        n = y.sets[ob]
-        tables[ob] = [[0.0 if i == j else INF for j in range(n)] for i in range(n)]
+        diagonal = _Diagonal(y.sets[ob])
+        tables[ob] = (diagonal, diagonal)
     cfg = HausdorffConfig(p=INF, component_class="all", guard=node_guard)
     try:
         return _Search(x.with_data(measures={}), y, cfg, tables).run()[1]

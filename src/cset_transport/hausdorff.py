@@ -21,7 +21,8 @@ are cut, and the traversal order is fixed, so the reported witness is the
 lexicographically first minimizer over all admissible transformations.
 Its size guard is a node budget: one node is one candidate value tried at one
 entry, and past ``guard`` nodes the search raises GuardExceeded unless
-``force`` is set.
+``force`` is set.  The traversal keeps an explicit stack, so the number of
+entries is not bounded by Python's recursion limit.
 
 The same search answers :func:`find_homomorphism` at its zero level: at
 p = inf over every transformation, with costs 0 where a naturality square
@@ -130,23 +131,29 @@ class _Search:
     ascending; candidates per slot ascend, which makes the traversal
     lexicographic.  A term ``(g, e)`` joins the slot of ``e`` at ``g.dom`` with
     the slot of ``X(g)(e)`` at ``g.cod``.  It fires when the later of the two
-    is assigned, adding its mu-weighted cost to the aggregate ``acc``; the
-    cost of two points of ``Y(c)`` is read from ``tables[c]``, nested lists
-    the caller builds (``d^p`` for the Hausdorff distance, 0/inf for the
-    homomorphism search).  Admissibility (shortness, measure decrease) filters
-    each slot's candidates exactly.  Every candidate value tried at a slot,
-    admissible or not, is one node of the budget ``cfg.guard``.
+    is assigned, adding its mu-weighted cost to the aggregate ``acc``.  The
+    costs between points of ``Y(c)`` come from the caller as ``tables[c] =
+    (rows, cols)``, where ``rows[a][b]`` is the cost from ``a`` to ``b`` and
+    ``cols[b][a]`` is the same number (``d^p`` for the Hausdorff distance,
+    0/inf for the homomorphism search).  Admissibility (shortness, measure
+    decrease) filters each slot's candidates exactly.  Every candidate value
+    tried at a slot, admissible or not, is one node of the budget
+    ``cfg.guard``.
 
     A term is pending when exactly one of its slots is assigned.  It charges
-    the other slot, per candidate, the value it would add.  ``lb`` sums over
-    the unassigned slots the least, over candidates, of the summed charges
-    (at p = inf: the max over slots of the least of the maxed charges), and a
-    branch is cut when ``acc + lb`` cannot strictly beat the incumbent.  At
-    finite p the cut keeps a relative slack larger than the rounding of both
-    sums, so rounding never cuts a branch where the plain search would find a
-    strict improvement.  Assigning a slot pushes its charges onto the later
-    slots; backtracking restores the saved sums and minimums instead of
-    subtracting, since ``inf - inf`` is NaN.
+    the other slot, per candidate, the value it would add: a column of the
+    table when its dom entry is known, a row read through ``Y(g)`` when its
+    cod entry is known.  ``lb`` sums over the unassigned slots the least,
+    over candidates, of the summed charges (at p = inf: the max over slots of
+    the least of the maxed charges), and a branch is cut when ``acc + lb``
+    cannot strictly beat the incumbent.  At finite p the cut keeps a relative
+    slack larger than the rounding of both sums, so rounding never cuts a
+    branch where the plain search would find a strict improvement.  Assigning
+    a slot pushes its charges onto the later slots; backtracking restores the
+    saved sums and minimums instead of subtracting, since ``inf - inf`` is
+    NaN.  Each push builds one list over the candidates, so a node costs time
+    linear in ``|Y|``; the setup keeps no table of its own.  The traversal
+    keeps one frame per assigned slot on an explicit stack.
     """
 
     def __init__(self, x, y, cfg, tables):
@@ -167,13 +174,8 @@ class _Search:
         pushes = [[] for _ in range(n)]
         nterms = 0
         for g in t.generators:
-            table = tables[g.cod]
+            rows, cols = tables[g.cod]
             xf, yf = x.maps[g.name].tolist(), y.maps[g.name].tolist()
-            # a pending term charges its cod slot column yf[u] of the table
-            # when its dom entry u is known, and its dom slot row w read
-            # through yf when its cod entry w is known
-            cols = [[row[c] for row in table] for c in yf]
-            rows = [[row[c] for c in yf] for row in table]
             mu = _weight_measure(x, g.dom, cfg.p)
             for e in range(x.sets[g.dom]):
                 w = 1.0 if mu is None else float(mu.w[e])
@@ -181,20 +183,23 @@ class _Search:
                     continue  # adds and charges nothing
                 nterms += 1
                 s_dom, s_cod = slot_of[g.dom, e], slot_of[g.cod, xf[e]]
-                fire[max(s_dom, s_cod)].append((s_dom, s_cod, w, table, yf))
+                fire[max(s_dom, s_cod)].append((s_dom, s_cod, w, rows, yf))
                 if s_dom < s_cod:
-                    pushes[s_dom].append((s_cod, fixes[s_cod], cols, w))
+                    pushes[s_dom].append((s_cod, fixes[s_cod], w, cols, yf, True))
                 elif s_cod < s_dom:
-                    pushes[s_cod].append((s_dom, fixes[s_dom], rows, w))
+                    pushes[s_cod].append((s_dom, fixes[s_dom], w, rows, yf, False))
         # per object: Y's metric and its transpose, the mass pushed onto
         # each point of Y so far, and each point's capacity
         dys = {ob: (y.metric(ob).d.tolist(), y.metric(ob).d.T.tolist())
                for ob in t.objects} if short else {}
         pushed = {ob: ([0.0] * y.sets[ob], [float(w) + TOL for w in y.measure(ob).w])
                   for ob in t.objects} if meas else {}
+        # lists that are only ever replaced, never changed, are shared
+        every = {ob: list(range(y.sets[ob])) for ob in t.objects}
+        zeros = {ob: [0.0] * y.sets[ob] for ob in t.objects}
         self.info = []
         for k, (ob, i) in enumerate(slots):
-            values = [i] if fixes[k] >= 0 else list(range(y.sets[ob]))
+            values = [i] if fixes[k] >= 0 else every[ob]
             # shortness against the earlier entries of the component; an
             # infinite bound both ways holds for every candidate
             checks, dy, dyt = [], None, None
@@ -214,83 +219,111 @@ class _Search:
         self.val = [-1] * n
         # per slot, the sum (max at p = inf) of its charges per candidate,
         # and the slot's share of lb
-        self.sums = [[0.0] * y.sets[ob] for ob, _ in slots]
+        self.sums = [zeros[ob] for ob, _ in slots]
         self.mins = [
             s[f] if f >= 0 else min(s, default=INF) for s, f in zip(self.sums, fixes)
         ]
         # each sum adds at most n + nterms non-negative floats, so it lies
         # within (n + nterms) * eps / 2 of its exact value, relatively
         self.slack = 1.0 + 2 * (n + nterms + 1) * sys.float_info.epsilon
-        self.best = INF
-        self.best_val = None
         self.nodes = 0
         self.node_guard = INF if cfg.force else cfg.guard
 
     def run(self):
-        self._dfs(0, 0.0)
-        if self.best_val is None:
-            return INF, None
-        witness = Transformation({
-            ob: np.array(self.best_val[start:start + size], dtype=int)
-            for ob, (start, size) in self.spans.items()
-        })
-        return self.best, witness
-
-    def _dfs(self, k, acc):
-        if k == self.n:
-            # the cuts guarantee this is a strict improvement
-            self.best, self.best_val = acc, self.val[:]
-            return
-        values, checks, dy, dyt, push, cap, mass, fire, pushes = self.info[k]
-        self.nodes += len(values)
-        if self.nodes > self.node_guard:
-            raise GuardExceeded(
-                f"Hausdorff search exceeded {self.cfg.guard} nodes; "
-                "pass --force to search anyway",
-                self.nodes,
-            )
-        val, sums, mins, inf_p = self.val, self.sums, self.mins, self.inf_p
-        for j, a, b in checks:
-            into, out = dyt[val[j]], dy[val[j]]
-            values = [v for v in values if into[v] <= a and out[v] <= b]
-        if push is not None:
-            values = [v for v in values if push[v] + mass <= cap[v]]
-        for v in values:
-            val[k] = v
-            if push is not None:
-                before = push[v]
-                push[v] = before + mass
-            best = self.best
-            added = acc
-            for s_dom, s_cod, w, table, yf in fire:
-                term = table[val[s_cod]][yf[val[s_dom]]]
-                if inf_p:
-                    added = max(added, term)
+        n, info, val = self.n, self.info, self.val
+        sums, mins, inf_p, slack = self.sums, self.mins, self.inf_p, self.slack
+        best, best_val = INF, None
+        # one frame per assigned slot: its candidates left, the aggregate
+        # before the slot, the candidate it holds and what assigning that
+        # changed (the saved sums, the mass it had before)
+        frames, added, descend = [], 0.0, True
+        while True:
+            if descend:
+                k = len(frames)
+                if k == n:
+                    # the cuts guarantee this is a strict improvement; costs
+                    # are non-negative, so none follows an aggregate of 0
+                    best, best_val = added, val[:]
+                    if best == 0:
+                        break
                 else:
-                    added += w * term
-                if added > best:
-                    break
-            if added < best:
-                saved = []
-                for s, f, vecs, w in pushes:
-                    old, vec = sums[s], vecs[v]
-                    if inf_p:
-                        new = [max(a, c) for a, c in zip(old, vec)]
-                    else:
-                        new = [a + w * c for a, c in zip(old, vec)]
-                    saved.append((s, old, mins[s]))
-                    sums[s] = new
-                    mins[s] = new[f] if f >= 0 else min(new, default=INF)
-                if inf_p:
-                    cut = max(mins[k + 1:], default=0.0) >= best
-                else:
-                    cut = added + sum(mins[k + 1:]) >= best * self.slack
-                if not cut:
-                    self._dfs(k + 1, added)
+                    values, checks, dy, dyt, push, cap, mass, _, _ = info[k]
+                    self.nodes += len(values)
+                    if self.nodes > self.node_guard:
+                        raise GuardExceeded(
+                            f"Hausdorff search exceeded {self.cfg.guard} nodes; "
+                            "pass --force to search anyway",
+                            self.nodes,
+                        )
+                    for j, a, b in checks:
+                        into, out = dyt[val[j]], dy[val[j]]
+                        values = [v for v in values if into[v] <= a and out[v] <= b]
+                    if push is not None:
+                        values = [v for v in values if push[v] + mass <= cap[v]]
+                    frames.append([iter(values), added, -1, (), 0.0])
+            if not frames:
+                break
+            k = len(frames) - 1
+            frame = frames[k]
+            candidates, acc, v, saved, before = frame
+            _, _, _, _, push, _, mass, fire, pushes = info[k]
+            if v >= 0:  # take back the candidate searched below
                 for s, old, m in reversed(saved):
                     sums[s], mins[s] = old, m
-            if push is not None:
-                push[v] = before
+                if push is not None:
+                    push[v] = before
+            descend = False
+            for v in candidates:
+                val[k] = v
+                if push is not None:
+                    before = push[v]
+                    push[v] = before + mass
+                added = acc
+                for s_dom, s_cod, w, table, yf in fire:
+                    term = table[val[s_cod]][yf[val[s_dom]]]
+                    if inf_p:
+                        added = max(added, term)
+                    else:
+                        added += w * term
+                    if added > best:
+                        break
+                if added < best:
+                    saved = []
+                    for s, f, w, table, yf, col in pushes:
+                        # column Y(g)(v) of the table, or row v read through Y(g)
+                        if col:
+                            vec = table[yf[v]]
+                        else:
+                            row = table[v]
+                            vec = [row[c] for c in yf]
+                        old = sums[s]
+                        if inf_p:
+                            new = [max(a, c) for a, c in zip(old, vec)]
+                        else:
+                            new = [a + w * c for a, c in zip(old, vec)]
+                        saved.append((s, old, mins[s]))
+                        sums[s] = new
+                        mins[s] = new[f] if f >= 0 else min(new, default=INF)
+                    if inf_p:
+                        descend = max(mins[k + 1:], default=0.0) < best
+                    else:
+                        descend = added + sum(mins[k + 1:]) < best * slack
+                    if descend:
+                        frame[2:] = v, saved, before
+                        break
+                    for s, old, m in reversed(saved):
+                        sums[s], mins[s] = old, m
+                if push is not None:
+                    push[v] = before
+            else:
+                frames.pop()
+        if best_val is None:
+            return INF, None
+        witness = Transformation({
+            ob: np.array(best_val[start:start + size], dtype=int)
+            for ob, (start, size) in self.spans.items()
+        })
+        return best, witness
 
 
 def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = None) -> HausdorffResult:
@@ -301,13 +334,14 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
     _check_same_theory(x, y)
     _check_fixed(x, y)
     _check_data(x, y, cfg)
-    # d^p of each codomain metric, as nested lists (d itself at p = inf)
+    # d^p of each codomain metric (d itself at p = inf), as nested lists by
+    # rows and by columns
     tables = {}
     for ob in {g.cod for g in x.theory.generators}:
         d = y.metric(ob).d.tolist()
-        tables[ob] = d if cfg.p == INF else [
-            [INF if v == INF else v**cfg.p for v in row] for row in d
-        ]
+        if cfg.p != INF:
+            d = [[INF if v == INF else v**cfg.p for v in row] for row in d]
+        tables[ob] = (d, [list(c) for c in zip(*d)])
     search = _Search(x, y, cfg, tables)
     agg, witness = search.run()
     distance = agg if cfg.p == INF else ext_root(agg, cfg.p)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,27 @@ def test_hom_guard_exceeded():
         find_homomorphism(cycle(7), cycle(14), node_guard=100)
     assert exc.value.count > 100
     assert "--force" not in str(exc.value)
+
+
+def test_hom_many_entries():
+    # 2,400 component entries, each with one candidate: a search that
+    # recurses once per entry passes Python's recursion limit
+    t = find_homomorphism(cycle(1200), loop())
+    assert t.components["E"].tolist() == [0] * 1200
+    assert t.components["V"].tolist() == [0] * 1200
+
+
+def test_hom_memory_is_linear_in_the_codomain():
+    # a cost table of |Y|^2 entries would take about 70 MB here
+    x, y = path_graph(2), cycle(3000)
+    tracemalloc.start()
+    try:
+        t = find_homomorphism(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.components["V"].tolist() == [0, 1]
+    assert peak < 2_000_000
 
 
 def test_is_natural_identity():

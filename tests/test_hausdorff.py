@@ -298,6 +298,14 @@ def test_guard_exceeded():
     assert res.distance == 4.0
 
 
+def test_search_depth_is_not_limited_by_recursion():
+    # 1,200 component entries, each with one candidate
+    cfg = HausdorffConfig(p=INF, component_class="met")
+    res = hausdorff_distance(directed_cycle(600, "discrete"), loop("mm"), cfg)
+    assert res.distance == 0.0
+    assert res.nodes == 1200
+
+
 def test_default_guard_answers_weak_pair_5_8():
     # 45,158,400 admissible transformations, but only 11,784 search nodes
     res = hausdorff_distance(*weak_pair(5, 8))
