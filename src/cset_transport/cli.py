@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .cset import SEARCH_NODE_GUARD, load_instance, validate_instance
+from .cset import SEARCH_NODE_GUARD, _matrix_from_json, load_instance, validate_instance
 from .errors import CsetTransportError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
 from .lp import export_lp
@@ -155,17 +155,11 @@ def _load_json_file(path):
         return json.load(fh)
 
 
-def _metric_from_matrix(rows) -> MetricData:
-    mat = [[INF if v == "inf" else float(v) for v in row] for row in rows]
-    return MetricData(len(mat), mat)
-
-
 def cmd_ot(args):
     data = _load_json_file(args.problem_file)
     mu = MeasureData(len(data["mu"]), data["mu"])
     nu = MeasureData(len(data["nu"]), data["nu"])
-    cost = [[INF if v == "inf" else float(v) for v in row] for row in data["cost"]]
-    res = optimal_coupling(mu, nu, cost)
+    res = optimal_coupling(mu, nu, _matrix_from_json(data["cost"]))
     lines = [_num(res.cost)]
     payload = {"cost": _json_num(res.cost)}
     if res.coupling is not None:
@@ -181,7 +175,7 @@ def cmd_wk(args):
     m = FiniteKernel.from_json(data["m"])
     n = FiniteKernel.from_json(data["n"])
     mu = MeasureData(len(data["mu"]), data["mu"])
-    d = _metric_from_matrix(data["d"])
+    d = MetricData(len(data["d"]), _matrix_from_json(data["d"]))
     p = args.p if args.p is not None else data.get("p", 1)
     res = wasserstein_kernels(m, n, mu, d, _parse_p(str(p)))
     payload = {"cost": _json_num(res.cost)}

@@ -241,6 +241,11 @@ def find_homomorphism(
 # -- JSON input/output --------------------------------------------------------
 
 
+def _matrix_from_json(rows) -> np.ndarray:
+    """A float matrix from JSON rows, in which the string "inf" spells inf."""
+    return np.asarray([[INF if v == "inf" else float(v) for v in row] for row in rows])
+
+
 def _metric_from_json(obj, entry, inst_sets, inst_maps, theory):
     kind = entry.get("kind")
     n = inst_sets[obj]
@@ -252,10 +257,7 @@ def _metric_from_json(obj, entry, inst_sets, inst_maps, theory):
             raise InstanceError("shortest_path metric is defined on the object V")
         return shortest_path_metric(stub, entry.get("weights"))
     if kind == "explicit":
-        rows = [
-            [INF if v == "inf" else float(v) for v in row] for row in entry["matrix"]
-        ]
-        return MetricData(n, np.asarray(rows))
+        return MetricData(n, _matrix_from_json(entry["matrix"]))
     raise InstanceError(f"unknown metric kind {kind!r} on object {obj!r}")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cset import Instance
+from .cset import Instance, validate_instance
 from .errors import InstanceError
 from .mm import MetricData, counting_measure, discrete_metric, shortest_path_metric, uniform_measure
 from .theory import builtin_theory
@@ -177,24 +177,12 @@ BUILTIN_INSTANCE_NAMES = tuple(sorted(_REGISTRY))
 
 
 def builtin_instance(name: str) -> Instance:
-    """Load a stock instance from the packaged data files."""
+    """Build and validate the stock instance ``name``."""
     if name not in _REGISTRY:
         raise InstanceError(
             f"unknown builtin instance {name!r}; available: "
             + ", ".join(BUILTIN_INSTANCE_NAMES)
         )
-    import json
-    from importlib import resources
-
-    from .cset import instance_from_json
-
-    path = resources.files("cset_transport").joinpath(f"data/{name}.json")
-    with path.open("r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
-
-
-def build_instance(name: str) -> Instance:
-    """Construct a stock instance in code (the data files mirror these)."""
-    if name not in _REGISTRY:
-        raise InstanceError(f"unknown builtin instance {name!r}")
-    return _REGISTRY[name]()
+    inst = _REGISTRY[name]()
+    validate_instance(inst)
+    return inst

@@ -45,7 +45,7 @@ from .cset import (
     _check_same_theory,
 )
 from .errors import GuardExceeded, InstanceError
-from .mm import INF, MeasureData, TOL, ext_root, lp_distance
+from .mm import INF, MeasureData, TOL, check_order, ext_root, lp_distance
 
 __all__ = [
     "HausdorffConfig",
@@ -70,8 +70,7 @@ class HausdorffConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("order p must be >= 1")
+        check_order(self.p)
         if self.component_class not in COMPONENT_CLASSES:
             raise ValueError(f"component_class must be one of {COMPONENT_CLASSES}")
         if self.symmetrize not in SYMMETRIZE_MODES:
@@ -340,7 +339,7 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
     for ob in {g.cod for g in x.theory.generators}:
         d = y.metric(ob).d.tolist()
         if cfg.p != INF:
-            d = [[INF if v == INF else v**cfg.p for v in row] for row in d]
+            d = [[v**cfg.p for v in row] for row in d]
         tables[ob] = (d, [list(c) for c in zip(*d)])
     search = _Search(x, y, cfg, tables)
     agg, witness = search.run()
@@ -382,9 +381,7 @@ def classical_hausdorff(xs: Instance, ys: Instance) -> float:
         raise InstanceError("classical form needs exactly one generator into a fixed object")
     g = attrs[0]
     dA_x, dA_y = xs.metric(g.cod), ys.metric(g.cod)
-    if not np.array_equal(
-        np.nan_to_num(dA_x.d, posinf=-1), np.nan_to_num(dA_y.d, posinf=-1)
-    ):
+    if not np.array_equal(dA_x.d, dA_y.d):
         raise InstanceError("attribute spaces differ")
     ax, ay = xs.maps[g.name], ys.maps[g.name]
     if xs.sets[g.dom] == 0:

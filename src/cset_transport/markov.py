@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InstanceError
-from .mm import MeasureData
+from .mm import TOL, MeasureData
 
 __all__ = [
-    "KERNEL_TOL",
     "FiniteKernel",
     "JointMeasure",
     "MarkovTransformation",
@@ -26,14 +25,12 @@ __all__ = [
     "disintegrate",
     "is_coupling",
     "is_product",
+    "independent_product",
     "embed_function",
     "is_deterministic",
     "identity_kernel",
     "uniform_kernel",
 ]
-
-KERNEL_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteKernel:
@@ -48,9 +45,9 @@ class FiniteKernel:
         object.__setattr__(self, "p", p)
         if p.shape != (self.rows, self.cols):
             raise DimensionError(f"kernel must be {self.rows}x{self.cols}, got {p.shape}")
-        if np.any(p < -KERNEL_TOL):
-            raise InstanceError("kernel entries must be nonnegative")
-        if self.rows and np.any(np.abs(p.sum(axis=1) - 1.0) > KERNEL_TOL):
+        if not np.all(np.isfinite(p)) or np.any(p < -TOL):
+            raise InstanceError("kernel entries must be finite and nonnegative")
+        if self.rows and np.any(np.abs(p.sum(axis=1) - 1.0) > TOL):
             bad = int(np.argmax(np.abs(p.sum(axis=1) - 1.0)))
             raise InstanceError(f"kernel row {bad} does not sum to 1")
 
@@ -76,7 +73,7 @@ class JointMeasure:
         object.__setattr__(self, "m", m)
         if m.ndim != 2:
             raise DimensionError("joint measure must be a matrix")
-        if np.any(m < -KERNEL_TOL) or np.any(np.isinf(m)) or np.any(np.isnan(m)):
+        if not np.all(np.isfinite(m)) or np.any(m < -TOL):
             raise InstanceError("joint measure entries must be finite and nonnegative")
 
     @property
@@ -147,7 +144,7 @@ def disintegrate(pi: JointMeasure) -> tuple[MeasureData, FiniteKernel]:
     return MeasureData(rows, w), FiniteKernel(rows, cols, p)
 
 
-def is_coupling(pi: FiniteKernel, m: FiniteKernel, n: FiniteKernel, tol=KERNEL_TOL) -> bool:
+def is_coupling(pi: FiniteKernel, m: FiniteKernel, n: FiniteKernel) -> bool:
     """pi: X -> Y x Z (row-major) has marginal m along Y and n along Z."""
     if m.rows != n.rows or pi.rows != m.rows or pi.cols != m.cols * n.cols:
         raise DimensionError(
@@ -156,12 +153,12 @@ def is_coupling(pi: FiniteKernel, m: FiniteKernel, n: FiniteKernel, tol=KERNEL_T
         )
     cube = pi.p.reshape(pi.rows, m.cols, n.cols)
     return bool(
-        np.all(np.abs(cube.sum(axis=2) - m.p) <= tol)
-        and np.all(np.abs(cube.sum(axis=1) - n.p) <= tol)
+        np.all(np.abs(cube.sum(axis=2) - m.p) <= TOL)
+        and np.all(np.abs(cube.sum(axis=1) - n.p) <= TOL)
     )
 
 
-def is_product(pi: FiniteKernel, m: FiniteKernel, n: FiniteKernel, tol=KERNEL_TOL) -> bool:
+def is_product(pi: FiniteKernel, m: FiniteKernel, n: FiniteKernel) -> bool:
     """pi: W x X -> Y x Z has marginal m along (W, Y) and n along (X, Z)."""
     if pi.rows != m.rows * n.rows or pi.cols != m.cols * n.cols:
         raise DimensionError(
@@ -172,8 +169,8 @@ def is_product(pi: FiniteKernel, m: FiniteKernel, n: FiniteKernel, tol=KERNEL_TO
     marg_m = hyper.sum(axis=3)  # (W, X, Y); must equal m for every x
     marg_n = hyper.sum(axis=2)  # (W, X, Z); must equal n for every w
     return bool(
-        np.all(np.abs(marg_m - m.p[:, None, :]) <= tol)
-        and np.all(np.abs(marg_n - n.p[None, :, :]) <= tol)
+        np.all(np.abs(marg_m - m.p[:, None, :]) <= TOL)
+        and np.all(np.abs(marg_n - n.p[None, :, :]) <= TOL)
     )
 
 
@@ -193,8 +190,8 @@ def embed_function(f, cod: int) -> FiniteKernel:
     return FiniteKernel(f.shape[0], cod, p)
 
 
-def is_deterministic(m: FiniteKernel, tol=KERNEL_TOL) -> bool:
+def is_deterministic(m: FiniteKernel) -> bool:
     """Every row is a point mass."""
     if m.rows == 0:
         return True
-    return bool(np.all(np.abs(m.p.max(axis=1) - 1.0) <= tol))
+    return bool(np.all(np.abs(m.p.max(axis=1) - 1.0) <= TOL))

@@ -3,7 +3,14 @@
 Distances live in [0, inf].  Only the identity law and the triangle
 inequality are required; symmetry and positive definiteness are not.
 The measure-theoretic convention 0 * inf = 0 is used everywhere, so
-zero-mass points never contribute infinite cost.
+zero-mass points never contribute infinite cost.  For p >= 1,
+inf ** p = inf in Python and numpy alike, so powers need no special case.
+
+The library's tolerances outside the solver are the table below.  ``TOL``
+judges data handed in (metric axioms, kernel rows, masses, short maps).
+Solver output is judged by ``lp.FEAS_TOL``, the residual ``lp.solve``
+certifies, and identities recomputed from several solved values by
+``CHECK_TOL``.  ``lp.py`` keeps the solver's own table.
 """
 
 from __future__ import annotations
@@ -18,10 +25,14 @@ from .errors import DimensionError, InstanceError
 __all__ = [
     "INF",
     "TOL",
+    "CHECK_TOL",
+    "check_order",
     "ext_mul",
     "ext_root",
     "MetricData",
     "MeasureData",
+    "counting_measure",
+    "uniform_measure",
     "discrete_metric",
     "shortest_path_metric",
     "is_short_map",
@@ -31,6 +42,19 @@ __all__ = [
 
 INF = math.inf
 TOL = 1e-9
+# a naturality entry sums up to |Y| solved values, each off by up to
+# lp.FEAS_TOL, and the p-th root in W <= H magnifies the error of an LP value
+CHECK_TOL = 1e-6
+
+
+def check_order(p: float, finite: bool = False) -> None:
+    """Reject an order p outside [1, inf] (NaN included); with ``finite``,
+    reject p = inf as well."""
+    if not 1 <= p <= INF:
+        raise ValueError(f"order p must satisfy 1 <= p <= inf, got {p}")
+    if finite and p == INF:
+        raise ValueError("order p must be finite: the p = inf objective is not "
+                         "linear in the coupling")
 
 
 def ext_mul(a: float, b: float) -> float:
@@ -162,7 +186,7 @@ def _as_matrix(k) -> np.ndarray:
     return p.astype(float)
 
 
-def is_short_map(f, dX: MetricData, dY: MetricData, tol: float = TOL) -> bool:
+def is_short_map(f, dX: MetricData, dY: MetricData) -> bool:
     """d_Y(f(i), f(j)) <= d_X(i, j) for every pair; inf on the right always passes."""
     f = np.asarray(f, dtype=int)
     if f.shape != (dX.n,):
@@ -172,7 +196,7 @@ def is_short_map(f, dX: MetricData, dY: MetricData, tol: float = TOL) -> bool:
     if dX.n == 0:
         return True
     dff = dY.d[np.ix_(f, f)]
-    return bool(np.all(dff <= dX.d + tol))
+    return bool(np.all(dff <= dX.d + TOL))
 
 
 def is_measure_decreasing(k, muX: MeasureData, muY: MeasureData, tol: float = TOL) -> bool:
@@ -209,20 +233,19 @@ def lp_distance(f, g, muX: MeasureData | None, dY: MetricData, p: float) -> floa
         raise DimensionError("measure does not match function domain")
     if f.size and (max(f.max(), g.max()) >= dY.n or min(f.min(), g.min()) < 0):
         raise DimensionError("function value out of range of the target metric")
+    check_order(p)
     if p == INF:
         idx = np.arange(n) if muX is None else muX.support()
         if idx.size == 0:
             return 0.0
         return float(np.max(dY.d[f[idx], g[idx]]))
-    if p < 1:
-        raise ValueError("order p must be >= 1")
     if muX is None:
         raise InstanceError("a measure on the domain is required when p is finite")
     # plain floats, so the result is a float and not a numpy scalar
     total = 0.0
     dvals, w = dY.d[f, g].tolist(), muX.w.tolist()
     for i in range(n):
-        total += ext_mul(w[i], dvals[i] ** p if dvals[i] != INF else INF)
+        total += ext_mul(w[i], dvals[i] ** p)
         if total == INF:
             return INF
     return ext_root(total, p)

@@ -31,9 +31,9 @@ import numpy as np
 from .cset import Instance, _check_fixed, _check_same_theory
 from .errors import CsetTransportError, InstanceError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
-from .lp import LpModel, LpSolution, solve
-from .markov import KERNEL_TOL, FiniteKernel, MarkovTransformation, identity_kernel
-from .mm import INF, ext_root, is_measure_decreasing
+from .lp import FEAS_TOL, LpModel, LpSolution, solve
+from .markov import FiniteKernel, MarkovTransformation, embed_function, identity_kernel
+from .mm import CHECK_TOL, INF, TOL, check_order, ext_root, is_measure_decreasing
 
 __all__ = [
     "WassersteinProgram",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 WASSERSTEIN_CLASSES = ("mm", "noshort")
-EXTRACT_TOL = 1e-7
 
 
 # -- Markov-morphism feasibility ----------------------------------------------
@@ -125,7 +124,7 @@ def _extract_phi(sol: LpSolution, layout, objects) -> dict[str, FiniteKernel]:
         mat = np.clip(mat, 0.0, None)
         if nx_:
             sums = mat.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > EXTRACT_TOL):
+            if np.any(np.abs(sums - 1.0) > FEAS_TOL):
                 raise LpNumericalError(
                     f"solver returned a row of {ob!r} off-stochastic by "
                     f"{np.abs(sums - 1.0).max():.2e}"
@@ -149,20 +148,12 @@ def markov_feasible(
     comps = _extract_phi(sol, layout, x.theory.objects)
     for g in x.theory.generators:
         lhs = comps[g.cod].p[x.maps[g.name], :]
-        rhs = comps[g.dom].p @ _function_matrix(y, g.name)
-        if np.abs(lhs - rhs).max(initial=0.0) > 1e-6:
+        rhs = comps[g.dom].p @ embed_function(y.maps[g.name], y.sets[g.cod]).p
+        if np.abs(lhs - rhs).max(initial=0.0) > CHECK_TOL:
             raise LpNumericalError(
                 f"extracted kernels violate naturality at {g.name!r}"
             )
     return MarkovTransformation(comps)
-
-
-def _function_matrix(inst: Instance, gen: str) -> np.ndarray:
-    g = inst.theory.generator(gen)
-    f = inst.maps[gen]
-    mat = np.zeros((inst.sets[g.dom], inst.sets[g.cod]))
-    mat[np.arange(len(f)), f] = 1.0
-    return mat
 
 
 # -- Wasserstein program -------------------------------------------------------
@@ -182,12 +173,6 @@ class WassersteinProgram:
     p: float
     component_class: str
     structurally_infinite: str | None = None
-
-
-def _delta(metric, p) -> np.ndarray:
-    """Flattened d^p cost vector over the product of the space with itself."""
-    d = metric.d
-    return np.where(np.isinf(d), INF, d**p).reshape(-1)
 
 
 def _triangle_implied(d: np.ndarray) -> np.ndarray:
@@ -225,10 +210,7 @@ def _require_data(x: Instance, y: Instance) -> None:
 def _check_fixed_spaces(x: Instance, y: Instance) -> None:
     for ob in sorted(x.fixed):
         dx, dy = x.metric(ob), y.metric(ob)
-        same = np.array_equal(
-            np.nan_to_num(dx.d, posinf=-1.0), np.nan_to_num(dy.d, posinf=-1.0)
-        )
-        if not same:
+        if not np.array_equal(dx.d, dy.d):
             raise InstanceError(f"fixed object {ob!r} carries different metrics")
 
 
@@ -252,8 +234,7 @@ def wasserstein_cset_lp(
     self-product blocks are omitted entirely; the value is then a general
     cost optimum, not a metric.
     """
-    if not (1 <= p < INF):
-        raise ValueError("p must satisfy 1 <= p < inf")
+    check_order(p, finite=True)
     if component_class not in WASSERSTEIN_CLASSES:
         raise ValueError(f"component_class must be one of {WASSERSTEIN_CLASSES}")
     _check_same_theory(x, y)
@@ -273,7 +254,7 @@ def wasserstein_cset_lp(
     mm = component_class == "mm"
     if mm:
         for ob in movable:
-            if x.measure(ob).total() > y.measure(ob).total() + KERNEL_TOL:
+            if x.measure(ob).total() > y.measure(ob).total() + TOL:
                 infinite = (
                     f"total mass on {ob!r} shrinks from {x.measure(ob).total()} "
                     f"to {y.measure(ob).total()}: no measure-decreasing kernel"
@@ -308,12 +289,13 @@ def wasserstein_cset_lp(
                 ]
                 model.add_constraint(f"meas_{ob}_{k}", terms, "<=", float(muy.w[k]))
 
-    # self-product blocks carrying the distance-decreasing constraints
+    # self-product blocks carrying the distance-decreasing constraints, priced
+    # by the flattened d^p over the product of each space with itself
     cost_vectors = {}
     for ob in t.objects:
         cost_vectors[ob] = {
-            "delta_x": _delta(x.metric(ob), p),
-            "delta_y": _delta(y.metric(ob), p),
+            "delta_x": x.metric(ob).d.reshape(-1) ** p,
+            "delta_y": y.metric(ob).d.reshape(-1) ** p,
         }
     if mm:
         for ob in movable:
@@ -494,7 +476,7 @@ def wasserstein_cset_distance(
     if component_class == "mm":
         for ob in prog.layout["phi"]:
             if not is_measure_decreasing(
-                comps[ob], x.measure(ob), y.measure(ob), tol=EXTRACT_TOL
+                comps[ob], x.measure(ob), y.measure(ob), tol=FEAS_TOL
             ):
                 raise LpNumericalError(
                     f"extracted kernel at {ob!r} is not measure-decreasing"
@@ -514,7 +496,7 @@ def relaxation_gap(
     hcfg = HausdorffConfig(p, cfg.component_class, "none", cfg.guard, cfg.force)
     dw, _ = wasserstein_cset_distance(x, y, p, wcls)
     dh = hausdorff_distance(x, y, hcfg).distance
-    if not (dw <= dh + 1e-6):
+    if not (dw <= dh + CHECK_TOL):
         raise CsetTransportError(
             f"relaxation inequality violated: W = {dw} > H = {dh}; this is a bug"
         )

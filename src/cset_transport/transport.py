@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError
 from .lp import LpModel, solve
 from .markov import FiniteKernel
-from .mm import INF, MeasureData, MetricData, ext_mul, ext_root
+from .mm import INF, TOL, MeasureData, MetricData, check_order, ext_mul, ext_root
 
 __all__ = [
     "OtResult",
@@ -24,9 +24,6 @@ __all__ = [
     "wasserstein_kernels",
     "wasserstein_deterministic",
 ]
-
-MASS_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class OtResult:
@@ -53,7 +50,7 @@ def _check_cost(cost, n, m):
 def optimal_coupling(mu: MeasureData, nu: MeasureData, cost) -> OtResult:
     """Minimize sum(cost * pi) over pi >= 0 with row sums mu and column sums nu."""
     cost = _check_cost(cost, mu.n, nu.n)
-    if abs(mu.total() - nu.total()) > MASS_TOL:
+    if abs(mu.total() - nu.total()) > TOL:
         raise DimensionError(
             f"couplings need equal mass: |mu| = {mu.total()}, |nu| = {nu.total()}"
         )
@@ -92,13 +89,10 @@ def optimal_coupling(mu: MeasureData, nu: MeasureData, cost) -> OtResult:
 
 def wasserstein_measures(mu: MeasureData, nu: MeasureData, d: MetricData, p: float) -> float:
     """Classical W_p between equal-mass measures on a common metric space."""
-    if p == INF or p < 1:
-        raise ValueError("p must satisfy 1 <= p < inf: the p = inf objective is not "
-                         "linear in the coupling")
+    check_order(p, finite=True)
     if d.n != mu.n or d.n != nu.n:
         raise DimensionError("metric must live on the common support space")
-    costp = np.where(np.isinf(d.d), INF, d.d) ** p
-    return ext_root(optimal_coupling(mu, nu, costp).cost, p)
+    return ext_root(optimal_coupling(mu, nu, d.d**p).cost, p)
 
 
 def wasserstein_kernels(
@@ -108,14 +102,12 @@ def wasserstein_kernels(
 
     Rows of zero mass are skipped (0 * inf = 0) and contribute no coupling.
     """
-    if p == INF or p < 1:
-        raise ValueError("p must satisfy 1 <= p < inf: the p = inf objective is not "
-                         "linear in the coupling")
+    check_order(p, finite=True)
     if m.rows != n.rows or m.cols != n.cols:
         raise DimensionError("kernels must share domain and codomain")
     if muX.n != m.rows or dY.n != m.cols:
         raise DimensionError("measure/metric do not match the kernels")
-    costp = np.where(np.isinf(dY.d), INF, dY.d) ** p
+    costp = dY.d**p
     total = 0.0
     couplings: list = [None] * m.rows
     for x in range(m.rows):
@@ -146,16 +138,14 @@ def wasserstein_deterministic(
         raise DimensionError("f lands outside the metric space")
     if g.size and (g.max() >= dZ.n or g.min() < 0):
         raise DimensionError("g lands outside the metric space")
-    if p == INF or p < 1:
-        raise ValueError("p must satisfy 1 <= p < inf")
+    check_order(p, finite=True)
     total = 0.0
     for x in range(m.rows):
         if muX.w[x] <= 0:
             continue
         inner = 0.0
         for y in range(m.cols):
-            dv = dZ.d[f[x], g[y]]
-            inner += ext_mul(m.p[x, y], INF if dv == INF else dv**p)
+            inner += ext_mul(m.p[x, y], dZ.d[f[x], g[y]] ** p)
         total += ext_mul(muX.w[x], inner)
         if total == INF:
             return INF

@@ -96,6 +96,13 @@ def test_hausdorff_node_guard(capsys):
     assert out.strip() == "2"
 
 
+def test_hausdorff_rejects_nan_order(capsys):
+    code, out, err = run_cli(capsys, "hausdorff", "builtin:fig9x", "builtin:fig9y", "--p", "nan")
+    assert code == 1
+    assert out == ""
+    assert "order p" in err
+
+
 def test_hausdorff_infinite(capsys):
     code, out, _ = run_cli(
         capsys, "hausdorff", "builtin:c4discrete", "builtin:c2", "--class", "mm"
@@ -210,20 +217,25 @@ def test_byte_identical_reruns(capsys):
     assert a == b
 
 
-def test_data_files_match_builders():
-    from cset_transport.gallery import BUILTIN_INSTANCE_NAMES, build_instance, builtin_instance
+def test_builtins_round_trip_through_json():
+    """Explicit metric matrices, "inf" entries included, and measures survive
+    instance_to_json -> JSON text -> instance_from_json exactly."""
+    from cset_transport.cset import instance_from_json, instance_to_json
+    from cset_transport.gallery import BUILTIN_INSTANCE_NAMES, builtin_instance
     import numpy as np
 
     for name in BUILTIN_INSTANCE_NAMES:
-        loaded = builtin_instance(name)
-        built = build_instance(name)
+        built = builtin_instance(name)
+        loaded = instance_from_json(json.loads(json.dumps(instance_to_json(built))))
         assert loaded.theory == built.theory, name
         assert loaded.sets == built.sets, name
+        assert set(loaded.maps) == set(built.maps), name
         for g in built.maps:
             assert np.array_equal(loaded.maps[g], built.maps[g]), name
         assert set(loaded.metrics) == set(built.metrics), name
         for ob in built.metrics:
             assert np.array_equal(loaded.metric(ob).d, built.metric(ob).d), name
+        assert set(loaded.measures) == set(built.measures), name
         for ob in built.measures:
-            assert np.allclose(loaded.measure(ob).w, built.measure(ob).w), name
+            assert np.array_equal(loaded.measure(ob).w, built.measure(ob).w), name
         assert loaded.fixed == built.fixed, name

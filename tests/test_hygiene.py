@@ -1,5 +1,6 @@
-"""Source hygiene: every library module uses each name it imports, and every
-function defined inside another function is referenced there."""
+"""Source hygiene: every library module uses each name it imports, every
+function defined inside another function is referenced there, small
+tolerances are named once, and the package exports only public names."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,33 @@ def test_no_dead_nested_functions(path):
                 if f.name not in used
             ]
     assert not dead, "nested functions never referenced:\n" + "\n".join(dead)
+
+
+def test_small_literals_are_named_tolerances():
+    """A float in (0, 1e-3) is a tolerance; it is written only as a
+    module-level constant of mm.py (the library's table) or lp.py (the
+    solver's)."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named = set()
+        if path.name in ("mm.py", "lp.py"):
+            named = {id(n.value) for n in tree.body if isinstance(n, ast.Assign)}
+        stray += [
+            f"{path.name}:{n.lineno}: {n.value!r}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, float)
+            and 0 < n.value < 1e-3 and id(n) not in named
+        ]
+    assert not stray, "tolerance literals outside the tables:\n" + "\n".join(stray)
+
+
+def test_package_imports_are_exported():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = SRC / f"{node.module}.py"
+            exported = _exported(ast.parse(module.read_text(encoding="utf-8")))
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert not missing, "imported by __init__.py but not in __all__:\n" + "\n".join(missing)

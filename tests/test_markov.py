@@ -27,6 +27,8 @@ def test_kernel_validation():
         FiniteKernel(1, 2, [[0.5, 0.4]])
     with pytest.raises(InstanceError, match="nonnegative"):
         FiniteKernel(1, 2, [[1.5, -0.5]])
+    with pytest.raises(InstanceError, match="finite"):
+        FiniteKernel(1, 2, [[np.nan, np.nan]])
     FiniteKernel(0, 3, np.zeros((0, 3)))  # empty domain is fine
 
 

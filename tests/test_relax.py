@@ -42,7 +42,7 @@ from cset_transport.transport import optimal_coupling, wasserstein_measures
 from oracles import random_graph
 
 
-def _function_matrix(inst, gen):
+def _generator_matrix(inst, gen):
     g = inst.theory.generator(gen)
     return embed_function(inst.maps[gen], inst.sets[g.cod]).p
 
@@ -50,7 +50,7 @@ def _function_matrix(inst, gen):
 def _check_naturality(x, y, cert, tol=1e-6):
     for g in x.theory.generators:
         lhs = cert.components[g.cod].p[x.maps[g.name], :]
-        rhs = cert.components[g.dom].p @ _function_matrix(y, g.name)
+        rhs = cert.components[g.dom].p @ _generator_matrix(y, g.name)
         assert np.abs(lhs - rhs).max(initial=0.0) <= tol
 
 
@@ -66,7 +66,7 @@ def test_fig5_feasible_and_mixtures():
         mixE = a * embed_function(homs[0]["E"], 4).p + (1 - a) * embed_function(homs[1]["E"], 4).p
         for g in ("src", "tgt"):
             lhs = mixV[x.maps[g], :]
-            rhs = mixE @ _function_matrix(y, g)
+            rhs = mixE @ _generator_matrix(y, g)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -84,7 +84,7 @@ def test_fig7_feasible_without_hom():
     uni_v = np.full((1, 3), 1 / 3)
     uni_e = np.full((1, 3), 1 / 3)
     for g in ("src", "tgt"):
-        assert np.allclose(uni_v[x.maps[g], :], uni_e @ _function_matrix(y, g))
+        assert np.allclose(uni_v[x.maps[g], :], uni_e @ _generator_matrix(y, g))
 
 
 def test_fig8_terminal_certificate_unique():

@@ -96,6 +96,16 @@ def test_wasserstein_measures_rejects_infinite_p():
     mu = MeasureData(1, [1.0])
     with pytest.raises(ValueError, match="not\\s+linear"):
         wasserstein_measures(mu, mu, line(1), INF)
+    with pytest.raises(ValueError, match="order p"):
+        wasserstein_measures(mu, mu, line(1), math.nan)
+
+
+def test_nan_order_rejected():
+    f, mu, d = np.array([0, 1]), counting_measure(2), line(2)
+    with pytest.raises(ValueError, match="order p"):
+        lp_distance(f, f, mu, d, math.nan)
+    with pytest.raises(ValueError, match="order p"):
+        wasserstein_deterministic(f, embed_function(f, 2), f, mu, d, math.nan)
 
 
 def test_kernel_wasserstein_identity():
