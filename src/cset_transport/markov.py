@@ -45,7 +45,7 @@ class FiniteKernel:
         object.__setattr__(self, "p", p)
         if p.shape != (self.rows, self.cols):
             raise DimensionError(f"kernel must be {self.rows}x{self.cols}, got {p.shape}")
-        if not np.all(np.isfinite(p)) or np.any(p < -TOL):
+        if not np.all(p >= -TOL):  # NaN fails this test, and inf the row sums
             raise InstanceError("kernel entries must be finite and nonnegative")
         if self.rows and np.any(np.abs(p.sum(axis=1) - 1.0) > TOL):
             bad = int(np.argmax(np.abs(p.sum(axis=1) - 1.0)))
