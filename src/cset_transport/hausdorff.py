@@ -45,7 +45,7 @@ from .cset import (
     _check_same_theory,
 )
 from .errors import GuardExceeded, InstanceError
-from .mm import INF, MeasureData, TOL, check_order, ext_root, lp_distance
+from .mm import INF, MeasureData, TOL, check_order, ext_pow, ext_root, lp_distance
 
 __all__ = [
     "HausdorffConfig",
@@ -339,7 +339,7 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
     for ob in {g.cod for g in x.theory.generators}:
         d = y.metric(ob).d.tolist()
         if cfg.p != INF:
-            d = [[v**cfg.p for v in row] for row in d]
+            d = [[ext_pow(v, cfg.p) for v in row] for row in d]
         tables[ob] = (d, [list(c) for c in zip(*d)])
     search = _Search(x, y, cfg, tables)
     agg, witness = search.run()

@@ -4,7 +4,9 @@ Distances live in [0, inf].  Only the identity law and the triangle
 inequality are required; symmetry and positive definiteness are not.
 The measure-theoretic convention 0 * inf = 0 is used everywhere, so
 zero-mass points never contribute infinite cost.  For p >= 1,
-inf ** p = inf in Python and numpy alike, so powers need no special case.
+inf ** p = inf in Python and numpy alike.  A finite power past the float
+range is inf in numpy but raises OverflowError on Python floats, so powers
+of Python floats go through ``ext_pow``.
 
 The library's tolerances outside the solver are the table below.  ``TOL``
 judges data handed in (metric axioms, kernel rows, masses, short maps).
@@ -28,6 +30,7 @@ __all__ = [
     "CHECK_TOL",
     "check_order",
     "ext_mul",
+    "ext_pow",
     "ext_root",
     "MetricData",
     "MeasureData",
@@ -62,6 +65,14 @@ def ext_mul(a: float, b: float) -> float:
     if a == 0.0 or b == 0.0:
         return 0.0
     return a * b
+
+
+def ext_pow(a: float, p: float) -> float:
+    """a ** p in [0, inf]; a power past the float range is inf, as in numpy."""
+    try:
+        return a**p
+    except OverflowError:
+        return INF
 
 
 def ext_root(a: float, p: float) -> float:
@@ -245,7 +256,7 @@ def lp_distance(f, g, muX: MeasureData | None, dY: MetricData, p: float) -> floa
     total = 0.0
     dvals, w = dY.d[f, g].tolist(), muX.w.tolist()
     for i in range(n):
-        total += ext_mul(w[i], dvals[i] ** p)
+        total += ext_mul(w[i], ext_pow(dvals[i], p))
         if total == INF:
             return INF
     return ext_root(total, p)

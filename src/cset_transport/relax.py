@@ -4,9 +4,9 @@ instances.
 
 Infinite metric entries never reach the solver.  Cost cells of infinite
 value force their coupling variables to zero (realized as upper bound 0, an
-equality pin, which ``lp.solve`` keeps out of the simplex), and
-distance-decrease constraint rows with an infinite right-hand side are dropped
-as vacuous.  Structural impossibilities (total mass growth, a fully pinned
+equality pin, which ``lp.solve`` keeps out of the simplex; the flows used at
+p = 1 need none), and distance-decrease constraint rows with an infinite
+right-hand side are dropped as vacuous.  Structural impossibilities (total mass growth, a fully pinned
 stochastic row) are reported as an infinite distance without solving.
 
 Only the irreducible distance rows are built.  The row of a pair (x1, x2) is
@@ -20,6 +20,31 @@ d(x1,x2), so by induction on distance each is kept, vacuous or itself implied.
 The strict "> 0" matters: a Lawvere metric may have d(a,b) = d(b,a) = 0 for
 a != b, and a zero leg would let (a,c) and (b,c) each justify dropping the
 other.  For unit shortest-path metrics only the edges remain.
+
+For p = 1 each transport block is a flow, not a coupling.  The same rule
+applied to the codomain metric d keeps its irreducible edges: pairs (a, b)
+off the diagonal with d(a,b) finite and not split as above, weighted d(a,b).
+Their shortest-path metric is d.  No path is shorter than d, by the triangle
+inequality.  A pair at d(a,b) = 0 is never split, so it is an edge of weight
+0.  A split pair has two positive, strictly shorter legs, so by induction on
+distance it has a path of length d(a,b).  A pair at infinite distance has no
+path, since a finite path would make the distance finite.  So W_1 under d
+between equal-mass a and b is the cheapest flow f >= 0 on the edges with
+out - in = a - b at every point (Beckmann's problem; Peyre & Cuturi,
+Computational Optimal Transport, 2019, ch. 6).  By Kantorovich-Rubinstein
+duality both programs have the same dual: potentials u maximizing
+<u, b - a> with u(b') - u(a') <= d(a', b'), a condition that holds for all
+pairs once it holds on the edges.  Directly: a coupling routed along
+shortest paths is a flow of the same cost, and a flow splits into paths from
+a to b and cycles of nonnegative weight, so it gives a coupling of no
+greater cost.  An unreachable target needs no pin, because no flow reaches
+it.  A block's n_y^2 coupling variables become one per edge (C5 -> C6: 6
+edges instead of 36 cells).
+
+A generator element of zero mass gets no flow block.  In the coupling form
+its block has no objective and no pins, so it constrains nothing.
+Conservation rows would instead demand that its two marginals reach each
+other, which can make a finite distance infinite.
 """
 
 from __future__ import annotations
@@ -33,7 +58,15 @@ from .errors import CsetTransportError, InstanceError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
 from .lp import FEAS_TOL, LpModel, LpSolution, solve
 from .markov import FiniteKernel, MarkovTransformation, embed_function, identity_kernel
-from .mm import CHECK_TOL, INF, TOL, check_order, ext_root, is_measure_decreasing
+from .mm import (
+    CHECK_TOL,
+    INF,
+    TOL,
+    check_order,
+    ext_pow,
+    ext_root,
+    is_measure_decreasing,
+)
 
 __all__ = [
     "WassersteinProgram",
@@ -191,6 +224,46 @@ def _triangle_implied(d: np.ndarray) -> np.ndarray:
     return implied
 
 
+def _flow_form(p: float) -> bool:
+    """Whether the transport blocks are flows on the codomain's irreducible
+    edges, exact for W_1 only, rather than couplings."""
+    return p == 1
+
+
+class _EdgeFlow:
+    """The irreducible edges (a, b) of a codomain metric d, weighted d(a, b);
+    their shortest-path metric is d (see the module docstring)."""
+
+    def __init__(self, d: np.ndarray):
+        implied = _triangle_implied(d)
+        n = d.shape[0]
+        self.edges = [
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b and d[a, b] != INF and not implied[a, b]
+        ]
+        self.weights = [float(d[a, b]) for a, b in self.edges]
+        self.out = [[] for _ in range(n)]
+        self.into = [[] for _ in range(n)]
+        for k, (a, b) in enumerate(self.edges):
+            self.out[a].append(k)
+            self.into[b].append(k)
+
+    def add_block(self, model: LpModel, var_name: str, row_name: str, supply) -> list:
+        """Add one flow block: a variable f_e >= 0 per edge and, for each
+        point y with ``supply[y] = (terms, rhs)``, the conservation row
+        out(y) - in(y) + terms = rhs.  Returns the block's cost terms."""
+        start = model.num_vars
+        for a, b in self.edges:
+            model.add_variable(f"{var_name}_{a}_{b}")
+        for yv, (terms, rhs) in enumerate(supply):
+            row = [(start + k, 1.0) for k in self.out[yv]]
+            row += [(start + k, -1.0) for k in self.into[yv]]
+            model.add_constraint(f"{row_name}_{yv}", row + terms, "=", rhs)
+        return [(start + k, w) for k, w in enumerate(self.weights) if w != 0.0]
+
+
 def _require_data(x: Instance, y: Instance) -> None:
     t = x.theory
     for ob in t.objects:
@@ -228,7 +301,19 @@ def wasserstein_cset_lp(
     * distance rows with infinite right-hand side are dropped, and variables
       multiplying an infinite cost are pinned to zero;
     * distance rows implied through an intermediate point by the triangle
-      inequality are dropped (see the module docstring).
+      inequality are dropped (see the module docstring);
+    * for p = 1 each transport block is a min-cost flow on the irreducible
+      edges of the codomain metric instead of a coupling (see the module
+      docstring): per block, one variable per edge, one conservation row per
+      codomain point, and the flow's cost in the distance row or, weighted by
+      the element's mass, in the objective.  Nothing is pinned, and an
+      element of zero mass gets no block.
+
+    ``layout["pi_obj"][ob]`` is ``(start, pairs, width)`` and
+    ``layout["pi_gen"][g]`` is ``(start, elements, width)``: the block of the
+    k-th pair or element holds variables ``start + k*width`` up to
+    ``start + (k+1)*width``.  A coupling block is ``n_y^2`` wide; a flow
+    block has one variable per edge of ``layout["edges"][ob]``.
 
     With ``component_class="noshort"`` the measure-decreasing rows and the
     self-product blocks are omitted entirely; the value is then a general
@@ -250,6 +335,19 @@ def wasserstein_cset_lp(
     pins: list[str] = []
     infinite: str | None = None
     constant = 0.0
+    flow = _flow_form(p)
+    flows: dict[str, _EdgeFlow] = {}
+
+    def edge_flow(ob):
+        """The edges of ``ob``'s codomain metric, built once per object."""
+        if ob not in flows:
+            flows[ob] = _EdgeFlow(y.metric(ob).d)
+            layout.setdefault("edges", {})[ob] = flows[ob].edges
+            eliminated.setdefault("flow", {})[ob] = (
+                f"W_1 as a flow on {len(flows[ob].edges)} of "
+                f"{y.sets[ob] ** 2} pairs"
+            )
+        return flows[ob]
 
     mm = component_class == "mm"
     if mm:
@@ -328,16 +426,34 @@ def wasserstein_cset_lp(
             if not pairs:
                 eliminated["pi_obj"][ob] = "all distance rows vacuous"
                 continue
-            start = model.num_vars
-            for (x1, x2) in pairs:
-                for yy in range(ny_ * ny_):
-                    model.add_variable(f"piobj_{ob}_{x1}_{x2}_{yy}")
-            layout["pi_obj"][ob] = (start, pairs, ny_)
             if len(pairs) < nx_ * nx_:
                 eliminated.setdefault("pi_obj_pairs", {})[ob] = (
                     f"kept {len(pairs)} of {nx_ * nx_} self-product rows; "
                     f"{len(candidates) - len(pairs)} implied by the triangle inequality"
                 )
+            start = model.num_vars
+            if flow:
+                net = edge_flow(ob)
+                layout["pi_obj"][ob] = (start, pairs, len(net.edges))
+                for (x1, x2) in pairs:
+                    # out - in = phi(x1, .) - phi(x2, .)
+                    supply = []
+                    for yv in range(ny_):
+                        a = _phi_var(layout["phi"], ob, x1, yv)
+                        b = _phi_var(layout["phi"], ob, x2, yv)
+                        supply.append(([(a, -1.0), (b, 1.0)], 0.0))
+                    cost = net.add_block(
+                        model, f"fobj_{ob}_{x1}_{x2}", f"pof_{ob}_{x1}_{x2}", supply
+                    )
+                    if cost:
+                        model.add_constraint(
+                            f"pod_{ob}_{x1}_{x2}", cost, "<=", float(dX[x1 * nx_ + x2])
+                        )
+                continue
+            for (x1, x2) in pairs:
+                for yy in range(ny_ * ny_):
+                    model.add_variable(f"piobj_{ob}_{x1}_{x2}_{yy}")
+            layout["pi_obj"][ob] = (start, pairs, ny_ * ny_)
 
             for k, (x1, x2) in enumerate(pairs):
                 base = start + k * ny_ * ny_
@@ -364,21 +480,21 @@ def wasserstein_cset_lp(
     # generator blocks: coupling variables, or the closed form into fixed objects
     for g in t.generators:
         xf, yf = x.maps[g.name], y.maps[g.name]
-        mux = x.measure(g.dom) if g.dom not in x.fixed or g.dom in x.measures else None
+        mux = x.measure(g.dom)  # present, by _require_data
         dcod = y.metric(g.cod).d
         if g.cod in x.fixed:
             # deterministic target leg: linear (or constant) closed form
             if g.dom in x.fixed:
                 for i in range(x.sets[g.dom]):
-                    w = float(mux.w[i]) if mux is not None else 1.0
-                    dv = dcod[int(xf[i]), int(yf[i])]
-                    if w > 0 and dv == INF:
+                    w = float(mux.w[i])
+                    cost = ext_pow(float(dcod[int(xf[i]), int(yf[i])]), p)
+                    if w > 0 and cost == INF:
                         infinite = (
                             f"generator {g.name!r} between fixed objects has an "
                             f"infinite defect at element {i}"
                         )
                     elif w > 0:
-                        constant += w * float(dv) ** p
+                        constant += w * cost
                 eliminated["pi_gen"][g.name] = "both endpoints fixed: constant defect"
                 continue
             start, nx_, ny_ = layout["phi"][g.dom]
@@ -387,22 +503,48 @@ def wasserstein_cset_lp(
                 if w <= 0:
                     continue
                 for j in range(y.sets[g.dom]):
-                    dv = dcod[int(xf[i]), int(yf[j])]
+                    cost = ext_pow(float(dcod[int(xf[i]), int(yf[j])]), p)
                     idx = _phi_var(layout["phi"], g.dom, i, j)
-                    if dv == INF:
+                    if cost == INF:
                         pin(idx)
-                    elif dv != 0.0:
-                        model.add_objective(idx, w * float(dv) ** p)
+                    elif cost != 0.0:
+                        model.add_objective(idx, w * cost)
             eliminated["pi_gen"][g.name] = "codomain fixed: closed-form objective"
             continue
 
         nxc = x.sets[g.dom]
         nyc = y.sets[g.cod]
         start = model.num_vars
+        if flow:
+            net = edge_flow(g.cod)
+            elements = [i for i in range(nxc) if mux.w[i] > 0]
+            layout["pi_gen"][g.name] = (start, elements, len(net.edges))
+            preim = [np.flatnonzero(yf == yv) for yv in range(nyc)]
+            for i in elements:
+                # out - in = (Xf . Phi_cod)(i) - (Phi_dom . Yf)(i), the latter
+                # Yf's point indicator when g.dom is fixed
+                supply = []
+                for yv in range(nyc):
+                    terms = [(_phi_var(layout["phi"], g.cod, int(xf[i]), yv), -1.0)]
+                    if g.dom in x.fixed:
+                        rhs = -1.0 if int(yf[i]) == yv else 0.0
+                    else:
+                        rhs = 0.0
+                        terms += [
+                            (_phi_var(layout["phi"], g.dom, i, int(j)), 1.0)
+                            for j in preim[yv]
+                        ]
+                    supply.append((terms, rhs))
+                cost = net.add_block(
+                    model, f"fgen_{g.name}_{i}", f"pgf_{g.name}_{i}", supply
+                )
+                for idx, c in cost:
+                    model.add_objective(idx, float(mux.w[i]) * c)
+            continue
         for i in range(nxc):
             for yy in range(nyc * nyc):
                 model.add_variable(f"pigen_{g.name}_{i}_{yy}")
-        layout["pi_gen"][g.name] = (start, nxc, nyc)
+        layout["pi_gen"][g.name] = (start, list(range(nxc)), nyc * nyc)
         dY = cost_vectors[g.cod]["delta_y"]
 
         def gvar(i, yy, start=start, nyc=nyc):
@@ -425,7 +567,7 @@ def wasserstein_cset_lp(
                     for j in np.flatnonzero(yf == y2):
                         terms.append((_phi_var(layout["phi"], g.dom, i, int(j)), -1.0))
                     model.add_constraint(f"pgm2_{g.name}_{i}_{y2}", terms, "=", 0.0)
-            w = float(mux.w[i]) if mux is not None else 1.0
+            w = float(mux.w[i])
             if w <= 0:
                 continue
             for yy in range(nyc * nyc):

@@ -70,6 +70,29 @@ def test_markov_feasible_certificate(capsys):
     assert set(cert) == {"E", "V"}
 
 
+def test_hausdorff_overflowing_power_is_inf(tmp_path, capsys):
+    # a loop into a single edge whose ends are 1e200 apart: every map has a
+    # defect of 1e200, whose square is past the float range
+    data = {
+        "a": ({"V": 1, "E": 1}, [0], [0], [[0]]),
+        "b": ({"V": 2, "E": 1}, [0], [1], [[0, 1e200], [1e200, 0]]),
+    }
+    for name, (sets, src, tgt, matrix) in data.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "theory": "Graph",
+            "sets": sets,
+            "maps": {"src": src, "tgt": tgt},
+            "metrics": {"V": {"kind": "explicit", "matrix": matrix}, "E": {"kind": "discrete"}},
+            "measures": {"V": {"kind": "counting"}, "E": {"kind": "counting"}},
+        }))
+    code, out, _ = run_cli(
+        capsys, "hausdorff", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+        "--p", "2", "--class", "all",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "inf"
+
+
 def test_hausdorff_weak_pair(capsys):
     code, out, _ = run_cli(
         capsys, "hausdorff", "builtin:fig9x", "builtin:fig9y", "--p", "1", "--class", "mm"

@@ -169,6 +169,13 @@ def test_lp_distance_monotone_in_p():
         assert d2 <= dinf + 1e-9
 
 
+def test_lp_distance_overflowing_power_is_inf():
+    # (1e200)^2 is past the float range: inf, as the numpy paths give it
+    dY = MetricData(2, [[0, 1e200], [1e200, 0]])
+    assert lp_distance([0], [1], counting_measure(1), dY, 2.0) == INF
+    assert lp_distance([0], [1], counting_measure(1), dY, 1.0) == 1e200
+
+
 def test_lp_distance_needs_measure_at_finite_p():
     with pytest.raises(InstanceError, match="measure"):
         lp_distance([0], [0], None, discrete_metric(1), 2.0)

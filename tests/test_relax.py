@@ -29,6 +29,7 @@ from cset_transport.mm import (
     shortest_path_metric,
     uniform_measure,
 )
+from cset_transport import relax
 from cset_transport.relax import (
     markov_feasibility_lp,
     markov_feasible,
@@ -39,7 +40,7 @@ from cset_transport.relax import (
 from cset_transport.theory import builtin_theory
 from cset_transport.transport import optimal_coupling, wasserstein_measures
 
-from oracles import random_graph
+from oracles import highs_solve, random_graph
 
 
 def _generator_matrix(inst, gen):
@@ -167,6 +168,15 @@ def test_wasserstein_lp_ex64_structure():
     assert cert is not None
 
 
+def test_closed_form_overflowing_power_is_inf():
+    # (1e200)^2 is past the float range: the closed-form objective treats it
+    # as an infinite cost, as the coupling blocks' numpy powers do
+    attr = MetricData(2, [[0, 1e200], [1e200, 0]])
+    a, b = attributed_set([0], attr), attributed_set([1], attr)
+    assert wasserstein_cset_distance(a, b, 2.0)[0] == INF
+    assert wasserstein_cset_distance(a, b, 1.0)[0] == 1e200
+
+
 def test_wasserstein_lp_weak_structure():
     x, y = directed_cycle(3), directed_cycle(4)
     prog = wasserstein_cset_lp(x, y, 1.0)
@@ -242,10 +252,11 @@ def test_wasserstein_rejects_infinite_p():
 
 def test_pins_match_infinite_cost_cells():
     # codomain with discrete vertex metric: every off-diagonal coupling cell
-    # costs inf and must be pinned to zero
+    # costs inf and must be pinned to zero (p = 2: at p = 1 the blocks are
+    # flows, which need no pins)
     x = directed_cycle(2)
     y = directed_cycle(2, "discrete")
-    prog = wasserstein_cset_lp(x, y, 1.0)
+    prog = wasserstein_cset_lp(x, y, 2.0)
     dY = prog.cost_vectors["V"]["delta_y"]
     assert np.isinf(dY).sum() == 2  # two off-diagonal cells
     pinned = set(prog.pins)
@@ -263,6 +274,63 @@ def test_pins_match_infinite_cost_cells():
     for ob in prog.cost_vectors:
         assert np.all(np.diag(prog.cost_vectors[ob]["delta_x"].reshape(
             x.sets[ob], x.sets[ob])) == 0.0)
+
+
+def test_flow_on_discrete_codomain_keeps_only_conservation_rows():
+    # at p = 1 a discrete codomain metric has no edge, so every flow block is
+    # empty and its conservation rows say phi(x1, .) = phi(x2, .) and
+    # Xf . Phi_V = Phi_E . Yf: the naturality rows of the feasibility program
+    x = directed_cycle(2)
+    y = directed_cycle(2, "discrete")
+    prog = wasserstein_cset_lp(x, y, 1.0)
+    assert prog.layout["edges"] == {"V": []}
+    assert prog.eliminated["flow"] == {"V": "W_1 as a flow on 0 of 4 pairs"}
+    assert prog.pins == []
+    assert prog.model.num_vars == sum(
+        nx_ * ny_ for _, nx_, ny_ in prog.layout["phi"].values()
+    )
+    assert prog.layout["pi_obj"]["V"] == (8, [(0, 1), (1, 0)], 0)
+    assert prog.layout["pi_gen"] == {"src": (8, [0, 1], 0), "tgt": (8, [0, 1], 0)}
+    names = [c[0] for c in prog.model.constraints]
+    flow_rows = [n for n in names if not n.startswith(("phirow_", "meas_"))]
+    assert len(flow_rows) == 2 * 2 + 2 * 2 * 2
+    assert all(n.startswith(("pof_V_", "pgf_")) for n in flow_rows)
+    assert wasserstein_cset_distance(x, y, 1.0)[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_flow_edges_skip_unreachable_and_implied_pairs():
+    # the directed path 0 -> 1 -> 2: (0, 2) is split through 1, and the
+    # reverse pairs are at infinite distance, so two edges remain
+    x = path_graph(2, "mm")
+    y = path_graph(3, "mm")
+    prog = wasserstein_cset_lp(x, y, 1.0)
+    assert prog.layout["edges"]["V"] == [(0, 1), (1, 2)]
+    assert prog.eliminated["flow"]["V"] == "W_1 as a flow on 2 of 9 pairs"
+    _, pairs, width = prog.layout["pi_obj"]["V"]
+    assert pairs == [(0, 1)] and width == 2
+    assert wasserstein_cset_distance(x, y, 1.0)[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_zero_mass_element_gets_no_flow_block():
+    # the edge of x has zero mass; measures force its source vertex onto
+    # codomain vertex 1 and its image onto the loop at vertex 0, which cannot
+    # reach each other.  A zero-mass element costs nothing, so the distance
+    # is 0; a flow block for it would demand the unreachable transport and
+    # make the distance infinite
+    t = builtin_theory("Graph")
+    x = Instance(t, {"E": 1, "V": 1}, {"src": [0], "tgt": [0]}).with_data(
+        metrics={"V": discrete_metric(1), "E": discrete_metric(1)},
+        measures={"V": MeasureData(1, [1.0]), "E": MeasureData(1, [0.0])},
+    )
+    y = Instance(t, {"E": 1, "V": 2}, {"src": [0], "tgt": [0]}).with_data(
+        metrics={"V": discrete_metric(2), "E": discrete_metric(1)},
+        measures={"V": MeasureData(2, [0.0, 1.0]), "E": MeasureData(1, [1.0])},
+    )
+    prog = wasserstein_cset_lp(x, y, 1.0)
+    assert prog.layout["pi_gen"]["src"][1] == []
+    dist, cert = wasserstein_cset_distance(x, y, 1.0)
+    assert dist == pytest.approx(0.0, abs=1e-9)
+    assert cert.components["V"].p[0, 1] == pytest.approx(1.0)
 
 
 def test_wasserstein_requires_fixed_metric_match():
@@ -444,6 +512,74 @@ def test_cycle_rows_reduce_to_edges():
     )
     dist, _ = wasserstein_cset_distance(x, y, 1.0)
     assert dist == pytest.approx(0.0, abs=1e-9)
+
+
+def _generator_transport(x, y, cert):
+    """The W_1 objective recomputed from the kernels alone: the sum over
+    generators g and elements i of mu(i) times W_1 from Phi_cod[Xf(i)] to
+    (Phi_dom . Yf)(i), each solved by optimal_coupling."""
+    total = 0.0
+    for g in x.theory.generators:
+        mu, ny = x.measure(g.dom), y.sets[g.cod]
+        pushed = cert.components[g.dom].p @ _generator_matrix(y, g.name)
+        for i in range(x.sets[g.dom]):
+            if mu.w[i] == 0:
+                continue
+            a = cert.components[g.cod].p[x.maps[g.name][i]]
+            w1 = optimal_coupling(
+                MeasureData(ny, a), MeasureData(ny, pushed[i]), y.metric(g.cod).d
+            ).cost
+            total += mu.w[i] * w1
+    return total
+
+
+def test_flow_form_matches_coupling_form(monkeypatch):
+    # W_1 as a flow on the codomain's irreducible edges against the coupling
+    # form of the same program, solved by HiGHS; the certificate is checked
+    # by recomputing the objective from the extracted kernels
+    rng = np.random.default_rng(58)
+    finite = positive = 0
+    for _ in range(120):
+        x = _lawvere_graph(rng, int(rng.integers(2, 5)), 4)
+        y = _lawvere_graph(rng, int(rng.integers(2, 5)), 5)
+        dist, cert = wasserstein_cset_distance(x, y, 1.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(relax, "_flow_form", lambda p: False)
+            coupling = wasserstein_cset_lp(x, y, 1.0)
+        assert "flow" not in coupling.eliminated
+        want = INF
+        if coupling.structurally_infinite is None:
+            status, value = highs_solve(coupling.model)
+            if status == "optimal":
+                want = value + coupling.objective_constant
+        if want == INF:
+            assert dist == INF
+            continue
+        finite += 1
+        positive += dist > 0
+        assert dist == pytest.approx(want, abs=1e-9)
+        assert _generator_transport(x, y, cert) == pytest.approx(dist, abs=1e-7)
+    assert finite >= 60 and positive >= 30
+
+
+def test_w1_cycle_table():
+    # closed form: 0 for m <= n, inf above (the mass of C_m does not fit)
+    for m in range(2, 9):
+        for n in range(2, 9):
+            got, cert = wasserstein_cset_distance(directed_cycle(m), directed_cycle(n), 1.0)
+            if m <= n:
+                assert got == pytest.approx(0.0, abs=1e-9), (m, n, got)
+                assert cert is not None
+            else:
+                assert got == INF, (m, n, got)
+
+
+def test_w1_c10_c10():
+    # the coupling form of this program (3200 vars) once ended the simplex on
+    # a singular basis; the flow form has 500
+    x = directed_cycle(10)
+    assert wasserstein_cset_lp(x, x, 1.0).model.num_vars == 500
+    assert wasserstein_cset_distance(x, x, 1.0)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def _mm_graph(src, tgt):
