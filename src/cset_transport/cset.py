@@ -215,11 +215,17 @@ def find_homomorphism(
     identity.  This is the Hausdorff branch and bound at p = inf over every
     transformation, on costs 0 where a naturality square commutes and inf
     where it does not: X's measures are dropped so that every square counts.
-    Past ``node_guard`` nodes it raises GuardExceeded.
+    Past ``node_guard`` nodes it raises GuardExceeded.  The search skips a
+    candidate for the first entry when an automorphism of Y maps an earlier
+    candidate onto it: composing with the inverse automorphism gives a
+    natural map that comes earlier, so the answer is the same.  As in the
+    Hausdorff search, the automorphisms also keep Y's metrics and measures,
+    which costs at most some skips.
 
     Memory is linear in the sizes of X and Y; time per node is linear in the
-    size of Y's sets, so a search into sets of hundreds of elements that
-    finds nothing can take tens of seconds (``C3 -> C300``: about 30 s).
+    size of Y's sets.  On a symmetric codomain only one candidate per orbit
+    is searched at the first entry: ``C3 -> C300`` visits 900 nodes in about
+    0.1 s and answers None, where searching every candidate took about 30 s.
     """
     from .hausdorff import HausdorffConfig, _Search
 

@@ -24,6 +24,20 @@ entry, and past ``guard`` nodes the search raises GuardExceeded unless
 ``force`` is set.  The traversal keeps an explicit stack, so the number of
 entries is not bounded by Python's recursion limit.
 
+On a symmetric codomain the search would prove the same subtree once per
+symmetric copy.  An automorphism of Y (a bijection on every object, natural,
+the identity on fixed objects, and keeping every metric and measure of Y)
+carries each admissible transformation to an admissible one with the same
+naturality terms, hence the same aggregate.  So the lexicographically first
+minimizer takes, at the first entry, the least value of its orbit, and the
+search skips a first-entry candidate onto which a known automorphism maps an
+earlier candidate (the lex-leader rule): every distance and witness stays
+the same.  Automorphisms come from swapping twin points or from colour
+refinement of Y, and count only once checked on their own (:class:`_Orbits`).
+They are looked for only when the search comes back to the first entry from
+a subtree of at least |Y| nodes, the sum of Y's set sizes, so that small
+searches pay little for them.
+
 The same search answers :func:`find_homomorphism` at its zero level: at
 p = inf over every transformation, with costs 0 where a naturality square
 commutes and inf where it does not, only zero-defect branches are explored
@@ -33,6 +47,7 @@ and the lower bound cuts an entry that has no consistent candidate left.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +98,15 @@ class HausdorffConfig:
 class HausdorffResult:
     """The distance, the lexicographically first minimizing transformation
     (None when the distance is infinite), its defect per generator, and the
-    search nodes visited (the sum of both searches when symmetrized)."""
+    search nodes visited and the first entry's candidates skipped because an
+    automorphism of Y maps an earlier candidate onto them (each the sum of
+    both searches when symmetrized)."""
 
     distance: float
     witness: Transformation | None
     per_generator_weights: dict[str, float]
     nodes: int
+    symmetry_skips: int
 
 
 def _weight_measure(x: Instance, ob: str, p: float) -> MeasureData | None:
@@ -123,6 +141,228 @@ def _check_data(x: Instance, y: Instance, cfg: HausdorffConfig) -> None:
         _weight_measure(x, g.dom, cfg.p)
 
 
+def _is_automorphism(y: Instance, sigma: dict) -> bool:
+    """True when ``sigma``, the images of each object's points, is an
+    automorphism of Y: a bijection on every object, the identity on fixed
+    objects, natural on every generator, and exactly preserving every metric
+    and measure Y carries.  What ``sigma`` leaves in place needs no check."""
+    moved = {}
+    for ob in y.theory.objects:
+        images, points = list(sigma[ob]), list(range(y.sets[ob]))
+        if images != points:
+            if ob in y.fixed or sorted(images) != points:
+                return False
+            moved[ob] = images
+    for g in y.theory.generators:
+        if g.dom in moved or g.cod in moved:
+            f = y.maps[g.name].tolist()
+            dom, cod = moved.get(g.dom), moved.get(g.cod)
+            if ([cod[b] for b in f] if cod else f) != ([f[a] for a in dom] if dom else f):
+                return False
+    for ob, images in moved.items():
+        if ob in y.metrics:
+            d = y.metrics[ob].d.tolist()
+            if any([d[a][b] for b in images] != row for a, row in zip(images, d)):
+                return False
+        if ob in y.measures:
+            w = y.measures[ob].w.tolist()
+            if [w[a] for a in images] != w:
+                return False
+    return True
+
+
+class _Refinement:
+    """Colour refinement of Y, and the bijections of Y that it pairs points by.
+
+    Points of Y are numbered object by object, ``0..N-1``, and those of a
+    second copy of Y, used to pair points, ``N..2N-1``.  Points start
+    coloured by object, measure and (on fixed objects) index, and a colour
+    class splits until, for every class, its points agree on how many of
+    their images and preimages under each generator lie in it and on the
+    multiset of metric distances to and from it.  The colours of Y alone are
+    refined only as far as telling two points apart needs, and kept.  To
+    pair ``r`` with ``v``, ``r`` in the first copy and
+    ``v`` in the second get a colour of their own and the refinement runs
+    again; while a class holds more than one point per copy, its least
+    points are paired off the same way.  When every class holds one point of
+    each copy, the pairing is a bijection of Y, which may or may not be an
+    automorphism.
+    """
+
+    def __init__(self, y: Instance):
+        self.y = y
+        objects = y.theory.objects
+        start, n = {}, 0
+        for c in objects:
+            start[c] = n
+            n += y.sets[c]
+        self.start, self.n = start, n
+        # per point, (token, point) for each point that a class holding it
+        # marks with a generator token
+        touch = [[] for _ in range(n)]
+        for code, g in enumerate(y.theory.generators):
+            # p's image lies in the class; a preimage of q does
+            image_in, preimage_in = (2 * code, 0.0), (2 * code + 1, 0.0)
+            for a, b in enumerate(y.maps[g.name].tolist()):
+                p, q = start[g.dom] + a, start[g.cod] + b
+                touch[q].append((image_in, p))
+                touch[p].append((preimage_in, q))
+        self.touch = touch
+        # metric rows of the objects whose points are not told apart from the
+        # start; a metric constant off the diagonal holds for every bijection
+        self.rows = {}
+        for c, metric in y.metrics.items():
+            d = metric.d.tolist()
+            off = {v for i, row in enumerate(d) for j, v in enumerate(row) if i != j}
+            if c not in y.fixed and len(off) > 1:
+                self.rows[c] = d
+        self.object_of = [c for c in objects for _ in range(y.sets[c])]
+        keys = {}
+        for c in objects:
+            masses = y.measures[c].w.tolist() if c in y.measures else [None] * y.sets[c]
+            for i, mass in enumerate(masses):
+                keys.setdefault((c, mass, i if c in y.fixed else -1), []).append(start[c] + i)
+        cells = [set(ps) for ps in keys.values()]
+        self.cell_of = [0] * n
+        for k, cell in enumerate(cells):
+            for p in cell:
+                self.cell_of[p] = k
+        self.cells, self.queue = cells, list(range(len(cells)))
+
+    def apart(self, ob: str, r: int, v: int) -> bool:
+        """True when the colours of Y tell points ``r`` and ``v`` of ``ob``
+        apart; the refinement runs only as far as it takes to know."""
+        a, b = self.start[ob] + r, self.start[ob] + v
+        self._refine(self.cell_of, self.cells, self.queue, (a, b))
+        return self.cell_of[a] != self.cell_of[b]
+
+    def _refine(self, cell_of, cells, queue, watch=None):
+        """Split the colour classes until none splits another, or until the
+        two points of ``watch`` are apart; ``queue`` holds the classes still
+        to split by.  A class that splits keeps its number for its unmarked
+        part (or else its largest part), which is queued only if the class
+        was; the other parts are queued."""
+        touch, object_of, rows, n = self.touch, self.object_of, self.rows, self.n
+        while queue and (watch is None or cell_of[watch[0]] == cell_of[watch[1]]):
+            tokens = defaultdict(list)
+            for p in cells[queue.pop()]:
+                for token, q in touch[p]:
+                    tokens[q].append(token)
+                c = object_of[p]
+                if c in rows:
+                    first = p - p % n + self.start[c]
+                    d, i = rows[c], p - first
+                    for j, row in enumerate(d):
+                        tokens[first + j] += (-1, row[i]), (-2, d[i][j])
+            split = defaultdict(lambda: defaultdict(list))
+            for q, ts in tokens.items():
+                ts.sort()
+                split[cell_of[q]][tuple(ts)].append(q)
+            for k, groups in split.items():
+                cell = cells[k]
+                frags = [set(ps) for ps in groups.values()]
+                if len(frags) == 1 and len(frags[0]) == len(cell):
+                    continue
+                for frag in frags:
+                    cell -= frag
+                if not cell:  # every point was marked: the largest part stays
+                    cells[k] = cell = max(frags, key=len)
+                    frags.remove(cell)
+                for frag in frags:
+                    for p in frag:
+                        cell_of[p] = len(cells)
+                    queue.append(len(cells))
+                    cells.append(frag)
+
+    def pairing(self, ob: str, r: int, v: int) -> dict[str, list[int]] | None:
+        """The bijection of Y read off refinement with point ``r`` of ``ob``
+        pinned to ``v``, or None when the refinement finds the two unlike."""
+        n = self.n
+        self._refine(self.cell_of, self.cells, self.queue)
+        if len(self.touch) == n:  # the second copy, numbered from n
+            self.touch += [[(t, q + n) for t, q in ts] for ts in self.touch]
+            self.object_of += self.object_of
+        cell_of = self.cell_of * 2
+        cells = [cell | {p + n for p in cell} for cell in self.cells]
+        a, b = self.start[ob] + r, n + self.start[ob] + v
+        while True:
+            for p in (a, b):
+                cells[cell_of[p]].discard(p)
+                cell_of[p] = len(cells)
+            cells.append({a, b})
+            self._refine(cell_of, cells, [len(cells) - 1])
+            wide = [cell for cell in cells if len(cell) > 2]
+            if not wide:
+                break
+            cell = min(wide, key=min)
+            a, b = min(cell), max(cell)
+            if a >= n or b < n:
+                return None
+            b = min(p for p in cell if p >= n)
+        image = [0] * n
+        for cell in cells:
+            p, q = min(cell), max(cell)
+            if len(cell) != 2 or p >= n or q < n:
+                return None
+            image[p] = q - n
+        return {c: [v - s for v in image[s:s + self.y.sets[c]]] for c, s in self.start.items()}
+
+
+class _Orbits:
+    """Orbits of one object of Y under the automorphisms of Y found so far,
+    kept in a union-find whose roots are the least points of their orbits.
+
+    To find an automorphism sending ``r`` to ``v``, the transposition of the
+    two comes first when they have the same image under every generator out
+    of the object (parallel edges, say).  Otherwise a :class:`_Refinement` of
+    Y, built on first need, pairs ``r`` with ``v`` if their colours agree.
+    Either bijection counts only once :func:`_is_automorphism` has checked
+    it on its own; when no check passes, the points stay apart, which is
+    always sound.
+    """
+
+    def __init__(self, y: Instance, ob: str):
+        self.y, self.ob = y, ob
+        self.parent = list(range(y.sets[ob]))
+        self.images = [y.maps[g.name].tolist() for g in y.theory.generators if g.dom == ob]
+        self.refinement = None
+
+    def _find(self, v: int) -> int:
+        while self.parent[v] != v:
+            v = self.parent[v]
+        return v
+
+    def _automorphism(self, roots: list[int], v: int) -> dict | None:
+        """An automorphism of Y sending one of ``roots`` to ``v``, or None."""
+        y, ob = self.y, self.ob
+        for r in roots:
+            if all(f[r] == f[v] for f in self.images):
+                swap = {c: list(range(n)) for c, n in y.sets.items()}
+                swap[ob][r], swap[ob][v] = v, r
+                if _is_automorphism(y, swap):
+                    return swap
+        if self.refinement is None:
+            self.refinement = _Refinement(y)
+        for r in roots:
+            if not self.refinement.apart(ob, r, v):
+                sigma = self.refinement.pairing(ob, r, v)
+                if sigma is not None and _is_automorphism(y, sigma):
+                    return sigma
+        return None
+
+    def covered(self, v: int, earlier: list[int], test: bool) -> bool:
+        """True when a known automorphism maps a point below ``v`` onto it.
+        With ``test``, first look for an automorphism sending one of the
+        ``earlier`` points to ``v``."""
+        if test and self._find(v) == v:
+            sigma = self._automorphism([r for r in earlier if self._find(r) == r], v)
+            if sigma is not None:
+                for a, b in enumerate(sigma[self.ob]):
+                    ra, rb = self._find(a), self._find(b)
+                    self.parent[max(ra, rb)] = min(ra, rb)
+        return self._find(v) < v
+
+
 class _Search:
     """Branch and bound over admissible transformations.
 
@@ -152,7 +392,9 @@ class _Search:
     saved sums and minimums instead of subtracting, since ``inf - inf`` is
     NaN.  Each push builds one list over the candidates, so a node costs time
     linear in ``|Y|``; the setup keeps no table of its own.  The traversal
-    keeps one frame per assigned slot on an explicit stack.
+    keeps one frame per assigned slot on an explicit stack.  Slot 0's
+    candidates come through :meth:`_first_slot`, which drops those that a
+    known automorphism of Y maps an earlier candidate onto.
     """
 
     def __init__(self, x, y, cfg, tables):
@@ -226,7 +468,28 @@ class _Search:
         # within (n + nterms) * eps / 2 of its exact value, relatively
         self.slack = 1.0 + 2 * (n + nterms + 1) * sys.float_info.epsilon
         self.nodes = 0
+        self.y, self.first = y, slots[0][0] if slots else None
+        self.symmetry_skips = 0
         self.node_guard = INF if cfg.force else cfg.guard
+
+    def _first_slot(self, values):
+        """Slot 0's candidates, less each one that a known automorphism of Y
+        maps an earlier candidate onto.  Automorphisms are looked for only
+        when the search comes back from a subtree of at least |Y| nodes, the
+        sum of Y's set sizes."""
+        orbits, grown, earlier = None, 0, []
+        size = sum(self.y.sets.values())
+        for v in values:
+            test = grown >= size
+            if test and orbits is None:
+                orbits = _Orbits(self.y, self.first)
+            if orbits is not None and orbits.covered(v, earlier, test):
+                self.symmetry_skips += 1
+                continue
+            earlier.append(v)
+            mark = self.nodes
+            yield v
+            grown = self.nodes - mark
 
     def run(self):
         n, info, val = self.n, self.info, self.val
@@ -259,7 +522,11 @@ class _Search:
                         values = [v for v in values if into[v] <= a and out[v] <= b]
                     if push is not None:
                         values = [v for v in values if push[v] + mass <= cap[v]]
-                    frames.append([iter(values), added, -1, (), 0.0])
+                    if frames or len(values) < 2:
+                        candidates = iter(values)
+                    else:
+                        candidates = self._first_slot(values)
+                    frames.append([candidates, added, -1, (), 0.0])
             if not frames:
                 break
             k = len(frames) - 1
@@ -350,7 +617,7 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
             g.name: transformation_weight(x, y, witness, g.name, cfg.p)
             for g in x.theory.generators
         }
-    result = HausdorffResult(distance, witness, weights, search.nodes)
+    result = HausdorffResult(distance, witness, weights, search.nodes, search.symmetry_skips)
 
     if cfg.symmetrize != "none":
         back = hausdorff_distance(
@@ -365,7 +632,8 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
                 else 0.5 * (result.distance + back.distance)
             )
         return HausdorffResult(
-            combined, result.witness, result.per_generator_weights, result.nodes + back.nodes
+            combined, result.witness, result.per_generator_weights, result.nodes + back.nodes,
+            result.symmetry_skips + back.symmetry_skips,
         )
     return result
 

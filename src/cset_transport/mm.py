@@ -5,8 +5,9 @@ inequality are required; symmetry and positive definiteness are not.
 The measure-theoretic convention 0 * inf = 0 is used everywhere, so
 zero-mass points never contribute infinite cost.  For p >= 1,
 inf ** p = inf in Python and numpy alike.  A finite power past the float
-range is inf in numpy but raises OverflowError on Python floats, so powers
-of Python floats go through ``ext_pow``.
+range is inf in numpy (with a warning) but raises OverflowError on Python
+floats, so powers go through ``ext_pow`` (floats) or ``ext_pow_array``
+(arrays), which return inf silently.
 
 The library's tolerances outside the solver are the table below.  ``TOL``
 judges data handed in (metric axioms, kernel rows, masses, short maps).
@@ -31,6 +32,7 @@ __all__ = [
     "check_order",
     "ext_mul",
     "ext_pow",
+    "ext_pow_array",
     "ext_root",
     "MetricData",
     "MeasureData",
@@ -73,6 +75,13 @@ def ext_pow(a: float, p: float) -> float:
         return a**p
     except OverflowError:
         return INF
+
+
+def ext_pow_array(a: np.ndarray, p: float) -> np.ndarray:
+    """Entrywise a ** p in [0, inf]; a power past the float range is inf,
+    without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.asarray(a, dtype=float) ** p
 
 
 def ext_root(a: float, p: float) -> float:
@@ -184,7 +193,12 @@ def shortest_path_metric(x, weights=None) -> MetricData:
             d[a, b] = weights[e]
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
-    return MetricData(n, d)
+    # the closure has a zero diagonal and meets the triangle inequality by
+    # construction, so the O(n^3) check of the constructor is skipped
+    metric = object.__new__(MetricData)
+    object.__setattr__(metric, "n", n)
+    object.__setattr__(metric, "d", d)
+    return metric
 
 
 def _as_matrix(k) -> np.ndarray:

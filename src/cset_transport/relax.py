@@ -64,6 +64,7 @@ from .mm import (
     TOL,
     check_order,
     ext_pow,
+    ext_pow_array,
     ext_root,
     is_measure_decreasing,
 )
@@ -392,8 +393,8 @@ def wasserstein_cset_lp(
     cost_vectors = {}
     for ob in t.objects:
         cost_vectors[ob] = {
-            "delta_x": x.metric(ob).d.reshape(-1) ** p,
-            "delta_y": y.metric(ob).d.reshape(-1) ** p,
+            "delta_x": ext_pow_array(x.metric(ob).d.reshape(-1), p),
+            "delta_y": ext_pow_array(y.metric(ob).d.reshape(-1), p),
         }
     if mm:
         for ob in movable:

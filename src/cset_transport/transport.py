@@ -15,7 +15,17 @@ import numpy as np
 from .errors import DimensionError
 from .lp import LpModel, solve
 from .markov import FiniteKernel
-from .mm import INF, TOL, MeasureData, MetricData, check_order, ext_mul, ext_root
+from .mm import (
+    INF,
+    TOL,
+    MeasureData,
+    MetricData,
+    check_order,
+    ext_mul,
+    ext_pow,
+    ext_pow_array,
+    ext_root,
+)
 
 __all__ = [
     "OtResult",
@@ -92,7 +102,7 @@ def wasserstein_measures(mu: MeasureData, nu: MeasureData, d: MetricData, p: flo
     check_order(p, finite=True)
     if d.n != mu.n or d.n != nu.n:
         raise DimensionError("metric must live on the common support space")
-    return ext_root(optimal_coupling(mu, nu, d.d**p).cost, p)
+    return ext_root(optimal_coupling(mu, nu, ext_pow_array(d.d, p)).cost, p)
 
 
 def wasserstein_kernels(
@@ -107,7 +117,7 @@ def wasserstein_kernels(
         raise DimensionError("kernels must share domain and codomain")
     if muX.n != m.rows or dY.n != m.cols:
         raise DimensionError("measure/metric do not match the kernels")
-    costp = dY.d**p
+    costp = ext_pow_array(dY.d, p)
     total = 0.0
     couplings: list = [None] * m.rows
     for x in range(m.rows):
@@ -145,7 +155,7 @@ def wasserstein_deterministic(
             continue
         inner = 0.0
         for y in range(m.cols):
-            inner += ext_mul(m.p[x, y], dZ.d[f[x], g[y]] ** p)
+            inner += ext_mul(m.p[x, y], ext_pow(float(dZ.d[f[x], g[y]]), p))
         total += ext_mul(muX.w[x], inner)
         if total == INF:
             return INF

@@ -195,6 +195,19 @@ def test_wk_explicit_p_wins_over_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_wk_rejects_a_metric_breaking_the_triangle_inequality(tmp_path, capsys):
+    wk = tmp_path / "wk.json"
+    wk.write_text(json.dumps({
+        "m": {"rows": 1, "cols": 3, "p": [[1.0, 0.0, 0.0]]},
+        "n": {"rows": 1, "cols": 3, "p": [[0.0, 0.0, 1.0]]},
+        "mu": [1.0],
+        "d": [[0, 1, 9], [1, 0, 1], [9, 1, 0]],
+    }))
+    code, _, err = run_cli(capsys, "wk", str(wk))
+    assert code == 1
+    assert "triangle" in err
+
+
 def test_export_lp_feasibility(capsys):
     code, out, _ = run_cli(
         capsys, "export-lp", "builtin:loop", "builtin:fig7y", "--problem", "feasibility"

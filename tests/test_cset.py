@@ -199,12 +199,21 @@ def test_hom_forward_checks_edge_images():
 
 
 def test_hom_guard_exceeded():
-    # C7 -> C14 has no homomorphism; the full search visits 1,190 nodes
+    # C7 -> C14 has no homomorphism; the full search visits 98 nodes: the 14
+    # candidates of the first edge and the 84 below the first of them, whose
+    # rotations of C14 cover the other 13
     assert find_homomorphism(cycle(7), cycle(14)) is None
     with pytest.raises(GuardExceeded, match="homomorphism search") as exc:
-        find_homomorphism(cycle(7), cycle(14), node_guard=100)
-    assert exc.value.count > 100
+        find_homomorphism(cycle(7), cycle(14), node_guard=50)
+    assert exc.value.count > 50
     assert "--force" not in str(exc.value)
+
+
+def test_hom_symmetry_bounds_the_work():
+    # the first edge's 120 candidates and the 240 nodes below the first:
+    # rotations of C120 rule out the other 119 candidates.  Without that,
+    # the search visits 28,920 nodes
+    assert find_homomorphism(cycle(3), cycle(120), node_guard=1000) is None
 
 
 def test_hom_many_entries():

@@ -18,12 +18,22 @@ from cset_transport.gallery import (
 )
 from cset_transport.hausdorff import (
     HausdorffConfig,
+    _is_automorphism,
+    _Orbits,
+    _Refinement,
     classical_hausdorff,
     discrete_hausdorff_is_hom,
     hausdorff_distance,
     transformation_weight,
 )
-from cset_transport.mm import INF, MeasureData, MetricData, counting_measure, discrete_metric
+from cset_transport.mm import (
+    INF,
+    MeasureData,
+    MetricData,
+    counting_measure,
+    discrete_metric,
+    shortest_path_metric,
+)
 from cset_transport.theory import Path, builtin_theory
 
 from oracles import (
@@ -169,6 +179,188 @@ def test_matches_unbounded_search():
                 assert got.nodes <= nodes
 
 
+def _copies(component, k):
+    """k disjoint copies of a Graph instance, with the shortest-path vertex
+    metric, the discrete edge metric and counting measures."""
+    nv, ne = component.sets["V"], component.sets["E"]
+    g = Instance(
+        builtin_theory("Graph"),
+        {"E": k * ne, "V": k * nv},
+        {s: np.concatenate([component.maps[s] + i * nv for i in range(k)])
+         for s in ("src", "tgt")},
+    )
+    return g.with_data(
+        metrics={"V": shortest_path_metric(g), "E": discrete_metric(k * ne)},
+        measures={"V": counting_measure(k * nv), "E": counting_measure(k * ne)},
+    )
+
+
+def _same_as_unbounded(x, y, cfg):
+    """The search's distance and witness are those of the search without
+    the lower bound and the symmetry skips; returns the result."""
+    got = hausdorff_distance(x, y, cfg)
+    dist, witness, nodes = unbounded_hausdorff(x, y, cfg.p, cfg.component_class)
+    assert got.distance == dist
+    if witness is None:
+        assert got.witness is None
+    else:
+        for ob in x.theory.objects:
+            assert np.array_equal(got.witness.components[ob], witness.components[ob])
+    assert got.nodes <= nodes
+    return got
+
+
+def _orbits(y, ob):
+    """The least point of each point's orbit, as far as the first entry's
+    orbit test finds them when every point is tested."""
+    orbits, earlier = _Orbits(y, ob), []
+    for v in range(y.sets[ob]):
+        if not orbits.covered(v, earlier, test=True):
+            earlier.append(v)
+    return [orbits._find(v) for v in range(y.sets[ob])]
+
+
+def test_symmetry_keeps_witnesses_on_weak_cycle_pairs():
+    skips = 0
+    for m in range(1, 4):
+        for n in range(1, 7):
+            for cls in ("mm", "met", "all"):
+                for p in (1.0, 2.0, INF):
+                    cfg = HausdorffConfig(p=p, component_class=cls)
+                    skips += _same_as_unbounded(*weak_pair(m, n), cfg).symmetry_skips
+    assert skips > 0
+
+
+def test_symmetry_keeps_witnesses_on_disjoint_copies():
+    # copies of one component can be swapped; the refinement pairs off the
+    # copies it cannot tell apart until the pairing is a bijection
+    rng = np.random.default_rng(37)
+    assert _orbits(_copies(directed_cycle(3, "plain"), 3), "E") == [0] * 9
+    assert _orbits(_copies(path_graph(3), 3), "E") == [0, 1] * 3
+    skips = 0
+    for trial in range(24):
+        component = directed_cycle(trial % 3 + 1, "plain") if trial % 2 else path_graph(3)
+        y = _copies(component, 2 + trial % 2)
+        x = random_graph(rng, 3, 3)
+        x = x.with_data(
+            metrics={ob: discrete_metric(x.sets[ob]) for ob in ("V", "E")},
+            measures={ob: counting_measure(x.sets[ob]) for ob in ("V", "E")},
+        )
+        for cls in ("mm", "all"):
+            for p in (1.0, INF):
+                cfg = HausdorffConfig(p=p, component_class=cls)
+                skips += _same_as_unbounded(x, y, cfg).symmetry_skips
+    assert skips > 0
+
+
+def test_hom_symmetry_matches_enumeration():
+    # find_homomorphism is the lexicographically first natural map
+    rng = np.random.default_rng(38)
+    for trial in range(30):
+        y = _copies(directed_cycle(trial % 2 + 1, "plain"), 2)
+        x = random_graph(rng, 2, 3)
+        want = next((t for t in all_transformations(x, y) if is_natural(x, y, t)), None)
+        got = find_homomorphism(x, y)
+        if want is None:
+            assert got is None
+        else:
+            for ob in x.theory.objects:
+                assert np.array_equal(got.components[ob], want.components[ob])
+    t = find_homomorphism(directed_cycle(3, "plain"), _copies(directed_cycle(3, "plain"), 4))
+    assert t.components["E"].tolist() == [0, 1, 2]
+
+
+def test_measure_keeps_a_point_apart():
+    # C4 is symmetric under rotation, but one edge is heavier: every
+    # rotation moves it, so no two edges share an orbit
+    y = directed_cycle(4)
+    y = y.with_data(measures={"V": counting_measure(4), "E": MeasureData(4, [1, 1, 2, 1])})
+    assert _orbits(y, "E") == [0, 1, 2, 3]
+    assert _orbits(directed_cycle(4), "E") == [0] * 4
+    two = y.with_data(measures={"V": counting_measure(4), "E": MeasureData(4, [1, 2, 1, 2])})
+    assert _orbits(two, "E") == [0, 1, 0, 1]
+    x = directed_cycle(2, "discrete").with_data(
+        measures={"V": counting_measure(2), "E": MeasureData(2, [1, 2])}
+    )
+    for cls in ("mm", "met"):
+        for p in (1.0, INF):
+            _same_as_unbounded(x, y, HausdorffConfig(p=p, component_class=cls))
+
+
+def test_fixed_attributes_keep_points_apart():
+    # two loops that differ only in their vertices' attributes: swapping
+    # them would move the attribute points, which are fixed
+    attr = line_metric(2)
+    y = vertex_attributed_graph(2, [0, 1], [0, 1], [0, 1], attr)
+    assert _orbits(y, "E") == [0, 1]
+    assert _orbits(y.with_data(fixed=()), "E") == [0, 0]
+    assert _orbits(vertex_attributed_graph(2, [0, 1], [0, 1], [1, 1], attr), "E") == [0, 0]
+    x = vertex_attributed_graph(2, [0, 1], [1, 0], [1, 1], attr)
+    for p in (1.0, INF):
+        _same_as_unbounded(x, y, HausdorffConfig(p=p, component_class="met"))
+
+
+def test_parallel_edges_of_different_measure_stay_apart():
+    # swapping two loops at one vertex is natural, but moves the heavier one
+    y = Instance(builtin_theory("Graph"), {"E": 3, "V": 1}, {"src": [0, 0, 0], "tgt": [0, 0, 0]})
+    y = y.with_data(metrics={"V": discrete_metric(1), "E": discrete_metric(3)},
+                    measures={"V": counting_measure(1), "E": MeasureData(3, [1, 2, 1])})
+    assert _orbits(y, "E") == [0, 1, 0]
+    x = directed_cycle(2, "discrete").with_data(
+        measures={"V": counting_measure(2), "E": MeasureData(2, [2, 1])}
+    )
+    for p in (1.0, INF):
+        _same_as_unbounded(x, y, HausdorffConfig(p=p, component_class="mm"))
+
+
+def test_pairings_count_only_once_checked(monkeypatch):
+    # a refinement that paired points wrongly would merge nothing: here
+    # every pairing is the identity shifted by one, which is not natural
+    def wrong(self, ob, r, v):
+        return {c: [(i + 1) % n for i in range(n)] for c, n in self.y.sets.items()}
+
+    monkeypatch.setattr(_Refinement, "pairing", wrong)
+    y = _copies(path_graph(2), 3)
+    assert _orbits(y, "E") == [0, 1, 2]
+    _same_as_unbounded(path_graph(2, "discrete"), y, HausdorffConfig(p=INF, component_class="mm"))
+
+
+def test_asymmetric_metric_keeps_points_apart():
+    # C3 is symmetric as a graph; weighted edges make the vertex metric not
+    y = directed_cycle(3)
+    y = y.with_data(metrics={"V": shortest_path_metric(y, [1.0, 2.0, 3.0]),
+                             "E": discrete_metric(3)})
+    assert _orbits(y, "E") == [0, 1, 2]
+    assert _orbits(y, "V") == [0, 1, 2]
+    x = directed_cycle(2, "discrete")
+    for cls in ("mm", "met", "all"):
+        for p in (1.0, 2.0, INF):
+            _same_as_unbounded(x, y, HausdorffConfig(p=p, component_class=cls))
+
+
+def test_automorphism_check():
+    y = directed_cycle(4)
+    rot = {"V": np.array([1, 2, 3, 0]), "E": np.array([1, 2, 3, 0])}
+    assert _is_automorphism(y, rot)
+    assert not _is_automorphism(y, {"V": rot["V"], "E": np.array([1, 1, 3, 0])})
+    # not natural: the edges rotate but the vertices stay
+    assert not _is_automorphism(y, {"V": np.arange(4), "E": rot["E"]})
+    # natural, but not an isometry of a weighted metric
+    w = y.with_data(metrics={"V": shortest_path_metric(y, [1.0, 2.0, 1.0, 2.0]),
+                             "E": discrete_metric(4)})
+    assert not _is_automorphism(w, rot)
+    assert _is_automorphism(w, {ob: np.array([2, 3, 0, 1]) for ob in ("V", "E")})
+    # natural and an isometry, but it moves a heavier point
+    m = y.with_data(measures={"V": MeasureData(4, [1, 1, 1, 2]), "E": counting_measure(4)})
+    assert not _is_automorphism(m, rot)
+    # natural and it keeps every metric and measure, but moves a fixed point
+    attr = line_metric(2)
+    swap = {"V": np.array([1, 0]), "E": np.array([1, 0]), "A": np.array([1, 0])}
+    v = vertex_attributed_graph(2, [0, 1], [0, 1], [0, 1], attr)
+    assert not _is_automorphism(v, swap)
+    assert _is_automorphism(v.with_data(fixed=()), swap)
+
+
 def test_rounding_never_cuts_a_strict_improvement():
     # Both admissible maps send every point to one y, and both cost
     # 1 + 2^-52 in exact arithmetic.  The search adds the terms of the second
@@ -287,7 +479,7 @@ def test_discrete_reduction_requires_discrete_metrics():
 
 
 def test_guard_exceeded():
-    # the guard counts search nodes: this search visits 9,568 of them
+    # the guard counts search nodes: this search visits 1,224 of them
     x, y = weak_pair(4, 8)
     with pytest.raises(GuardExceeded) as exc:
         hausdorff_distance(x, y, HausdorffConfig(p=1.0, component_class="mm", guard=1000))
@@ -307,15 +499,27 @@ def test_search_depth_is_not_limited_by_recursion():
 
 
 def test_default_guard_answers_weak_pair_5_8():
-    # 45,158,400 admissible transformations, but only 11,784 search nodes
+    # 45,158,400 admissible transformations, but only 1,536 search nodes
     res = hausdorff_distance(*weak_pair(5, 8))
     assert res.distance == 3.0
     assert res.witness is not None
     assert res.nodes < unbounded_hausdorff(*weak_pair(5, 8), 1.0, "mm")[2]
 
 
+def test_symmetry_answers_weak_pair_6_12():
+    # 429,768 nodes without the symmetry skips; 11 of C12's 12 edges are
+    # rotations of the first, and only its subtree is searched
+    res = hausdorff_distance(*weak_pair(6, 12))
+    assert res.distance == 6.0
+    assert res.witness.components["E"].tolist() == [0, 1, 2, 3, 4, 5]
+    assert res.witness.components["V"].tolist() == [0, 1, 2, 3, 4, 5]
+    assert res.symmetry_skips == 11
+    assert res.nodes <= 40_000
+
+
 def test_lower_bound_answers_weak_pair_6_10():
-    # the search without the lower bound visits 3,683,810 nodes here
+    # the search without the lower bound visits 3,683,810 nodes here; with
+    # it, 79,310, and skipping rotations of C10 at the first entry, 8,030
     res = hausdorff_distance(*weak_pair(6, 10))
     assert res.distance == 4.0
     assert res.nodes < 10**5
@@ -323,11 +527,14 @@ def test_lower_bound_answers_weak_pair_6_10():
 
 def test_symmetrized_nodes_sum_both_searches():
     x, y = weak_pair(2, 4)
-    fwd = hausdorff_distance(x, y, MM1).nodes
-    back = hausdorff_distance(y, x, MM1).nodes
+    fwd = hausdorff_distance(x, y, MM1)
+    back = hausdorff_distance(y, x, MM1)
+    assert fwd.symmetry_skips == 3 and back.symmetry_skips == 1
     for mode in ("max", "mean"):
         cfg = HausdorffConfig(p=1.0, component_class="mm", symmetrize=mode)
-        assert hausdorff_distance(x, y, cfg).nodes == fwd + back
+        res = hausdorff_distance(x, y, cfg)
+        assert res.nodes == fwd.nodes + back.nodes
+        assert res.symmetry_skips == fwd.symmetry_skips + back.symmetry_skips
 
 
 def test_fixed_attribute_graph_formula():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cset_transport.cset import instance_from_json
 from cset_transport.errors import DimensionError, InstanceError
 from cset_transport.gallery import directed_cycle, undirected_3cycle
 from cset_transport.markov import uniform_kernel
@@ -65,11 +66,13 @@ def test_shortest_path_matches_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(25):
         x = random_graph(rng, max_v=5, max_e=7)
-        got = shortest_path_metric(x)  # constructor re-checks the metric laws
+        got = shortest_path_metric(x)
         want = brute_shortest_paths(
             x.sets["V"], x.maps["src"].tolist(), x.maps["tgt"].tolist()
         )
         assert np.array_equal(got.d, want)
+        # built without the triangle check, it passes the constructor's
+        MetricData(got.n, got.d)
 
 
 def test_metric_validation():
@@ -79,6 +82,20 @@ def test_metric_validation():
         MetricData(2, [[1, 1], [1, 0]])
     with pytest.raises(InstanceError, match="nonnegative"):
         MetricData(2, [[0, -1], [1, 0]])
+
+
+def test_explicit_metrics_keep_the_triangle_check():
+    bad = [[0, 1, 9], [1, 0, 1], [9, 1, 0]]
+    data = {
+        "theory": "Graph",
+        "sets": {"E": 0, "V": 3},
+        "maps": {"src": [], "tgt": []},
+        "metrics": {"V": {"kind": "explicit", "matrix": bad}},
+    }
+    with pytest.raises(InstanceError, match="triangle"):
+        instance_from_json(data)
+    data["metrics"]["V"]["matrix"] = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert instance_from_json(data).metric("V").d[0, 2] == 2.0
 
 
 def test_measure_validation():

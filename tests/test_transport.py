@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ def test_wasserstein_measures_overlap():
     mu = MeasureData(3, [0.5, 0.5, 0.0])
     nu = MeasureData(3, [0.0, 0.5, 0.5])
     assert wasserstein_measures(mu, nu, line(3), 1.0) == pytest.approx(1.0)
+
+
+def test_overflowing_powers_are_inf_without_warnings():
+    # (1e200)^2 is past the float range, so the cost is inf, as ext_pow has it
+    far = MetricData(2, [[0, 1e200], [1e200, 0]])
+    mu, nu = MeasureData(2, [1.0, 0.0]), MeasureData(2, [0.0, 1.0])
+    k = FiniteKernel(1, 2, [[1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wasserstein_measures(mu, nu, far, 2.0) == INF
+        assert wasserstein_measures(mu, nu, far, 1.0) == 1e200
+        m, n = FiniteKernel(1, 2, [[1.0, 0.0]]), FiniteKernel(1, 2, [[0.0, 1.0]])
+        assert wasserstein_kernels(m, n, MeasureData(1, [1.0]), far, 2.0).cost == INF
+        assert wasserstein_deterministic([0], k, [1, 0], MeasureData(1, [1.0]), far, 2.0) == INF
 
 
 def test_wasserstein_measures_rejects_infinite_p():
