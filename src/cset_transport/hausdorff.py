@@ -429,8 +429,10 @@ class _Search:
                     pushes[s_dom].append((s_cod, fixes[s_cod], w, cols, yf, True))
                 elif s_cod < s_dom:
                     pushes[s_cod].append((s_dom, fixes[s_dom], w, rows, yf, False))
-        # per object: Y's metric and its transpose, the mass pushed onto
-        # each point of Y so far, and each point's capacity
+        # per object: X's metric, Y's metric and its transpose, as lists,
+        # the mass pushed onto each point of Y so far, and each point's
+        # capacity
+        dxs = {ob: x.metric(ob).d.tolist() for ob in t.objects} if short else {}
         dys = {ob: (y.metric(ob).d.tolist(), y.metric(ob).d.T.tolist())
                for ob in t.objects} if short else {}
         pushed = {ob: ([0.0] * y.sets[ob], [float(w) + TOL for w in y.measure(ob).w])
@@ -445,10 +447,10 @@ class _Search:
             # infinite bound both ways holds for every candidate
             checks, dy, dyt = [], None, None
             if short:
-                dx = x.metric(ob).d
+                dx = dxs[ob]
                 dy, dyt = dys[ob]
                 for j in range(i):
-                    a, b = float(dx[i, j]) + TOL, float(dx[j, i]) + TOL
+                    a, b = dx[i][j] + TOL, dx[j][i] + TOL
                     if a < INF or b < INF:
                         checks.append((slot_of[ob, j], a, b))
             push = cap = mass = None

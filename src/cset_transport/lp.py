@@ -1,25 +1,31 @@
 """Sparse linear-program model, a self-contained two-phase revised simplex
 solver, and a deterministic LP text format.
 
-All variables are nonnegative; finite positive upper bounds are turned into
-rows internally, and a variable with upper bound 0 is fixed at zero by leaving
-it out of the simplex altogether (no column, no bound row).  The solver keeps
-an explicit basis inverse, reinverts it periodically, and enters one column
-per iteration: the most negative reduced cost (Dantzig's rule), leaving by
-the plain minimum ratio.  Degeneracy has one defence: the simplex runs on a
-right-hand side raised by a fixed tiny pattern (Wolfe's perturbation), which
-makes ratio ties, zero steps and hence cycling vanish with probability 1.
-Infeasibility is decided, and the answer taken, on the exact right-hand
-side: where a basis found on the perturbed one is infeasible on it, a dual
-simplex re-optimizes.  Every answer is then certified against the
-unperturbed model, primal by residuals and dual by reduced costs.  The
-pattern is fixed, so repeated solves of the same model are bit-identical.
+All variables are nonnegative.  Before the simplex, an exact presolve fixes
+the variables the model forces: those with upper bound 0 and those an
+equality row with one live term pins, substituting each value into the other
+rows and dropping every row left without a live term (after checking it).
+The simplex runs on what is left; the remaining finite upper bounds become
+rows.  The solver keeps an explicit basis inverse: it reinverts periodically
+and before every verdict, and reuses an inverse it has just built (the dual
+simplex and the final polish) instead of building it again.  It enters one
+column per iteration: the most negative reduced cost (Dantzig's rule),
+leaving by the plain minimum ratio.  Degeneracy has one defence: the simplex
+runs on a right-hand side raised by a fixed tiny pattern (Wolfe's
+perturbation), which makes ratio ties, zero steps and hence cycling vanish
+with probability 1.  Infeasibility is decided, and the answer taken, on the
+exact right-hand side: where a basis found on the perturbed one is
+infeasible on it, a dual simplex re-optimizes.  Every answer is then
+certified against the original model, primal by residuals and dual by
+reduced costs.  The pattern is fixed, so repeated solves of the same model
+are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +83,7 @@ class LpModel:
     def validate(self) -> None:
         if len(set(self.var_names)) != len(self.var_names):
             raise LpError("variable names are not unique")
+        n = self.num_vars
         names = set()
         for cname, terms, rel, rhs in self.constraints:
             if cname in names:
@@ -87,12 +94,12 @@ class LpModel:
             if not math.isfinite(rhs):
                 raise LpError(f"non-finite right-hand side in constraint {cname!r}")
             for idx, coef in terms:
-                if not 0 <= idx < self.num_vars:
+                if not 0 <= idx < n:
                     raise LpError(f"constraint {cname!r} references unknown variable {idx}")
                 if not math.isfinite(coef):
                     raise LpError(f"non-finite coefficient in constraint {cname!r}")
         for idx, coef in self.objective.items():
-            if not 0 <= idx < self.num_vars:
+            if not 0 <= idx < n:
                 raise LpError(f"objective references unknown variable {idx}")
             if not math.isfinite(coef):
                 raise LpError("non-finite objective coefficient")
@@ -107,6 +114,9 @@ class LpSolution:
     objective: float | None
     values: np.ndarray | None
     var_names: list[str]
+    fixed: int = 0  # variables the presolve fixed
+    dropped_rows: int = 0  # rows the presolve dropped
+    pivots: int = 0  # simplex pivots, both phases and the dual simplex
 
     def value(self, name: str) -> float:
         return float(self.values[self.var_names.index(name)])
@@ -134,10 +144,16 @@ class _SparseCols:
         return np.bincount(self.colids, weights=self.vals * y[self.rows], minlength=self.ncols)
 
     def dense_submatrix(self, cols):
+        """The columns ``cols`` as a dense m x len(cols) matrix, gathered in
+        one call; a column holds each row at most once (the presolve
+        coalesces duplicate terms)."""
+        cols = np.asarray(cols, dtype=int)
+        starts = self.indptr[cols]
+        counts = self.indptr[cols + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        nz = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
         out = np.zeros((self.m, len(cols)))
-        for k, j in enumerate(cols):
-            r, v = self.column(j)
-            np.add.at(out[:, k], r, v)
+        out[self.rows[nz], np.repeat(np.arange(len(cols)), counts)] = self.vals[nz]
         return out
 
 
@@ -166,9 +182,10 @@ class _Simplex:
         self.refactor()
 
     def refactor(self):
-        B = self.A.dense_submatrix(self.basis)
+        # B is kept for the polish, which runs on the last inverted basis
+        self.B = self.A.dense_submatrix(self.basis)
         try:
-            self.Binv = np.linalg.inv(B)
+            self.Binv = np.linalg.inv(self.B)
         except np.linalg.LinAlgError as exc:
             raise LpNumericalError(f"singular basis during refactorization: {exc}")
         self.xB = self.Binv @ self.b
@@ -243,9 +260,13 @@ class _Simplex:
         -primal_tol: the basis is then optimal for c on b.  Bland's rule for
         the dual (the least basic column among the negative values leaves,
         the least index among the minimum ratios enters) rules out cycling.
-        Ends on a fresh inverse."""
+        An inverse ``run`` left fresh is kept; only x_B moves to b.  Ends on
+        a fresh inverse."""
         self.b = b
-        self.refactor()
+        if self.dirty:
+            self.refactor()
+        else:
+            self.xB = self.Binv @ b
         for _ in range(self.max_iter):
             neg = np.flatnonzero(self.xB < -self.primal_tol)
             if neg.size == 0:
@@ -269,45 +290,143 @@ class _Simplex:
             self.refactor()
 
 
-def _standardize(model: LpModel):
-    """Rows A x (rel) b with b >= 0, plus upper-bound rows, in sparse terms.
+@dataclass
+class _Presolved:
+    """What ``_presolve`` leaves for the simplex, and what it took away.
 
-    A variable with upper bound 0 is fixed at zero: it gets no bound row here
-    and no column in ``solve``."""
+    ``eliminations`` lists the reductions in the order they were made:
+    ``("fix", var, value, row)``, with ``row`` the equality row that forced
+    the value or None for an upper bound of 0, and ``("drop", row)`` for a
+    row left without a live term."""
+
+    rows: list  # surviving rows (terms, rel, rhs), fixed values substituted
+    values: list  # the fixed value of each fixed variable, 0 elsewhere
+    is_fixed: list
+    eliminations: list
+    infeasible: bool = False
+
+    def count(self, kind):
+        return sum(1 for e in self.eliminations if e[0] == kind)
+
+
+def _row_ok(rel, resid):
+    """Whether a row's residual (left side minus right side) meets its
+    relation within FEAS_TOL."""
+    return (rel == "<=" or resid >= -FEAS_TOL) and (rel == ">=" or resid <= FEAS_TOL)
+
+
+def _presolve(model: LpModel) -> _Presolved:
+    """Fix the variables the model forces and drop the rows that empties.
+
+    Each row's duplicate terms are summed and zero coefficients dropped.
+    Then, until nothing changes: a variable with upper bound 0 is fixed at
+    0, and one that an equality row with a single live term ``a x = r``
+    forces at ``r / a``, clipped into its bounds; each value is substituted
+    into every row.  A row with no live term left is dropped once its
+    residual passes the FEAS_TOL check, else the model is infeasible, which
+    also judges a forced value outside the bounds by its forcing row."""
+    n = model.num_vars
+    upper = model.var_upper
+    rows, occurs = [], [[] for _ in range(n)]
+    for i, (_, terms, rel, rhs) in enumerate(model.constraints):
+        coef = dict(terms)
+        if len(coef) < len(terms):
+            coef = dict.fromkeys(coef, 0.0)
+            for idx, a in terms:
+                coef[idx] += a
+        if 0.0 in coef.values():
+            coef = {idx: a for idx, a in coef.items() if a != 0.0}
+        for idx in coef:
+            occurs[idx].append(i)
+        rows.append([coef, rel, rhs])
+    out = _Presolved([], [0.0] * n, [False] * n, [])
+    alive = [True] * len(rows)
+    queue = deque(range(len(rows)))
+
+    def fix(j, value, row):
+        out.is_fixed[j] = True
+        out.values[j] = value
+        out.eliminations.append(("fix", j, value, row))
+        for i in occurs[j]:
+            if alive[i]:
+                coef = rows[i][0]
+                rows[i][2] -= coef.pop(j) * value
+                if len(coef) <= 1:
+                    queue.append(i)
+
+    for j, u in enumerate(upper):
+        if u == 0.0:
+            fix(j, 0.0, None)
+    while queue:
+        i = queue.popleft()
+        if not alive[i]:
+            continue
+        coef, rel, rhs = rows[i]
+        if not coef:
+            if not _row_ok(rel, -rhs):
+                out.infeasible = True
+                return out
+            alive[i] = False
+            out.eliminations.append(("drop", i))
+        elif rel == "=" and len(coef) == 1:
+            ((j, a),) = coef.items()
+            fix(j, min(max(rhs / a, 0.0), upper[j]), i)
+    out.rows = [(list(coef.items()), rel, rhs) for (coef, rel, rhs), keep in zip(rows, alive) if keep]
+    return out
+
+
+def _standardize(pre: _Presolved, upper):
+    """Rows A x (rel) b with b >= 0 over the variables the presolve left,
+    plus the rows of their finite upper bounds, in sparse terms."""
     out = []
     flip = {"<=": ">=", ">=": "<=", "=": "="}
-    for _, terms, rel, rhs in model.constraints:
+    for terms, rel, rhs in pre.rows:
         if rhs < 0:
             out.append(([(i, -c) for i, c in terms], flip[rel], -rhs))
         else:
-            out.append((list(terms), rel, rhs))
-    for idx, u in enumerate(model.var_upper):
-        if math.isfinite(u) and u != 0.0:
+            out.append((terms, rel, rhs))
+    for idx, u in enumerate(upper):
+        if math.isfinite(u) and not pre.is_fixed[idx]:
             out.append(([(idx, 1.0)], "<=", u))
     return out
 
 
 def solve(model: LpModel) -> LpSolution:
-    """Two-phase simplex; optimal solutions are basic, satisfy every
-    constraint within ``FEAS_TOL`` and come with a dual-feasible final basis.
-    Numerical breakdown raises, never passes silently."""
+    """Presolve, then a two-phase simplex on what is left; optimal solutions
+    are basic, satisfy every constraint of the original model within
+    ``FEAS_TOL`` and come with a dual-feasible final basis.  Numerical
+    breakdown raises, never passes silently."""
     model.validate()
-    rows = _standardize(model)
-    m = len(rows)
-    # simplex columns: variables with upper bound 0 have none and stay at 0
-    live = [idx for idx, u in enumerate(model.var_upper) if u != 0.0]
-    col = [-1] * model.num_vars
-    for k, idx in enumerate(live):
-        col[idx] = k
-    n = len(live)
+    pre = _presolve(model)
     c_orig = np.zeros(model.num_vars)
     for idx, coef in model.objective.items():
         c_orig[idx] = coef
 
+    def answer(status, values=None, pivots=0):
+        objective = None
+        if values is not None:
+            _recheck(model, values)
+            objective = float(c_orig @ values)
+        return LpSolution(status, objective, values, list(model.var_names),
+                          pre.count("fix"), pre.count("drop"), pivots)
+
+    if pre.infeasible:
+        return answer("infeasible")
+    rows = _standardize(pre, model.var_upper)
+    m = len(rows)
+    # simplex columns: the variables the presolve left
+    live = [idx for idx in range(model.num_vars) if not pre.is_fixed[idx]]
+    col = [-1] * model.num_vars
+    for k, idx in enumerate(live):
+        col[idx] = k
+    n = len(live)
+    values = np.array(pre.values)
+
     if m == 0:
+        # no row is left, so every live variable is unbounded above
         if np.any(c_orig[live] < 0):
-            return LpSolution("unbounded", None, None, list(model.var_names))
-        return LpSolution("optimal", 0.0, np.zeros(model.num_vars), list(model.var_names))
+            return answer("unbounded")
+        return answer("optimal", values)
 
     # slack for <=, surplus for >=, artificial for >= and =
     n_slack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
@@ -323,11 +442,9 @@ def solve(model: LpModel) -> LpSolution:
     s = 0
     for i, (terms, rel, rhs) in enumerate(rows):
         for idx, coef in terms:
-            k = col[idx]
-            if k >= 0:
-                coo_r.append(i)
-                coo_c.append(k)
-                coo_v.append(coef)
+            coo_r.append(i)
+            coo_c.append(col[idx])
+            coo_v.append(coef)
         b[i] = rhs
         if rel == "<=":
             coo_r.append(i), coo_c.append(n + s), coo_v.append(1.0)
@@ -378,20 +495,20 @@ def solve(model: LpModel) -> LpSolution:
             if sx.run(art_cost, allowed=everything) != "optimal":
                 raise LpNumericalError("phase 1 reported unbounded; this cannot happen")
             if _exact_mass(sx, b, art_cost, art_cost) > FEAS_TOL:
-                return LpSolution("infeasible", None, None, list(model.var_names))
+                return answer("infeasible", pivots=sx.pivots)
         _drive_out_artificials(sx, is_artificial)
         sx.zero_guard = is_artificial
 
     status = sx.run(c2, allowed=~is_artificial)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, list(model.var_names))
+        return answer("unbounded", pivots=sx.pivots)
 
-    # re-optimize the final basis on the exact b, then polish: two rounds of
-    # iterative refinement kill the drift of incremental updates
+    # re-optimize the final basis on the exact b, then polish on the basis
+    # the repair left inverted: two rounds of iterative refinement kill the
+    # drift of incremental updates
     sx.repair(b, c2, ~is_artificial)
-    B = sx.A.dense_submatrix(sx.basis)
     for _ in range(2):
-        sx.xB += sx.Binv @ (sx.b - B @ sx.xB)
+        sx.xB += sx.Binv @ (sx.b - sx.B @ sx.xB)
     np.clip(sx.xB, 0.0, None, out=sx.xB)
     # basic values this far below the solver's resolution are exact zeros;
     # without the snap, p-th roots downstream amplify femto-scale noise
@@ -406,11 +523,8 @@ def solve(model: LpModel) -> LpSolution:
 
     x = np.zeros(sx.n)
     x[sx.basis] = sx.xB
-    values = np.zeros(model.num_vars)
     values[live] = x[:n]
-    _recheck(model, values)
-    objective = float(c_orig @ values)
-    return LpSolution("optimal", objective, values, list(model.var_names))
+    return answer("optimal", values, sx.pivots)
 
 
 def _exact_mass(sx: _Simplex, b, c, art_cost):
@@ -453,9 +567,7 @@ def _recheck(model: LpModel, x):
     """Independent residual check of a claimed-optimal point."""
     for cname, terms, rel, rhs in model.constraints:
         resid = sum(coef * x[idx] for idx, coef in terms) - rhs
-        low_ok = rel == "<=" or resid >= -FEAS_TOL
-        high_ok = rel == ">=" or resid <= FEAS_TOL
-        if not (low_ok and high_ok):
+        if not _row_ok(rel, resid):
             raise LpNumericalError(f"solution violates constraint {cname!r} by {abs(resid):.3e}")
     for idx, u in enumerate(model.var_upper):
         if x[idx] < -FEAS_TOL or x[idx] > u + FEAS_TOL:

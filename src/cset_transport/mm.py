@@ -153,11 +153,21 @@ def uniform_measure(n: int) -> MeasureData:
     return MeasureData(n, np.full(n, 1.0 / n))
 
 
+def _metric_by_construction(n: int, d: np.ndarray) -> MetricData:
+    """A MetricData for an n x n float matrix that is a Lawvere metric by
+    construction (a 0/inf matrix, a shortest-path closure), without the
+    O(n^3) triangle check of the constructor."""
+    metric = object.__new__(MetricData)
+    object.__setattr__(metric, "n", n)
+    object.__setattr__(metric, "d", d)
+    return metric
+
+
 def discrete_metric(n: int) -> MetricData:
     """0 on the diagonal, inf off it."""
     d = np.full((n, n), INF)
     np.fill_diagonal(d, 0.0)
-    return MetricData(n, d)
+    return _metric_by_construction(n, d)
 
 
 def shortest_path_metric(x, weights=None) -> MetricData:
@@ -193,12 +203,7 @@ def shortest_path_metric(x, weights=None) -> MetricData:
             d[a, b] = weights[e]
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
-    # the closure has a zero diagonal and meets the triangle inequality by
-    # construction, so the O(n^3) check of the constructor is skipped
-    metric = object.__new__(MetricData)
-    object.__setattr__(metric, "n", n)
-    object.__setattr__(metric, "d", d)
-    return metric
+    return _metric_by_construction(n, d)
 
 
 def _as_matrix(k) -> np.ndarray:

@@ -4,8 +4,8 @@ instances.
 
 Infinite metric entries never reach the solver.  Cost cells of infinite
 value force their coupling variables to zero (realized as upper bound 0, an
-equality pin, which ``lp.solve`` keeps out of the simplex; the flows used at
-p = 1 need none), and distance-decrease constraint rows with an infinite
+equality pin, which the presolve of ``lp.solve`` fixes before the simplex;
+the flows used at p = 1 need none), and distance-decrease constraint rows with an infinite
 right-hand side are dropped as vacuous.  Structural impossibilities (total mass growth, a fully pinned
 stochastic row) are reported as an infinite distance without solving.
 

@@ -401,3 +401,186 @@ def test_dual_certificate_rejects_a_suboptimal_basis(monkeypatch):
     monkeypatch.setattr(lp._Simplex, "run", lambda self, c, allowed: "optimal")
     with pytest.raises(LpNumericalError, match="not dual feasible"):
         solve(m)
+
+
+def _agrees_with_highs(model):
+    status, want = highs_solve(model)
+    sol = solve(model)
+    assert sol.status == status
+    if status == "optimal":
+        assert math.isclose(sol.objective, want, rel_tol=1e-9, abs_tol=1e-9)
+    return sol
+
+
+def test_presolve_cascade_of_singleton_rows():
+    # x = 2 forces y = 3 through x + y = 5, which forces z = 2 through
+    # 2y - z = 4; only z + w >= 3 is left for the simplex
+    pytest.importorskip("scipy")
+    m = LpModel()
+    x, y, z, w = (m.add_variable(v) for v in "xyzw")
+    m.add_objective(w, 1.0)
+    m.add_objective(y, 1.0)
+    m.add_constraint("c0", [(x, 1.0)], "=", 2.0)
+    m.add_constraint("c1", [(x, 1.0), (y, 1.0)], "=", 5.0)
+    m.add_constraint("c2", [(y, 2.0), (z, -1.0)], "=", 4.0)
+    m.add_constraint("c3", [(z, 1.0), (w, 1.0)], ">=", 3.0)
+    sol = _agrees_with_highs(m)
+    assert sol.values == pytest.approx([2.0, 3.0, 2.0, 1.0])
+    assert (sol.fixed, sol.dropped_rows) == (3, 3)
+    assert sol.pivots > 0
+    # without c3 nothing is left for the simplex: the fixed point is the answer
+    del m.constraints[3]
+    sol = _agrees_with_highs(m)
+    assert (sol.fixed, sol.dropped_rows, sol.pivots) == (3, 3, 0)
+    assert sol.values.tolist() == [2.0, 3.0, 2.0, 0.0]
+
+
+def test_presolve_eliminations_keep_their_order():
+    m = LpModel()
+    x, y, z = (m.add_variable(v) for v in "xyz")
+    m.var_upper[z] = 0.0
+    m.add_constraint("a", [(x, 1.0), (y, 1.0)], "=", 5.0)
+    m.add_constraint("b", [(x, 2.0), (z, 1.0)], "=", 4.0)
+    pre = lp._presolve(m)
+    assert pre.eliminations == [
+        ("fix", z, 0.0, None), ("fix", x, 2.0, 1), ("drop", 1), ("fix", y, 3.0, 0), ("drop", 0),
+    ]
+    assert pre.rows == []
+
+
+def _presolve_model(rng):
+    """Random program through a known point, with what the presolve removes:
+    singleton equality rows (cascading where a row's other terms are
+    forced), duplicate terms that cancel or split a coefficient, zero
+    coefficients and zero upper bounds.  A few singleton rows miss the point,
+    so some programs are infeasible."""
+    n = int(rng.integers(2, 7))
+    point = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7)
+    m = LpModel()
+    for i in range(n):
+        kind = rng.random()
+        upper = 0.0 if point[i] == 0 and kind < 0.5 else np.inf
+        if kind > 0.7:
+            upper = point[i] + float(rng.uniform(0.0, 1.0))
+        m.add_variable(f"x{i}", upper=upper)
+        if rng.random() < 0.8:
+            m.add_objective(i, float(rng.uniform(-2, 2)))
+    for r in range(int(rng.integers(1, 5))):
+        i = int(rng.integers(n))
+        a = float(rng.choice([-2.0, 0.5, 1.0, 3.0]))
+        miss = float(rng.choice([1.0, -3.0])) if rng.random() < 0.08 else 0.0
+        m.add_constraint(f"s{r}", [(i, a)], "=", a * (point[i] + miss))
+    for r in range(int(rng.integers(1, 5))):
+        terms = [(i, float(rng.uniform(-2, 2))) for i in range(n) if rng.random() < 0.6]
+        terms = terms or [(0, 1.0)]
+        lhs = sum(a * point[i] for i, a in terms)
+        rel = str(rng.choice(["=", "<=", ">="]))
+        slack = {"=": 0.0, "<=": 1.0, ">=": -1.0}[rel] * float(rng.uniform(0.0, 1.0))
+        i = int(rng.integers(n))
+        if rng.random() < 0.4:
+            terms += [(i, 1.0), (i, -1.0)]
+        if rng.random() < 0.3:
+            j, a = terms.pop(0)
+            terms += [(j, 0.5 * a), (j, 0.5 * a)]
+        if rng.random() < 0.3:
+            terms.append((i, 0.0))
+        m.add_constraint(f"c{r}", terms, rel, lhs + slack)
+    return m
+
+
+def test_random_lps_with_presolve_work_against_highs():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(47)
+    seen, fixed, dropped, simplex = set(), 0, 0, 0
+    for trial in range(300):
+        model = _presolve_model(rng)
+        status, want = highs_solve(model)
+        sol = solve(model)
+        assert sol.status == status, f"trial {trial}: {sol.status} vs {status}"
+        if status == "optimal":
+            assert math.isclose(sol.objective, want, rel_tol=1e-9, abs_tol=1e-9), f"trial {trial}"
+        seen.add(status)
+        fixed += sol.fixed
+        dropped += sol.dropped_rows
+        simplex += sol.pivots > 0
+    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert fixed > 300 and dropped > 300 and simplex > 100
+
+
+@pytest.mark.parametrize("rhs", [-1.0, 4.0])
+def test_presolve_infeasible_forced_value(rhs):
+    # 2x = rhs forces x = -0.5 or x = 2, outside [0, 1]
+    m = LpModel()
+    x = m.add_variable("x", upper=1.0)
+    m.add_constraint("f", [(x, 2.0)], "=", rhs)
+    sol = solve(m)
+    assert sol.status == "infeasible"
+    assert (sol.fixed, sol.pivots) == (1, 0)
+
+
+def test_presolve_infeasible_empty_row():
+    # the row's terms cancel: 0 <= -1 is violated before any simplex
+    m = LpModel()
+    x = m.add_variable("x")
+    m.add_objective(x, 1.0)
+    m.add_constraint("r", [(x, 1.0), (x, -1.0), (x, 0.0)], "<=", -1.0)
+    sol = solve(m)
+    assert (sol.status, sol.pivots, sol.dropped_rows) == ("infeasible", 0, 0)
+    m.constraints[0] = ("r", [(x, 1.0), (x, -1.0)], "<=", 1.0)
+    sol = solve(m)
+    assert (sol.status, sol.objective, sol.dropped_rows) == ("optimal", 0.0, 1)
+
+
+def test_simplex_decides_infeasibility_without_singleton_rows():
+    # no row is a singleton, so the phase-1 simplex must find x + y = 1 and
+    # x + y = 2 incompatible
+    m = LpModel()
+    x, y = m.add_variable("x"), m.add_variable("y")
+    m.add_constraint("a", [(x, 1.0), (y, 1.0)], "=", 1.0)
+    m.add_constraint("b", [(x, 1.0), (y, 1.0)], "=", 2.0)
+    sol = solve(m)
+    assert sol.status == "infeasible"
+    assert (sol.fixed, sol.dropped_rows) == (0, 0)
+    assert sol.pivots > 0
+
+
+def test_repair_on_a_fresh_inverse_does_not_refactor(monkeypatch):
+    # min -x - y over x + 2y <= 4, 3x + y <= 6: the phase-2 optimum is
+    # feasible on the exact b, so the repair neither pivots nor re-inverts
+    m = LpModel()
+    x, y = m.add_variable("x"), m.add_variable("y")
+    m.add_objective(x, -1.0)
+    m.add_objective(y, -1.0)
+    m.add_constraint("r1", [(x, 1.0), (y, 2.0)], "<=", 4.0)
+    m.add_constraint("r2", [(x, 3.0), (y, 1.0)], "<=", 6.0)
+    refactors, repairs = [], []
+    real_refactor, real_repair = lp._Simplex.refactor, lp._Simplex.repair
+
+    def refactor(self):
+        refactors.append(self.pivots)
+        real_refactor(self)
+
+    def repair(self, b, c, allowed):
+        fresh, before, pivots = not self.dirty, len(refactors), self.pivots
+        real_repair(self, b, c, allowed)
+        repairs.append((fresh, len(refactors) - before, self.pivots - pivots))
+
+    monkeypatch.setattr(lp._Simplex, "refactor", refactor)
+    monkeypatch.setattr(lp._Simplex, "repair", repair)
+    sol = solve(m)
+    assert sol.objective == pytest.approx(-2.8)
+    assert repairs == [(True, 0, 0)]
+
+
+def test_dense_submatrix_gathers_like_a_column_loop():
+    rng = np.random.default_rng(48)
+    m, ncols = 7, 12
+    cells = [(i, j) for i in range(m) for j in range(ncols) if rng.random() < 0.3]
+    r, c = (np.array(v, dtype=int) for v in zip(*cells))
+    A = lp._SparseCols(m, ncols, r, c, rng.uniform(-2, 2, len(cells)))
+    for cols in ([], [3], [11, 0, 5, 5], list(range(ncols))[::-1]):
+        want = np.zeros((m, len(cols)))
+        for k, j in enumerate(cols):
+            rows, vals = A.column(j)
+            want[rows, k] = vals
+        assert np.array_equal(A.dense_submatrix(cols), want)

@@ -98,6 +98,26 @@ def test_explicit_metrics_keep_the_triangle_check():
     assert instance_from_json(data).metric("V").d[0, 2] == 2.0
 
 
+def test_discrete_metric_skips_the_triangle_check(monkeypatch):
+    # built without the O(n^3) check, the 0/inf matrix passes the constructor's
+    for n in (0, 1, 2, 7):
+        got = discrete_metric(n)
+        MetricData(n, got.d)
+        assert got.is_discrete()
+    def refuse(self):
+        raise AssertionError("triangle check ran")
+    monkeypatch.setattr(MetricData, "__post_init__", refuse)
+    assert discrete_metric(5).n == 5
+    with pytest.raises(AssertionError, match="check ran"):
+        MetricData(2, [[0, INF], [INF, 0]])
+
+
+def test_explicit_zero_inf_matrix_breaking_the_triangle_raises():
+    # d(0,2) = inf > d(0,1) + d(1,2) = 0
+    with pytest.raises(InstanceError, match="triangle"):
+        MetricData(3, [[0, 0, INF], [INF, 0, 0], [INF, INF, 0]])
+
+
 def test_measure_validation():
     with pytest.raises(InstanceError):
         MeasureData(2, [1.0, INF])
