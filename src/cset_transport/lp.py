@@ -104,8 +104,8 @@ class LpModel:
             if not math.isfinite(coef):
                 raise LpError("non-finite objective coefficient")
         for u in self.var_upper:
-            if u < 0:
-                raise LpError("negative upper bound")
+            if not u >= 0:  # NaN fails this comparison too
+                raise LpError("negative or NaN upper bound")
 
 
 @dataclass(eq=False)
@@ -174,12 +174,21 @@ class _Simplex:
         # push them up
         self.zero_guard = np.zeros(self.n, dtype=bool)
 
-    def set_basis(self, basis):
+    def set_basis(self, basis, identity=False):
+        """Make ``basis`` current and invert it.  ``identity`` says its
+        columns are the unit vectors in row order, as in the starting basis
+        of one +1 slack or artificial per row: then B = B^-1 = I and
+        x_B = b, with nothing to invert."""
         self.basis = np.asarray(basis, dtype=int)
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.in_basis[self.basis] = True
         self._ger = np.empty((self.m, self.m))
-        self.refactor()
+        if identity:
+            self.B, self.Binv = np.eye(self.m), np.eye(self.m)
+            self.xB = self.b.copy()
+            self.dirty = False
+        else:
+            self.refactor()
 
     def refactor(self):
         # B is kept for the polish, which runs on the last inverted basis
@@ -477,7 +486,7 @@ def solve(model: LpModel) -> LpSolution:
     # (is the program feasible, which point is the answer) go to the dual
     rng = np.random.default_rng(0)
     sx = _Simplex(A, b + PERTURB * (1.0 + np.abs(b)) * rng.uniform(0.5, 1.0, m))
-    sx.set_basis(basis)
+    sx.set_basis(basis, identity=True)
     scale = max(1.0, float(np.abs(c2).max()))
 
     if art_cols:

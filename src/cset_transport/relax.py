@@ -2,12 +2,12 @@
 measure-preserving variant) and the Wasserstein metric on metric measure
 instances.
 
-Infinite metric entries never reach the solver.  Cost cells of infinite
-value force their coupling variables to zero (realized as upper bound 0, an
-equality pin, which the presolve of ``lp.solve`` fixes before the simplex;
-the flows used at p = 1 need none), and distance-decrease constraint rows with an infinite
-right-hand side are dropped as vacuous.  Structural impossibilities (total mass growth, a fully pinned
-stochastic row) are reported as an infinite distance without solving.
+Infinite metric entries never reach the solver.  A coupling cell of
+infinite cost gets upper bound 0, which the presolve of ``lp.solve`` fixes,
+answering "infeasible" where that forbids every image of a point (the flows
+of p = 1 have no such cells).  Distance rows with an infinite right-hand
+side are dropped as vacuous.  Total mass growth, and the impossibilities of
+fixed objects, give an infinite distance before any solve.
 
 Only the irreducible distance rows are built.  The row of a pair (x1, x2) is
 dropped when some z has d(x1,z) > 0, d(z,x2) > 0 and
@@ -41,10 +41,14 @@ greater cost.  An unreachable target needs no pin, because no flow reaches
 it.  A block's n_y^2 coupling variables become one per edge (C5 -> C6: 6
 edges instead of 36 cells).
 
-A generator element of zero mass gets no flow block.  In the coupling form
-its block has no objective and no pins, so it constrains nothing.
-Conservation rows would instead demand that its two marginals reach each
-other, which can make a finite distance infinite.
+Every transport block, coupling (``transport._Coupling``) or flow
+(``_EdgeFlow``), is added by ``add_block(model, kind, key, first, second)``,
+which takes each marginal per codomain point as ``(terms, rhs)`` and returns
+the block's cost terms, so one loop builds the self-product blocks and one
+the generator blocks, at every p.  A generator element of zero mass gets no
+block: it costs nothing, while conservation rows, or a coupling with its
+infinite cells bounded, would demand that its two marginals reach each
+other.  A distance row with no cost term is not added.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .mm import (
     ext_root,
     is_measure_decreasing,
 )
+from .transport import _Coupling
 
 __all__ = [
     "WassersteinProgram",
@@ -196,17 +201,23 @@ def markov_feasible(
 @dataclass
 class WassersteinProgram:
     """The assembled linear program with its variable layout and the record of
-    which blocks were eliminated or pinned and why."""
+    which blocks were eliminated and why."""
 
     model: LpModel
     layout: dict
     cost_vectors: dict
     eliminated: dict
-    pins: list[str]
     objective_constant: float
     p: float
     component_class: str
     structurally_infinite: str | None = None
+
+    @property
+    def pins(self) -> list[str]:
+        """The variables of infinite cost, bounded above by 0, which the
+        presolve of ``lp.solve`` fixes at 0."""
+        model = self.model
+        return [name for name, u in zip(model.var_names, model.var_upper) if u == 0.0]
 
 
 def _triangle_implied(d: np.ndarray) -> np.ndarray:
@@ -233,7 +244,8 @@ def _flow_form(p: float) -> bool:
 
 class _EdgeFlow:
     """The irreducible edges (a, b) of a codomain metric d, weighted d(a, b);
-    their shortest-path metric is d (see the module docstring)."""
+    their shortest-path metric is d (see the module docstring).  A block has
+    one variable per edge, ``width`` in all."""
 
     def __init__(self, d: np.ndarray):
         implied = _triangle_implied(d)
@@ -244,6 +256,7 @@ class _EdgeFlow:
             for b in range(n)
             if a != b and d[a, b] != INF and not implied[a, b]
         ]
+        self.width = len(self.edges)
         self.weights = [float(d[a, b]) for a, b in self.edges]
         self.out = [[] for _ in range(n)]
         self.into = [[] for _ in range(n)]
@@ -251,17 +264,21 @@ class _EdgeFlow:
             self.out[a].append(k)
             self.into[b].append(k)
 
-    def add_block(self, model: LpModel, var_name: str, row_name: str, supply) -> list:
-        """Add one flow block: a variable f_e >= 0 per edge and, for each
-        point y with ``supply[y] = (terms, rhs)``, the conservation row
-        out(y) - in(y) + terms = rhs.  Returns the block's cost terms."""
+    def add_block(self, model: LpModel, kind: str, key: str, first, second) -> list:
+        """Add one flow block between two marginals, each given per point y
+        as ``(terms, rhs)``, meaning the marginal rhs - terms: a variable
+        ``f<kind>_<key>_<a>_<b>`` >= 0 per edge and, for each point, the
+        conservation row out(y) - in(y) = first(y) - second(y), named
+        ``p<k>f_<key>_<y>`` with <k> the first letter of ``kind``.  Returns
+        the block's cost terms."""
         start = model.num_vars
         for a, b in self.edges:
-            model.add_variable(f"{var_name}_{a}_{b}")
-        for yv, (terms, rhs) in enumerate(supply):
+            model.add_variable(f"f{kind}_{key}_{a}_{b}")
+        for yv, ((terms1, rhs1), (terms2, rhs2)) in enumerate(zip(first, second)):
             row = [(start + k, 1.0) for k in self.out[yv]]
             row += [(start + k, -1.0) for k in self.into[yv]]
-            model.add_constraint(f"{row_name}_{yv}", row + terms, "=", rhs)
+            row += terms1 + [(idx, -a) for idx, a in terms2]
+            model.add_constraint(f"p{kind[0]}f_{key}_{yv}", row, "=", rhs1 - rhs2)
         return [(start + k, w) for k, w in enumerate(self.weights) if w != 0.0]
 
 
@@ -299,22 +316,27 @@ def wasserstein_cset_lp(
       discrete (every kernel out of a discrete space is distance-decreasing);
     * a generator into a fixed object contributes a closed-form linear
       objective in the domain kernel instead of a coupling block;
-    * distance rows with infinite right-hand side are dropped, and variables
-      multiplying an infinite cost are pinned to zero;
+    * distance rows with infinite right-hand side are dropped, and so is a
+      distance row with no cost term;
+    * variables multiplying an infinite cost get upper bound 0, which the
+      presolve of ``lp.solve`` fixes; ``pins`` lists them;
     * distance rows implied through an intermediate point by the triangle
       inequality are dropped (see the module docstring);
+    * a generator element of zero mass gets no block;
     * for p = 1 each transport block is a min-cost flow on the irreducible
       edges of the codomain metric instead of a coupling (see the module
-      docstring): per block, one variable per edge, one conservation row per
-      codomain point, and the flow's cost in the distance row or, weighted by
-      the element's mass, in the objective.  Nothing is pinned, and an
-      element of zero mass gets no block.
+      docstring): per block, one variable per edge and one conservation row
+      per codomain point, where a coupling has one variable per cell and two
+      marginal rows per codomain point.  Nothing is pinned.  Either block's
+      cost goes into the distance row or, weighted by the element's mass,
+      into the objective.
 
     ``layout["pi_obj"][ob]`` is ``(start, pairs, width)`` and
     ``layout["pi_gen"][g]`` is ``(start, elements, width)``: the block of the
     k-th pair or element holds variables ``start + k*width`` up to
     ``start + (k+1)*width``.  A coupling block is ``n_y^2`` wide; a flow
-    block has one variable per edge of ``layout["edges"][ob]``.
+    block has one variable per edge of ``layout["edges"][ob]``.  Only the
+    elements of positive mass have blocks.
 
     With ``component_class="noshort"`` the measure-decreasing rows and the
     self-product blocks are omitted entirely; the value is then a general
@@ -331,24 +353,11 @@ def wasserstein_cset_lp(
     t = x.theory
     model = LpModel()
     movable = [ob for ob in t.objects if ob not in x.fixed]
-    layout = {"phi": _phi_blocks(model, x, y, movable), "pi_obj": {}, "pi_gen": {}}
+    phi = _phi_blocks(model, x, y, movable)
+    layout = {"phi": phi, "pi_obj": {}, "pi_gen": {}}
     eliminated = {"pi_obj": {}, "pi_gen": {}}
-    pins: list[str] = []
     infinite: str | None = None
     constant = 0.0
-    flow = _flow_form(p)
-    flows: dict[str, _EdgeFlow] = {}
-
-    def edge_flow(ob):
-        """The edges of ``ob``'s codomain metric, built once per object."""
-        if ob not in flows:
-            flows[ob] = _EdgeFlow(y.metric(ob).d)
-            layout.setdefault("edges", {})[ob] = flows[ob].edges
-            eliminated.setdefault("flow", {})[ob] = (
-                f"W_1 as a flow on {len(flows[ob].edges)} of "
-                f"{y.sets[ob] ** 2} pairs"
-            )
-        return flows[ob]
 
     mm = component_class == "mm"
     if mm:
@@ -365,37 +374,47 @@ def wasserstein_cset_lp(
                 ):
                     infinite = f"identity on fixed {ob!r} is not measure-decreasing"
 
-    def pin(idx):
-        model.var_upper[idx] = 0.0
-        pins.append(model.var_names[idx])
-
     # stochasticity and measure rows for each movable object
     for ob in movable:
-        start, nx_, ny_ = layout["phi"][ob]
+        start, nx_, ny_ = phi[ob]
         for i in range(nx_):
             model.add_constraint(
                 f"phirow_{ob}_{i}",
-                [(_phi_var(layout["phi"], ob, i, j), 1.0) for j in range(ny_)],
+                [(_phi_var(phi, ob, i, j), 1.0) for j in range(ny_)],
                 "=",
                 1.0,
             )
         if mm:
             mux, muy = x.measure(ob), y.measure(ob)
             for k in range(ny_):
-                terms = [
-                    (_phi_var(layout["phi"], ob, i, k), float(mux.w[i]))
-                    for i in range(nx_)
-                ]
+                terms = [(_phi_var(phi, ob, i, k), float(mux.w[i])) for i in range(nx_)]
                 model.add_constraint(f"meas_{ob}_{k}", terms, "<=", float(muy.w[k]))
 
-    # self-product blocks carrying the distance-decreasing constraints, priced
-    # by the flattened d^p over the product of each space with itself
+    # the flattened d^p over the product of each space with itself
     cost_vectors = {}
     for ob in t.objects:
         cost_vectors[ob] = {
             "delta_x": ext_pow_array(x.metric(ob).d.reshape(-1), p),
             "delta_y": ext_pow_array(y.metric(ob).d.reshape(-1), p),
         }
+    builders: dict = {}
+
+    def builder(ob):
+        """The transport-block builder into ``ob``'s codomain, chosen by
+        ``_flow_form`` and built once per object."""
+        if ob not in builders:
+            if _flow_form(p):
+                builders[ob] = _EdgeFlow(y.metric(ob).d)
+                layout.setdefault("edges", {})[ob] = builders[ob].edges
+                eliminated.setdefault("flow", {})[ob] = (
+                    f"W_1 as a flow on {builders[ob].width} of {y.sets[ob] ** 2} pairs"
+                )
+            else:
+                n = y.sets[ob]
+                builders[ob] = _Coupling(cost_vectors[ob]["delta_y"].reshape(n, n))
+        return builders[ob]
+
+    # self-product blocks carrying the distance-decreasing constraints
     if mm:
         for ob in movable:
             if x.metric(ob).is_discrete():
@@ -432,53 +451,19 @@ def wasserstein_cset_lp(
                     f"kept {len(pairs)} of {nx_ * nx_} self-product rows; "
                     f"{len(candidates) - len(pairs)} implied by the triangle inequality"
                 )
-            start = model.num_vars
-            if flow:
-                net = edge_flow(ob)
-                layout["pi_obj"][ob] = (start, pairs, len(net.edges))
-                for (x1, x2) in pairs:
-                    # out - in = phi(x1, .) - phi(x2, .)
-                    supply = []
-                    for yv in range(ny_):
-                        a = _phi_var(layout["phi"], ob, x1, yv)
-                        b = _phi_var(layout["phi"], ob, x2, yv)
-                        supply.append(([(a, -1.0), (b, 1.0)], 0.0))
-                    cost = net.add_block(
-                        model, f"fobj_{ob}_{x1}_{x2}", f"pof_{ob}_{x1}_{x2}", supply
-                    )
-                    if cost:
-                        model.add_constraint(
-                            f"pod_{ob}_{x1}_{x2}", cost, "<=", float(dX[x1 * nx_ + x2])
-                        )
-                continue
+            net = builder(ob)
+            layout["pi_obj"][ob] = (model.num_vars, pairs, net.width)
             for (x1, x2) in pairs:
-                for yy in range(ny_ * ny_):
-                    model.add_variable(f"piobj_{ob}_{x1}_{x2}_{yy}")
-            layout["pi_obj"][ob] = (start, pairs, ny_ * ny_)
+                # the marginals phi(x1, .) and phi(x2, .)
+                first = [([(_phi_var(phi, ob, x1, yv), -1.0)], 0.0) for yv in range(ny_)]
+                second = [([(_phi_var(phi, ob, x2, yv), -1.0)], 0.0) for yv in range(ny_)]
+                cost = net.add_block(model, "obj", f"{ob}_{x1}_{x2}", first, second)
+                if cost:
+                    model.add_constraint(
+                        f"pod_{ob}_{x1}_{x2}", cost, "<=", float(dX[x1 * nx_ + x2])
+                    )
 
-            for k, (x1, x2) in enumerate(pairs):
-                base = start + k * ny_ * ny_
-                # row-stochasticity is implied by the first marginal block
-                # together with the phi row sums
-                for y1 in range(ny_):
-                    terms = [(base + y1 * ny_ + y2, 1.0) for y2 in range(ny_)]
-                    terms.append((_phi_var(layout["phi"], ob, x1, y1), -1.0))
-                    model.add_constraint(f"pom1_{ob}_{x1}_{x2}_{y1}", terms, "=", 0.0)
-                for y2 in range(ny_):
-                    terms = [(base + y1 * ny_ + y2, 1.0) for y1 in range(ny_)]
-                    terms.append((_phi_var(layout["phi"], ob, x2, y2), -1.0))
-                    model.add_constraint(f"pom2_{ob}_{x1}_{x2}_{y2}", terms, "=", 0.0)
-                terms = []
-                for yy in range(ny_ * ny_):
-                    if dY[yy] == INF:
-                        pin(base + yy)
-                    elif dY[yy] != 0.0:
-                        terms.append((base + yy, float(dY[yy])))
-                model.add_constraint(
-                    f"pod_{ob}_{x1}_{x2}", terms, "<=", float(dX[x1 * nx_ + x2])
-                )
-
-    # generator blocks: coupling variables, or the closed form into fixed objects
+    # generator blocks, or the closed form into fixed objects
     for g in t.generators:
         xf, yf = x.maps[g.name], y.maps[g.name]
         mux = x.measure(g.dom)  # present, by _require_data
@@ -498,100 +483,45 @@ def wasserstein_cset_lp(
                         constant += w * cost
                 eliminated["pi_gen"][g.name] = "both endpoints fixed: constant defect"
                 continue
-            start, nx_, ny_ = layout["phi"][g.dom]
             for i in range(x.sets[g.dom]):
                 w = float(mux.w[i])
                 if w <= 0:
                     continue
                 for j in range(y.sets[g.dom]):
                     cost = ext_pow(float(dcod[int(xf[i]), int(yf[j])]), p)
-                    idx = _phi_var(layout["phi"], g.dom, i, j)
+                    idx = _phi_var(phi, g.dom, i, j)
                     if cost == INF:
-                        pin(idx)
+                        model.var_upper[idx] = 0.0
                     elif cost != 0.0:
                         model.add_objective(idx, w * cost)
             eliminated["pi_gen"][g.name] = "codomain fixed: closed-form objective"
             continue
 
-        nxc = x.sets[g.dom]
         nyc = y.sets[g.cod]
-        start = model.num_vars
-        if flow:
-            net = edge_flow(g.cod)
-            elements = [i for i in range(nxc) if mux.w[i] > 0]
-            layout["pi_gen"][g.name] = (start, elements, len(net.edges))
-            preim = [np.flatnonzero(yf == yv) for yv in range(nyc)]
-            for i in elements:
-                # out - in = (Xf . Phi_cod)(i) - (Phi_dom . Yf)(i), the latter
-                # Yf's point indicator when g.dom is fixed
-                supply = []
-                for yv in range(nyc):
-                    terms = [(_phi_var(layout["phi"], g.cod, int(xf[i]), yv), -1.0)]
-                    if g.dom in x.fixed:
-                        rhs = -1.0 if int(yf[i]) == yv else 0.0
-                    else:
-                        rhs = 0.0
-                        terms += [
-                            (_phi_var(layout["phi"], g.dom, i, int(j)), 1.0)
-                            for j in preim[yv]
-                        ]
-                    supply.append((terms, rhs))
-                cost = net.add_block(
-                    model, f"fgen_{g.name}_{i}", f"pgf_{g.name}_{i}", supply
-                )
-                for idx, c in cost:
-                    model.add_objective(idx, float(mux.w[i]) * c)
-            continue
-        for i in range(nxc):
-            for yy in range(nyc * nyc):
-                model.add_variable(f"pigen_{g.name}_{i}_{yy}")
-        layout["pi_gen"][g.name] = (start, list(range(nxc)), nyc * nyc)
-        dY = cost_vectors[g.cod]["delta_y"]
-
-        def gvar(i, yy, start=start, nyc=nyc):
-            return start + i * nyc * nyc + yy
-
-        for i in range(nxc):
-            # row-stochasticity is implied by the first marginal block
-            # marginal along the first factor: (Xf . Phi_cod)(i)
-            for y1 in range(nyc):
-                terms = [(gvar(i, y1 * nyc + y2), 1.0) for y2 in range(nyc)]
-                terms.append((_phi_var(layout["phi"], g.cod, int(xf[i]), y1), -1.0))
-                model.add_constraint(f"pgm1_{g.name}_{i}_{y1}", terms, "=", 0.0)
-            # marginal along the second factor: (Phi_dom . Yf)(i)
-            for y2 in range(nyc):
-                terms = [(gvar(i, y1 * nyc + y2), 1.0) for y1 in range(nyc)]
-                if g.dom in x.fixed:
-                    rhs = 1.0 if int(yf[i]) == y2 else 0.0
-                    model.add_constraint(f"pgm2_{g.name}_{i}_{y2}", terms, "=", rhs)
-                else:
-                    for j in np.flatnonzero(yf == y2):
-                        terms.append((_phi_var(layout["phi"], g.dom, i, int(j)), -1.0))
-                    model.add_constraint(f"pgm2_{g.name}_{i}_{y2}", terms, "=", 0.0)
+        net = builder(g.cod)
+        elements = [i for i in range(x.sets[g.dom]) if mux.w[i] > 0]
+        layout["pi_gen"][g.name] = (model.num_vars, elements, net.width)
+        preim = [np.flatnonzero(yf == yv) for yv in range(nyc)]
+        for i in elements:
+            # the marginals (Xf . Phi_cod)(i) and (Phi_dom . Yf)(i), the
+            # latter Yf's point indicator when g.dom is fixed
+            first = [([(_phi_var(phi, g.cod, int(xf[i]), yv), -1.0)], 0.0) for yv in range(nyc)]
+            if g.dom in x.fixed:
+                second = [([], 1.0 if int(yf[i]) == yv else 0.0) for yv in range(nyc)]
+            else:
+                second = [
+                    ([(_phi_var(phi, g.dom, i, int(j)), -1.0) for j in preim[yv]], 0.0)
+                    for yv in range(nyc)
+                ]
             w = float(mux.w[i])
-            if w <= 0:
-                continue
-            for yy in range(nyc * nyc):
-                if dY[yy] == INF:
-                    pin(gvar(i, yy))
-                elif dY[yy] != 0.0:
-                    model.add_objective(gvar(i, yy), w * float(dY[yy]))
-
-    # a stochastic row with every variable pinned is structurally infeasible
-    if infinite is None:
-        for ob in movable:
-            _, nx_, ny_ = layout["phi"][ob]
-            for i in range(nx_):
-                row = [_phi_var(layout["phi"], ob, i, j) for j in range(ny_)]
-                if row and all(model.var_upper[idx] == 0.0 for idx in row):
-                    infinite = f"every image of {ob!r}[{i}] is forbidden by infinite costs"
+            for idx, c in net.add_block(model, "gen", f"{g.name}_{i}", first, second):
+                model.add_objective(idx, w * c)
 
     return WassersteinProgram(
         model,
         layout,
         cost_vectors,
         eliminated,
-        pins,
         constant,
         p,
         component_class,

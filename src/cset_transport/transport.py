@@ -1,9 +1,11 @@
 """Classical optimal transport on finite measures and the Wasserstein metric
 on finite Markov kernels.
 
-Infinite-cost cells never reach the solver: the corresponding coupling mass
-is pinned to zero structurally, and if that makes the problem infeasible the
-cost is reported as inf.
+A coupling is built by ``_Coupling``, the one coupling builder, which the
+Wasserstein program of ``relax`` shares.  An infinite-cost cell gets upper
+bound 0, which the presolve of ``lp.solve`` fixes before the simplex; a
+positive-mass row or column left without a finite cell then empties its
+marginal row, the presolve answers "infeasible", and the cost is inf.
 """
 
 from __future__ import annotations
@@ -57,6 +59,42 @@ def _check_cost(cost, n, m):
     return cost
 
 
+class _Coupling:
+    """Coupling blocks priced by one cost matrix, with the interface of the
+    flow blocks of the Wasserstein program at p = 1 (``relax._EdgeFlow``).
+
+    A block has one variable per cell, ``width`` in all; an infinite cell
+    gets upper bound 0 and no cost term."""
+
+    def __init__(self, cost: np.ndarray):
+        self.shape = cost.shape
+        flat = cost.reshape(-1).tolist()
+        self.width = len(flat)
+        self.pinned = [k for k, c in enumerate(flat) if c == INF]
+        self.costs = [(k, c) for k, c in enumerate(flat) if c != 0.0 and c != INF]
+
+    def add_block(self, model: LpModel, kind: str, key: str, first, second) -> list:
+        """Add one coupling block: a variable ``pi<kind>_<key>_<cell>`` >= 0
+        per cell and, for each row a with ``first[a] = (terms, rhs)``, the
+        marginal row sum_b pi(a, b) + terms = rhs, named
+        ``p<k>m1_<key>_<a>`` with <k> the first letter of ``kind``; ``second``
+        gives the column marginals (``p<k>m2``) the same way.  Returns the
+        block's cost terms."""
+        n1, n2 = self.shape
+        start = model.num_vars
+        for k in range(self.width):
+            model.add_variable(f"pi{kind}_{key}_{k}")
+        for k in self.pinned:
+            model.var_upper[start + k] = 0.0
+        for a, (terms, rhs) in enumerate(first):
+            row = [(start + a * n2 + b, 1.0) for b in range(n2)]
+            model.add_constraint(f"p{kind[0]}m1_{key}_{a}", row + terms, "=", rhs)
+        for b, (terms, rhs) in enumerate(second):
+            row = [(start + a * n2 + b, 1.0) for a in range(n1)]
+            model.add_constraint(f"p{kind[0]}m2_{key}_{b}", row + terms, "=", rhs)
+        return [(start + k, c) for k, c in self.costs]
+
+
 def optimal_coupling(mu: MeasureData, nu: MeasureData, cost) -> OtResult:
     """Minimize sum(cost * pi) over pi >= 0 with row sums mu and column sums nu."""
     cost = _check_cost(cost, mu.n, nu.n)
@@ -64,37 +102,17 @@ def optimal_coupling(mu: MeasureData, nu: MeasureData, cost) -> OtResult:
         raise DimensionError(
             f"couplings need equal mass: |mu| = {mu.total()}, |nu| = {nu.total()}"
         )
-    finite = ~np.isinf(cost)
-    # a positive-mass row (or column) with no finite cell is hopeless
-    for i in range(mu.n):
-        if mu.w[i] > 0 and not finite[i].any():
-            return OtResult(INF, None)
-    for j in range(nu.n):
-        if nu.w[j] > 0 and not finite[:, j].any():
-            return OtResult(INF, None)
-
     model = LpModel()
-    index = {}
-    for i in range(mu.n):
-        for j in range(nu.n):
-            if finite[i, j]:
-                index[i, j] = model.add_variable(f"pi_{i}_{j}")
-                model.add_objective(index[i, j], float(cost[i, j]))
-    for i in range(mu.n):
-        terms = [(index[i, j], 1.0) for j in range(nu.n) if (i, j) in index]
-        model.add_constraint(f"row_{i}", terms, "=", float(mu.w[i]))
-    for j in range(nu.n):
-        terms = [(index[i, j], 1.0) for i in range(mu.n) if (i, j) in index]
-        model.add_constraint(f"col_{j}", terms, "=", float(nu.w[j]))
+    rows = [([], w) for w in mu.w.tolist()]
+    cols = [([], w) for w in nu.w.tolist()]
+    for idx, c in _Coupling(cost).add_block(model, "ot", "mu_nu", rows, cols):
+        model.add_objective(idx, c)
     sol = solve(model)
     if sol.status == "infeasible":
         return OtResult(INF, None)
     if sol.status != "optimal":
         raise DimensionError(f"transport LP reported {sol.status}")
-    pi = np.zeros((mu.n, nu.n))
-    for (i, j), k in index.items():
-        pi[i, j] = sol.values[k]
-    return OtResult(float(sol.objective), pi)
+    return OtResult(float(sol.objective), sol.values.reshape(mu.n, nu.n))
 
 
 def wasserstein_measures(mu: MeasureData, nu: MeasureData, d: MetricData, p: float) -> float:

@@ -81,6 +81,18 @@ def test_validation_errors():
         m.validate()
 
 
+def test_nan_upper_bound_rejected():
+    # a NaN bound fails "u < 0" as it fails every comparison, so it used to
+    # pass for +inf: this model answered "unbounded"
+    text = "MINIMIZE -1 x\nSUBJECT TO\nc: 1 x >= 0\nBOUNDS\nx <= nan\nEND\n"
+    with pytest.raises(LpError, match="NaN upper bound"):
+        parse_lp(text)
+    m = LpModel()
+    m.add_variable("x", upper=float("nan"))
+    with pytest.raises(LpError, match="NaN upper bound"):
+        solve(m)
+
+
 def test_export_empty_model():
     assert export_lp(LpModel()) == "MINIMIZE\nSUBJECT TO\nEND\n"
 
@@ -584,3 +596,26 @@ def test_dense_submatrix_gathers_like_a_column_loop():
             rows, vals = A.column(j)
             want[rows, k] = vals
         assert np.array_equal(A.dense_submatrix(cols), want)
+
+
+def test_starting_basis_is_not_inverted(monkeypatch):
+    # the starting basis (one +1 slack or artificial per row) is the
+    # identity, so the solve inverts a basis only after it has pivoted
+    inverted = []
+    real_refactor = lp._Simplex.refactor
+
+    def refactor(self):
+        inverted.append(self.pivots)
+        real_refactor(self)
+
+    monkeypatch.setattr(lp._Simplex, "refactor", refactor)
+    m = LpModel()
+    x, y = m.add_variable("x"), m.add_variable("y")
+    m.add_objective(x, 1.0)
+    m.add_objective(y, 2.0)
+    m.add_constraint("r1", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+    m.add_constraint("r2", [(x, 1.0), (y, -1.0)], "<=", 0.5)
+    sol = solve(m)
+    assert sol.objective == pytest.approx(1.25)
+    assert sol.pivots > 0
+    assert 0 not in inverted

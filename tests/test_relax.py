@@ -314,12 +314,14 @@ def test_flow_edges_skip_unreachable_and_implied_pairs():
     assert wasserstein_cset_distance(x, y, 1.0)[0] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_zero_mass_element_gets_no_flow_block():
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_zero_mass_element_gets_no_flow_block(p):
     # the edge of x has zero mass; measures force its source vertex onto
     # codomain vertex 1 and its image onto the loop at vertex 0, which cannot
     # reach each other.  A zero-mass element costs nothing, so the distance
-    # is 0; a flow block for it would demand the unreachable transport and
-    # make the distance infinite
+    # is 0; a flow block for it would demand the unreachable transport, and
+    # a coupling block with its infinite cells pinned would too, and either
+    # would make the distance infinite
     t = builtin_theory("Graph")
     x = Instance(t, {"E": 1, "V": 1}, {"src": [0], "tgt": [0]}).with_data(
         metrics={"V": discrete_metric(1), "E": discrete_metric(1)},
@@ -329,9 +331,9 @@ def test_zero_mass_element_gets_no_flow_block():
         metrics={"V": discrete_metric(2), "E": discrete_metric(1)},
         measures={"V": MeasureData(2, [0.0, 1.0]), "E": MeasureData(1, [1.0])},
     )
-    prog = wasserstein_cset_lp(x, y, 1.0)
+    prog = wasserstein_cset_lp(x, y, p)
     assert prog.layout["pi_gen"]["src"][1] == []
-    dist, cert = wasserstein_cset_distance(x, y, 1.0)
+    dist, cert = wasserstein_cset_distance(x, y, p)
     assert dist == pytest.approx(0.0, abs=1e-9)
     assert cert.components["V"].p[0, 1] == pytest.approx(1.0)
 

@@ -50,6 +50,19 @@ def test_optimal_coupling_all_infinite():
     res = optimal_coupling(MeasureData(1, [1.0]), MeasureData(1, [1.0]), [[INF]])
     assert res.cost == INF
     assert res.coupling is None
+    # a positive-mass row, or column, with only infinite cells: the presolve
+    # fixes those cells at 0, which empties its marginal row
+    mu = MeasureData(2, [0.5, 0.5])
+    for cost in ([[1.0, 2.0], [INF, INF]], [[1.0, INF], [2.0, INF]]):
+        res = optimal_coupling(mu, mu, cost)
+        assert res.cost == INF
+        assert res.coupling is None
+    # a zero-mass row with only infinite cells costs nothing
+    res = optimal_coupling(
+        MeasureData(2, [1.0, 0.0]), MeasureData(2, [0.5, 0.5]), [[1.0, 3.0], [INF, INF]]
+    )
+    assert res.cost == pytest.approx(2.0)
+    assert np.allclose(res.coupling, [[0.5, 0.5], [0.0, 0.0]])
 
 
 def test_optimal_coupling_mass_mismatch():
