@@ -95,9 +95,6 @@ class Transformation:
             {k: np.asarray(v, dtype=int) for k, v in self.components.items()},
         )
 
-    def component(self, obj: str) -> np.ndarray:
-        return self.components[obj]
-
 
 def validate_instance(x: Instance) -> None:
     """Check carriers, maps and every theory equation; raise InstanceError."""
@@ -279,6 +276,13 @@ def _measure_from_json(obj, entry, inst_sets):
     raise InstanceError(f"unknown measure kind {kind!r} on object {obj!r}")
 
 
+def _check_integers(what: str, values) -> None:
+    """Raise unless ``values`` is a list of JSON integers: 0.7, "1" and true
+    are refused, not truncated."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise InstanceError(f"{what} must be integers, got {values!r}")
+
+
 def instance_from_json(data: dict, theory: TheoryPresentation | None = None) -> Instance:
     """Build and validate an Instance from its JSON dict form."""
     if theory is None:
@@ -289,8 +293,11 @@ def instance_from_json(data: dict, theory: TheoryPresentation | None = None) -> 
             theory = parse_theory(entry["dsl"])
         else:
             raise InstanceError("instance JSON needs a 'theory' (builtin name or {'dsl': ...})")
-    sets = {k: int(v) for k, v in data.get("sets", {}).items()}
-    maps = {k: np.asarray(v, dtype=int) for k, v in data.get("maps", {}).items()}
+    sets, maps = dict(data.get("sets", {})), dict(data.get("maps", {}))
+    _check_integers("set sizes", list(sets.values()))
+    for k, v in maps.items():
+        _check_integers(f"map {k!r}", v)
+    maps = {k: np.asarray(v, dtype=int) for k, v in maps.items()}
     metrics = {
         ob: _metric_from_json(ob, entry, sets, maps, theory)
         for ob, entry in (data.get("metrics") or {}).items()

@@ -32,8 +32,8 @@ naturality terms, hence the same aggregate.  So the lexicographically first
 minimizer takes, at the first entry, the least value of its orbit, and the
 search skips a first-entry candidate onto which a known automorphism maps an
 earlier candidate (the lex-leader rule): every distance and witness stays
-the same.  Automorphisms come from swapping twin points or from colour
-refinement of Y, and count only once checked on their own (:class:`_Orbits`).
+the same.  Automorphisms come from colour refinement of Y alone, and count
+only once checked on their own (:class:`_Orbits`).
 They are looked for only when the search comes back to the first entry from
 a subtree of at least |Y| nodes, the sum of Y's set sizes, so that small
 searches pay little for them.
@@ -171,26 +171,31 @@ def _is_automorphism(y: Instance, sigma: dict) -> bool:
     return True
 
 
-class _Refinement:
-    """Colour refinement of Y, and the bijections of Y that it pairs points by.
+class _Orbits:
+    """Orbits of one object of Y under the automorphisms of Y found so far,
+    kept in a union-find whose roots are the least points of their orbits,
+    and the colour refinement of Y that finds those automorphisms.
 
     Points of Y are numbered object by object, ``0..N-1``, and those of a
     second copy of Y, used to pair points, ``N..2N-1``.  Points start
     coloured by object, measure and (on fixed objects) index, and a colour
     class splits until, for every class, its points agree on how many of
     their images and preimages under each generator lie in it and on the
-    multiset of metric distances to and from it.  The colours of Y alone are
-    refined only as far as telling two points apart needs, and kept.  To
-    pair ``r`` with ``v``, ``r`` in the first copy and
-    ``v`` in the second get a colour of their own and the refinement runs
-    again; while a class holds more than one point per copy, its least
-    points are paired off the same way.  When every class holds one point of
-    each copy, the pairing is a bijection of Y, which may or may not be an
-    automorphism.
+    multiset of metric distances to and from it.  Y's colours are refined
+    fully once, when the orbits are built, and no automorphism joins points
+    of two colours.  To look for one sending ``r`` to ``v`` of the same
+    colour, ``r`` in the first copy and ``v`` in the second get a colour of
+    their own and the refinement runs again; while a class holds more than
+    one point per copy, its least points are paired off the same way.  When
+    every class holds one point of each copy, the pairing is a bijection of
+    Y (parallel edges, say, are paired like any other points).  It counts
+    only once :func:`_is_automorphism` has checked it on its own; when no
+    check passes, the points stay apart, which is always sound.
     """
 
-    def __init__(self, y: Instance):
-        self.y = y
+    def __init__(self, y: Instance, ob: str):
+        self.y, self.ob = y, ob
+        self.parent = list(range(y.sets[ob]))
         objects = y.theory.objects
         start, n = {}, 0
         for c in objects:
@@ -222,35 +227,34 @@ class _Refinement:
             masses = y.measures[c].w.tolist() if c in y.measures else [None] * y.sets[c]
             for i, mass in enumerate(masses):
                 keys.setdefault((c, mass, i if c in y.fixed else -1), []).append(start[c] + i)
-        cells = [set(ps) for ps in keys.values()]
+        self.cells = [set(ps) for ps in keys.values()]
         self.cell_of = [0] * n
-        for k, cell in enumerate(cells):
+        for k, cell in enumerate(self.cells):
             for p in cell:
                 self.cell_of[p] = k
-        self.cells, self.queue = cells, list(range(len(cells)))
+        self._refine(self.cell_of, self.cells, list(range(len(self.cells))))
+        self.colour = self.cell_of[start[ob]:start[ob] + y.sets[ob]]
 
-    def apart(self, ob: str, r: int, v: int) -> bool:
-        """True when the colours of Y tell points ``r`` and ``v`` of ``ob``
-        apart; the refinement runs only as far as it takes to know."""
-        a, b = self.start[ob] + r, self.start[ob] + v
-        self._refine(self.cell_of, self.cells, self.queue, (a, b))
-        return self.cell_of[a] != self.cell_of[b]
+    def _find(self, v: int) -> int:
+        while self.parent[v] != v:
+            v = self.parent[v]
+        return v
 
-    def _refine(self, cell_of, cells, queue, watch=None):
-        """Split the colour classes until none splits another, or until the
-        two points of ``watch`` are apart; ``queue`` holds the classes still
-        to split by.  A class that splits keeps its number for its unmarked
-        part (or else its largest part), which is queued only if the class
-        was; the other parts are queued."""
+    def _refine(self, cell_of, cells, queue):
+        """Split the colour classes until none splits another; ``queue``
+        holds the classes still to split by.  A class that splits keeps its
+        number for its unmarked part (or else its largest part), which is
+        queued only if the class was; the other parts are queued."""
         touch, object_of, rows, n = self.touch, self.object_of, self.rows, self.n
-        while queue and (watch is None or cell_of[watch[0]] == cell_of[watch[1]]):
+        while queue:
             tokens = defaultdict(list)
             for p in cells[queue.pop()]:
-                for token, q in touch[p]:
-                    tokens[q].append(token)
-                c = object_of[p]
+                copy = p - p % n  # 0, or n for the second copy
+                for token, q in touch[p - copy]:
+                    tokens[copy + q].append(token)
+                c = object_of[p - copy]
                 if c in rows:
-                    first = p - p % n + self.start[c]
+                    first = copy + self.start[c]
                     d, i = rows[c], p - first
                     for j, row in enumerate(d):
                         tokens[first + j] += (-1, row[i]), (-2, d[i][j])
@@ -274,17 +278,14 @@ class _Refinement:
                     queue.append(len(cells))
                     cells.append(frag)
 
-    def pairing(self, ob: str, r: int, v: int) -> dict[str, list[int]] | None:
-        """The bijection of Y read off refinement with point ``r`` of ``ob``
-        pinned to ``v``, or None when the refinement finds the two unlike."""
+    def pairing(self, r: int, v: int) -> dict[str, list[int]] | None:
+        """The bijection of Y read off refinement with point ``r`` of the
+        object pinned to ``v``, or None when the refinement finds the two
+        unlike."""
         n = self.n
-        self._refine(self.cell_of, self.cells, self.queue)
-        if len(self.touch) == n:  # the second copy, numbered from n
-            self.touch += [[(t, q + n) for t, q in ts] for ts in self.touch]
-            self.object_of += self.object_of
         cell_of = self.cell_of * 2
         cells = [cell | {p + n for p in cell} for cell in self.cells]
-        a, b = self.start[ob] + r, n + self.start[ob] + v
+        a, b = self.start[self.ob] + r, n + self.start[self.ob] + v
         while True:
             for p in (a, b):
                 cells[cell_of[p]].discard(p)
@@ -307,59 +308,19 @@ class _Refinement:
             image[p] = q - n
         return {c: [v - s for v in image[s:s + self.y.sets[c]]] for c, s in self.start.items()}
 
-
-class _Orbits:
-    """Orbits of one object of Y under the automorphisms of Y found so far,
-    kept in a union-find whose roots are the least points of their orbits.
-
-    To find an automorphism sending ``r`` to ``v``, the transposition of the
-    two comes first when they have the same image under every generator out
-    of the object (parallel edges, say).  Otherwise a :class:`_Refinement` of
-    Y, built on first need, pairs ``r`` with ``v`` if their colours agree.
-    Either bijection counts only once :func:`_is_automorphism` has checked
-    it on its own; when no check passes, the points stay apart, which is
-    always sound.
-    """
-
-    def __init__(self, y: Instance, ob: str):
-        self.y, self.ob = y, ob
-        self.parent = list(range(y.sets[ob]))
-        self.images = [y.maps[g.name].tolist() for g in y.theory.generators if g.dom == ob]
-        self.refinement = None
-
-    def _find(self, v: int) -> int:
-        while self.parent[v] != v:
-            v = self.parent[v]
-        return v
-
-    def _automorphism(self, roots: list[int], v: int) -> dict | None:
-        """An automorphism of Y sending one of ``roots`` to ``v``, or None."""
-        y, ob = self.y, self.ob
-        for r in roots:
-            if all(f[r] == f[v] for f in self.images):
-                swap = {c: list(range(n)) for c, n in y.sets.items()}
-                swap[ob][r], swap[ob][v] = v, r
-                if _is_automorphism(y, swap):
-                    return swap
-        if self.refinement is None:
-            self.refinement = _Refinement(y)
-        for r in roots:
-            if not self.refinement.apart(ob, r, v):
-                sigma = self.refinement.pairing(ob, r, v)
-                if sigma is not None and _is_automorphism(y, sigma):
-                    return sigma
-        return None
-
     def covered(self, v: int, earlier: list[int], test: bool) -> bool:
         """True when a known automorphism maps a point below ``v`` onto it.
         With ``test``, first look for an automorphism sending one of the
-        ``earlier`` points to ``v``."""
+        ``earlier`` points of ``v``'s colour to ``v``."""
         if test and self._find(v) == v:
-            sigma = self._automorphism([r for r in earlier if self._find(r) == r], v)
-            if sigma is not None:
-                for a, b in enumerate(sigma[self.ob]):
-                    ra, rb = self._find(a), self._find(b)
-                    self.parent[max(ra, rb)] = min(ra, rb)
+            for r in earlier:
+                if self._find(r) == r and self.colour[r] == self.colour[v]:
+                    sigma = self.pairing(r, v)
+                    if sigma is not None and _is_automorphism(self.y, sigma):
+                        for a, b in enumerate(sigma[self.ob]):
+                            ra, rb = self._find(a), self._find(b)
+                            self.parent[max(ra, rb)] = min(ra, rb)
+                        break
         return self._find(v) < v
 
 
@@ -418,8 +379,8 @@ class _Search:
             rows, cols = tables[g.cod]
             xf, yf = x.maps[g.name].tolist(), y.maps[g.name].tolist()
             mu = _weight_measure(x, g.dom, cfg.p)
-            for e in range(x.sets[g.dom]):
-                w = 1.0 if mu is None else float(mu.w[e])
+            weights = [1.0] * x.sets[g.dom] if mu is None else mu.w.tolist()
+            for e, w in enumerate(weights):
                 if w <= 0:
                     continue  # adds and charges nothing
                 nterms += 1
@@ -429,35 +390,36 @@ class _Search:
                     pushes[s_dom].append((s_cod, fixes[s_cod], w, cols, yf, True))
                 elif s_cod < s_dom:
                     pushes[s_cod].append((s_dom, fixes[s_dom], w, rows, yf, False))
-        # per object: X's metric, Y's metric and its transpose, as lists,
-        # the mass pushed onto each point of Y so far, and each point's
-        # capacity
-        dxs = {ob: x.metric(ob).d.tolist() for ob in t.objects} if short else {}
+        # shortness against the earlier entries of each component, per slot,
+        # only for pairs that X's metric bounds one way or the other: an
+        # infinite bound both ways holds for every candidate
+        checks = [[] for _ in range(n)]
+        for ob in t.objects if short else ():
+            d = x.metric(ob).d
+            dx, first = d.tolist(), self.spans[ob][0]
+            bounded = np.isfinite(d)
+            ends = np.nonzero(bounded | bounded.T)
+            for i, j in zip(ends[0].tolist(), ends[1].tolist()):
+                if j < i:
+                    checks[first + i].append((first + j, dx[i][j] + TOL, dx[j][i] + TOL))
+        # per object: Y's metric and its transpose, as lists, the mass pushed
+        # onto each point of Y so far, each point's capacity, and X's masses
         dys = {ob: (y.metric(ob).d.tolist(), y.metric(ob).d.T.tolist())
                for ob in t.objects} if short else {}
-        pushed = {ob: ([0.0] * y.sets[ob], [float(w) + TOL for w in y.measure(ob).w])
-                  for ob in t.objects} if meas else {}
+        pushed = {ob: ([0.0] * y.sets[ob], [w + TOL for w in y.measure(ob).w.tolist()],
+                       x.measure(ob).w.tolist()) for ob in t.objects} if meas else {}
         # lists that are only ever replaced, never changed, are shared
         every = {ob: list(range(y.sets[ob])) for ob in t.objects}
         zeros = {ob: [0.0] * y.sets[ob] for ob in t.objects}
         self.info = []
         for k, (ob, i) in enumerate(slots):
             values = [i] if fixes[k] >= 0 else every[ob]
-            # shortness against the earlier entries of the component; an
-            # infinite bound both ways holds for every candidate
-            checks, dy, dyt = [], None, None
-            if short:
-                dx = dxs[ob]
-                dy, dyt = dys[ob]
-                for j in range(i):
-                    a, b = dx[i][j] + TOL, dx[j][i] + TOL
-                    if a < INF or b < INF:
-                        checks.append((slot_of[ob, j], a, b))
+            dy, dyt = dys[ob] if short else (None, None)
             push = cap = mass = None
             if meas:
-                push, cap = pushed[ob]
-                mass = float(x.measure(ob).w[i])
-            self.info.append((values, checks, dy, dyt, push, cap, mass, fire[k], pushes[k]))
+                push, cap, masses = pushed[ob]
+                mass = masses[i]
+            self.info.append((values, checks[k], dy, dyt, push, cap, mass, fire[k], pushes[k]))
         self.n = n
         self.val = [-1] * n
         # per slot, the sum (max at p = inf) of its charges per candidate,

@@ -51,9 +51,6 @@ class FiniteKernel:
             bad = int(np.argmax(np.abs(p.sum(axis=1) - 1.0)))
             raise InstanceError(f"kernel row {bad} does not sum to 1")
 
-    def row(self, i: int) -> np.ndarray:
-        return self.p[i]
-
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "p": self.p.tolist()}
 
@@ -87,9 +84,6 @@ class MarkovTransformation:
     transformation."""
 
     components: dict[str, FiniteKernel]
-
-    def component(self, obj: str) -> FiniteKernel:
-        return self.components[obj]
 
     def to_json(self) -> dict:
         return {ob: k.to_json() for ob, k in self.components.items()}

@@ -193,8 +193,8 @@ def shortest_path_metric(x, weights=None) -> MetricData:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (m,):
             raise DimensionError(f"expected {m} edge weights, got {weights.shape}")
-        if np.any(weights < 0):
-            raise InstanceError("negative edge weight")
+        if not np.all(weights >= 0):
+            raise InstanceError("negative or NaN edge weight")
     d = np.full((n, n), INF)
     np.fill_diagonal(d, 0.0)
     for e in range(m):

@@ -349,3 +349,25 @@ def test_instance_json_shortest_path_kind():
     assert x.metric("V").d[0, 2] == 2
     assert np.isinf(x.metric("E").d[0, 1])
     assert x.measure("E").total() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [0.7, 2.9, "1", True, None])
+def test_instance_json_rejects_non_integer_sizes_and_maps(bad):
+    # a float used to be truncated (0.7 -> 0, 2.9 -> 2) and a string parsed
+    def data():
+        return {"theory": "Graph", "sets": {"V": 3, "E": 1}, "maps": {"src": [0], "tgt": [1]}}
+
+    sizes = data()
+    sizes["sets"]["V"] = bad
+    with pytest.raises(InstanceError, match="set sizes must be integers"):
+        instance_from_json(sizes)
+    for g in ("src", "tgt"):
+        entries = data()
+        entries["maps"][g] = [bad]
+        with pytest.raises(InstanceError, match=f"map '{g}' must be integers"):
+            instance_from_json(entries)
+    entries = data()
+    entries["maps"]["src"] = bad
+    with pytest.raises(InstanceError, match="map 'src' must be integers"):
+        instance_from_json(entries)
+    assert instance_from_json(data()).maps["tgt"].tolist() == [1]

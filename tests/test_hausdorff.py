@@ -20,7 +20,6 @@ from cset_transport.hausdorff import (
     HausdorffConfig,
     _is_automorphism,
     _Orbits,
-    _Refinement,
     classical_hausdorff,
     discrete_hausdorff_is_hom,
     hausdorff_distance,
@@ -316,10 +315,10 @@ def test_parallel_edges_of_different_measure_stay_apart():
 def test_pairings_count_only_once_checked(monkeypatch):
     # a refinement that paired points wrongly would merge nothing: here
     # every pairing is the identity shifted by one, which is not natural
-    def wrong(self, ob, r, v):
+    def wrong(self, r, v):
         return {c: [(i + 1) % n for i in range(n)] for c, n in self.y.sets.items()}
 
-    monkeypatch.setattr(_Refinement, "pairing", wrong)
+    monkeypatch.setattr(_Orbits, "pairing", wrong)
     y = _copies(path_graph(2), 3)
     assert _orbits(y, "E") == [0, 1, 2]
     _same_as_unbounded(path_graph(2, "discrete"), y, HausdorffConfig(p=INF, component_class="mm"))

@@ -95,3 +95,29 @@ def test_package_imports_are_exported():
             exported = _exported(ast.parse(module.read_text(encoding="utf-8")))
             missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert not missing, "imported by __init__.py but not in __all__:\n" + "\n".join(missing)
+
+
+def test_no_unreferenced_methods():
+    """Every method of a library class, dunder methods aside, is used
+    somewhere in the library or the tests: as an attribute, or as a string
+    (for ``getattr`` or ``monkeypatch``)."""
+    library = sorted(SRC.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in library + sorted((SRC.parent.parent / "tests").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used.add(n.value)
+    unused = [
+        f"{path.name}:{f.lineno}: {cls.name}.{f.name}"
+        for path in library
+        for cls in ast.walk(trees[path]) if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (f.name.startswith("__") and f.name.endswith("__"))
+        and f.name not in used
+    ]
+    assert not unused, "methods never referenced:\n" + "\n".join(unused)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -60,6 +61,23 @@ def test_shortest_path_weighted():
 def test_shortest_path_negative_weight():
     with pytest.raises(InstanceError, match="negative"):
         shortest_path_metric(directed_cycle(2, "plain"), weights=[-1.0, 1.0])
+
+
+def test_shortest_path_nan_weight():
+    # NaN failed the old `weights < 0` test, so its edge was dropped and the
+    # distance read inf; Python's json reads NaN, so it can come from a file
+    with pytest.raises(InstanceError, match="negative or NaN"):
+        shortest_path_metric(directed_cycle(2, "plain"), weights=[float("nan"), 1.0])
+    data = {
+        "theory": "Graph",
+        "sets": {"E": 1, "V": 2},
+        "maps": {"src": [0], "tgt": [1]},
+        "metrics": {"V": {"kind": "shortest_path", "weights": [float("nan")]}},
+    }
+    with pytest.raises(InstanceError, match="negative or NaN"):
+        instance_from_json(json.loads(json.dumps(data)))
+    data["metrics"]["V"]["weights"] = [float("inf")]
+    assert instance_from_json(data).metric("V").d[0, 1] == INF
 
 
 def test_shortest_path_matches_brute_force():
