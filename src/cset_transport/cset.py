@@ -245,7 +245,12 @@ def find_homomorphism(
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    """A float matrix from JSON rows, in which the string "inf" spells inf."""
+    """A float matrix from JSON rows of numbers, in which the string "inf"
+    spells inf."""
+    if not isinstance(rows, list):
+        raise InstanceError(f"a matrix must be a list of rows, got {rows!r}")
+    for row in rows:
+        _check_numbers("matrix rows", row, inf_spelled=True)
     return np.asarray([[INF if v == "inf" else float(v) for v in row] for row in rows])
 
 
@@ -258,7 +263,10 @@ def _metric_from_json(obj, entry, inst_sets, inst_maps, theory):
         stub = Instance(theory, dict(inst_sets), dict(inst_maps))
         if obj != "V":
             raise InstanceError("shortest_path metric is defined on the object V")
-        return shortest_path_metric(stub, entry.get("weights"))
+        weights = entry.get("weights")
+        if weights is not None:
+            _check_numbers("shortest_path weights", weights)
+        return shortest_path_metric(stub, weights)
     if kind == "explicit":
         return MetricData(n, _matrix_from_json(entry["matrix"]))
     raise InstanceError(f"unknown metric kind {kind!r} on object {obj!r}")
@@ -272,7 +280,8 @@ def _measure_from_json(obj, entry, inst_sets):
     if kind == "uniform":
         return uniform_measure(n)
     if kind == "explicit":
-        return MeasureData(n, np.asarray([float(v) for v in entry["weights"]]))
+        _check_numbers(f"measure weights on {obj!r}", entry["weights"])
+        return MeasureData(n, np.asarray(entry["weights"], dtype=float))
     raise InstanceError(f"unknown measure kind {kind!r} on object {obj!r}")
 
 
@@ -281,6 +290,16 @@ def _check_integers(what: str, values) -> None:
     are refused, not truncated."""
     if not isinstance(values, list) or any(type(v) is not int for v in values):
         raise InstanceError(f"{what} must be integers, got {values!r}")
+
+
+def _check_numbers(what: str, values, inf_spelled: bool = False) -> None:
+    """Raise unless ``values`` is a list of JSON numbers: "2.5" and true are
+    refused, not converted.  With ``inf_spelled`` the string "inf" counts
+    as a number."""
+    if not isinstance(values, list) or any(
+        type(v) not in (int, float) and not (inf_spelled and v == "inf") for v in values
+    ):
+        raise InstanceError(f"{what} must be numbers, got {values!r}")
 
 
 def instance_from_json(data: dict, theory: TheoryPresentation | None = None) -> Instance:

@@ -117,6 +117,11 @@ class LpSolution:
     fixed: int = 0  # variables the presolve fixed
     dropped_rows: int = 0  # rows the presolve dropped
     pivots: int = 0  # simplex pivots, both phases and the dual simplex
+    # the pivots of phase 1 (with its dual-simplex checks on the exact b and
+    # the drive-out of artificials), of phase 2 and of the final repair;
+    # they sum to ``pivots``
+    phase_pivots: tuple[int, int, int] = (0, 0, 0)
+    refactors: int = 0  # basis inversions
 
     def value(self, name: str) -> float:
         return float(self.values[self.var_names.index(name)])
@@ -169,10 +174,12 @@ class _Simplex:
         self.max_iter = max(5000, 200 * (self.m + 1))
         self.primal_tol = max(PRIMAL_TOL, ROUND_TOL * float(np.abs(b).max(initial=0.0)))
         self.pivots = 0
-        # phase-2 guard: basic variables in this set sit at zero and must not
-        # grow, so they leave (step 0) as soon as the entering column would
-        # push them up
-        self.zero_guard = np.zeros(self.n, dtype=bool)
+        self.refactors = 0
+        # phase-2 guard, None until phase 2: basic variables in this set sit
+        # at zero and must not grow, so they leave (step 0) as soon as the
+        # entering column would push them up
+        self.zero_guard = None
+        self._ratios = np.empty(self.m)
 
     def set_basis(self, basis, identity=False):
         """Make ``basis`` current and invert it.  ``identity`` says its
@@ -180,8 +187,6 @@ class _Simplex:
         of one +1 slack or artificial per row: then B = B^-1 = I and
         x_B = b, with nothing to invert."""
         self.basis = np.asarray(basis, dtype=int)
-        self.in_basis = np.zeros(self.n, dtype=bool)
-        self.in_basis[self.basis] = True
         self._ger = np.empty((self.m, self.m))
         if identity:
             self.B, self.Binv = np.eye(self.m), np.eye(self.m)
@@ -199,14 +204,13 @@ class _Simplex:
             raise LpNumericalError(f"singular basis during refactorization: {exc}")
         self.xB = self.Binv @ self.b
         self.dirty = False
+        self.refactors += 1
 
     def direction(self, j):
         r, v = self.A.column(j)
         return self.Binv[:, r] @ v
 
     def pivot(self, leave_pos, enter_col, d, step):
-        self.in_basis[self.basis[leave_pos]] = False
-        self.in_basis[enter_col] = True
         self.basis[leave_pos] = enter_col
         pivrow = self.Binv[leave_pos] / d[leave_pos]
         np.multiply(d[:, None], pivrow[None, :], out=self._ger)
@@ -219,46 +223,58 @@ class _Simplex:
             self.dirty = True
             self.xB -= step * d
             self.xB[leave_pos] = step
-            np.clip(self.xB, 0.0, None, out=self.xB)
+            np.maximum(self.xB, 0.0, out=self.xB)
 
     def run(self, c, allowed):
         """Minimize c.x over the current system; returns 'optimal' or 'unbounded'.
 
         Each iteration prices once and enters the column with the most
-        negative reduced cost (Dantzig's rule).  The leaving row is the plain
-        minimum ratio: on the perturbed right-hand side ties and zero steps
-        are accidents of measure zero, so no tie-break or anti-cycling rule
-        is needed.  A zero-guarded basic that the column would push up leaves
-        first, at step 0.  Before "optimal" or "unbounded" is returned the
-        inverse is rebuilt and the iteration re-priced, so both verdicts rest
-        on a fresh inverse.
+        negative reduced cost (Dantzig's rule), the first of equal ones.  The
+        leaving row is the plain minimum ratio, the first of equal ones: on
+        the perturbed right-hand side ties and zero steps are accidents of
+        measure zero, so no tie-break or anti-cycling rule is needed.  A
+        zero-guarded basic that the column would push up leaves first, at
+        step 0.  Before "optimal" or "unbounded" is returned the inverse is
+        rebuilt and the iteration re-priced, so both verdicts rest on a fresh
+        inverse.  A NaN reduced cost raises.
+
+        The iteration is written for few array calls, since on small
+        programs their dispatch, not arithmetic, is the cost: the columns
+        that may not enter get reduced cost 0 and one ``argmin`` picks the
+        entering one; rows with no positive direction entry get ratio inf
+        and one ``argmin`` picks the leaving one.
         """
-        cB = c[self.basis].copy()
+        cB = c[self.basis]
+        blocked = (~allowed).nonzero()[0]
+        guard = self.zero_guard
+        ratios = self._ratios
         for _ in range(self.max_iter):
-            y = cB @ self.Binv
-            reduced = c - self.A.transpose_dot(y)
-            eligible = allowed & ~self.in_basis & (reduced < -OPT_TOL)
-            candidates = np.flatnonzero(eligible)
-            if candidates.size == 0:
+            reduced = c - self.A.transpose_dot(cB @ self.Binv)
+            reduced[blocked] = 0.0
+            reduced[self.basis] = 0.0
+            j = int(reduced.argmin())
+            if not reduced[j] < -OPT_TOL:
+                if np.isnan(reduced[j]):
+                    raise LpNumericalError(f"reduced cost of column {j} is NaN")
                 if self.dirty:
                     self.refactor()
                     continue
                 return "optimal"
-            j = int(candidates[np.argmin(reduced[candidates])])
             d = self.direction(j)
-            guarded = np.flatnonzero(self.zero_guard[self.basis] & (d < -GUARD_TOL))
-            if guarded.size:
+            guarded = () if guard is None else (guard[self.basis] & (d < -GUARD_TOL)).nonzero()[0]
+            if len(guarded):
                 leave_pos, step = int(guarded[0]), 0.0
             else:
-                pos = np.flatnonzero(d > PIVOT_TOL)
-                if pos.size == 0:
+                ratios.fill(INF)
+                np.divide(self.xB, d, out=ratios, where=d > PIVOT_TOL)
+                leave_pos = int(ratios.argmin())
+                step = float(ratios[leave_pos])
+                if step == INF:
                     if self.dirty:
                         self.refactor()
                         continue
                     return "unbounded"
-                ratios = self.xB[pos] / d[pos]
-                k = int(np.argmin(ratios))
-                leave_pos, step = int(pos[k]), max(float(ratios[k]), 0.0)
+                step = max(step, 0.0)
             self.pivot(leave_pos, j, d, step)
             cB[leave_pos] = c[j]
         raise LpNumericalError(f"simplex exceeded {self.max_iter} iterations")
@@ -277,12 +293,13 @@ class _Simplex:
         else:
             self.xB = self.Binv @ b
         for _ in range(self.max_iter):
-            neg = np.flatnonzero(self.xB < -self.primal_tol)
+            neg = (self.xB < -self.primal_tol).nonzero()[0]
             if neg.size == 0:
                 break
             r = int(neg[np.argmin(self.basis[neg])])
             alpha = self.A.transpose_dot(self.Binv[r])
-            cand = np.flatnonzero(allowed & ~self.in_basis & (alpha < -PIVOT_TOL))
+            alpha[self.basis] = 0.0
+            cand = (allowed & (alpha < -PIVOT_TOL)).nonzero()[0]
             if cand.size == 0:
                 # no column can raise this value, so it is negative by
                 # rounding (or the program is infeasible); the polish clips
@@ -411,13 +428,14 @@ def solve(model: LpModel) -> LpSolution:
     for idx, coef in model.objective.items():
         c_orig[idx] = coef
 
-    def answer(status, values=None, pivots=0):
+    def answer(status, values=None, sx=None, phase_pivots=(0, 0, 0)):
         objective = None
         if values is not None:
             _recheck(model, values)
             objective = float(c_orig @ values)
+        pivots, refactors = (0, 0) if sx is None else (sx.pivots, sx.refactors)
         return LpSolution(status, objective, values, list(model.var_names),
-                          pre.count("fix"), pre.count("drop"), pivots)
+                          pre.count("fix"), pre.count("drop"), pivots, phase_pivots, refactors)
 
     if pre.infeasible:
         return answer("infeasible")
@@ -484,11 +502,11 @@ def solve(model: LpModel) -> LpSolution:
     # the primal simplex runs on b raised by a fixed pattern, so ratio ties
     # and zero steps vanish with probability 1; the questions on the exact b
     # (is the program feasible, which point is the answer) go to the dual
-    rng = np.random.default_rng(0)
-    sx = _Simplex(A, b + PERTURB * (1.0 + np.abs(b)) * rng.uniform(0.5, 1.0, m))
+    sx = _Simplex(A, b + PERTURB * (1.0 + np.abs(b)) * _perturbation(m))
     sx.set_basis(basis, identity=True)
     scale = max(1.0, float(np.abs(c2).max()))
 
+    phase1 = 0
     if art_cols:
         art_cost = np.zeros(total)
         art_cost[art_cols] = 1.0
@@ -504,13 +522,15 @@ def solve(model: LpModel) -> LpSolution:
             if sx.run(art_cost, allowed=everything) != "optimal":
                 raise LpNumericalError("phase 1 reported unbounded; this cannot happen")
             if _exact_mass(sx, b, art_cost, art_cost) > FEAS_TOL:
-                return answer("infeasible", pivots=sx.pivots)
+                return answer("infeasible", sx=sx, phase_pivots=(sx.pivots, 0, 0))
         _drive_out_artificials(sx, is_artificial)
         sx.zero_guard = is_artificial
+        phase1 = sx.pivots
 
     status = sx.run(c2, allowed=~is_artificial)
+    phase2 = sx.pivots - phase1
     if status == "unbounded":
-        return answer("unbounded", pivots=sx.pivots)
+        return answer("unbounded", sx=sx, phase_pivots=(phase1, phase2, 0))
 
     # re-optimize the final basis on the exact b, then polish on the basis
     # the repair left inverted: two rounds of iterative refinement kill the
@@ -533,7 +553,26 @@ def solve(model: LpModel) -> LpSolution:
     x = np.zeros(sx.n)
     x[sx.basis] = sx.xB
     values[live] = x[:n]
-    return answer("optimal", values, sx.pivots)
+    return answer("optimal", values, sx, (phase1, phase2, sx.pivots - phase1 - phase2))
+
+
+# The perturbation pattern: a prefix of one fixed stream, drawn at the first
+# solve and drawn again, at least twice as long, when a larger program
+# arrives.  A draw of m uniforms from default_rng(0) is a prefix of any
+# longer draw, so the pattern of a program does not depend on what was
+# solved before it.
+_pattern = np.empty(0)
+
+
+def _perturbation(m):
+    """``np.random.default_rng(0).uniform(0.5, 1.0, m)``, read-only."""
+    global _pattern
+    pattern = _pattern  # read once: another thread may replace it meanwhile
+    if m > pattern.size:
+        pattern = np.random.default_rng(0).uniform(0.5, 1.0, max(m, 2 * pattern.size))
+        pattern.flags.writeable = False
+        _pattern = pattern
+    return pattern[:m]
 
 
 def _exact_mass(sx: _Simplex, b, c, art_cost):
@@ -564,8 +603,8 @@ def _drive_out_artificials(sx: _Simplex, is_artificial):
             continue
         row = sx.A.transpose_dot(sx.Binv[pos])
         row[is_artificial] = 0.0
-        row[sx.in_basis] = 0.0
-        cand = np.flatnonzero(np.abs(row) > GUARD_TOL)
+        row[sx.basis] = 0.0
+        cand = (np.abs(row) > GUARD_TOL).nonzero()[0]
         if cand.size:
             j = int(cand[0])
             d = sx.direction(j)

@@ -6,8 +6,10 @@ Infinite metric entries never reach the solver.  A coupling cell of
 infinite cost gets upper bound 0, which the presolve of ``lp.solve`` fixes,
 answering "infeasible" where that forbids every image of a point (the flows
 of p = 1 have no such cells).  Distance rows with an infinite right-hand
-side are dropped as vacuous.  Total mass growth, and the impossibilities of
-fixed objects, give an infinite distance before any solve.
+side are dropped as vacuous.  Total mass that would have to shrink, and the
+identity on a fixed object that is not measure-decreasing, give an infinite
+distance before the program is built; an infinite defect of a generator
+between fixed objects gives one before it is solved.
 
 Only the irreducible distance rows are built.  The row of a pair (x1, x2) is
 dropped when some z has d(x1,z) > 0, d(z,x2) > 0 and
@@ -305,6 +307,37 @@ def _check_fixed_spaces(x: Instance, y: Instance) -> None:
             raise InstanceError(f"fixed object {ob!r} carries different metrics")
 
 
+def _structural_infinity(x: Instance, y: Instance, p: float, component_class: str) -> str | None:
+    """Check the arguments of the Wasserstein program, raising on bad ones,
+    and say why the distance is infinite when that is known without
+    building the program: under class ``mm`` a movable object's total mass
+    shrinks, or the identity on a fixed object is not measure-decreasing.
+    None if neither."""
+    check_order(p, finite=True)
+    if component_class not in WASSERSTEIN_CLASSES:
+        raise ValueError(f"component_class must be one of {WASSERSTEIN_CLASSES}")
+    _check_same_theory(x, y)
+    _check_fixed(x, y)
+    _require_data(x, y)
+    _check_fixed_spaces(x, y)
+    infinite = None
+    if component_class == "mm":
+        for ob in x.theory.objects:
+            if ob not in x.fixed:
+                mass_x, mass_y = x.measure(ob).total(), y.measure(ob).total()
+                if mass_x > mass_y + TOL:
+                    infinite = (
+                        f"total mass on {ob!r} shrinks from {mass_x} "
+                        f"to {mass_y}: no measure-decreasing kernel"
+                    )
+        for ob in sorted(x.fixed):
+            if ob in x.measures and ob in y.measures:
+                # the identity as a function: its pushforward is x's measure
+                if not is_measure_decreasing(np.arange(x.sets[ob]), x.measure(ob), y.measure(ob)):
+                    infinite = f"identity on fixed {ob!r} is not measure-decreasing"
+    return infinite
+
+
 def wasserstein_cset_lp(
     x: Instance, y: Instance, p: float, component_class: str = "mm"
 ) -> WassersteinProgram:
@@ -342,37 +375,15 @@ def wasserstein_cset_lp(
     self-product blocks are omitted entirely; the value is then a general
     cost optimum, not a metric.
     """
-    check_order(p, finite=True)
-    if component_class not in WASSERSTEIN_CLASSES:
-        raise ValueError(f"component_class must be one of {WASSERSTEIN_CLASSES}")
-    _check_same_theory(x, y)
-    _check_fixed(x, y)
-    _require_data(x, y)
-    _check_fixed_spaces(x, y)
-
+    infinite = _structural_infinity(x, y, p, component_class)
     t = x.theory
     model = LpModel()
     movable = [ob for ob in t.objects if ob not in x.fixed]
     phi = _phi_blocks(model, x, y, movable)
     layout = {"phi": phi, "pi_obj": {}, "pi_gen": {}}
     eliminated = {"pi_obj": {}, "pi_gen": {}}
-    infinite: str | None = None
     constant = 0.0
-
     mm = component_class == "mm"
-    if mm:
-        for ob in movable:
-            if x.measure(ob).total() > y.measure(ob).total() + TOL:
-                infinite = (
-                    f"total mass on {ob!r} shrinks from {x.measure(ob).total()} "
-                    f"to {y.measure(ob).total()}: no measure-decreasing kernel"
-                )
-        for ob in sorted(x.fixed):
-            if ob in x.measures and ob in y.measures:
-                if not is_measure_decreasing(
-                    identity_kernel(x.sets[ob]), x.measure(ob), y.measure(ob)
-                ):
-                    infinite = f"identity on fixed {ob!r} is not measure-decreasing"
 
     # stochasticity and measure rows for each movable object
     for ob in movable:
@@ -533,7 +544,10 @@ def wasserstein_cset_distance(
     x: Instance, y: Instance, p: float, component_class: str = "mm"
 ) -> tuple[float, MarkovTransformation | None]:
     """Solve the Wasserstein program; the distance is the p-th root of its
-    value.  Structural impossibility or LP infeasibility yields inf."""
+    value.  Structural impossibility or LP infeasibility yields inf; a pair
+    that the mass tests already answer is not built."""
+    if _structural_infinity(x, y, p, component_class) is not None:
+        return INF, None
     prog = wasserstein_cset_lp(x, y, p, component_class)
     if prog.structurally_infinite is not None:
         return INF, None

@@ -275,3 +275,27 @@ def test_builtins_round_trip_through_json():
         for ob in built.measures:
             assert np.array_equal(loaded.measure(ob).w, built.measure(ob).w), name
         assert loaded.fixed == built.fixed, name
+
+
+@pytest.mark.parametrize("bad", ["1", True])
+def test_ot_and_wk_reject_non_number_matrix_entries(tmp_path, capsys, bad):
+    # a string or boolean cost or distance used to be converted by float()
+    ot = tmp_path / "ot.json"
+    ot.write_text(json.dumps({"mu": [0.7, 0.3], "nu": [0.4, 0.6], "cost": [[0, bad], [1, 0]]}))
+    code, out, err = run_cli(capsys, "ot", str(ot))
+    assert code == 1 and out == "" and "matrix rows must be numbers" in err
+
+    wk = tmp_path / "wk.json"
+    wk.write_text(
+        json.dumps(
+            {
+                "m": {"rows": 1, "cols": 2, "p": [[1.0, 0.0]]},
+                "n": {"rows": 1, "cols": 2, "p": [[0.0, 1.0]]},
+                "mu": [1.0],
+                "d": [[0, bad], ["inf", 0]],
+                "p": 1,
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "wk", str(wk))
+    assert code == 1 and out == "" and "matrix rows must be numbers" in err

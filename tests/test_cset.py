@@ -371,3 +371,43 @@ def test_instance_json_rejects_non_integer_sizes_and_maps(bad):
     with pytest.raises(InstanceError, match="map 'src' must be integers"):
         instance_from_json(entries)
     assert instance_from_json(data()).maps["tgt"].tolist() == [1]
+
+
+def _two_point_graph(metric_v=None, measure_v=None):
+    data = {"theory": "Graph", "sets": {"E": 1, "V": 2}, "maps": {"src": [0], "tgt": [1]}}
+    if metric_v is not None:
+        data["metrics"] = {"V": metric_v}
+    if measure_v is not None:
+        data["measures"] = {"V": measure_v}
+    return data
+
+
+@pytest.mark.parametrize("bad", ["2.5", True, None, [1.0]])
+def test_instance_json_rejects_non_number_edge_weights(bad):
+    # "2.5" used to load as an edge of length 2.5 and true as 1
+    with pytest.raises(InstanceError, match="shortest_path weights must be numbers"):
+        instance_from_json(_two_point_graph({"kind": "shortest_path", "weights": [bad]}))
+    with pytest.raises(InstanceError, match="shortest_path weights must be numbers"):
+        instance_from_json(_two_point_graph({"kind": "shortest_path", "weights": "2.5"}))
+    x = instance_from_json(_two_point_graph({"kind": "shortest_path", "weights": [2]}))
+    assert x.metric("V").d[0, 1] == 2.0
+
+
+@pytest.mark.parametrize("weights", [["1", True], [1, True], ["inf", 1.0], [1.0, None]])
+def test_instance_json_rejects_non_number_measure_weights(weights):
+    # ["1", true] used to load as [1.0, 1.0]
+    with pytest.raises(InstanceError, match="measure weights on 'V' must be numbers"):
+        instance_from_json(_two_point_graph(measure_v={"kind": "explicit", "weights": weights}))
+    x = instance_from_json(_two_point_graph(measure_v={"kind": "explicit", "weights": [1, 0.5]}))
+    assert x.measure("V").w.tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("bad", ["1", True, None, "Infinity"])
+def test_instance_json_rejects_non_number_metric_entries(bad):
+    matrix = [[0, bad], ["inf", 0]]
+    with pytest.raises(InstanceError, match="matrix rows must be numbers"):
+        instance_from_json(_two_point_graph({"kind": "explicit", "matrix": matrix}))
+    with pytest.raises(InstanceError, match="a matrix must be a list of rows"):
+        instance_from_json(_two_point_graph({"kind": "explicit", "matrix": "0"}))
+    x = instance_from_json(_two_point_graph({"kind": "explicit", "matrix": [[0, 1.5], ["inf", 0]]}))
+    assert x.metric("V").d.tolist() == [[0.0, 1.5], [np.inf, 0.0]]

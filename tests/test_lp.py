@@ -619,3 +619,19 @@ def test_starting_basis_is_not_inverted(monkeypatch):
     assert sol.objective == pytest.approx(1.25)
     assert sol.pivots > 0
     assert 0 not in inverted
+
+
+def test_nan_reduced_cost_raises():
+    # argmin picks the first NaN; read as "nothing prices below -OPT_TOL" it
+    # would pass as optimal, and NaN < -DUAL_TOL is false in the final check
+    A = lp._SparseCols(1, 2, np.array([0, 0]), np.array([0, 1]), np.array([2.0, 1.0]))
+    sx = lp._Simplex(A, np.array([1.0]))
+    sx.set_basis([1], identity=True)
+    everything = np.ones(2, dtype=bool)
+    with pytest.raises(LpNumericalError, match="NaN"):
+        sx.run(np.array([np.nan, 0.0]), everything)
+    # a NaN cost on the basic column reaches every reduced cost through y
+    with pytest.raises(LpNumericalError, match="NaN"):
+        sx.run(np.array([-1.0, np.nan]), everything)
+    # a blocked NaN column is never priced
+    assert sx.run(np.array([np.nan, 0.0]), np.array([False, True])) == "optimal"

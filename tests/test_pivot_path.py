@@ -1,0 +1,157 @@
+"""The simplex's pivot path, pinned: status, pivot count and objective of
+programs the library builds, as recorded before the simplex iteration was
+rewritten for fewer array calls.  A change of pricing, ratio test or
+tie-break shows here as a changed pivot count."""
+
+import numpy as np
+import pytest
+
+import cset_transport as ct
+from cset_transport import lp, relax, transport
+from cset_transport.gallery import directed_cycle
+from cset_transport.theory import builtin_theory
+
+# (n, m, pivots, objective) of optimal_coupling on _ot_problems()
+OT_PATHS = [
+    (6, 3, 9, 9.141067403430949),
+    (5, 2, 6, 14.688359886547685),
+    (5, 4, 8, 5.629471606158015),
+    (4, 6, 10, 2.6516757975388265),
+    (6, 2, 8, 14.478891667006346),
+    (2, 6, 7, 3.951446167820116),
+    (5, 3, 7, 5.1639639705929135),
+    (6, 5, 11, 6.891569645593164),
+    (3, 2, 4, 2.9211934250943137),
+    (3, 3, 5, 1.4115925676524388),
+    (6, 2, 8, 4.080387187875774),
+    (4, 5, 8, 1.688165135197793),
+    (4, 6, 9, 5.793683882105243),
+    (5, 3, 8, 3.8387756833016518),
+    (4, 5, 9, 4.971651277312234),
+    (4, 2, 6, 12.407357985423802),
+    (6, 5, 11, 4.485577898612084),
+    (2, 4, 5, 1.262196161457444),
+    (2, 4, 5, 4.916440231075441),
+    (4, 2, 5, 10.414021385744595),
+]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every LpSolution that relax and transport get from lp.solve."""
+    seen = []
+
+    def recording(model):
+        sol = lp.solve(model)
+        seen.append(sol)
+        return sol
+
+    monkeypatch.setattr(relax, "solve", recording)
+    monkeypatch.setattr(transport, "solve", recording)
+    return seen
+
+
+def _same_path(sol, status, pivots, objective):
+    assert (sol.status, sol.pivots) == (status, pivots)
+    if objective is None:
+        assert sol.objective is None
+    else:
+        assert sol.objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
+
+
+def _digraph(rng, nv, ne, strong=False):
+    """A seeded digraph as the benchmark draws them: shortest-path vertex
+    metric, discrete edge metric, counting measures; ``strong`` routes the
+    first nv edges along a random Hamiltonian cycle."""
+    src, tgt = rng.integers(0, nv, ne), rng.integers(0, nv, ne)
+    if strong:
+        perm = rng.permutation(nv)
+        src[:nv], tgt[:nv] = perm, np.roll(perm, -1)
+    x = ct.Instance(builtin_theory("Graph"), {"E": ne, "V": nv}, {"src": src, "tgt": tgt})
+    return x.with_data(
+        metrics={"V": ct.shortest_path_metric(x), "E": ct.discrete_metric(ne)},
+        measures={"V": ct.counting_measure(nv), "E": ct.counting_measure(ne)},
+    )
+
+
+def _ot_problems():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        n, m = (int(v) for v in rng.integers(2, 7, 2))
+        mu, nu = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m)
+        nu *= mu.sum() / nu.sum()
+        yield ct.MeasureData(n, mu), ct.MeasureData(m, nu), rng.uniform(0.0, 4.0, (n, m))
+
+
+def test_wasserstein_pivot_paths(solves):
+    assert relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)[0] == 0.0
+    _same_path(solves[-1], "optimal", 280, 0.0)
+    rng = np.random.default_rng(4)
+    x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
+    assert relax.wasserstein_cset_distance(x, y, 2.0)[0] == pytest.approx(0.5**0.5)
+    _same_path(solves[-1], "optimal", 262, 0.5000000000000006)
+    assert len(solves) == 2
+
+
+def test_transport_pivot_paths(solves):
+    for (mu, nu, cost), (n, m, pivots, objective) in zip(_ot_problems(), OT_PATHS):
+        assert (mu.n, nu.n) == (n, m)
+        transport.optimal_coupling(mu, nu, cost)
+        _same_path(solves[-1], "optimal", pivots, objective)
+    assert len(solves) == len(OT_PATHS)
+
+
+def test_feasibility_pivot_paths(solves):
+    load = ct.load_instance
+    assert relax.markov_feasible(load("builtin:fig5x"), load("builtin:fig5y")) is not None
+    _same_path(solves[-1], "optimal", 13, 0.0)
+    assert relax.markov_feasible(load("builtin:loop"), load("builtin:c3undirected")) is None
+    _same_path(solves[-1], "infeasible", 0, None)
+
+
+def test_solution_counts(solves):
+    # pivots split into phase 1, phase 2 and the final repair; a solve that
+    # pivoted has inverted a basis before its verdict
+    relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
+    rng = np.random.default_rng(4)
+    relax.wasserstein_cset_distance(_digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6), 2.0)
+    for problem in _ot_problems():
+        transport.optimal_coupling(*problem)
+    relax.markov_feasible(ct.load_instance("builtin:fig5x"), ct.load_instance("builtin:fig5y"))
+    relax.markov_feasible(ct.load_instance("builtin:loop"),
+                          ct.load_instance("builtin:c3undirected"))
+    for sol in solves:
+        assert all(type(k) is int and k >= 0 for k in sol.phase_pivots)
+        assert sum(sol.phase_pivots) == sol.pivots
+        assert type(sol.refactors) is int
+        assert sol.refactors >= 1 or sol.pivots == 0
+    assert any(sol.phase_pivots[1] for sol in solves)
+    # the presolve answers this one: no simplex at all
+    assert (solves[-1].pivots, solves[-1].refactors) == (0, 0)
+
+
+def _stream(m):
+    return np.random.default_rng(0).uniform(0.5, 1.0, m)
+
+
+@pytest.mark.parametrize("m", [1, 5, 64, 200, 1000])
+def test_perturbation_pattern_is_a_prefix_of_one_stream(m):
+    got = lp._perturbation(m)
+    assert np.array_equal(got, _stream(m))
+    assert not got.flags.writeable
+    # a shorter pattern after a longer one is still the prefix
+    assert np.array_equal(lp._perturbation(3), _stream(3))
+
+
+def test_perturbation_pattern_grows_past_its_length(monkeypatch):
+    drawn = _stream(8)
+    drawn.flags.writeable = False
+    monkeypatch.setattr(lp, "_pattern", drawn)
+    # below the drawn length: a view of the same draw
+    got = lp._perturbation(5)
+    assert np.shares_memory(got, drawn) and np.array_equal(got, _stream(5))
+    # above it: a new, longer draw of the same stream
+    got = lp._perturbation(9)
+    assert lp._pattern.size >= 16 and not lp._pattern.flags.writeable
+    assert np.array_equal(got, _stream(9))
+    assert np.array_equal(lp._pattern, _stream(lp._pattern.size))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cset_transport.cset import Instance, find_homomorphism
-from cset_transport.errors import CsetTransportError, InstanceError
+from cset_transport.errors import CsetTransportError, InstanceError, TheoryError
 from cset_transport.gallery import (
     attributed_set,
     diamond,
@@ -206,6 +206,34 @@ def test_wasserstein_mass_precheck():
     x, y = directed_cycle(4), directed_cycle(2)
     prog = wasserstein_cset_lp(x, y, 1.0)
     assert prog.structurally_infinite is not None
+
+
+def test_wasserstein_distance_answers_structural_infinity_unbuilt(monkeypatch):
+    # the mass tests answer these pairs, so no program is assembled for them
+    def no_build(*args):
+        raise AssertionError("the program was built")
+
+    monkeypatch.setattr(relax, "wasserstein_cset_lp", no_build)
+    assert wasserstein_cset_distance(directed_cycle(4), directed_cycle(2), 1.0) == (INF, None)
+    attrs = line_metric(2)
+    x = vertex_attributed_graph(1, [], [], [0], attrs)
+    y = vertex_attributed_graph(1, [], [], [0], attrs)
+    y = y.with_data(measures={**y.measures, "A": MeasureData(2, [0.5, 1.0])})
+    assert wasserstein_cset_distance(x, y, 2.0) == (INF, None)
+    # bad arguments raise the errors they raised before, before any build
+    with pytest.raises(ValueError, match="order p"):
+        wasserstein_cset_distance(directed_cycle(4), directed_cycle(2), 0.5)
+    with pytest.raises(ValueError, match="order p"):
+        wasserstein_cset_distance(directed_cycle(4), directed_cycle(2), INF)
+    with pytest.raises(ValueError, match="component_class"):
+        wasserstein_cset_distance(directed_cycle(4), directed_cycle(2), 1.0, "met")
+    with pytest.raises(TheoryError, match="different theories"):
+        wasserstein_cset_distance(directed_cycle(4), x, 1.0)
+    with pytest.raises(InstanceError, match="fixed object"):
+        wasserstein_cset_distance(x, y.with_data(fixed=frozenset()), 1.0)
+    # class noshort has no mass test: that pair is built
+    with pytest.raises(AssertionError, match="was built"):
+        wasserstein_cset_distance(directed_cycle(4), directed_cycle(2), 1.0, "noshort")
 
 
 def test_wasserstein_certificate_validated():
