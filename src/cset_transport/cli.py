@@ -9,10 +9,17 @@ byte-deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .cset import SEARCH_NODE_GUARD, _matrix_from_json, load_instance, validate_instance
+from .cset import (
+    SEARCH_NODE_GUARD,
+    _check_numbers,
+    _matrix_from_json,
+    load_instance,
+    validate_instance,
+)
 from .errors import CsetTransportError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
 from .lp import export_lp
@@ -155,10 +162,15 @@ def _load_json_file(path):
         return json.load(fh)
 
 
+def _measure_from_json(what, weights):
+    _check_numbers(what, weights)
+    return MeasureData(len(weights), weights)
+
+
 def cmd_ot(args):
     data = _load_json_file(args.problem_file)
-    mu = MeasureData(len(data["mu"]), data["mu"])
-    nu = MeasureData(len(data["nu"]), data["nu"])
+    mu = _measure_from_json("mu", data["mu"])
+    nu = _measure_from_json("nu", data["nu"])
     res = optimal_coupling(mu, nu, _matrix_from_json(data["cost"]))
     lines = [_num(res.cost)]
     payload = {"cost": _json_num(res.cost)}
@@ -174,7 +186,7 @@ def cmd_wk(args):
     data = _load_json_file(args.problem_file)
     m = FiniteKernel.from_json(data["m"])
     n = FiniteKernel.from_json(data["n"])
-    mu = MeasureData(len(data["mu"]), data["mu"])
+    mu = _measure_from_json("mu", data["mu"])
     d = MetricData(len(data["d"]), _matrix_from_json(data["d"]))
     p = args.p if args.p is not None else data.get("p", 1)
     res = wasserstein_kernels(m, n, mu, d, _parse_p(str(p)))
@@ -193,7 +205,11 @@ def cmd_export_lp(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged).  It holds the ``cmd_*`` functions as they are at the first
+    call; what they call, they look up when they run."""
     ap = argparse.ArgumentParser(
         prog="cset-transport",
         description="Exact and relaxed matching of finite C-sets "

@@ -5,20 +5,25 @@ All variables are nonnegative.  Before the simplex, an exact presolve fixes
 the variables the model forces: those with upper bound 0 and those an
 equality row with one live term pins, substituting each value into the other
 rows and dropping every row left without a live term (after checking it).
-The simplex runs on what is left; the remaining finite upper bounds become
-rows.  The solver keeps an explicit basis inverse: it reinverts periodically
-and before every verdict, and reuses an inverse it has just built (the dual
-simplex and the final polish) instead of building it again.  It enters one
-column per iteration: the most negative reduced cost (Dantzig's rule),
-leaving by the plain minimum ratio.  Degeneracy has one defence: the simplex
-runs on a right-hand side raised by a fixed tiny pattern (Wolfe's
-perturbation), which makes ratio ties, zero steps and hence cycling vanish
-with probability 1.  Infeasibility is decided, and the answer taken, on the
-exact right-hand side: where a basis found on the perturbed one is
-infeasible on it, a dual simplex re-optimizes.  Every answer is then
-certified against the original model, primal by residuals and dual by
-reduced costs.  The pattern is fixed, so repeated solves of the same model
-are bit-identical.
+Colour refinement then finds the coarsest equitable partition of what is
+left, and the simplex runs on the quotient: one column per class of
+variables, one row per class of rows, the remaining finite upper bounds as
+rows.  Its answer is basic in the quotient and, lifted back, constant on
+each class; a program without symmetry reaches the simplex as the presolve
+left it.  The solver keeps an explicit basis inverse: it reinverts
+periodically and before every verdict, and reuses an inverse it has just
+built (the dual simplex and the final polish) instead of building it again.
+It enters one column per iteration: the most negative reduced cost
+(Dantzig's rule), leaving by the plain minimum ratio.  Degeneracy has one
+defence: the simplex runs on a right-hand side raised by a fixed tiny
+pattern (Wolfe's perturbation), which makes ratio ties, zero steps and hence
+cycling vanish with probability 1.  Infeasibility is decided, and the answer
+taken, on the exact right-hand side: where a basis found on the perturbed
+one is infeasible on it, a dual simplex re-optimizes.  Every answer is then
+certified: primal by its residuals on the original model, dual by the
+reduced costs of the quotient's final basis (the quotient has the model's
+optimum).  The pattern is fixed, so repeated solves of the same model are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -116,6 +121,10 @@ class LpSolution:
     var_names: list[str]
     fixed: int = 0  # variables the presolve fixed
     dropped_rows: int = 0  # rows the presolve dropped
+    # variables and rows that the colour classes folded into another member
+    # of their class: the quotient program has that many fewer of each
+    merged_vars: int = 0
+    merged_rows: int = 0
     pivots: int = 0  # simplex pivots, both phases and the dual simplex
     # the pivots of phase 1 (with its dual-simplex checks on the exact b and
     # the drive-out of artificials), of phase 2 and of the final repair;
@@ -320,12 +329,14 @@ class _Simplex:
 class _Presolved:
     """What ``_presolve`` leaves for the simplex, and what it took away.
 
-    ``eliminations`` lists the reductions in the order they were made:
-    ``("fix", var, value, row)``, with ``row`` the equality row that forced
-    the value or None for an upper bound of 0, and ``("drop", row)`` for a
-    row left without a live term."""
+    ``rows`` holds the surviving rows as ``(coef, rel, rhs)``, ``coef`` a dict
+    from each live variable of the row to its nonzero coefficient, fixed
+    values substituted into ``rhs``.  ``eliminations`` lists the reductions
+    in the order they were made: ``("fix", var, value, row)``, with ``row``
+    the equality row that forced the value or None for an upper bound of 0,
+    and ``("drop", row)`` for a row left without a live term."""
 
-    rows: list  # surviving rows (terms, rel, rhs), fixed values substituted
+    rows: list
     values: list  # the fixed value of each fixed variable, 0 elsewhere
     is_fixed: list
     eliminations: list
@@ -397,36 +408,132 @@ def _presolve(model: LpModel) -> _Presolved:
         elif rel == "=" and len(coef) == 1:
             ((j, a),) = coef.items()
             fix(j, min(max(rhs / a, 0.0), upper[j]), i)
-    out.rows = [(list(coef.items()), rel, rhs) for (coef, rel, rhs), keep in zip(rows, alive) if keep]
+    out.rows = [row for row, keep in zip(rows, alive) if keep]
     return out
 
 
-def _standardize(pre: _Presolved, upper):
-    """Rows A x (rel) b with b >= 0 over the variables the presolve left,
-    plus the rows of their finite upper bounds, in sparse terms."""
+def _refine(pre: _Presolved, live, objective, upper):
+    """The coarsest equitable partition of the live variables and the
+    surviving rows, by colour refinement (Grohe, Kersting, Mladenov &
+    Selman, *Dimension reduction via colour refinement*, ESA 2014).
+
+    A variable starts coloured by its (cost, upper bound), a row by its
+    (relation, right-hand side).  Then rows and variables take turns: each
+    is recoloured by its colour and the sorted multiset of (colour,
+    coefficient) over its terms, comparing floats exactly.  Colours are
+    numbered in order of first appearance, so the classes are
+    deterministic.  After the variables' first turn, the first turn that
+    splits nothing ends it: both partitions are then stable.  Returns the
+    colour of each variable (indexed as in the model) and of each row of
+    ``pre.rows``, or None when every live variable is alone in its class,
+    which the starting colours often show at once."""
+    n = len(live)
+    vcol = [0] * len(upper)
+    ids = {}
+    for j in live:
+        vcol[j] = ids.setdefault((objective.get(j, 0.0), upper[j]), len(ids))
+    if len(ids) == n:
+        return None
+    nv = len(ids)
+    rcol = [0] * len(pre.rows)
+    ids, cid = {}, {}
+    # a term's token is its colour times nc plus the id of its coefficient
+    rterms, vterms = [], {j: [] for j in live}
+    for r, (coef, rel, rhs) in enumerate(pre.rows):
+        rcol[r] = ids.setdefault((rel, rhs), len(ids))
+        terms = []
+        for j, a in coef.items():
+            c = cid.setdefault(a, len(cid))
+            terms.append((j, c))
+            vterms[j].append((r, c))
+        rterms.append(terms)
+    nr, nc, vterms = len(ids), len(cid), list(vterms.items())
+    stable = False
+    while True:
+        ids = {}
+        for r, terms in enumerate(rterms):
+            key = (rcol[r], *sorted([vcol[j] * nc + c for j, c in terms]))
+            rcol[r] = ids.setdefault(key, len(ids))
+        if stable and len(ids) == nr:
+            return vcol, rcol
+        nr = len(ids)
+        ids = {}
+        for j, terms in vterms:
+            key = (vcol[j], *sorted([rcol[r] * nc + c for r, c in terms]))
+            vcol[j] = ids.setdefault(key, len(ids))
+        if len(ids) == n:
+            return None
+        if len(ids) == nv:
+            return vcol, rcol
+        nv, stable = len(ids), True
+
+
+def _columns(pre: _Presolved, live, objective, upper):
+    """The program the simplex solves, one column per class of
+    ``_refine``'s partition.  Returns its rows, the column of each variable
+    (0 where fixed) and the first member of each column, which stands for
+    its class in the rows.
+
+    A column costs the sum of its members' costs and has their common upper
+    bound.  Each row class keeps its first row, with the coefficients of
+    each variable class summed; classes keep their order of first
+    appearance.  The partition is equitable, so averaging any solution over
+    it gives one of equal cost that is constant on each class: the
+    quotient has the same optimum, and ``x_j = x̄[column of j]`` lifts its
+    solution back (Mladenov, Ahmadi & Kersting, *Lifted linear
+    programming*, AISTATS 2012).  Without symmetry each live variable is its
+    own column and the presolved rows are the rows, in their order."""
+    part = _refine(pre, live, objective, upper)
+    if part is None:
+        col = [0] * len(upper)
+        for k, j in enumerate(live):
+            col[j] = k
+        return pre.rows, col, live
+    col, rcol = part
+    firsts = []
+    for j in live:
+        if col[j] == len(firsts):
+            firsts.append(j)
+    rows = []
+    for r, (coef, rel, rhs) in enumerate(pre.rows):
+        if rcol[r] == len(rows):  # the first row of its class
+            summed = {}
+            for j, a in coef.items():
+                first = firsts[col[j]]
+                summed[first] = summed.get(first, 0.0) + a
+            rows.append(({j: a for j, a in summed.items() if a != 0.0}, rel, rhs))
+    return rows, col, firsts
+
+
+def _standardize(rows, columns, upper):
+    """Rows A x (rel) b with b >= 0, plus the rows of the columns' finite
+    upper bounds, in sparse terms."""
     out = []
     flip = {"<=": ">=", ">=": "<=", "=": "="}
-    for terms, rel, rhs in pre.rows:
+    for coef, rel, rhs in rows:
         if rhs < 0:
-            out.append(([(i, -c) for i, c in terms], flip[rel], -rhs))
+            out.append(({j: -a for j, a in coef.items()}, flip[rel], -rhs))
         else:
-            out.append((terms, rel, rhs))
-    for idx, u in enumerate(upper):
-        if math.isfinite(u) and not pre.is_fixed[idx]:
-            out.append(([(idx, 1.0)], "<=", u))
+            out.append((coef, rel, rhs))
+    for j in columns:
+        if math.isfinite(upper[j]):
+            out.append(({j: 1.0}, "<=", upper[j]))
     return out
 
 
 def solve(model: LpModel) -> LpSolution:
-    """Presolve, then a two-phase simplex on what is left; optimal solutions
-    are basic, satisfy every constraint of the original model within
-    ``FEAS_TOL`` and come with a dual-feasible final basis.  Numerical
-    breakdown raises, never passes silently."""
+    """Presolve, then a two-phase simplex on what is left, solved on its
+    colour classes (``_columns``).  An optimal solution is basic in that
+    quotient program and constant on each class, so where classes merge it
+    need not be a vertex of the model.  It satisfies every constraint of the
+    original model within ``FEAS_TOL``, and the quotient's final basis is
+    dual feasible.  Numerical breakdown raises, never passes silently."""
     model.validate()
     pre = _presolve(model)
     c_orig = np.zeros(model.num_vars)
     for idx, coef in model.objective.items():
         c_orig[idx] = coef
+    merged = (0, 0)
 
     def answer(status, values=None, sx=None, phase_pivots=(0, 0, 0)):
         objective = None
@@ -435,18 +542,17 @@ def solve(model: LpModel) -> LpSolution:
             objective = float(c_orig @ values)
         pivots, refactors = (0, 0) if sx is None else (sx.pivots, sx.refactors)
         return LpSolution(status, objective, values, list(model.var_names),
-                          pre.count("fix"), pre.count("drop"), pivots, phase_pivots, refactors)
+                          pre.count("fix"), pre.count("drop"), *merged,
+                          pivots, phase_pivots, refactors)
 
     if pre.infeasible:
         return answer("infeasible")
-    rows = _standardize(pre, model.var_upper)
-    m = len(rows)
-    # simplex columns: the variables the presolve left
     live = [idx for idx in range(model.num_vars) if not pre.is_fixed[idx]]
-    col = [-1] * model.num_vars
-    for k, idx in enumerate(live):
-        col[idx] = k
-    n = len(live)
+    rows, col, columns = _columns(pre, live, model.objective, model.var_upper)
+    n = len(columns)
+    merged = (len(live) - n, len(pre.rows) - len(rows))
+    rows = _standardize(rows, columns, model.var_upper)
+    m = len(rows)
     values = np.array(pre.values)
 
     if m == 0:
@@ -463,12 +569,13 @@ def solve(model: LpModel) -> LpSolution:
     coo_v: list[float] = []
     b = np.zeros(m)
     c2 = np.zeros(total)
-    c2[:n] = c_orig[live]
+    column = np.array([col[idx] for idx in live], dtype=int)
+    c2[:n] = np.bincount(column, weights=c_orig[live], minlength=n)
     basis = []
     art_cols = []
     s = 0
     for i, (terms, rel, rhs) in enumerate(rows):
-        for idx, coef in terms:
+        for idx, coef in terms.items():
             coo_r.append(i)
             coo_c.append(col[idx])
             coo_v.append(coef)
@@ -552,7 +659,7 @@ def solve(model: LpModel) -> LpSolution:
 
     x = np.zeros(sx.n)
     x[sx.basis] = sx.xB
-    values[live] = x[:n]
+    values[live] = x[column]
     return answer("optimal", values, sx, (phase1, phase2, sx.pivots - phase1 - phase2))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cset import _check_integers, _matrix_from_json
 from .errors import DimensionError, InstanceError
 from .mm import TOL, MeasureData
 
@@ -56,7 +57,10 @@ class FiniteKernel:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteKernel":
-        return cls(int(data["rows"]), int(data["cols"]), np.asarray(data["p"], dtype=float))
+        """The kernel of ``to_json``'s form; sizes must be JSON integers and
+        entries JSON numbers (0.7, "1" and true are refused)."""
+        _check_integers("kernel rows and cols", [data["rows"], data["cols"]])
+        return cls(data["rows"], data["cols"], _matrix_from_json(data["p"]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cset_transport.cli import main
+from cset_transport.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -299,3 +299,66 @@ def test_ot_and_wk_reject_non_number_matrix_entries(tmp_path, capsys, bad):
     )
     code, out, err = run_cli(capsys, "wk", str(wk))
     assert code == 1 and out == "" and "matrix rows must be numbers" in err
+
+
+def _ot_problem():
+    return {"mu": [0.7, 0.3], "nu": [0.4, 0.6], "cost": [[0, 1], [1, 0]]}
+
+
+def _wk_problem():
+    return {
+        "m": {"rows": 1, "cols": 2, "p": [[1.0, 0.0]]},
+        "n": {"rows": 1, "cols": 2, "p": [[0.0, 1.0]]},
+        "mu": [1.0],
+        "d": [[0, 2], [2, 0]],
+        "p": 1,
+    }
+
+
+def _set(path, value):
+    """A change of a problem: the entry at ``path`` becomes ``value``."""
+    def apply(problem):
+        target = problem
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return problem
+    return apply
+
+
+@pytest.mark.parametrize(
+    "command, problem, change, message",
+    [
+        ("ot", _ot_problem, _set(["mu"], ["0.7", 0.3]), "mu must be numbers"),
+        ("ot", _ot_problem, _set(["nu"], [0.4, True]), "nu must be numbers"),
+        ("wk", _wk_problem, _set(["mu"], [True]), "mu must be numbers"),
+        ("wk", _wk_problem, _set(["m", "rows"], "1"), "kernel rows and cols must be integers"),
+        ("wk", _wk_problem, _set(["n", "cols"], 2.9), "kernel rows and cols must be integers"),
+        ("wk", _wk_problem, _set(["m", "p"], [["1", 0.0]]), "matrix rows must be numbers"),
+        ("wk", _wk_problem, _set(["n", "p"], [[0.0, True]]), "matrix rows must be numbers"),
+        ("wk", _wk_problem, _set(["n", "p"], "[[0, 1]]"), "a matrix must be a list of rows"),
+    ],
+)
+def test_ot_and_wk_reject_non_number_fields(tmp_path, capsys, command, problem, change, message):
+    # each of these used to be converted ("1" to 1.0, true to 1.0, 2.9 to 2)
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(change(problem())))
+    code, out, err = run_cli(capsys, command, str(f))
+    assert code == 1 and out == "" and message in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_print_what_each_prints_alone(capsys):
+    json_args = ["--format", "json", "wasserstein", "builtin:c3", "builtin:c4"]
+    text_args = ["-v", "wasserstein", "builtin:c3", "builtin:c4"]
+    alone = []
+    for args in (json_args, text_args):
+        build_parser.cache_clear()  # a parser of its own
+        alone.append(run_cli(capsys, *args))
+    # both orders, back to back, on one parser
+    assert [run_cli(capsys, *json_args), run_cli(capsys, *text_args)] == alone
+    assert [run_cli(capsys, *text_args), run_cli(capsys, *json_args)] == alone[::-1]
+    assert json.loads(alone[0][1])["distance"] == 0 and alone[1][1].splitlines()[0] == "0"

@@ -1,7 +1,12 @@
 """The simplex's pivot path, pinned: status, pivot count and objective of
-programs the library builds, as recorded before the simplex iteration was
-rewritten for fewer array calls.  A change of pricing, ratio test or
-tie-break shows here as a changed pivot count."""
+programs the library builds.  A change of pricing, ratio test or tie-break
+shows here as a changed pivot count.  The transport programs were recorded
+before the simplex iteration was rewritten for fewer array calls; their
+colouring is discrete, so the colour-class quotient leaves their path as it
+was.  The Wasserstein and feasibility programs were re-recorded when
+``solve`` began to solve on colour classes, at the default BLAS thread
+count: W_1 C5->C6 went from 280 pivots to 3, the W_2 digraph pair from 262
+to 179 (180 with one OpenBLAS thread) and fig5 from 13 to 8."""
 
 import numpy as np
 import pytest
@@ -85,11 +90,11 @@ def _ot_problems():
 
 def test_wasserstein_pivot_paths(solves):
     assert relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)[0] == 0.0
-    _same_path(solves[-1], "optimal", 280, 0.0)
+    _same_path(solves[-1], "optimal", 3, 0.0)
     rng = np.random.default_rng(4)
     x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
     assert relax.wasserstein_cset_distance(x, y, 2.0)[0] == pytest.approx(0.5**0.5)
-    _same_path(solves[-1], "optimal", 262, 0.5000000000000006)
+    _same_path(solves[-1], "optimal", 179, 0.5000000000000001)
     assert len(solves) == 2
 
 
@@ -104,9 +109,21 @@ def test_transport_pivot_paths(solves):
 def test_feasibility_pivot_paths(solves):
     load = ct.load_instance
     assert relax.markov_feasible(load("builtin:fig5x"), load("builtin:fig5y")) is not None
-    _same_path(solves[-1], "optimal", 13, 0.0)
+    _same_path(solves[-1], "optimal", 8, 0.0)
     assert relax.markov_feasible(load("builtin:loop"), load("builtin:c3undirected")) is None
     _same_path(solves[-1], "infeasible", 0, None)
+
+
+def test_merged_counts(solves):
+    # the transport programs have distinct costs, so nothing merges; the
+    # cycle program folds onto a handful of classes
+    for problem in _ot_problems():
+        transport.optimal_coupling(*problem)
+    assert [(sol.merged_vars, sol.merged_rows) for sol in solves] == [(0, 0)] * len(OT_PATHS)
+    relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
+    sol = solves[-1]
+    assert sol.merged_vars > 0 and sol.merged_rows > 0
+    assert all(type(k) is int for k in (sol.merged_vars, sol.merged_rows))
 
 
 def test_solution_counts(solves):
