@@ -1,16 +1,21 @@
 """Sparse linear-program model, a self-contained two-phase revised simplex
 solver, and a deterministic LP text format.
 
-All variables are nonnegative.  Before the simplex, an exact presolve fixes
-the variables the model forces: those with upper bound 0 and those an
-equality row with one live term pins, substituting each value into the other
-rows and dropping every row left without a live term (after checking it).
-Colour refinement then finds the coarsest equitable partition of what is
-left, and the simplex runs on the quotient: one column per class of
-variables, one row per class of rows, the remaining finite upper bounds as
-rows.  Its answer is basic in the quotient and, lifted back, constant on
-each class; a program without symmetry reaches the simplex as the presolve
-left it.  The solver keeps an explicit basis inverse: it reinverts
+All variables are nonnegative.  Before the simplex, an exact presolve
+shrinks the program, and logs each step: it fixes the variables the model
+forces ("fix": those with upper bound 0, those an equality row with one live
+term pins, and every variable of a row with right-hand side 0 whose terms
+all forbid a positive value), substituting each value into the other rows;
+it folds a variable that a doubleton equation ``a x_k + b x_j = 0`` ties to
+another as ``x_j = t x_k``, ``t > 0``, into that one, with its cost and
+bound ("agg"); and it drops every row left without a live term, after
+checking it ("drop").  Colour refinement then finds the coarsest equitable
+partition of what is left, and the simplex runs on the quotient: one column
+per class of variables, one row per class of rows, the remaining finite
+upper bounds as rows.  Its answer is basic in the quotient and, lifted back,
+constant on each class; a program without symmetry reaches the simplex as
+the presolve left it.  The folded variables are then recovered from the log,
+last fold first.  The solver keeps an explicit basis inverse: it reinverts
 periodically and before every verdict, and reuses an inverse it has just
 built (the dual simplex and the final polish) instead of building it again.
 It enters one column per iteration: the most negative reduced cost
@@ -120,7 +125,10 @@ class LpSolution:
     values: np.ndarray | None
     var_names: list[str]
     fixed: int = 0  # variables the presolve fixed
-    dropped_rows: int = 0  # rows the presolve dropped
+    dropped_rows: int = 0  # rows the presolve dropped empty
+    # variables the presolve folded into another through a doubleton
+    # equation, which it dropped too
+    aggregated: int = 0
     # variables and rows that the colour classes folded into another member
     # of their class: the quotient program has that many fewer of each
     merged_vars: int = 0
@@ -331,19 +339,37 @@ class _Presolved:
 
     ``rows`` holds the surviving rows as ``(coef, rel, rhs)``, ``coef`` a dict
     from each live variable of the row to its nonzero coefficient, fixed
-    values substituted into ``rhs``.  ``eliminations`` lists the reductions
-    in the order they were made: ``("fix", var, value, row)``, with ``row``
-    the equality row that forced the value or None for an upper bound of 0,
-    and ``("drop", row)`` for a row left without a live term."""
+    values substituted into ``rhs`` and aggregated variables into ``coef``.
+    ``objective`` and ``upper`` are the live variables' costs and bounds,
+    with those of the aggregated ones folded in.  ``eliminations`` lists the
+    reductions in the order they were made:
+
+    * ``("fix", var, value, row)``: ``row`` is the row that forced the
+      value, an equality with one live term or a zero-forcing row, or None
+      for an upper bound of 0;
+    * ``("agg", j, k, t, row)``: the doubleton ``row`` gave ``x_j = t x_k``
+      with ``t > 0``, and ``x_k`` took ``x_j``'s place;
+    * ``("drop", row)``: a row left without a live term."""
 
     rows: list
     values: list  # the fixed value of each fixed variable, 0 elsewhere
-    is_fixed: list
+    is_fixed: list  # fixed or aggregated: no longer a variable of the program
+    objective: dict
+    upper: list
     eliminations: list
     infeasible: bool = False
 
     def count(self, kind):
         return sum(1 for e in self.eliminations if e[0] == kind)
+
+    def recover(self, values):
+        """Set each aggregated variable from the one that took its place,
+        in reverse elimination order, so that a chain resolves from its
+        end."""
+        for e in reversed(self.eliminations):
+            if e[0] == "agg":
+                _, j, k, t, _ = e
+                values[j] = t * values[k]
 
 
 def _row_ok(rel, resid):
@@ -352,18 +378,43 @@ def _row_ok(rel, resid):
     return (rel == "<=" or resid >= -FEAS_TOL) and (rel == ">=" or resid <= FEAS_TOL)
 
 
+def _forces_zero(coef, rel):
+    """Whether a row with right-hand side 0 forbids each of its variables
+    any positive value: every coefficient positive under ``=`` or ``<=``,
+    or every one negative under ``=`` or ``>=``."""
+    values = coef.values()
+    return (rel != ">=" and min(values) > 0.0) or (rel != "<=" and max(values) < 0.0)
+
+
 def _presolve(model: LpModel) -> _Presolved:
-    """Fix the variables the model forces and drop the rows that empties.
+    """Fix the variables the model forces, fold those a doubleton equation
+    ties to another into it, and drop the rows that empties (Andersen &
+    Andersen, *Presolving in linear programming*, Math. Programming 71,
+    1995).  Every rule is exact.
 
     Each row's duplicate terms are summed and zero coefficients dropped.
-    Then, until nothing changes: a variable with upper bound 0 is fixed at
-    0, and one that an equality row with a single live term ``a x = r``
-    forces at ``r / a``, clipped into its bounds; each value is substituted
-    into every row.  A row with no live term left is dropped once its
-    residual passes the FEAS_TOL check, else the model is infeasible, which
-    also judges a forced value outside the bounds by its forcing row."""
+    Then, until nothing changes:
+
+    * a variable with upper bound 0 is fixed at 0;
+    * an equality row with one live term ``a x = r`` fixes ``x`` at
+      ``r / a``, clipped into its bounds;
+    * a row whose right-hand side is exactly 0 and whose terms all forbid a
+      positive value (``_forces_zero``) fixes each of its variables at 0;
+    * an equality row ``a x_k + b x_j = 0`` with ``k < j`` and ``a``, ``b``
+      of opposite sign gives ``x_j = t x_k`` with ``t = -a / b > 0``: ``t
+      x_k`` is substituted for ``x_j`` in every row, a coefficient that
+      cancels exactly is dropped, ``x_k`` takes ``c_k + t c_j`` as its cost
+      and ``min(u_k, u_j / t)`` as its bound, and the row is dropped.
+
+    Fixed values are substituted into every row.  A row with no live term
+    left is dropped once its residual passes the FEAS_TOL check, else the
+    model is infeasible, which also judges a forced value outside the
+    bounds by its forcing row.  A row is looked at once, and again each time
+    a substitution leaves it with two live terms or fewer or with
+    right-hand side 0."""
     n = model.num_vars
-    upper = model.var_upper
+    upper = list(model.var_upper)
+    cost = dict(model.objective)
     rows, occurs = [], [[] for _ in range(n)]
     for i, (_, terms, rel, rhs) in enumerate(model.constraints):
         coef = dict(terms)
@@ -376,20 +427,45 @@ def _presolve(model: LpModel) -> _Presolved:
         for idx in coef:
             occurs[idx].append(i)
         rows.append([coef, rel, rhs])
-    out = _Presolved([], [0.0] * n, [False] * n, [])
+    out = _Presolved([], [0.0] * n, [False] * n, cost, upper, [])
     alive = [True] * len(rows)
     queue = deque(range(len(rows)))
 
+    # a variable's occurrence list may name rows it has since left, by an
+    # exact cancellation, so each visit checks that the term is still there
     def fix(j, value, row):
         out.is_fixed[j] = True
         out.values[j] = value
         out.eliminations.append(("fix", j, value, row))
         for i in occurs[j]:
-            if alive[i]:
-                coef = rows[i][0]
+            coef = rows[i][0]
+            if alive[i] and j in coef:
                 rows[i][2] -= coef.pop(j) * value
-                if len(coef) <= 1:
+                if len(coef) <= 2 or rows[i][2] == 0.0:
                     queue.append(i)
+
+    def aggregate(j, k, t, row):
+        alive[row] = False
+        out.is_fixed[j] = True
+        out.eliminations.append(("agg", j, k, t, row))
+        for i in occurs[j]:
+            coef = rows[i][0]
+            if alive[i] and j in coef:
+                a = coef.pop(j) * t
+                if k not in coef:
+                    coef[k] = a
+                    occurs[k].append(i)
+                elif coef[k] + a == 0.0:
+                    del coef[k]
+                else:
+                    coef[k] += a
+                if len(coef) <= 2 or rows[i][2] == 0.0:
+                    queue.append(i)
+        if j in cost:
+            cost[k] = cost.get(k, 0.0) + t * cost.pop(j)
+        upper[k] = min(upper[k], upper[j] / t)
+        if upper[k] == 0.0:
+            fix(k, 0.0, None)
 
     for j, u in enumerate(upper):
         if u == 0.0:
@@ -408,6 +484,15 @@ def _presolve(model: LpModel) -> _Presolved:
         elif rel == "=" and len(coef) == 1:
             ((j, a),) = coef.items()
             fix(j, min(max(rhs / a, 0.0), upper[j]), i)
+        elif rhs == 0.0 and _forces_zero(coef, rel):
+            for j in list(coef):
+                fix(j, 0.0, i)
+        elif rel == "=" and rhs == 0.0 and len(coef) == 2:
+            # the signs differ, else the row would force zeros
+            (k, a), (j, b) = sorted(coef.items())
+            t = -a / b
+            if 0.0 < t < INF:  # not where the quotient overflows or underflows
+                aggregate(j, k, t, i)
     out.rows = [row for row, keep in zip(rows, alive) if keep]
     return out
 
@@ -525,9 +610,11 @@ def solve(model: LpModel) -> LpSolution:
     """Presolve, then a two-phase simplex on what is left, solved on its
     colour classes (``_columns``).  An optimal solution is basic in that
     quotient program and constant on each class, so where classes merge it
-    need not be a vertex of the model.  It satisfies every constraint of the
-    original model within ``FEAS_TOL``, and the quotient's final basis is
-    dual feasible.  Numerical breakdown raises, never passes silently."""
+    need not be a vertex of the model; the variables the presolve folded
+    into others are recovered from them (``_Presolved.recover``).  It
+    satisfies every constraint of the original model within ``FEAS_TOL``,
+    and the quotient's final basis is dual feasible.  Numerical breakdown
+    raises, never passes silently."""
     model.validate()
     pre = _presolve(model)
     c_orig = np.zeros(model.num_vars)
@@ -538,26 +625,28 @@ def solve(model: LpModel) -> LpSolution:
     def answer(status, values=None, sx=None, phase_pivots=(0, 0, 0)):
         objective = None
         if values is not None:
+            pre.recover(values)
             _recheck(model, values)
             objective = float(c_orig @ values)
         pivots, refactors = (0, 0) if sx is None else (sx.pivots, sx.refactors)
         return LpSolution(status, objective, values, list(model.var_names),
-                          pre.count("fix"), pre.count("drop"), *merged,
-                          pivots, phase_pivots, refactors)
+                          pre.count("fix"), pre.count("drop"), pre.count("agg"),
+                          *merged, pivots, phase_pivots, refactors)
 
     if pre.infeasible:
         return answer("infeasible")
     live = [idx for idx in range(model.num_vars) if not pre.is_fixed[idx]]
-    rows, col, columns = _columns(pre, live, model.objective, model.var_upper)
+    rows, col, columns = _columns(pre, live, pre.objective, pre.upper)
     n = len(columns)
     merged = (len(live) - n, len(pre.rows) - len(rows))
-    rows = _standardize(rows, columns, model.var_upper)
+    rows = _standardize(rows, columns, pre.upper)
     m = len(rows)
     values = np.array(pre.values)
+    c_live = np.array([pre.objective.get(idx, 0.0) for idx in live])
 
     if m == 0:
         # no row is left, so every live variable is unbounded above
-        if np.any(c_orig[live] < 0):
+        if np.any(c_live < 0):
             return answer("unbounded")
         return answer("optimal", values)
 
@@ -570,7 +659,7 @@ def solve(model: LpModel) -> LpSolution:
     b = np.zeros(m)
     c2 = np.zeros(total)
     column = np.array([col[idx] for idx in live], dtype=int)
-    c2[:n] = np.bincount(column, weights=c_orig[live], minlength=n)
+    c2[:n] = np.bincount(column, weights=c_live, minlength=n)
     basis = []
     art_cols = []
     s = 0
@@ -686,15 +775,17 @@ def _exact_mass(sx: _Simplex, b, c, art_cost):
     """Artificial mass of the optimum of c on the exact b, from a basis that
     ``run`` left optimal for c on the perturbed b.  If the basis is
     infeasible on the exact b, the dual simplex finds that optimum on the
-    side, and the basis comes back for the runs on the perturbed b."""
+    side, and the basis comes back for the runs on the perturbed b, with
+    the fresh inverse ``run`` left (the dual simplex updates ``basis`` and
+    ``Binv`` in place, so those two are copied)."""
     exact = sx.Binv @ b
     if exact.min() >= -sx.primal_tol:
         return float(art_cost[sx.basis] @ exact)
-    perturbed, basis = sx.b, sx.basis.copy()
+    saved = sx.b, sx.basis.copy(), sx.B, sx.Binv.copy(), sx.xB
     sx.repair(b, c, np.ones(sx.n, dtype=bool))
     mass = float(art_cost[sx.basis] @ sx.xB)
-    sx.b = perturbed
-    sx.set_basis(basis)
+    sx.b, sx.basis, sx.B, sx.Binv, sx.xB = saved
+    sx.dirty = False
     return mass
 
 
@@ -720,6 +811,7 @@ def _drive_out_artificials(sx: _Simplex, is_artificial):
 
 def _recheck(model: LpModel, x):
     """Independent residual check of a claimed-optimal point."""
+    x = x.tolist()  # Python floats index and multiply faster than numpy scalars
     for cname, terms, rel, rhs in model.constraints:
         resid = sum(coef * x[idx] for idx, coef in terms) - rhs
         if not _row_ok(rel, resid):

@@ -60,7 +60,10 @@ class FiniteKernel:
         """The kernel of ``to_json``'s form; sizes must be JSON integers and
         entries JSON numbers (0.7, "1" and true are refused)."""
         _check_integers("kernel rows and cols", [data["rows"], data["cols"]])
-        return cls(data["rows"], data["cols"], _matrix_from_json(data["p"]))
+        p = _matrix_from_json(data["p"])
+        if not data["p"] and data["cols"] >= 0:  # [] says nothing of cols
+            p = p.reshape(0, data["cols"])
+        return cls(data["rows"], data["cols"], p)
 
 
 @dataclass(frozen=True, eq=False)

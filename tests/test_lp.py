@@ -458,6 +458,21 @@ def test_presolve_eliminations_keep_their_order():
         ("fix", z, 0.0, None), ("fix", x, 2.0, 1), ("drop", 1), ("fix", y, 3.0, 0), ("drop", 0),
     ]
     assert pre.rows == []
+    # a doubleton ties w to y, and u + 2v <= 0 forces both of its variables,
+    # each logged with its row
+    u, v, w = (m.add_variable(name) for name in "uvw")
+    m.add_constraint("c", [(y, 1.0), (w, -3.0)], "=", 0.0)
+    m.add_constraint("d", [(u, 1.0), (v, 2.0)], "<=", 0.0)
+    pre = lp._presolve(m)
+    assert pre.eliminations == [
+        ("fix", z, 0.0, None), ("fix", x, 2.0, 1), ("agg", w, y, 1 / 3, 2),
+        ("fix", u, 0.0, 3), ("fix", v, 0.0, 3), ("drop", 1), ("fix", y, 3.0, 0),
+        ("drop", 3), ("drop", 0),
+    ]
+    assert pre.rows == []
+    sol = solve(m)
+    assert sol.values.tolist() == [2.0, 3.0, 0.0, 0.0, 0.0, 1.0]
+    assert (sol.fixed, sol.dropped_rows, sol.aggregated, sol.pivots) == (5, 3, 1, 0)
 
 
 def _presolve_model(rng):
@@ -543,6 +558,178 @@ def test_presolve_infeasible_empty_row():
     assert (sol.status, sol.objective, sol.dropped_rows) == ("optimal", 0.0, 1)
 
 
+def test_presolve_aggregation_chain():
+    # x1 - 2 x2 = 0 ties x2 to x1, then 3 x0 - x1 = 0 ties x1 to x0: the
+    # costs fold into x0, and the recovery runs backwards, x1 before x2
+    pytest.importorskip("scipy")
+    m = LpModel()
+    x0, x1, x2 = (m.add_variable(f"x{i}") for i in range(3))
+    for idx in (x0, x1, x2):
+        m.add_objective(idx, 1.0)
+    m.add_constraint("r0", [(x1, 1.0), (x2, -2.0)], "=", 0.0)
+    m.add_constraint("r1", [(x0, 3.0), (x1, -1.0)], "=", 0.0)
+    m.add_constraint("r2", [(x0, 1.0), (x2, 1.0)], ">=", 5.0)
+    pre = lp._presolve(m)
+    assert pre.eliminations == [("agg", x2, x1, 0.5, 0), ("agg", x1, x0, 3.0, 1)]
+    assert pre.objective == {x0: 5.5}
+    assert pre.rows == [[{x0: 2.5}, ">=", 5.0]]
+    sol = _agrees_with_highs(m)
+    assert sol.values.tolist() == [2.0, 6.0, 3.0]
+    assert (sol.fixed, sol.dropped_rows, sol.aggregated) == (0, 0, 2)
+
+
+def test_presolve_substitution_cancels_exactly():
+    # x1 = x0 turns x0 - x1 + x2 >= 1 into x2 >= 1: the cancelled term is
+    # dropped, and fixing x0 later passes over the row it left
+    pytest.importorskip("scipy")
+    m = LpModel()
+    x0, x1, x2 = (m.add_variable(f"x{i}") for i in range(3))
+    m.add_objective(x2, 1.0)
+    m.add_constraint("r0", [(x0, 1.0), (x1, -1.0)], "=", 0.0)
+    m.add_constraint("r1", [(x0, 1.0), (x1, -1.0), (x2, 1.0)], ">=", 1.0)
+    m.add_constraint("r2", [(x0, 2.0)], "=", 4.0)
+    pre = lp._presolve(m)
+    assert pre.eliminations == [("agg", x1, x0, 1.0, 0), ("fix", x0, 2.0, 2), ("drop", 2)]
+    assert pre.rows == [[{x2: 1.0}, ">=", 1.0]]
+    sol = _agrees_with_highs(m)
+    assert sol.values.tolist() == [2.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("u0, bound", [(math.inf, 6.0), (5.0, 5.0)])
+def test_presolve_carries_the_bound_over(u0, bound):
+    # x1 = x0 / 2 with x1 <= 3 caps x0 at 3 / 0.5 = 6, or at its own bound
+    pytest.importorskip("scipy")
+    m = LpModel()
+    x0, x1 = m.add_variable("x0", upper=u0), m.add_variable("x1", upper=3.0)
+    m.add_objective(x0, -1.0)
+    m.add_objective(x1, -1.0)
+    m.add_constraint("r", [(x0, 1.0), (x1, -2.0)], "=", 0.0)
+    pre = lp._presolve(m)
+    assert pre.eliminations == [("agg", x1, x0, 0.5, 0)]
+    assert pre.upper[x0] == bound and pre.objective == {x0: -1.5}
+    sol = _agrees_with_highs(m)
+    assert sol.values.tolist() == [bound, bound / 2]
+    # without the bound, the ray x0 = 2 x1 is unbounded
+    m.var_upper[x1] = math.inf
+    if u0 == math.inf:
+        assert _agrees_with_highs(m).status == "unbounded"
+
+
+@pytest.mark.parametrize("rel, coefs", [("=", (1.0, 2.0)), ("<=", (1.0, 2.0)), (">=", (-1.0, -0.5))])
+def test_presolve_zero_forcing_rows(rel, coefs):
+    # a right-hand side of 0 that every term can only overshoot fixes the
+    # row's variables at 0, however much the objective wants them
+    pytest.importorskip("scipy")
+    m = LpModel()
+    x0, x1, x2 = (m.add_variable(f"x{i}") for i in range(3))
+    m.add_objective(x0, -1.0)
+    m.add_objective(x1, -1.0)
+    m.add_objective(x2, 1.0)
+    m.add_constraint("force", list(zip((x0, x1), coefs)), rel, 0.0)
+    m.add_constraint("r", [(x0, 1.0), (x1, 1.0), (x2, 1.0)], ">=", 1.0)
+    pre = lp._presolve(m)
+    assert pre.eliminations == [("fix", x0, 0.0, 0), ("fix", x1, 0.0, 0), ("drop", 0)]
+    sol = _agrees_with_highs(m)
+    assert sol.values.tolist() == [0.0, 0.0, 1.0]
+    assert (sol.fixed, sol.dropped_rows, sol.aggregated) == (2, 1, 0)
+
+
+@pytest.mark.parametrize("rel, coefs", [(">=", (1.0, 2.0)), ("<=", (-1.0, -2.0)), ("<=", (1.0, -2.0))])
+def test_presolve_rows_that_do_not_force(rel, coefs):
+    # x0 + 2 x1 >= 0 holds for every x >= 0, as does its negation under
+    # <=; mixed signs leave room too: only x2 <= 0 fixes anything, and
+    # min -x0 - x1 is unbounded
+    pytest.importorskip("scipy")
+    m = LpModel()
+    x0, x1, x2 = (m.add_variable(f"x{i}") for i in range(3))
+    m.add_objective(x0, -1.0)
+    m.add_objective(x1, -1.0)
+    m.add_objective(x2, -1.0)
+    m.add_constraint("force", [(x2, 1.0)], "<=", 0.0)
+    m.add_constraint("r", list(zip((x0, x1), coefs)), rel, 0.0)
+    assert lp._presolve(m).eliminations == [("fix", x2, 0.0, 0), ("drop", 0)]
+    assert _agrees_with_highs(m).status == "unbounded"
+
+
+def test_presolve_forced_zero_empties_an_infeasible_row():
+    # x0 + x1 = 0 forces x0 = 0, which leaves x0 + 0 >= 1 as 0 >= 1
+    m = LpModel()
+    x0, x1 = m.add_variable("x0"), m.add_variable("x1")
+    m.add_constraint("force", [(x0, 1.0), (x1, 1.0)], "=", 0.0)
+    m.add_constraint("r", [(x0, 1.0)], ">=", 1.0)
+    sol = solve(m)
+    assert (sol.status, sol.fixed, sol.pivots) == ("infeasible", 2, 0)
+
+
+def _doubleton_model(rng):
+    """Random program through a known point, with doubleton equations
+    ``a x_k - (a / t) x_j = 0`` that the point meets (chains among them),
+    zero-forcing rows over its zero entries, and some of each that miss
+    the point, so some programs are infeasible; finite bounds carry over."""
+    n = int(rng.integers(3, 8))
+    point = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.75)
+    pairs = []
+    for j in range(1, n):
+        if rng.random() < 0.45:
+            k = int(rng.integers(j))
+            t = float(rng.choice([0.5, 1.0, 2.0, 3.0, 0.25]))
+            point[j] = t * point[k]
+            pairs.append((k, j, t))
+    m = LpModel()
+    for i in range(n):
+        upper = math.inf
+        if rng.random() < 0.3:
+            upper = point[i] + float(rng.choice([0.0, 0.5, 2.0]))
+        m.add_variable(f"x{i}", upper=upper)
+        if rng.random() < 0.8:
+            m.add_objective(i, float(rng.uniform(-2, 2)))
+    rows = []
+    for k, j, t in pairs:
+        a = float(rng.choice([1.0, -2.0, 0.5, 3.0]))
+        if rng.random() < 0.08:
+            t *= 1.5  # a doubleton the point misses
+        rows.append(([(k, a), (j, -a / t)], "=", 0.0))
+    zeros = [i for i in range(n) if point[i] == 0.0]
+    for _ in range(int(rng.integers(0, 3))):
+        support = [i for i in range(n) if rng.random() < 0.3]
+        if rng.random() < 0.85:
+            support = [i for i in support if i in zeros]
+        if support:
+            rel = str(rng.choice(["=", "<=", ">="]))
+            sign = -1.0 if rel == ">=" else 1.0
+            rows.append(([(i, sign * float(rng.uniform(0.5, 2))) for i in support], rel, 0.0))
+    for _ in range(int(rng.integers(1, 4))):
+        terms = [(i, float(rng.uniform(-2, 2))) for i in range(n) if rng.random() < 0.5]
+        terms = terms or [(0, 1.0)]
+        lhs = sum(a * point[i] for i, a in terms)
+        rel = str(rng.choice(["=", "<=", ">="]))
+        slack = {"=": 0.0, "<=": 1.0, ">=": -1.0}[rel] * float(rng.uniform(0.0, 1.0))
+        rows.append((terms, rel, lhs + slack))
+    for r in rng.permutation(len(rows)):
+        m.add_constraint(f"c{r}", *rows[r])
+    return m
+
+
+def test_random_lps_with_doubletons_and_forcing_rows_against_highs():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(49)
+    seen, aggregated, forced = set(), 0, 0
+    for trial in range(300):
+        model = _doubleton_model(rng)
+        status, want = highs_solve(model)
+        sol = solve(model)
+        assert sol.status == status, f"trial {trial}: {sol.status} vs {status}"
+        if status == "optimal":
+            assert math.isclose(sol.objective, want, rel_tol=1e-9, abs_tol=1e-9), f"trial {trial}"
+            lp._recheck(model, sol.values)
+        seen.add(status)
+        aggregated += sol.aggregated
+        forced += sum(1 for e in lp._presolve(model).eliminations
+                      if e[0] == "fix" and e[3] is not None and e[2] == 0.0)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert aggregated > 200 and forced > 100
+
+
 def test_simplex_decides_infeasibility_without_singleton_rows():
     # no row is a singleton, so the phase-1 simplex must find x + y = 1 and
     # x + y = 2 incompatible
@@ -582,6 +769,35 @@ def test_repair_on_a_fresh_inverse_does_not_refactor(monkeypatch):
     sol = solve(m)
     assert sol.objective == pytest.approx(-2.8)
     assert repairs == [(True, 0, 0)]
+
+
+@pytest.mark.parametrize("k, status", [(1.0, "infeasible"), (0.04, "optimal")])
+def test_exact_mass_restores_the_inverse_run_left(monkeypatch, k, status):
+    # these phase-1 bases are infeasible on the exact b, so the dual simplex
+    # runs on the side; afterwards the basis, its inverse and x_B are those
+    # that run left, bit for bit, with no inversion to restore them
+    restored, inverted = [], []
+    real_mass, real_refactor = lp._exact_mass, lp._Simplex.refactor
+
+    def exact_mass(sx, b, c, art_cost):
+        before = sx.b, sx.basis.copy(), sx.B, sx.Binv.copy(), sx.xB.copy()
+        side = (sx.Binv @ b).min() < -sx.primal_tol
+        mass = real_mass(sx, b, c, art_cost)
+        if side:
+            b0, basis, B, Binv, xB = before
+            assert sx.b is b0 and not sx.dirty
+            assert np.array_equal(sx.basis, basis) and sx.B is B
+            assert np.array_equal(sx.Binv, Binv) and np.array_equal(sx.xB, xB)
+            # what inverting the basis again would give
+            assert np.array_equal(np.linalg.inv(sx.A.dense_submatrix(basis)), Binv)
+            restored.append(len(inverted))
+        return mass
+
+    monkeypatch.setattr(lp, "_exact_mass", exact_mass)
+    monkeypatch.setattr(lp._Simplex, "refactor", lambda sx: inverted.append(1) or real_refactor(sx))
+    sol = solve(_beale_phase1_model(k, tight_first=False))
+    assert restored
+    assert (sol.status, sol.refactors) == (status, len(inverted))
 
 
 def test_dense_submatrix_gathers_like_a_column_loop():

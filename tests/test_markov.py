@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,24 @@ def test_kernel_validation():
     with pytest.raises(InstanceError, match="finite"):
         FiniteKernel(1, 2, [[np.nan, np.nan]])
     FiniteKernel(0, 3, np.zeros((0, 3)))  # empty domain is fine
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (0, 0), (2, 3), (1, 1)])
+def test_kernel_json_round_trip(rows, cols):
+    # a kernel out of an empty set writes "p": [], which reads back with its
+    # column count
+    rng = np.random.default_rng(rows * 10 + cols)
+    k = random_kernel(rng, rows, cols) if rows else FiniteKernel(0, cols, np.zeros((0, cols)))
+    back = FiniteKernel.from_json(json.loads(json.dumps(k.to_json())))
+    assert (back.rows, back.cols) == (rows, cols)
+    assert back.p.shape == (rows, cols) and np.array_equal(back.p, k.p)
+
+
+def test_kernel_json_keeps_refusing_the_wrong_shape():
+    with pytest.raises(DimensionError, match="3x1"):
+        FiniteKernel.from_json({"rows": 3, "cols": 1, "p": [[1, 0, 0]]})
+    with pytest.raises(DimensionError, match="1x3"):
+        FiniteKernel.from_json({"rows": 1, "cols": 3, "p": []})
 
 
 def test_compose_identity():

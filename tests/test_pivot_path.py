@@ -1,12 +1,25 @@
 """The simplex's pivot path, pinned: status, pivot count and objective of
 programs the library builds.  A change of pricing, ratio test or tie-break
-shows here as a changed pivot count.  The transport programs were recorded
+shows here as a changed pivot count.  The pinned solves run in a child
+process with one BLAS thread, the setting the README advises, because the
+path can depend on the thread count.  The transport programs were recorded
 before the simplex iteration was rewritten for fewer array calls; their
-colouring is discrete, so the colour-class quotient leaves their path as it
-was.  The Wasserstein and feasibility programs were re-recorded when
-``solve`` began to solve on colour classes, at the default BLAS thread
-count: W_1 C5->C6 went from 280 pivots to 3, the W_2 digraph pair from 262
-to 179 (180 with one OpenBLAS thread) and fig5 from 13 to 8."""
+colouring is discrete and their rows have nonzero right-hand sides, so
+neither the colour-class quotient nor the doubleton and zero-forcing rules
+of the presolve change their path.  The Wasserstein and feasibility
+programs were re-recorded when ``solve`` began to solve on colour classes,
+at the default BLAS thread count: W_1 C5->C6 went from 280 pivots to 3,
+the W_2 digraph pair from 262 to 179 (180 with one OpenBLAS thread) and
+fig5 from 13 to 8.  They were re-recorded again, with one thread, when the
+presolve began to fold doubleton equations and fix the variables of
+zero-forcing rows: the W_2 pair went from 180 pivots to 160 (objective
+0.4999999999999998) and fig5 from 8 to 1; C5->C6 stays at 3."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +28,8 @@ import cset_transport as ct
 from cset_transport import lp, relax, transport
 from cset_transport.gallery import directed_cycle
 from cset_transport.theory import builtin_theory
+
+HERE = Path(__file__).resolve().parent
 
 # (n, m, pivots, objective) of optimal_coupling on _ot_problems()
 OT_PATHS = [
@@ -56,12 +71,12 @@ def solves(monkeypatch):
     return seen
 
 
-def _same_path(sol, status, pivots, objective):
-    assert (sol.status, sol.pivots) == (status, pivots)
+def _same_path(path, status, pivots, objective):
+    assert tuple(path[:2]) == (status, pivots)
     if objective is None:
-        assert sol.objective is None
+        assert path[2] is None
     else:
-        assert sol.objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
+        assert path[2] == pytest.approx(objective, rel=1e-12, abs=1e-12)
 
 
 def _digraph(rng, nv, ne, strong=False):
@@ -88,30 +103,88 @@ def _ot_problems():
         yield ct.MeasureData(n, mu), ct.MeasureData(m, nu), rng.uniform(0.0, 4.0, (n, m))
 
 
-def test_wasserstein_pivot_paths(solves):
-    assert relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)[0] == 0.0
-    _same_path(solves[-1], "optimal", 3, 0.0)
+def _wasserstein_solves():
     rng = np.random.default_rng(4)
     x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
-    assert relax.wasserstein_cset_distance(x, y, 2.0)[0] == pytest.approx(0.5**0.5)
-    _same_path(solves[-1], "optimal", 179, 0.5000000000000001)
-    assert len(solves) == 2
+    return [relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)[0],
+            relax.wasserstein_cset_distance(x, y, 2.0)[0]]
 
 
-def test_transport_pivot_paths(solves):
-    for (mu, nu, cost), (n, m, pivots, objective) in zip(_ot_problems(), OT_PATHS):
-        assert (mu.n, nu.n) == (n, m)
+def _transport_solves():
+    sizes = []
+    for mu, nu, cost in _ot_problems():
         transport.optimal_coupling(mu, nu, cost)
-        _same_path(solves[-1], "optimal", pivots, objective)
-    assert len(solves) == len(OT_PATHS)
+        sizes.append((mu.n, nu.n))
+    return sizes
 
 
-def test_feasibility_pivot_paths(solves):
+def _feasibility_solves():
     load = ct.load_instance
-    assert relax.markov_feasible(load("builtin:fig5x"), load("builtin:fig5y")) is not None
-    _same_path(solves[-1], "optimal", 8, 0.0)
-    assert relax.markov_feasible(load("builtin:loop"), load("builtin:c3undirected")) is None
-    _same_path(solves[-1], "infeasible", 0, None)
+    return [relax.markov_feasible(load("builtin:fig5x"), load("builtin:fig5y")) is not None,
+            relax.markov_feasible(load("builtin:loop"), load("builtin:c3undirected")) is None]
+
+
+FAMILIES = {
+    "wasserstein": _wasserstein_solves,
+    "transport": _transport_solves,
+    "feasibility": _feasibility_solves,
+}
+
+
+def _record(family):
+    """What one family's calls answer, and the (status, pivots, objective)
+    of each solve they make."""
+    seen = []
+
+    def recording(model):
+        sol = lp.solve(model)
+        seen.append((sol.status, sol.pivots, sol.objective))
+        return sol
+
+    saved = relax.solve, transport.solve
+    relax.solve = transport.solve = recording
+    try:
+        answers = FAMILIES[family]()
+    finally:
+        relax.solve, transport.solve = saved
+    return answers, seen
+
+
+@pytest.fixture(scope="module")
+def one_thread():
+    """Every family's record, from a child process with one BLAS thread:
+    LAPACK's inverse rounds differently at each thread count, which can
+    flip near-ties in pricing and so the pivot path."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    paths = [str(HERE.parent / "src"), str(HERE), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    code = "import json, test_pivot_path as t; print(json.dumps({f: t._record(f) for f in t.FAMILIES}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_wasserstein_pivot_paths(one_thread):
+    answers, paths = one_thread["wasserstein"]
+    assert answers[0] == 0.0 and answers[1] == pytest.approx(0.5**0.5)
+    assert len(paths) == 2
+    _same_path(paths[0], "optimal", 3, 0.0)
+    _same_path(paths[1], "optimal", 160, 0.4999999999999998)
+
+
+def test_transport_pivot_paths(one_thread):
+    sizes, paths = one_thread["transport"]
+    assert len(paths) == len(OT_PATHS)
+    for (n, m), path, (n_want, m_want, pivots, objective) in zip(sizes, paths, OT_PATHS):
+        assert (n, m) == (n_want, m_want)
+        _same_path(path, "optimal", pivots, objective)
+
+
+def test_feasibility_pivot_paths(one_thread):
+    answers, paths = one_thread["feasibility"]
+    assert answers == [True, True]
+    _same_path(paths[0], "optimal", 1, 0.0)
+    _same_path(paths[1], "infeasible", 0, None)
 
 
 def test_merged_counts(solves):
@@ -131,7 +204,11 @@ def test_solution_counts(solves):
     # pivoted has inverted a basis before its verdict
     relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
     rng = np.random.default_rng(4)
-    relax.wasserstein_cset_distance(_digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6), 2.0)
+    x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
+    # W_1 of this pair pivots in phase 2 (61, 1, 0), which none of the
+    # other solves here does since the presolve folds doubletons
+    for p in (1.0, 2.0):
+        relax.wasserstein_cset_distance(x, y, p)
     for problem in _ot_problems():
         transport.optimal_coupling(*problem)
     relax.markov_feasible(ct.load_instance("builtin:fig5x"), ct.load_instance("builtin:fig5y"))
