@@ -15,7 +15,14 @@ per class of variables, one row per class of rows, the remaining finite
 upper bounds as rows.  Its answer is basic in the quotient and, lifted back,
 constant on each class; a program without symmetry reaches the simplex as
 the presolve left it.  The folded variables are then recovered from the log,
-last fold first.  The solver keeps an explicit basis inverse: it reinverts
+last fold first.  Phase 1 starts from a least-cost triangular crash basis
+(``_crash``): the cheapest structural columns take the places of
+artificials, each in the row of its minimum ratio.  Each placed column
+misses the rows taken before it, so the basis is triangular and
+nonsingular, and the ratio rule keeps every basic value nonnegative: the
+start is a feasible basis of phase 1, which runs from it unchanged.  The
+solver keeps an explicit basis inverse: it inverts the crash basis once
+(the identity start, when the crash places nothing, not at all), reinverts
 periodically and before every verdict, and reuses an inverse it has just
 built (the dual simplex and the final polish) instead of building it again.
 It enters one column per iteration: the most negative reduced cost
@@ -52,7 +59,7 @@ PIVOT_TOL = 1e-10  # smallest direction entry the ratio test pivots on
 FEAS_TOL = 1e-7  # residual _recheck allows; artificial mass that means infeasible
 OPT_TOL = 1e-11  # a reduced cost below -OPT_TOL enters the basis
 DUAL_TOL = 1e-9  # relative to max|c|: the final basis's reduced costs must reach -DUAL_TOL
-GUARD_TOL = 1e-7  # smallest |element| a zero-guard leave or an artificial drive-out pivots on
+GUARD_TOL = 1e-7  # smallest |element| a zero-guard leave, a drive-out or the crash pivots on
 PRIMAL_TOL = 1e-9  # a basic value on the exact b below -max(PRIMAL_TOL,
 ROUND_TOL = 1e-14  # ROUND_TOL * max|b|) is repaired; the 2nd term covers rounding
 SNAP_TOL = 1e-12  # relative to max x_B: smaller polished basic values are exact zeros
@@ -139,6 +146,9 @@ class LpSolution:
     # they sum to ``pivots``
     phase_pivots: tuple[int, int, int] = (0, 0, 0)
     refactors: int = 0  # basis inversions
+    # columns the crash put into the starting basis in place of artificials;
+    # not pivots
+    crashed: int = 0
 
     def value(self, name: str) -> float:
         return float(self.values[self.var_names.index(name)])
@@ -608,7 +618,11 @@ def _standardize(rows, columns, upper):
 
 def solve(model: LpModel) -> LpSolution:
     """Presolve, then a two-phase simplex on what is left, solved on its
-    colour classes (``_columns``).  An optimal solution is basic in that
+    colour classes (``_columns``) and started from a least-cost triangular
+    crash basis (``_crash``), which is nonsingular and has nonnegative basic
+    values on the perturbed right-hand side, so phase 1 starts feasible from
+    it; where the crash places nothing, the start is the slack and
+    artificial identity.  An optimal solution is basic in that
     quotient program and constant on each class, so where classes merge it
     need not be a vertex of the model; the variables the presolve folded
     into others are recovered from them (``_Presolved.recover``).  It
@@ -620,7 +634,7 @@ def solve(model: LpModel) -> LpSolution:
     c_orig = np.zeros(model.num_vars)
     for idx, coef in model.objective.items():
         c_orig[idx] = coef
-    merged = (0, 0)
+    merged, crashed = (0, 0), 0
 
     def answer(status, values=None, sx=None, phase_pivots=(0, 0, 0)):
         objective = None
@@ -631,7 +645,7 @@ def solve(model: LpModel) -> LpSolution:
         pivots, refactors = (0, 0) if sx is None else (sx.pivots, sx.refactors)
         return LpSolution(status, objective, values, list(model.var_names),
                           pre.count("fix"), pre.count("drop"), pre.count("agg"),
-                          *merged, pivots, phase_pivots, refactors)
+                          *merged, pivots, phase_pivots, refactors, crashed)
 
     if pre.infeasible:
         return answer("infeasible")
@@ -662,12 +676,15 @@ def solve(model: LpModel) -> LpSolution:
     c2[:n] = np.bincount(column, weights=c_live, minlength=n)
     basis = []
     art_cols = []
+    entries = [[] for _ in range(n)]  # each column's (row, coef), for the crash
     s = 0
     for i, (terms, rel, rhs) in enumerate(rows):
         for idx, coef in terms.items():
+            k = col[idx]
             coo_r.append(i)
-            coo_c.append(col[idx])
+            coo_c.append(k)
             coo_v.append(coef)
+            entries[k].append((i, coef))
         b[i] = rhs
         if rel == "<=":
             coo_r.append(i), coo_c.append(n + s), coo_v.append(1.0)
@@ -698,8 +715,12 @@ def solve(model: LpModel) -> LpSolution:
     # the primal simplex runs on b raised by a fixed pattern, so ratio ties
     # and zero steps vanish with probability 1; the questions on the exact b
     # (is the program feasible, which point is the answer) go to the dual
-    sx = _Simplex(A, b + PERTURB * (1.0 + np.abs(b)) * _perturbation(m))
-    sx.set_basis(basis, identity=True)
+    b_tilde = b + PERTURB * (1.0 + np.abs(b)) * _perturbation(m)
+    if art_cols:
+        crashed = _crash(entries, c2[:n].tolist(), b_tilde.tolist(), basis, n + n_slack,
+                         len(art_cols))
+    sx = _Simplex(A, b_tilde)
+    sx.set_basis(basis, identity=not crashed)
     scale = max(1.0, float(np.abs(c2).max()))
 
     phase1 = 0
@@ -750,6 +771,51 @@ def solve(model: LpModel) -> LpSolution:
     x[sx.basis] = sx.xB
     values[live] = x[column]
     return answer("optimal", values, sx, (phase1, phase2, sx.pivots - phase1 - phase2))
+
+
+def _crash(entries, cost, r, basis, first_art, n_art):
+    """Least-cost triangular crash (Bixby, *Implementing the simplex
+    method: the initial basis*, ORSA J. Computing 4, 1992): put structural
+    columns into the starting basis in place of artificials, cheapest first,
+    as the least-cost rule of the transportation problem does.
+
+    Columns are visited by ascending ``cost``, ties by index.  One with an
+    entry in a row already taken is skipped.  Otherwise its pivot row ``p``
+    is the minimum ratio ``r_p / a_p`` over its positive entries; if
+    ``a_p > GUARD_TOL`` and ``p``'s basic variable is an artificial, the
+    column takes ``p`` at ``x_j = r_p / a_p``, and ``r`` (the right-hand
+    side, less what the placed columns use) drops by ``a x_j`` along it.
+    A tiny entry with the least ratio blocks its column rather than drop
+    out of the test, since a step past its ratio would drive its row's
+    basic value negative.
+
+    Each placed column misses the rows taken before it, so the basis is a
+    permuted triangle with nonzero diagonal, hence nonsingular; and no row
+    of ``r`` goes below 0 (up to rounding), so every basic value is
+    nonnegative, slacks and artificials included.  Updates ``basis`` in
+    place; returns the number of columns placed."""
+    taken = [False] * len(r)
+    placed = 0
+    for j in sorted(range(len(cost)), key=cost.__getitem__):  # a stable sort
+        terms = entries[j]
+        p, a_p, step = 0, 0.0, INF
+        for i, a in terms:
+            if taken[i]:
+                break
+            if a > 0.0:
+                ratio = r[i] / a
+                if ratio < step:
+                    p, a_p, step = i, a, ratio
+        else:  # no entry in a taken row
+            if a_p > GUARD_TOL and basis[p] >= first_art:
+                for i, a in terms:
+                    r[i] -= a * step
+                basis[p] = j
+                taken[p] = True
+                placed += 1
+                if placed == n_art:
+                    break
+    return placed
 
 
 # The perturbation pattern: a prefix of one fixed stream, drawn at the first
@@ -838,19 +904,23 @@ def export_lp(model: LpModel) -> str:
     """Deterministic text rendering: MINIMIZE / SUBJECT TO / BOUNDS / END.
 
     Coefficients carry 17 significant digits; variables appear in declaration
-    order; the BOUNDS section is present only when some upper bound is finite.
+    order.  BOUNDS lists every finite upper bound, and ``x <= inf`` for a
+    variable that appears nowhere else, so that parsing gives it back; the
+    section is present only when it lists something.
     """
     model.validate()
     names = model.var_names
     obj_terms = [(idx, model.objective[idx]) for idx in sorted(model.objective)]
     lines = ["MINIMIZE" + (" " + _terms_text(obj_terms, names) if obj_terms else "")]
     lines.append("SUBJECT TO")
+    used = set(model.objective)
     for cname, terms, rel, rhs in model.constraints:
         lines.append(f"{cname}: {_terms_text(terms, names)} {rel} {_fmt(rhs)}")
+        used.update(idx for idx, _ in terms)
     bounds = [
         f"{names[idx]} <= {_fmt(u)}"
         for idx, u in enumerate(model.var_upper)
-        if math.isfinite(u)
+        if math.isfinite(u) or idx not in used
     ]
     if bounds:
         lines.append("BOUNDS")

@@ -128,6 +128,22 @@ def test_round_trip_parse():
     assert s1.objective == pytest.approx(s2.objective)
 
 
+def test_round_trip_keeps_unused_variables():
+    # y has no term and no finite bound; it is written as y <= inf
+    m = minx_model()
+    m.add_variable("y")
+    text = export_lp(m)
+    assert text == "MINIMIZE 1 x\nSUBJECT TO\nc0: 1 x >= 1\nBOUNDS\ny <= inf\nEND\n"
+    again = parse_lp(text)
+    assert (again.var_names, again.var_upper) == (["x", "y"], [math.inf, math.inf])
+    assert export_lp(again) == text
+    # an unused variable with a finite bound was already written
+    m.var_upper[1] = 2.0
+    again = parse_lp(export_lp(m))
+    assert (again.var_names, again.var_upper) == (["x", "y"], [math.inf, 2.0])
+    assert export_lp(LpModel()) == "MINIMIZE\nSUBJECT TO\nEND\n"
+
+
 def test_deterministic_resolve():
     rng = np.random.default_rng(45)
     for m in [minx_model()] + [_degenerate_model(rng) for _ in range(20)]:
@@ -439,7 +455,7 @@ def test_presolve_cascade_of_singleton_rows():
     sol = _agrees_with_highs(m)
     assert sol.values == pytest.approx([2.0, 3.0, 2.0, 1.0])
     assert (sol.fixed, sol.dropped_rows) == (3, 3)
-    assert sol.pivots > 0
+    assert sol.pivots + sol.crashed > 0
     # without c3 nothing is left for the simplex: the fixed point is the answer
     del m.constraints[3]
     sol = _agrees_with_highs(m)
@@ -529,7 +545,7 @@ def test_random_lps_with_presolve_work_against_highs():
         seen.add(status)
         fixed += sol.fixed
         dropped += sol.dropped_rows
-        simplex += sol.pivots > 0
+        simplex += sol.pivots + sol.crashed > 0
     assert seen == {"optimal", "infeasible", "unbounded"}
     assert fixed > 300 and dropped > 300 and simplex > 100
 
@@ -740,7 +756,7 @@ def test_simplex_decides_infeasibility_without_singleton_rows():
     sol = solve(m)
     assert sol.status == "infeasible"
     assert (sol.fixed, sol.dropped_rows) == (0, 0)
-    assert sol.pivots > 0
+    assert sol.pivots + sol.crashed > 0
 
 
 def test_repair_on_a_fresh_inverse_does_not_refactor(monkeypatch):
@@ -815,8 +831,9 @@ def test_dense_submatrix_gathers_like_a_column_loop():
 
 
 def test_starting_basis_is_not_inverted(monkeypatch):
-    # the starting basis (one +1 slack or artificial per row) is the
-    # identity, so the solve inverts a basis only after it has pivoted
+    # the crash puts y in place of r1's artificial (x would take r2, whose
+    # basic is a slack); that basis is inverted once, and no other before
+    # the first pivot
     inverted = []
     real_refactor = lp._Simplex.refactor
 
@@ -833,7 +850,123 @@ def test_starting_basis_is_not_inverted(monkeypatch):
     m.add_constraint("r2", [(x, 1.0), (y, -1.0)], "<=", 0.5)
     sol = solve(m)
     assert sol.objective == pytest.approx(1.25)
-    assert sol.pivots > 0
+    assert sol.pivots > 0 and sol.crashed == 1
+    assert inverted.count(0) == 1
+
+
+def _starts(monkeypatch):
+    """The starting basis of every solve, as ``set_basis`` leaves it:
+    (basis, B, the perturbed b, x_B, inversions made)."""
+    starts = []
+    real = lp._Simplex.set_basis
+
+    def set_basis(self, basis, identity=False):
+        before = self.refactors
+        real(self, basis, identity)
+        starts.append((self.basis.tolist(), self.A.dense_submatrix(self.basis), self.b.copy(),
+                       self.xB.copy(), self.refactors - before))
+
+    monkeypatch.setattr(lp._Simplex, "set_basis", set_basis)
+    return starts
+
+
+def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
+    # supplies 20, 30, 25 and demands 10, 28, 22, 15.  By hand, the
+    # least-cost method fills (2,3) with 15 at cost 5 and (0,1) with 20 at
+    # 6, skips (1,3) and (0,0), fills (1,0) with 10 at 9, skips (0,2),
+    # fills (2,1) with 8 at 11, skips (1,1), fills (1,2) with 20 at 13,
+    # skips (2,0) and (0,3), and ends at (2,2) with the 2 left on both sides
+    pytest.importorskip("scipy")
+    cost = [[8, 6, 10, 15], [9, 12, 13, 7], [14, 11, 16, 5]]
+    supply, demand = [20, 30, 25], [10, 28, 22, 15]
+    m = LpModel()
+    x = [[m.add_variable(f"x{i}{j}") for j in range(4)] for i in range(3)]
+    for i in range(3):
+        for j in range(4):
+            m.add_objective(x[i][j], float(cost[i][j]))
+    for i in range(3):
+        m.add_constraint(f"s{i}", [(x[i][j], 1.0) for j in range(4)], "=", supply[i])
+    for j in range(4):
+        m.add_constraint(f"d{j}", [(x[i][j], 1.0) for i in range(3)], "=", demand[j])
+    starts = _starts(monkeypatch)
+    sol = _agrees_with_highs(m)
+    basis, _, _, xB, inverted = starts[0]
+    placed = {k: v for k, v in zip(basis, xB) if k < 12}
+    want = {(2, 3): 15, (0, 1): 20, (1, 0): 10, (2, 1): 8, (1, 2): 20, (2, 2): 2}
+    assert sorted(placed) == sorted(x[i][j] for i, j in want)
+    for (i, j), v in want.items():
+        assert placed[x[i][j]] == pytest.approx(v, abs=1e-6)
+    assert (sol.crashed, inverted) == (6, 1)
+
+
+@pytest.mark.parametrize("seed", [50, 51, 52])
+def test_crash_basis_is_nonsingular_and_feasible(monkeypatch, seed):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(seed)
+    starts = _starts(monkeypatch)
+    crashed = crashed_solves = 0
+    for make in (_random_model, _presolve_model, _doubleton_model):
+        for _ in range(100):
+            sol = _agrees_with_highs(make(rng))
+            crashed += sol.crashed
+            crashed_solves += sol.crashed > 0
+    assert crashed > 100
+    for basis, B, b_tilde, xB, _ in starts:
+        tol = 1e-12 * max(1.0, float(np.abs(b_tilde).max()))
+        assert np.linalg.matrix_rank(B) == len(basis)
+        assert xB.min() >= -tol
+        assert np.allclose(B @ xB, b_tilde, rtol=0, atol=tol)
+    # a start is inverted, once, exactly when the crash placed a column
+    assert [s[4] for s in starts].count(1) == crashed_solves
+    assert all(s[4] in (0, 1) for s in starts)
+
+
+def test_crash_never_pivots_on_a_tiny_entry(monkeypatch):
+    starts = _starts(monkeypatch)
+    # x is free and its only positive entry is 1e-8: it is not placed, y is
+    m = LpModel()
+    x, y = m.add_variable("x"), m.add_variable("y")
+    m.add_objective(y, 1.0)
+    m.add_constraint("a", [(x, 1e-8), (y, 1.0)], "=", 1.0)
+    sol = solve(m)
+    assert (sol.status, sol.crashed) == ("optimal", 1)
+    assert starts[0][0] == [y]
+    # x's tiny entry in row a has the least ratio, so x is not placed, though
+    # its entry 1 in row b passes GUARD_TOL: taking b at x = 5 would push
+    # a's artificial to 5e-10 - 5e-8 < 0
+    m = LpModel()
+    x, y, w, v = (m.add_variable(name) for name in "xywv")
+    m.add_objective(y, 1.0)
+    m.add_objective(w, 2.0)
+    m.add_objective(v, 3.0)
+    m.add_constraint("a", [(x, 1e-8), (w, -1.0), (v, 1.0)], "=", 0.0)
+    m.add_constraint("b", [(x, 1.0), (y, 1.0)], "=", 5.0)
+    sol = solve(m)
+    assert (sol.status, sol.crashed) == ("optimal", 2)
+    assert sol.objective == pytest.approx(1e-7)
+    basis, _, _, xB, _ = starts[1]
+    assert basis == [v, y] and xB.min() >= 0.0
+
+
+def test_identity_start_when_the_crash_places_nothing(monkeypatch):
+    # x and y would each take the row of its own bound, whose basic is a
+    # slack, so the start is the identity and is not inverted
+    inverted = []
+    real_refactor = lp._Simplex.refactor
+
+    def refactor(self):
+        inverted.append(self.pivots)
+        real_refactor(self)
+
+    monkeypatch.setattr(lp._Simplex, "refactor", refactor)
+    m = LpModel()
+    x, y = m.add_variable("x", upper=0.5), m.add_variable("y", upper=0.75)
+    m.add_objective(x, 1.0)
+    m.add_objective(y, 2.0)
+    m.add_constraint("r", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+    sol = solve(m)
+    assert sol.objective == pytest.approx(1.5)
+    assert sol.pivots > 0 and sol.crashed == 0
     assert 0 not in inverted
 
 

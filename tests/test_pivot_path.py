@@ -13,7 +13,12 @@ the W_2 digraph pair from 262 to 179 (180 with one OpenBLAS thread) and
 fig5 from 13 to 8.  They were re-recorded again, with one thread, when the
 presolve began to fold doubleton equations and fix the variables of
 zero-forcing rows: the W_2 pair went from 180 pivots to 160 (objective
-0.4999999999999998) and fig5 from 8 to 1; C5->C6 stays at 3."""
+0.4999999999999998) and fig5 from 8 to 1; C5->C6 stays at 3.  They were
+re-recorded once more, with one thread, when ``solve`` began to start
+phase 1 from a least-cost triangular crash basis: C5->C6 went from 3
+pivots to 2, the W_2 pair from 160 to 91 (objective 0.5000000000000001),
+fig5 from 1 to 0, and the 20 transport programs from 4-11 pivots each to
+0-3, with every objective unchanged."""
 
 import json
 import os
@@ -33,26 +38,26 @@ HERE = Path(__file__).resolve().parent
 
 # (n, m, pivots, objective) of optimal_coupling on _ot_problems()
 OT_PATHS = [
-    (6, 3, 9, 9.141067403430949),
-    (5, 2, 6, 14.688359886547685),
-    (5, 4, 8, 5.629471606158015),
-    (4, 6, 10, 2.6516757975388265),
-    (6, 2, 8, 14.478891667006346),
-    (2, 6, 7, 3.951446167820116),
-    (5, 3, 7, 5.1639639705929135),
-    (6, 5, 11, 6.891569645593164),
-    (3, 2, 4, 2.9211934250943137),
-    (3, 3, 5, 1.4115925676524388),
-    (6, 2, 8, 4.080387187875774),
-    (4, 5, 8, 1.688165135197793),
-    (4, 6, 9, 5.793683882105243),
-    (5, 3, 8, 3.8387756833016518),
-    (4, 5, 9, 4.971651277312234),
-    (4, 2, 6, 12.407357985423802),
-    (6, 5, 11, 4.485577898612084),
-    (2, 4, 5, 1.262196161457444),
-    (2, 4, 5, 4.916440231075441),
-    (4, 2, 5, 10.414021385744595),
+    (6, 3, 2, 9.141067403430949),
+    (5, 2, 0, 14.688359886547685),
+    (5, 4, 0, 5.629471606158015),
+    (4, 6, 2, 2.6516757975388265),
+    (6, 2, 3, 14.478891667006346),
+    (2, 6, 0, 3.951446167820116),
+    (5, 3, 1, 5.1639639705929135),
+    (6, 5, 3, 6.891569645593164),
+    (3, 2, 1, 2.9211934250943137),
+    (3, 3, 0, 1.4115925676524388),
+    (6, 2, 2, 4.080387187875774),
+    (4, 5, 2, 1.688165135197793),
+    (4, 6, 1, 5.793683882105243),
+    (5, 3, 2, 3.8387756833016518),
+    (4, 5, 3, 4.971651277312234),
+    (4, 2, 1, 12.407357985423802),
+    (6, 5, 3, 4.485577898612084),
+    (2, 4, 1, 1.262196161457444),
+    (2, 4, 0, 4.916440231075441),
+    (4, 2, 0, 10.414021385744595),
 ]
 
 
@@ -168,8 +173,8 @@ def test_wasserstein_pivot_paths(one_thread):
     answers, paths = one_thread["wasserstein"]
     assert answers[0] == 0.0 and answers[1] == pytest.approx(0.5**0.5)
     assert len(paths) == 2
-    _same_path(paths[0], "optimal", 3, 0.0)
-    _same_path(paths[1], "optimal", 160, 0.4999999999999998)
+    _same_path(paths[0], "optimal", 2, 0.0)
+    _same_path(paths[1], "optimal", 91, 0.5000000000000001)
 
 
 def test_transport_pivot_paths(one_thread):
@@ -183,7 +188,7 @@ def test_transport_pivot_paths(one_thread):
 def test_feasibility_pivot_paths(one_thread):
     answers, paths = one_thread["feasibility"]
     assert answers == [True, True]
-    _same_path(paths[0], "optimal", 1, 0.0)
+    _same_path(paths[0], "optimal", 0, 0.0)
     _same_path(paths[1], "infeasible", 0, None)
 
 
@@ -205,8 +210,8 @@ def test_solution_counts(solves):
     relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
     rng = np.random.default_rng(4)
     x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
-    # W_1 of this pair pivots in phase 2 (61, 1, 0), which none of the
-    # other solves here does since the presolve folds doubletons
+    # W_2 of this pair pivots in phase 2 (90, 1, 0), which none of the
+    # other solves here does since the crash start
     for p in (1.0, 2.0):
         relax.wasserstein_cset_distance(x, y, p)
     for problem in _ot_problems():
