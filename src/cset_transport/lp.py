@@ -1,5 +1,6 @@
 """Sparse linear-program model, a self-contained two-phase revised simplex
-solver, and a deterministic LP text format.
+solver with a spanning-tree path for transportation problems, and a
+deterministic LP text format.
 
 All variables are nonnegative.  Before the simplex, an exact presolve
 shrinks the program, and logs each step: it fixes the variables the model
@@ -36,13 +37,29 @@ certified: primal by its residuals on the original model, dual by the
 reduced costs of the quotient's final basis (the quotient has the model's
 optimum).  The pattern is fixed, so repeated solves of the same model are
 bit-identical.
+
+A program that the presolve leaves as a transportation problem
+(``_transportation``: only equations, every coefficient 1, every live
+variable unbounded above and in exactly two rows, the rows split into
+supplies and demands by a 2-colouring) takes neither the quotient nor the
+simplex.  A transportation simplex on a spanning-tree basis (``_Tree``)
+solves it in plain Python, with no inverse and no BLAS call, so its answer
+does not depend on the BLAS thread count.  It starts from the least-cost
+rule, in ``_crash``'s order, and hangs every row the start leaves open from
+a root by an artificial edge; artificials cost (1, 0) against a variable's
+(0, c), compared lexicographically, so one pass decides feasibility.  After
+a step of 0 it enters by Bland's rule, which makes every run of such steps
+finite.  The flows are read off the final tree from the exact right-hand
+sides, and the answer is certified as the simplex's is: by its residuals
+on the original model, and by the reduced costs ``c_ij - u_i - v_j`` under
+the potentials that solve ``u_i + v_j = c_ij`` on the final tree.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +74,7 @@ INF = math.inf
 # names (PERTURB by 1 + |b_i|); the others are absolute.
 PIVOT_TOL = 1e-10  # smallest direction entry the ratio test pivots on
 FEAS_TOL = 1e-7  # residual _recheck allows; artificial mass that means infeasible
-OPT_TOL = 1e-11  # a reduced cost below -OPT_TOL enters the basis
+OPT_TOL = 1e-11  # a reduced cost below -OPT_TOL enters the basis (the tree's: relative to max|c|)
 DUAL_TOL = 1e-9  # relative to max|c|: the final basis's reduced costs must reach -DUAL_TOL
 GUARD_TOL = 1e-7  # smallest |element| a zero-guard leave, a drive-out or the crash pivots on
 PRIMAL_TOL = 1e-9  # a basic value on the exact b below -max(PRIMAL_TOL,
@@ -140,15 +157,19 @@ class LpSolution:
     # of their class: the quotient program has that many fewer of each
     merged_vars: int = 0
     merged_rows: int = 0
-    pivots: int = 0  # simplex pivots, both phases and the dual simplex
+    pivots: int = 0  # simplex (or tree) pivots, both phases and the dual simplex
     # the pivots of phase 1 (with its dual-simplex checks on the exact b and
     # the drive-out of artificials), of phase 2 and of the final repair;
-    # they sum to ``pivots``
+    # they sum to ``pivots``.  A tree pivot that lowers the artificial mass
+    # counts in phase 1, any other in phase 2.
     phase_pivots: tuple[int, int, int] = (0, 0, 0)
-    refactors: int = 0  # basis inversions
+    refactors: int = 0  # basis inversions (0 on the tree path)
     # columns the crash put into the starting basis in place of artificials;
-    # not pivots
+    # not pivots (on the tree path: the cells of the least-cost start)
     crashed: int = 0
+    # which solver answered: "simplex", or "transport" for a program the
+    # presolve leaves as a transportation problem (``_transportation``)
+    method: str = "simplex"
 
     def value(self, name: str) -> float:
         return float(self.values[self.var_names.index(name)])
@@ -616,6 +637,233 @@ def _standardize(rows, columns, upper):
     return out
 
 
+def _transportation(pre: _Presolved, live):
+    """The presolved program as a transportation problem, or None if it is
+    not one.  It is one when every row is an equation, every coefficient is
+    exactly 1, and every live variable is unbounded above and sits in
+    exactly two rows, which a 2-colouring of the rows puts on opposite sides
+    (the supplies and the demands).  Returns the two rows of each live
+    variable, lower first, and the first row of each row's connected
+    component."""
+    rows = pre.rows
+    if not rows:
+        return None
+    ends = {j: [] for j in live}
+    for i, (coef, rel, _) in enumerate(rows):
+        if rel != "=" or set(coef.values()) != {1.0}:
+            return None
+        for j in coef:
+            ends[j].append(i)
+    adj = [[] for _ in rows]
+    for j, e in ends.items():
+        if len(e) != 2 or pre.upper[j] != INF:
+            return None
+        a, b = e
+        adj[a].append(b)
+        adj[b].append(a)
+    side, first = [-1] * len(rows), [0] * len(rows)
+    for s in range(len(rows)):
+        if side[s] >= 0:
+            continue
+        side[s], first[s] = 0, s
+        queue = [s]
+        for v in queue:  # breadth first: the queue grows as it is read
+            for w in adj[v]:
+                if side[w] < 0:
+                    side[w], first[w] = 1 - side[v], s
+                    queue.append(w)
+                elif side[w] == side[v]:  # an odd cycle of rows
+                    return None
+    return list(ends.values()), first
+
+
+class _Tree:
+    """Transportation simplex on a spanning-tree basis (Dantzig, 1951;
+    Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11), in plain
+    Python: a tree basis needs no inverse.
+
+    The nodes are the rows and a root, ``m``.  Edge ``e < n`` is the
+    variable with column ``e_a + e_b`` for its rows ``(a, b) = ends[e]``;
+    edge ``n + k`` is the artificial of row ``k``, with column ``sigma[k]
+    e_k``, and joins ``k`` to the root.  An artificial costs (1, 0) and a
+    variable (0, c), compared lexicographically, so one pass minimizes the
+    artificial flow first and the cost second: the program is feasible
+    exactly when the artificials end empty, and the tree is then optimal.
+    The potentials ``(y1, y2)`` solve ``y_a + y_b = (0, c)`` on the tree's
+    variables and ``sigma[k] y_k = (1, 0)`` on its artificials; the root has
+    none.
+
+    An artificial that leaves never re-enters, which keeps both verdicts:
+    the program without it keeps every feasible point, and the artificial
+    mass cannot fall below 0.  Degeneracy: a pivot that follows a step of 0
+    takes Bland's rule (Bland, 1977), so a run of such steps is finite, and
+    every other pivot lowers the objective; the loop bound only guards
+    against numerical breakdown."""
+
+    refactors = 0  # a tree basis is never inverted
+
+    def __init__(self, rhs, cost, ends, first):
+        self.rhs, self.cost, self.ends, self.first = rhs, cost, ends, first
+        m, n = len(rhs), len(ends)
+        self.m, self.n = m, n
+        self.nodes = ends + [(k, m) for k in range(m)]  # the ends of every edge
+        self.across = [a ^ b for a, b in self.nodes]  # one end from the other
+        self.sigma = [1] * m
+        self.flow = [0.0] * (n + m)
+        self.tree = []  # the basis: m edges
+        self.pivots = 0
+        self.phase_pivots = [0, 0]
+        self.cells = self._start()
+
+    def _start(self):
+        """The least-cost start: visit the variables by ascending cost,
+        ties by index, as ``_crash`` does; place one whose rows are both
+        open at the smaller remaining right-hand side of the two (the lower
+        row on a tie), and close that row.  Each placed variable joins the
+        row it closes to one still open, so they form a forest; every row
+        left open hangs from the root by its artificial, which carries what
+        the row has left.  A row with a negative right-hand side is never
+        used.  Returns the number of variables placed."""
+        n, flow, r = self.n, self.flow, list(self.rhs)
+        taken = [False] * self.m
+        for e in sorted(range(n), key=self.cost.__getitem__):  # a stable sort
+            a, b = self.ends[e]
+            if taken[a] or taken[b] or r[a] < 0.0 or r[b] < 0.0:
+                continue
+            p = a if r[a] <= r[b] else b
+            flow[e] = x = r[p]
+            r[a] -= x
+            r[b] -= x
+            taken[p] = True
+            self.tree.append(e)
+        cells = len(self.tree)
+        for k in range(self.m):
+            if not taken[k]:
+                self.sigma[k] = 1 if r[k] >= 0.0 else -1
+                flow[n + k] = abs(r[k])
+                self.tree.append(n + k)
+        return cells
+
+    def _hang(self):
+        """The tree hung from the root: each node's parent, parent edge and
+        depth, the nodes in breadth-first order, and the potentials."""
+        m, n, across, cost, sigma = self.m, self.n, self.across, self.cost, self.sigma
+        adj = [[] for _ in range(m + 1)]
+        for e in self.tree:
+            a, b = self.nodes[e]
+            adj[a].append(e)
+            adj[b].append(e)
+        parent, pedge, depth = [m] * (m + 1), [-1] * (m + 1), [0] * (m + 1)
+        y1, y2 = [0] * (m + 1), [0.0] * (m + 1)
+        order = [m]
+        for v in order:
+            for e in adj[v]:
+                if e != pedge[v]:
+                    w = across[e] ^ v
+                    parent[w], pedge[w], depth[w] = v, e, depth[v] + 1
+                    if e < n:
+                        y1[w], y2[w] = -y1[v], cost[e] - y2[v]
+                    else:
+                        y1[w] = sigma[w]
+                    order.append(w)
+        self.hung = parent, pedge, depth, order, y1, y2
+        return self.hung
+
+    def run(self, tol):
+        """Pivot until no variable prices below (0, -tol) lexicographically.
+
+        Each iteration enters the variable of least reduced cost
+        ``(-y1_a - y1_b, c - y2_a - y2_b)``, the first of equal ones
+        (Dantzig's rule), or, after a step of 0, the first that prices
+        below (0, -tol) (Bland's rule).  The step pushes flow around the
+        cycle the variable closes in the tree (through the root where its
+        rows hang from different artificials), and the edge it lowers that
+        has the least flow leaves, the least (flow, variable or not, index)
+        on a tie, so artificials first.  A pivot that lowers the artificial
+        mass counts as one of phase 1, any other as one of phase 2."""
+        n, ends, cost, flow, sigma = self.n, self.ends, self.cost, self.flow, self.sigma
+        in_tree = [False] * (n + self.m)
+        for e in self.tree:
+            in_tree[e] = True
+        bland = False
+        for _ in range(max(5000, 200 * (self.m + 1))):
+            parent, pedge, depth, _, y1, y2 = self._hang()
+            enter, key = -1, None
+            for e in range(n):
+                if in_tree[e]:
+                    continue
+                a, b = ends[e]
+                r1 = -y1[a] - y1[b]
+                if r1 > 0:
+                    continue
+                r2 = cost[e] - y2[a] - y2[b]
+                if (r1 < 0 or r2 < -tol) and (key is None or (r1, r2) < key):
+                    enter, key = e, (r1, r2)
+                    if bland:
+                        break
+            if key is None:
+                return
+            # walk up from both rows to where their paths meet; d is what a
+            # unit step adds to the left side of the row walked from, and
+            # the row's parent edge takes it away
+            i, j = ends[enter]
+            di = dj = 1
+            path, block = [], None
+            while i != j:
+                if depth[i] < depth[j]:
+                    i, j, di, dj = j, i, dj, di
+                e = pedge[i]
+                s = -di if e < n else -di * sigma[i]
+                path.append((e, s))
+                if s < 0 and (block is None or (flow[e], e < n, e) < block):
+                    block = (flow[e], e < n, e)
+                di, i = -di, parent[i]
+            step, _, leave = block
+            for e, s in path:
+                flow[e] = flow[e] + step if s > 0 else flow[e] - step
+            flow[enter] = step
+            self.tree[self.tree.index(leave)] = enter
+            in_tree[leave], in_tree[enter] = False, True
+            self.pivots += 1
+            self.phase_pivots[key[0] == 0] += 1
+            bland = step == 0.0
+        raise LpNumericalError("tree simplex exceeded its iteration limit")
+
+    def finish(self):
+        """Hang each component that hangs from the root by one artificial
+        from its first row instead, which changes no reduced cost, and read
+        the flows off the tree from the exact right-hand sides, leaves
+        first, the artificials taking what their rows have left: the
+        rounding of a balanced component lands in its first row.  Returns
+        the variables' flows, the artificial mass, and the least reduced
+        cost ``c - y2_a - y2_b`` over the variables with ``y1_a + y1_b =
+        0``; the others price above 0 in the artificial part, so
+        ``y2 + M y1`` is a dual solution for every large enough M."""
+        n, tree, first = self.n, self.tree, self.first
+        arts = [e - n for e in tree if e >= n]
+        hanging = Counter(first[k] for k in arts)
+        hung = self.hung
+        for k in arts:
+            if k != first[k] and hanging[first[k]] == 1:
+                tree[tree.index(n + k)] = n + first[k]
+                self.sigma[first[k]] = 1
+                hung = None
+        parent, pedge, _, order, y1, y2 = hung or self._hang()
+        flow, left, mass = self.flow, list(self.rhs), 0.0
+        for v in reversed(order[1:]):
+            e = pedge[v]
+            if e < n:
+                flow[e] = left[v]
+                left[parent[v]] -= left[v]
+            else:
+                mass += abs(left[v])
+        worst = 0.0
+        for (a, b), c in zip(self.ends, self.cost):
+            if y1[a] + y1[b] == 0:
+                worst = min(worst, c - y2[a] - y2[b])
+        return flow[:n], mass, worst
+
+
 def solve(model: LpModel) -> LpSolution:
     """Presolve, then a two-phase simplex on what is left, solved on its
     colour classes (``_columns``) and started from a least-cost triangular
@@ -627,8 +875,13 @@ def solve(model: LpModel) -> LpSolution:
     need not be a vertex of the model; the variables the presolve folded
     into others are recovered from them (``_Presolved.recover``).  It
     satisfies every constraint of the original model within ``FEAS_TOL``,
-    and the quotient's final basis is dual feasible.  Numerical breakdown
-    raises, never passes silently."""
+    and the quotient's final basis is dual feasible.  A program the
+    presolve leaves as a transportation problem (``_transportation``) is
+    solved on a spanning tree instead (``_Tree``): its answer passes the
+    same residual check, and every live variable prices at -DUAL_TOL
+    relative or above under the final tree's potentials.
+    ``LpSolution.method`` names the path that answered.  Numerical
+    breakdown raises, never passes silently."""
     model.validate()
     pre = _presolve(model)
     c_orig = np.zeros(model.num_vars)
@@ -636,7 +889,7 @@ def solve(model: LpModel) -> LpSolution:
         c_orig[idx] = coef
     merged, crashed = (0, 0), 0
 
-    def answer(status, values=None, sx=None, phase_pivots=(0, 0, 0)):
+    def answer(status, values=None, sx=None, phase_pivots=(0, 0, 0), method="simplex"):
         objective = None
         if values is not None:
             pre.recover(values)
@@ -645,17 +898,35 @@ def solve(model: LpModel) -> LpSolution:
         pivots, refactors = (0, 0) if sx is None else (sx.pivots, sx.refactors)
         return LpSolution(status, objective, values, list(model.var_names),
                           pre.count("fix"), pre.count("drop"), pre.count("agg"),
-                          *merged, pivots, phase_pivots, refactors, crashed)
+                          *merged, pivots, phase_pivots, refactors, crashed, method)
 
     if pre.infeasible:
         return answer("infeasible")
     live = [idx for idx in range(model.num_vars) if not pre.is_fixed[idx]]
+    values = np.array(pre.values)
+    shape = _transportation(pre, live)
+    if shape is not None:
+        tree = _Tree([rhs for _, _, rhs in pre.rows], [pre.objective.get(j, 0.0) for j in live],
+                     *shape)
+        crashed = tree.cells
+        scale = max(1.0, max(map(abs, tree.cost)))
+        tree.run(OPT_TOL * scale)
+        flows, mass, worst = tree.finish()
+        phases = (*tree.phase_pivots, 0)
+        if mass > FEAS_TOL:
+            return answer("infeasible", sx=tree, phase_pivots=phases, method="transport")
+        if worst < -DUAL_TOL * scale:
+            raise LpNumericalError(f"final tree is not dual feasible: reduced cost {worst:.3e}")
+        # flows this far below the largest are exact zeros, as in the polish
+        snap = SNAP_TOL * max(1.0, max(flows))
+        values[live] = [x if x >= snap else 0.0 for x in flows]
+        return answer("optimal", values, tree, phases, "transport")
+
     rows, col, columns = _columns(pre, live, pre.objective, pre.upper)
     n = len(columns)
     merged = (len(live) - n, len(pre.rows) - len(rows))
     rows = _standardize(rows, columns, pre.upper)
     m = len(rows)
-    values = np.array(pre.values)
     c_live = np.array([pre.objective.get(idx, 0.0) for idx in live])
 
     if m == 0:

@@ -129,6 +129,10 @@ def wasserstein_kernels(
     """W_p between kernels X -> Y: per-row optimal transport aggregated in L^p.
 
     Rows of zero mass are skipped (0 * inf = 0) and contribute no coupling.
+    Each kernel row is read as the probability measure it stands for: the
+    entries ``FiniteKernel`` lets down to ``-TOL`` are taken as 0 and the
+    row is divided by its sum, so two rows that each sum to 1 within ``TOL``
+    carry equal mass.
     """
     check_order(p, finite=True)
     if m.rows != n.rows or m.cols != n.cols:
@@ -141,14 +145,18 @@ def wasserstein_kernels(
     for x in range(m.rows):
         if muX.w[x] <= 0:
             continue
-        row = optimal_coupling(
-            MeasureData(m.cols, m.p[x]), MeasureData(n.cols, n.p[x]), costp
-        )
+        row = optimal_coupling(_row_measure(m.p[x]), _row_measure(n.p[x]), costp)
         couplings[x] = row.coupling
-        total += ext_mul(muX.w[x], row.cost)
+        total += ext_mul(float(muX.w[x]), row.cost)
         if total == INF:
             return OtResult(INF, None)
     return OtResult(ext_root(total, p), couplings)
+
+
+def _row_measure(row: np.ndarray) -> MeasureData:
+    """A kernel row as a probability measure: clipped at 0, summing to 1."""
+    w = np.maximum(row, 0.0)
+    return MeasureData(len(w), w / w.sum())
 
 
 def wasserstein_deterministic(

@@ -870,13 +870,13 @@ def _starts(monkeypatch):
     return starts
 
 
-def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
-    # supplies 20, 30, 25 and demands 10, 28, 22, 15.  By hand, the
-    # least-cost method fills (2,3) with 15 at cost 5 and (0,1) with 20 at
-    # 6, skips (1,3) and (0,0), fills (1,0) with 10 at 9, skips (0,2),
-    # fills (2,1) with 8 at 11, skips (1,1), fills (1,2) with 20 at 13,
-    # skips (2,0) and (0,3), and ends at (2,2) with the 2 left on both sides
-    pytest.importorskip("scipy")
+def _least_cost_example():
+    """Supplies 20, 30, 25 and demands 10, 28, 22, 15.  By hand, the
+    least-cost method fills (2,3) with 15 at cost 5 and (0,1) with 20 at 6,
+    skips (1,3) and (0,0), fills (1,0) with 10 at 9, skips (0,2), fills
+    (2,1) with 8 at 11, skips (1,1), fills (1,2) with 20 at 13, skips (2,0)
+    and (0,3), and ends at (2,2) with the 2 left on both sides.  Returns the
+    model, its variables and those cells."""
     cost = [[8, 6, 10, 15], [9, 12, 13, 7], [14, 11, 16, 5]]
     supply, demand = [20, 30, 25], [10, 28, 22, 15]
     m = LpModel()
@@ -888,11 +888,21 @@ def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
         m.add_constraint(f"s{i}", [(x[i][j], 1.0) for j in range(4)], "=", supply[i])
     for j in range(4):
         m.add_constraint(f"d{j}", [(x[i][j], 1.0) for i in range(3)], "=", demand[j])
+    return m, x, {(2, 3): 15, (0, 1): 20, (1, 0): 10, (2, 1): 8, (1, 2): 20, (2, 2): 2}
+
+
+def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
+    # a finite bound on x03, which the start leaves out, keeps the program
+    # off the tree path (test_transport_path.py runs it there) and adds a
+    # bound row whose basic is a slack
+    pytest.importorskip("scipy")
+    m, x, want = _least_cost_example()
+    m.var_upper[x[0][3]] = 100.0
     starts = _starts(monkeypatch)
     sol = _agrees_with_highs(m)
+    assert sol.method == "simplex"
     basis, _, _, xB, inverted = starts[0]
     placed = {k: v for k, v in zip(basis, xB) if k < 12}
-    want = {(2, 3): 15, (0, 1): 20, (1, 0): 10, (2, 1): 8, (1, 2): 20, (2, 2): 2}
     assert sorted(placed) == sorted(x[i][j] for i, j in want)
     for (i, j), v in want.items():
         assert placed[x[i][j]] == pytest.approx(v, abs=1e-6)

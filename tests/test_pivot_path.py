@@ -18,7 +18,11 @@ re-recorded once more, with one thread, when ``solve`` began to start
 phase 1 from a least-cost triangular crash basis: C5->C6 went from 3
 pivots to 2, the W_2 pair from 160 to 91 (objective 0.5000000000000001),
 fig5 from 1 to 0, and the 20 transport programs from 4-11 pivots each to
-0-3, with every objective unchanged."""
+0-3, with every objective unchanged.  Since ``solve`` answers
+transportation problems on a spanning tree (``lp._Tree``), the transport
+programs' counts are tree pivots: each is the same as the simplex's but
+the 4x5 one with objective 1.688..., which went from 2 to 1; the pinned
+objectives still hold within 1e-12."""
 
 import json
 import os
@@ -49,7 +53,7 @@ OT_PATHS = [
     (3, 2, 1, 2.9211934250943137),
     (3, 3, 0, 1.4115925676524388),
     (6, 2, 2, 4.080387187875774),
-    (4, 5, 2, 1.688165135197793),
+    (4, 5, 1, 1.688165135197793),
     (4, 6, 1, 5.793683882105243),
     (5, 3, 2, 3.8387756833016518),
     (4, 5, 3, 4.971651277312234),
@@ -155,18 +159,25 @@ def _record(family):
     return answers, seen
 
 
+def _child(code, threads):
+    """What ``code`` prints as JSON, run with this module in a child
+    process with ``threads`` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    paths = [str(HERE.parent / "src"), str(HERE), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 @pytest.fixture(scope="module")
 def one_thread():
     """Every family's record, from a child process with one BLAS thread:
     LAPACK's inverse rounds differently at each thread count, which can
     flip near-ties in pricing and so the pivot path."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    paths = [str(HERE.parent / "src"), str(HERE), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     code = "import json, test_pivot_path as t; print(json.dumps({f: t._record(f) for f in t.FAMILIES}))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
+    return _child(code, "1")
 
 
 def test_wasserstein_pivot_paths(one_thread):
@@ -192,6 +203,45 @@ def test_feasibility_pivot_paths(one_thread):
     _same_path(paths[1], "infeasible", 0, None)
 
 
+def _empty_graph(nv):
+    """A graph with ``nv`` vertices, no edges and counting measures."""
+    x = ct.Instance(builtin_theory("Graph"), {"E": 0, "V": nv},
+                    {"src": np.zeros(0, dtype=int), "tgt": np.zeros(0, dtype=int)})
+    return x.with_data(measures={"V": ct.counting_measure(nv), "E": ct.counting_measure(0)})
+
+
+def _tree_solves():
+    """(status, method, pivots, values) of the transport programs and of a
+    measure-preserving feasibility program between edgeless graphs, whose
+    rows are those of an assignment problem."""
+    seen = []
+    real = lp.solve
+
+    def recording(model):
+        sol = real(model)
+        seen.append((sol.status, sol.method, sol.pivots, sol.values.tolist()))
+        return sol
+
+    saved = relax.solve, transport.solve
+    relax.solve = transport.solve = recording
+    try:
+        _transport_solves()
+        relax.markov_feasible(_empty_graph(4), _empty_graph(4), measure_preserving=True)
+    finally:
+        relax.solve, transport.solve = saved
+    return seen
+
+
+def test_tree_answers_do_not_depend_on_the_blas_thread_count():
+    # the tree path makes no BLAS call: status, pivots and every value
+    # agree bit for bit between one and two threads
+    code = "import json, test_pivot_path as t; print(json.dumps(t._tree_solves()))"
+    one, two = _child(code, "1"), _child(code, "2")
+    assert len(one) == len(OT_PATHS) + 1
+    assert all(method == "transport" for _, method, _, _ in one)
+    assert one == two
+
+
 def test_merged_counts(solves):
     # the transport programs have distinct costs, so nothing merges; the
     # cycle program folds onto a handful of classes
@@ -205,8 +255,9 @@ def test_merged_counts(solves):
 
 
 def test_solution_counts(solves):
-    # pivots split into phase 1, phase 2 and the final repair; a solve that
-    # pivoted has inverted a basis before its verdict
+    # pivots split into phase 1, phase 2 and the final repair; a simplex
+    # solve that pivoted has inverted a basis before its verdict, and a tree
+    # is never inverted
     relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
     rng = np.random.default_rng(4)
     x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
@@ -223,7 +274,10 @@ def test_solution_counts(solves):
         assert all(type(k) is int and k >= 0 for k in sol.phase_pivots)
         assert sum(sol.phase_pivots) == sol.pivots
         assert type(sol.refactors) is int
-        assert sol.refactors >= 1 or sol.pivots == 0
+        if sol.method == "simplex":
+            assert sol.refactors >= 1 or sol.pivots == 0
+        else:
+            assert sol.refactors == 0
     assert any(sol.phase_pivots[1] for sol in solves)
     # the presolve answers this one: no simplex at all
     assert (solves[-1].pivots, solves[-1].refactors) == (0, 0)

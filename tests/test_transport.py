@@ -181,6 +181,25 @@ def test_kernel_wasserstein_skips_null_rows():
     assert res.coupling[1] is None
 
 
+def test_kernel_wasserstein_takes_entries_down_to_minus_tol_as_zero():
+    # FiniteKernel accepts an entry in [-TOL, 0); as a measure it is 0
+    m = FiniteKernel(1, 2, [[1 + 1e-10, -1e-10]])
+    n = FiniteKernel(1, 2, [[0.0, 1.0]])
+    res = wasserstein_kernels(m, n, MeasureData(1, [1.0]), line(2), 1.0)
+    assert res.cost == pytest.approx(1.0)
+    assert type(res.cost) is float
+    assert res.coupling[0].min() >= 0.0
+
+
+def test_kernel_wasserstein_rows_within_tol_of_one_carry_equal_mass():
+    # each row sums to 1 within TOL, but the two sums differ by more than TOL
+    m = FiniteKernel(1, 2, [[0.5 + 9e-10, 0.5]])
+    n = FiniteKernel(1, 2, [[0.5 - 9e-10, 0.5]])
+    res = wasserstein_kernels(m, n, MeasureData(1, [1.0]), line(2), 1.0)
+    assert res.cost == pytest.approx(0.0, abs=1e-8)
+    assert type(res.cost) is float
+
+
 def test_kernel_wasserstein_triangle():
     rng = np.random.default_rng(25)
     for _ in range(40):
