@@ -43,10 +43,11 @@ A program that the presolve leaves as a transportation problem
 variable unbounded above and in exactly two rows, the rows split into
 supplies and demands by a 2-colouring) takes neither the quotient nor the
 simplex.  A transportation simplex on a spanning-tree basis (``_Tree``)
-solves it in plain Python, with no inverse and no BLAS call, so its answer
-does not depend on the BLAS thread count.  It starts from the least-cost
-rule, in ``_crash``'s order, and hangs every row the start leaves open from
-a root by an artificial edge; artificials cost (1, 0) against a variable's
+solves it with no inverse and no BLAS call (numpy only prices the
+variables of a larger program, elementwise), so its answer does not depend
+on the BLAS thread count.  It starts from the least-cost rule that the crash uses too
+(``_least_cost``), and hangs every row the start leaves open from a root
+by an artificial edge; artificials cost (1, 0) against a variable's
 (0, c), compared lexicographically, so one pass decides feasibility.  After
 a step of 0 it enters by Bland's rule, which makes every run of such steps
 finite.  The flows are read off the final tree from the exact right-hand
@@ -83,6 +84,7 @@ SNAP_TOL = 1e-12  # relative to max x_B: smaller polished basic values are exact
 BLEND = 1e-4  # relative to max|c|: weight of the real objective in phase 1
 PERTURB = 1e-9  # relative to 1 + |b_i|: size of the right-hand-side perturbation
 REFACTOR_EVERY = 256
+LOOP_PRICING = 64  # the tree prices at most this many variables in a Python loop
 
 _RELATIONS = ("=", "<=", ">=")
 
@@ -160,8 +162,8 @@ class LpSolution:
     pivots: int = 0  # simplex (or tree) pivots, both phases and the dual simplex
     # the pivots of phase 1 (with its dual-simplex checks on the exact b and
     # the drive-out of artificials), of phase 2 and of the final repair;
-    # they sum to ``pivots``.  A tree pivot that lowers the artificial mass
-    # counts in phase 1, any other in phase 2.
+    # they sum to ``pivots``.  A tree pivot that enters on a negative
+    # artificial price counts in phase 1, any other in phase 2.
     phase_pivots: tuple[int, int, int] = (0, 0, 0)
     refactors: int = 0  # basis inversions (0 on the tree path)
     # columns the crash put into the starting basis in place of artificials;
@@ -679,8 +681,8 @@ def _transportation(pre: _Presolved, live):
 
 class _Tree:
     """Transportation simplex on a spanning-tree basis (Dantzig, 1951;
-    Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11), in plain
-    Python: a tree basis needs no inverse.
+    Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11): a tree basis
+    needs no inverse.
 
     The nodes are the rows and a root, ``m``.  Edge ``e < n`` is the
     variable with column ``e_a + e_b`` for its rows ``(a, b) = ends[e]``;
@@ -691,7 +693,8 @@ class _Tree:
     exactly when the artificials end empty, and the tree is then optimal.
     The potentials ``(y1, y2)`` solve ``y_a + y_b = (0, c)`` on the tree's
     variables and ``sigma[k] y_k = (1, 0)`` on its artificials; the root has
-    none.
+    none.  A node's potentials are summed along its one path from the root,
+    so they depend only on the tree, not on how it was reached.
 
     An artificial that leaves never re-enters, which keeps both verdicts:
     the program without it keeps every feasible point, and the artificial
@@ -716,37 +719,28 @@ class _Tree:
         self.cells = self._start()
 
     def _start(self):
-        """The least-cost start: visit the variables by ascending cost,
-        ties by index, as ``_crash`` does; place one whose rows are both
-        open at the smaller remaining right-hand side of the two (the lower
-        row on a tie), and close that row.  Each placed variable joins the
-        row it closes to one still open, so they form a forest; every row
-        left open hangs from the root by its artificial, which carries what
-        the row has left.  A row with a negative right-hand side is never
-        used.  Returns the number of variables placed."""
-        n, flow, r = self.n, self.flow, list(self.rhs)
-        taken = [False] * self.m
-        for e in sorted(range(n), key=self.cost.__getitem__):  # a stable sort
-            a, b = self.ends[e]
-            if taken[a] or taken[b] or r[a] < 0.0 or r[b] < 0.0:
-                continue
-            p = a if r[a] <= r[b] else b
-            flow[e] = x = r[p]
-            r[a] -= x
-            r[b] -= x
-            taken[p] = True
+        """The least-cost start (``_least_cost``), which never uses a row
+        with a negative right-hand side: each placed variable joins the row
+        it closes to one still open, so they form a forest; every row left
+        open hangs from the root by its artificial, which carries what the
+        row has left.  Returns the number of variables placed."""
+        n, r, taken = self.n, list(self.rhs), [False] * self.m
+        entries = [((a, 1.0), (b, 1.0)) for a, b in self.ends]
+        for e, _, x in _least_cost(entries, self.cost, r, taken, lambda p, a_p, step: step >= 0.0):
+            self.flow[e] = x
             self.tree.append(e)
         cells = len(self.tree)
         for k in range(self.m):
             if not taken[k]:
                 self.sigma[k] = 1 if r[k] >= 0.0 else -1
-                flow[n + k] = abs(r[k])
+                self.flow[n + k] = abs(r[k])
                 self.tree.append(n + k)
         return cells
 
     def _hang(self):
         """The tree hung from the root: each node's parent, parent edge and
-        depth, the nodes in breadth-first order, and the potentials."""
+        depth, the nodes in breadth-first order, the potentials, and each
+        node's tree edges."""
         m, n, across, cost, sigma = self.m, self.n, self.across, self.cost, self.sigma
         adj = [[] for _ in range(m + 1)]
         for e in self.tree:
@@ -766,8 +760,45 @@ class _Tree:
                     else:
                         y1[w] = sigma[w]
                     order.append(w)
-        self.hung = parent, pedge, depth, order, y1, y2
-        return self.hung
+        return parent, pedge, depth, order, y1, y2, adj
+
+    def _enter_loop(self, y1, y2, barred, tol, bland):
+        """The entering variable by ``run``'s rule and its artificial price,
+        or (-1, 0) if none prices below (0, -tol): a Python loop over the
+        variables, cheaper than numpy's fixed cost per call when there are
+        at most ``LOOP_PRICING`` of them."""
+        ends, cost = self.ends, self.cost
+        enter, key = -1, None
+        for e in range(self.n):
+            if barred[e]:
+                continue
+            a, b = ends[e]
+            r1 = -y1[a] - y1[b]
+            if r1 > 0:
+                continue
+            r2 = cost[e] - y2[a] - y2[b]
+            if (r1 < 0 or r2 < -tol) and (key is None or (r1, r2) < key):
+                enter, key = e, (r1, r2)
+                if bland:
+                    break
+        return (enter, key[0]) if key else (-1, 0)
+
+    def _enter_vector(self, y1, y2, barred, tol, bland):
+        """``_enter_loop``'s choice, priced by numpy elementwise with the
+        same roundings.  Every |y1| is at most 1, so a tree variable,
+        barred by 3, prices above 0 in the artificial part."""
+        p1, p2 = np.array(y1), np.array(y2)
+        r1 = barred - p1[self.head] - p1[self.tail]
+        r2 = self.price - p2[self.head] - p2[self.tail]
+        if bland:
+            hits = np.flatnonzero((r1 < 0) | ((r1 == 0) & (r2 < -tol)))
+            return (int(hits[0]), int(r1[hits[0]])) if hits.size else (-1, 0)
+        low = int(r1.min())
+        r2[r1 != low] = INF
+        enter = int(r2.argmin())
+        if low > 0 or (low == 0 and not r2[enter] < -tol):
+            return -1, 0
+        return enter, low
 
     def run(self, tol):
         """Pivot until no variable prices below (0, -tol) lexicographically.
@@ -779,54 +810,72 @@ class _Tree:
         cycle the variable closes in the tree (through the root where its
         rows hang from different artificials), and the edge it lowers that
         has the least flow leaves, the least (flow, variable or not, index)
-        on a tie, so artificials first.  A pivot that lowers the artificial
-        mass counts as one of phase 1, any other as one of phase 2."""
+        on a tie, so artificials first.  The subtree that the leaving edge
+        held then hangs from the entering one, and only its nodes get new
+        parents, depths and potentials.  A pivot that enters on a negative
+        artificial price counts as one of phase 1, any other as one of
+        phase 2."""
         n, ends, cost, flow, sigma = self.n, self.ends, self.cost, self.flow, self.sigma
-        in_tree = [False] * (n + self.m)
-        for e in self.tree:
-            in_tree[e] = True
+        tree, across = self.tree, self.across
+        parent, pedge, depth, _, y1, y2, adj = self._hang()
+        barred = [0] * n  # 3 for a variable in the tree
+        for e in tree:
+            if e < n:
+                barred[e] = 3
+        entering = self._enter_loop
+        if n > LOOP_PRICING:
+            entering = self._enter_vector
+            self.head, self.tail = np.array(ends, dtype=np.int64).T
+            self.price = np.array(cost)
+            barred = np.array(barred)
         bland = False
         for _ in range(max(5000, 200 * (self.m + 1))):
-            parent, pedge, depth, _, y1, y2 = self._hang()
-            enter, key = -1, None
-            for e in range(n):
-                if in_tree[e]:
-                    continue
-                a, b = ends[e]
-                r1 = -y1[a] - y1[b]
-                if r1 > 0:
-                    continue
-                r2 = cost[e] - y2[a] - y2[b]
-                if (r1 < 0 or r2 < -tol) and (key is None or (r1, r2) < key):
-                    enter, key = e, (r1, r2)
-                    if bland:
-                        break
-            if key is None:
+            enter, artificial = entering(y1, y2, barred, tol, bland)
+            if enter < 0:
                 return
             # walk up from both rows to where their paths meet; d is what a
             # unit step adds to the left side of the row walked from, and
-            # the row's parent edge takes it away
-            i, j = ends[enter]
-            di = dj = 1
+            # the row's parent edge takes it away; h says which end of the
+            # entering variable the walk came from
+            (i, j), di, dj, hi, hj = ends[enter], 1, 1, 0, 1
             path, block = [], None
             while i != j:
                 if depth[i] < depth[j]:
-                    i, j, di, dj = j, i, dj, di
+                    i, j, di, dj, hi, hj = j, i, dj, di, hj, hi
                 e = pedge[i]
                 s = -di if e < n else -di * sigma[i]
                 path.append((e, s))
-                if s < 0 and (block is None or (flow[e], e < n, e) < block):
-                    block = (flow[e], e < n, e)
+                if s < 0 and (block is None or (flow[e], e < n, e) < block[0]):
+                    block = (flow[e], e < n, e), hi
                 di, i = -di, parent[i]
-            step, _, leave = block
+            (step, _, leave), side = block
             for e, s in path:
                 flow[e] = flow[e] + step if s > 0 else flow[e] - step
             flow[enter] = step
-            self.tree[self.tree.index(leave)] = enter
-            in_tree[leave], in_tree[enter] = False, True
+            tree[tree.index(leave)] = enter
+            barred[enter] = 3
+            if leave < n:
+                barred[leave] = 0
             self.pivots += 1
-            self.phase_pivots[key[0] == 0] += 1
+            self.phase_pivots[artificial == 0] += 1
             bland = step == 0.0
+            # the subtree below the leaving edge hangs from the entering
+            # edge's end in it; it holds no artificial, the root being above
+            for v in self.nodes[leave]:
+                adj[v].remove(leave)
+            s, t = ends[enter][side], ends[enter][1 - side]
+            adj[s].append(enter)
+            adj[t].append(enter)
+            parent[s], pedge[s], depth[s] = t, enter, depth[t] + 1
+            y1[s], y2[s] = -y1[t], cost[enter] - y2[t]
+            moved = [s]
+            for v in moved:
+                for e in adj[v]:
+                    if e != pedge[v]:
+                        w = across[e] ^ v
+                        parent[w], pedge[w], depth[w] = v, e, depth[v] + 1
+                        y1[w], y2[w] = -y1[v], cost[e] - y2[v]
+                        moved.append(w)
         raise LpNumericalError("tree simplex exceeded its iteration limit")
 
     def finish(self):
@@ -842,13 +891,11 @@ class _Tree:
         n, tree, first = self.n, self.tree, self.first
         arts = [e - n for e in tree if e >= n]
         hanging = Counter(first[k] for k in arts)
-        hung = self.hung
         for k in arts:
             if k != first[k] and hanging[first[k]] == 1:
                 tree[tree.index(n + k)] = n + first[k]
                 self.sigma[first[k]] = 1
-                hung = None
-        parent, pedge, _, order, y1, y2 = hung or self._hang()
+        parent, pedge, _, order, y1, y2, _ = self._hang()
         flow, left, mass = self.flow, list(self.rhs), 0.0
         for v in reversed(order[1:]):
             e = pedge[v]
@@ -1044,48 +1091,57 @@ def solve(model: LpModel) -> LpSolution:
     return answer("optimal", values, sx, (phase1, phase2, sx.pivots - phase1 - phase2))
 
 
+def _least_cost(entries, cost, r, taken, fits):
+    """The least-cost rule of the transportation problem, from which both
+    ``_crash`` and ``_Tree`` start.
+
+    Columns are visited by ascending ``cost``, ties by index.  One with an
+    entry in a row already ``taken`` is skipped.  Otherwise its row ``p`` is
+    the minimum ratio ``r_p / a_p`` over its positive entries, the first on
+    a tie; if ``fits(p, a_p, step)`` for ``step = r_p / a_p``, ``r`` drops by
+    ``a * step`` along the column, ``p`` is taken, and ``(j, p, step)`` is
+    yielded.  Updates ``r`` and ``taken`` in place."""
+    for j in sorted(range(len(cost)), key=cost.__getitem__):  # a stable sort
+        terms = entries[j]
+        for i, _ in terms:
+            if taken[i]:
+                break
+        else:  # no entry in a taken row
+            p, a_p, step = 0, 0.0, INF
+            for i, a in terms:
+                if a > 0.0 and r[i] / a < step:
+                    p, a_p, step = i, a, r[i] / a
+            if fits(p, a_p, step):
+                for i, a in terms:
+                    r[i] -= a * step
+                taken[p] = True
+                yield j, p, step
+
+
 def _crash(entries, cost, r, basis, first_art, n_art):
     """Least-cost triangular crash (Bixby, *Implementing the simplex
     method: the initial basis*, ORSA J. Computing 4, 1992): put structural
     columns into the starting basis in place of artificials, cheapest first,
-    as the least-cost rule of the transportation problem does.
-
-    Columns are visited by ascending ``cost``, ties by index.  One with an
-    entry in a row already taken is skipped.  Otherwise its pivot row ``p``
-    is the minimum ratio ``r_p / a_p`` over its positive entries; if
-    ``a_p > GUARD_TOL`` and ``p``'s basic variable is an artificial, the
-    column takes ``p`` at ``x_j = r_p / a_p``, and ``r`` (the right-hand
-    side, less what the placed columns use) drops by ``a x_j`` along it.
-    A tiny entry with the least ratio blocks its column rather than drop
-    out of the test, since a step past its ratio would drive its row's
-    basic value negative.
+    by the least-cost rule (``_least_cost``).  A column takes its row ``p``
+    at ``x_j = r_p / a_p`` only if ``a_p > GUARD_TOL`` and ``p``'s basic
+    variable is an artificial.  A tiny entry with the least ratio blocks its
+    column rather than drop out of the test, since a step past its ratio
+    would drive its row's basic value negative.
 
     Each placed column misses the rows taken before it, so the basis is a
     permuted triangle with nonzero diagonal, hence nonsingular; and no row
     of ``r`` goes below 0 (up to rounding), so every basic value is
     nonnegative, slacks and artificials included.  Updates ``basis`` in
     place; returns the number of columns placed."""
-    taken = [False] * len(r)
+    def fits(p, a_p, step):
+        return a_p > GUARD_TOL and basis[p] >= first_art
+
     placed = 0
-    for j in sorted(range(len(cost)), key=cost.__getitem__):  # a stable sort
-        terms = entries[j]
-        p, a_p, step = 0, 0.0, INF
-        for i, a in terms:
-            if taken[i]:
-                break
-            if a > 0.0:
-                ratio = r[i] / a
-                if ratio < step:
-                    p, a_p, step = i, a, ratio
-        else:  # no entry in a taken row
-            if a_p > GUARD_TOL and basis[p] >= first_art:
-                for i, a in terms:
-                    r[i] -= a * step
-                basis[p] = j
-                taken[p] = True
-                placed += 1
-                if placed == n_art:
-                    break
+    for j, p, _ in _least_cost(entries, cost, r, [False] * len(r), fits):
+        basis[p] = j
+        placed += 1
+        if placed == n_art:
+            break
     return placed
 
 

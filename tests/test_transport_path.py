@@ -79,6 +79,48 @@ def test_seeded_programs_against_highs():
     assert seen.count(("simplex", "infeasible", False)) > 10
 
 
+@pytest.mark.parametrize("n1, n2", [(20, 30), (40, 40)])
+def test_larger_programs_against_highs(n1, n2):
+    # past the small programs, where a pivot re-hangs only the subtree the
+    # leaving edge held; integer costs and unit marginals make long runs of
+    # degenerate pivots, and forbidden cells leave the graph incomplete.
+    # The final check prices every cell under potentials hung afresh.
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(n1 + n2)
+    for integer, share in ((False, 0.0), (True, 0.0), (False, 0.3), (True, 0.3)):
+        supply = np.ones(n1) if integer else rng.uniform(0.1, 2.0, n1)
+        demand = rng.uniform(0.1, 2.0, n2)
+        demand *= supply.sum() / demand.sum()
+        cost = rng.integers(0, 4, (n1, n2)) if integer else rng.uniform(0.0, 4.0, (n1, n2))
+        forbidden = {(i, j) for i in range(n1) for j in range(n2) if rng.random() < share}
+        sol = _agrees_with_highs(_transport_model(supply, demand, cost, forbidden))
+        assert (sol.method, sol.status) == ("transport", "optimal")
+        assert sol.pivots > n1 // 2
+
+
+def test_loop_and_vector_pricing_choose_the_same_pivots(monkeypatch):
+    # the tree prices up to LOOP_PRICING variables in a Python loop and more
+    # with numpy; forced either way, every answer must be the same, bit for
+    # bit.  Unit marginals with integer costs make runs of zero steps, so
+    # Bland's rule is priced too.
+    rng = np.random.default_rng(67)
+    models = [_seeded_model(rng)[0] for _ in range(80)]
+    for n in (3, 5, 9):
+        for _ in range(10):
+            models.append(_transport_model(np.ones(n), np.ones(n), rng.integers(0, 3, (n, n))))
+
+    def answers(limit):
+        monkeypatch.setattr(lp, "LOOP_PRICING", limit)
+        return [solve(model) for model in models]
+
+    loop, vector = answers(10**9), answers(0)
+    assert sum(sol.method == "transport" and sol.pivots > 0 for sol in loop) > 40
+    for a, b in zip(loop, vector):
+        assert (a.status, a.method, a.pivots, a.phase_pivots) == (
+            b.status, b.method, b.pivots, b.phase_pivots)
+        assert (a.values is None and b.values is None) or np.array_equal(a.values, b.values)
+
+
 def test_hall_violation_is_infeasible_on_the_tree():
     # s0 and s1 can only ship to d0 and d1, which need 1 between them, not 2;
     # every row keeps two live cells, so the presolve cannot tell
