@@ -22,10 +22,13 @@ artificials, each in the row of its minimum ratio.  Each placed column
 misses the rows taken before it, so the basis is triangular and
 nonsingular, and the ratio rule keeps every basic value nonnegative: the
 start is a feasible basis of phase 1, which runs from it unchanged.  The
-solver keeps an explicit basis inverse: it inverts the crash basis once
-(the identity start, when the crash places nothing, not at all), reinverts
-periodically and before every verdict, and reuses an inverse it has just
-built (the dual simplex and the final polish) instead of building it again.
+solver keeps an explicit basis inverse: it inverts the starting basis once
+(the slack and artificial identity, when the crash places nothing),
+reinverts periodically and before every verdict, and reuses an inverse it
+has just built (the dual simplex and the final polish) instead of building
+it again.  After phase 1 every artificial that can leave the basis does
+(``_drive_out_artificials``); one that cannot sits on a redundant row,
+where phase 2 leaves its value alone.
 It enters one column per iteration: the most negative reduced cost
 (Dantzig's rule), leaving by the plain minimum ratio.  Degeneracy has one
 defence: the simplex runs on a right-hand side raised by a fixed tiny
@@ -77,7 +80,7 @@ PIVOT_TOL = 1e-10  # smallest direction entry the ratio test pivots on
 FEAS_TOL = 1e-7  # residual _recheck allows; artificial mass that means infeasible
 OPT_TOL = 1e-11  # a reduced cost below -OPT_TOL enters the basis (the tree's: relative to max|c|)
 DUAL_TOL = 1e-9  # relative to max|c|: the final basis's reduced costs must reach -DUAL_TOL
-GUARD_TOL = 1e-7  # smallest |element| a zero-guard leave, a drive-out or the crash pivots on
+GUARD_TOL = 1e-7  # smallest |element| the drive-out or the crash pivots on
 PRIMAL_TOL = 1e-9  # a basic value on the exact b below -max(PRIMAL_TOL,
 ROUND_TOL = 1e-14  # ROUND_TOL * max|b|) is repaired; the 2nd term covers rounding
 SNAP_TOL = 1e-12  # relative to max x_B: smaller polished basic values are exact zeros
@@ -212,38 +215,30 @@ class _SparseCols:
         return out
 
 
+def _iteration_cap(m):
+    """The most iterations a simplex or tree run on m rows may take: a
+    guard against numerical breakdown, not a limit the rules rely on."""
+    return max(5000, 200 * (m + 1))
+
+
 class _Simplex:
     """Revised simplex on rows A x = b, x >= 0, with sparse columns and an
-    explicit, periodically rebuilt basis inverse."""
+    explicit, periodically rebuilt basis inverse.  It starts from ``basis``,
+    one column per row, which it inverts."""
 
-    def __init__(self, A: _SparseCols, b):
+    def __init__(self, A: _SparseCols, b, basis):
         self.A = A
         self.b = b
         self.m = A.m
         self.n = A.ncols
-        self.max_iter = max(5000, 200 * (self.m + 1))
+        self.max_iter = _iteration_cap(self.m)
         self.primal_tol = max(PRIMAL_TOL, ROUND_TOL * float(np.abs(b).max(initial=0.0)))
         self.pivots = 0
         self.refactors = 0
-        # phase-2 guard, None until phase 2: basic variables in this set sit
-        # at zero and must not grow, so they leave (step 0) as soon as the
-        # entering column would push them up
-        self.zero_guard = None
         self._ratios = np.empty(self.m)
-
-    def set_basis(self, basis, identity=False):
-        """Make ``basis`` current and invert it.  ``identity`` says its
-        columns are the unit vectors in row order, as in the starting basis
-        of one +1 slack or artificial per row: then B = B^-1 = I and
-        x_B = b, with nothing to invert."""
-        self.basis = np.asarray(basis, dtype=int)
         self._ger = np.empty((self.m, self.m))
-        if identity:
-            self.B, self.Binv = np.eye(self.m), np.eye(self.m)
-            self.xB = self.b.copy()
-            self.dirty = False
-        else:
-            self.refactor()
+        self.basis = np.asarray(basis, dtype=int)
+        self.refactor()
 
     def refactor(self):
         # B is kept for the polish, which runs on the last inverted basis
@@ -282,9 +277,8 @@ class _Simplex:
         negative reduced cost (Dantzig's rule), the first of equal ones.  The
         leaving row is the plain minimum ratio, the first of equal ones: on
         the perturbed right-hand side ties and zero steps are accidents of
-        measure zero, so no tie-break or anti-cycling rule is needed.  A
-        zero-guarded basic that the column would push up leaves first, at
-        step 0.  Before "optimal" or "unbounded" is returned the inverse is
+        measure zero, so no tie-break or anti-cycling rule is needed.
+        Before "optimal" or "unbounded" is returned the inverse is
         rebuilt and the iteration re-priced, so both verdicts rest on a fresh
         inverse.  A NaN reduced cost raises.
 
@@ -296,7 +290,6 @@ class _Simplex:
         """
         cB = c[self.basis]
         blocked = (~allowed).nonzero()[0]
-        guard = self.zero_guard
         ratios = self._ratios
         for _ in range(self.max_iter):
             reduced = c - self.A.transpose_dot(cB @ self.Binv)
@@ -311,21 +304,16 @@ class _Simplex:
                     continue
                 return "optimal"
             d = self.direction(j)
-            guarded = () if guard is None else (guard[self.basis] & (d < -GUARD_TOL)).nonzero()[0]
-            if len(guarded):
-                leave_pos, step = int(guarded[0]), 0.0
-            else:
-                ratios.fill(INF)
-                np.divide(self.xB, d, out=ratios, where=d > PIVOT_TOL)
-                leave_pos = int(ratios.argmin())
-                step = float(ratios[leave_pos])
-                if step == INF:
-                    if self.dirty:
-                        self.refactor()
-                        continue
-                    return "unbounded"
-                step = max(step, 0.0)
-            self.pivot(leave_pos, j, d, step)
+            ratios.fill(INF)
+            np.divide(self.xB, d, out=ratios, where=d > PIVOT_TOL)
+            leave_pos = int(ratios.argmin())
+            step = float(ratios[leave_pos])
+            if step == INF:
+                if self.dirty:
+                    self.refactor()
+                    continue
+                return "unbounded"
+            self.pivot(leave_pos, j, d, max(step, 0.0))
             cB[leave_pos] = c[j]
         raise LpNumericalError(f"simplex exceeded {self.max_iter} iterations")
 
@@ -335,13 +323,10 @@ class _Simplex:
         -primal_tol: the basis is then optimal for c on b.  Bland's rule for
         the dual (the least basic column among the negative values leaves,
         the least index among the minimum ratios enters) rules out cycling.
-        An inverse ``run`` left fresh is kept; only x_B moves to b.  Ends on
-        a fresh inverse."""
+        The inverse must be fresh, as an "optimal" from ``run`` leaves it, so
+        only x_B moves to b.  Ends on a fresh inverse."""
         self.b = b
-        if self.dirty:
-            self.refactor()
-        else:
-            self.xB = self.Binv @ b
+        self.xB = self.Binv @ b
         for _ in range(self.max_iter):
             neg = (self.xB < -self.primal_tol).nonzero()[0]
             if neg.size == 0:
@@ -352,8 +337,8 @@ class _Simplex:
             cand = (allowed & (alpha < -PIVOT_TOL)).nonzero()[0]
             if cand.size == 0:
                 # no column can raise this value, so it is negative by
-                # rounding (or the program is infeasible); the polish clips
-                # it and _recheck judges the point
+                # rounding (or the program is infeasible); the snap after
+                # the polish zeroes it and _recheck judges the point
                 break
             reduced = c - self.A.transpose_dot(c[self.basis] @ self.Binv)
             ratios = np.maximum(reduced[cand], 0.0) / -alpha[cand]
@@ -829,7 +814,7 @@ class _Tree:
             self.price = np.array(cost)
             barred = np.array(barred)
         bland = False
-        for _ in range(max(5000, 200 * (self.m + 1))):
+        for _ in range(_iteration_cap(self.m)):
             enter, artificial = entering(y1, y2, barred, tol, bland)
             if enter < 0:
                 return
@@ -1037,8 +1022,7 @@ def solve(model: LpModel) -> LpSolution:
     if art_cols:
         crashed = _crash(entries, c2[:n].tolist(), b_tilde.tolist(), basis, n + n_slack,
                          len(art_cols))
-    sx = _Simplex(A, b_tilde)
-    sx.set_basis(basis, identity=not crashed)
+    sx = _Simplex(A, b_tilde, basis)
     scale = max(1.0, float(np.abs(c2).max()))
 
     phase1 = 0
@@ -1059,7 +1043,6 @@ def solve(model: LpModel) -> LpSolution:
             if _exact_mass(sx, b, art_cost, art_cost) > FEAS_TOL:
                 return answer("infeasible", sx=sx, phase_pivots=(sx.pivots, 0, 0))
         _drive_out_artificials(sx, is_artificial)
-        sx.zero_guard = is_artificial
         phase1 = sx.pivots
 
     status = sx.run(c2, allowed=~is_artificial)
@@ -1073,9 +1056,9 @@ def solve(model: LpModel) -> LpSolution:
     sx.repair(b, c2, ~is_artificial)
     for _ in range(2):
         sx.xB += sx.Binv @ (sx.b - sx.B @ sx.xB)
-    np.clip(sx.xB, 0.0, None, out=sx.xB)
-    # basic values this far below the solver's resolution are exact zeros;
-    # without the snap, p-th roots downstream amplify femto-scale noise
+    # basic values this far below the solver's resolution are exact zeros,
+    # negative ones included; without the snap, p-th roots downstream
+    # amplify femto-scale noise
     snap = SNAP_TOL * max(1.0, float(np.max(sx.xB, initial=0.0)))
     sx.xB[sx.xB < snap] = 0.0
     # dual certificate: y = c_B B^-1 must price every column the program
@@ -1178,16 +1161,21 @@ def _exact_mass(sx: _Simplex, b, c, art_cost):
     sx.repair(b, c, np.ones(sx.n, dtype=bool))
     mass = float(art_cost[sx.basis] @ sx.xB)
     sx.b, sx.basis, sx.B, sx.Binv, sx.xB = saved
-    sx.dirty = False
     return mass
 
 
 def _drive_out_artificials(sx: _Simplex, is_artificial):
-    """Pivot zero-level artificials out of the basis where possible.
+    """Pivot zero-level artificials out of the basis where possible: each
+    basic artificial leaves for the first non-artificial column whose entry
+    in its tableau row exceeds GUARD_TOL in magnitude.
 
-    An artificial whose tableau row has no usable non-artificial entry sits
-    on a redundant constraint; it stays basic at zero and the phase-2 zero
-    guard keeps it there.
+    An artificial whose tableau row has no such entry sits on a redundant
+    constraint, a combination of the other rows, so the entries are zero but
+    for rounding; it stays basic.  Phase 2 enters only non-artificial
+    columns, and a pivot moves the artificial by the step times the entering
+    column's entry in its row, so the artificial keeps the level phase 1
+    left it at: zero on the exact right-hand side.  Should it drift anyway,
+    the answer misses that row by the drift, and ``_recheck`` raises.
     """
     for pos in range(len(sx.basis)):
         if not is_artificial[sx.basis[pos]]:

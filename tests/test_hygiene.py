@@ -1,6 +1,7 @@
 """Source hygiene: every library module uses each name it imports, every
 function defined inside another function is referenced there, small
-tolerances are named once, and the package exports only public names."""
+tolerances are named once, the package exports only public names, and every
+method and ``self`` attribute of a library class has a reader."""
 
 import ast
 from pathlib import Path
@@ -97,20 +98,34 @@ def test_package_imports_are_exported():
     assert not missing, "imported by __init__.py but not in __all__:\n" + "\n".join(missing)
 
 
+def _parsed():
+    """The library's modules and the syntax tree of each library and test
+    module, by path."""
+    library = sorted(SRC.glob("*.py"))
+    paths = library + sorted((SRC.parent.parent / "tests").glob("*.py"))
+    return library, {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+
+
+def _referenced(trees, loads_only):
+    """Every attribute name the modules use (only those they read, if
+    ``loads_only``), and every string constant, for ``getattr`` or
+    ``monkeypatch``."""
+    names = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and not (loads_only and isinstance(n.ctx, ast.Store)):
+                names.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                names.add(n.value)
+    return names
+
+
 def test_no_unreferenced_methods():
     """Every method of a library class, dunder methods aside, is used
     somewhere in the library or the tests: as an attribute, or as a string
     (for ``getattr`` or ``monkeypatch``)."""
-    library = sorted(SRC.glob("*.py"))
-    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-             for p in library + sorted((SRC.parent.parent / "tests").glob("*.py"))}
-    used = set()
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Attribute):
-                used.add(n.attr)
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-                used.add(n.value)
+    library, trees = _parsed()
+    used = _referenced(trees, loads_only=False)
     unused = [
         f"{path.name}:{f.lineno}: {cls.name}.{f.name}"
         for path in library
@@ -121,3 +136,22 @@ def test_no_unreferenced_methods():
         and f.name not in used
     ]
     assert not unused, "methods never referenced:\n" + "\n".join(unused)
+
+
+def test_no_unread_attributes():
+    """Every attribute a library class sets on ``self`` is read somewhere in
+    the library or the tests: as an attribute, or as a string (for
+    ``getattr`` or ``monkeypatch``).  Setting one, ``+=`` included, is not
+    reading it, so state that has lost its last reader shows up here."""
+    library, trees = _parsed()
+    read = _referenced(trees, loads_only=True)
+    unread = sorted({
+        f"{path.name}:{n.lineno}: {cls.name}.{n.attr}"
+        for path in library
+        for cls in ast.walk(trees[path]) if isinstance(cls, ast.ClassDef)
+        for n in ast.walk(cls)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name) and n.value.id == "self"
+        and n.attr not in read
+    })
+    assert not unread, "attributes set but never read:\n" + "\n".join(unread)

@@ -416,6 +416,49 @@ def test_degenerate_lps_against_highs():
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
+def test_artificials_left_basic_stay_put_in_phase_2(monkeypatch):
+    # an artificial the drive-out cannot pivot out sits on a redundant row,
+    # such as a twin row of _degenerate_model: its tableau row is zero on
+    # every column phase 2 may enter, so no phase-2 pivot raises its value
+    from cset_transport.gallery import directed_cycle
+    from cset_transport.relax import wasserstein_cset_lp
+
+    left, watched, rises = [], [], []
+    phase2 = {}  # id of each simplex past its drive-out: (is_artificial, its b)
+    real_drive, real_pivot = lp._drive_out_artificials, lp._Simplex.pivot
+
+    def drive_out(sx, is_artificial):
+        real_drive(sx, is_artificial)
+        for pos in is_artificial[sx.basis].nonzero()[0]:
+            row = sx.A.transpose_dot(sx.Binv[pos])
+            left.append(float(np.abs(row[~is_artificial]).max(initial=0.0)))
+        phase2[id(sx)] = is_artificial, sx.b
+
+    def pivot(self, leave_pos, enter_col, d, step):
+        is_artificial, b = phase2.get(id(self), (None, None))
+        if self.b is not b:  # phase 1, or the repair on the exact b
+            return real_pivot(self, leave_pos, enter_col, d, step)
+        before = self.xB.copy()
+        real_pivot(self, leave_pos, enter_col, d, step)
+        stay = is_artificial[self.basis]
+        stay[leave_pos] = False
+        watched.append(int(stay.sum()))
+        delta = (self.xB - before)[stay]
+        rises.extend(delta[delta > 0])
+
+    monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
+    monkeypatch.setattr(lp._Simplex, "pivot", pivot)
+    rng = np.random.default_rng(53)
+    models = [_degenerate_model(rng) for _ in range(300)]
+    models += [wasserstein_cset_lp(directed_cycle(5), directed_cycle(6), p).model
+               for p in (1.0, 2.0)]
+    for model in models:
+        solve(model)
+    assert left and any(watched), "no artificial stayed basic through a phase-2 pivot"
+    assert max(left) <= lp.GUARD_TOL
+    assert not rises
+
+
 def test_dual_certificate_rejects_a_suboptimal_basis(monkeypatch):
     # min -x - y over x + 2y <= 4, 3x + y <= 6: the slack basis is feasible
     # but not optimal, and stopping the simplex there must not pass
@@ -855,18 +898,17 @@ def test_starting_basis_is_not_inverted(monkeypatch):
 
 
 def _starts(monkeypatch):
-    """The starting basis of every solve, as ``set_basis`` leaves it:
-    (basis, B, the perturbed b, x_B, inversions made)."""
+    """The starting basis of every solve, as the ``_Simplex`` constructor
+    leaves it: (basis, B, the perturbed b, x_B, inversions made)."""
     starts = []
-    real = lp._Simplex.set_basis
+    real = lp._Simplex.__init__
 
-    def set_basis(self, basis, identity=False):
-        before = self.refactors
-        real(self, basis, identity)
+    def init(self, A, b, basis):
+        real(self, A, b, basis)
         starts.append((self.basis.tolist(), self.A.dense_submatrix(self.basis), self.b.copy(),
-                       self.xB.copy(), self.refactors - before))
+                       self.xB.copy(), self.refactors))
 
-    monkeypatch.setattr(lp._Simplex, "set_basis", set_basis)
+    monkeypatch.setattr(lp._Simplex, "__init__", init)
     return starts
 
 
@@ -914,21 +956,18 @@ def test_crash_basis_is_nonsingular_and_feasible(monkeypatch, seed):
     pytest.importorskip("scipy")
     rng = np.random.default_rng(seed)
     starts = _starts(monkeypatch)
-    crashed = crashed_solves = 0
+    crashed = 0
     for make in (_random_model, _presolve_model, _doubleton_model):
         for _ in range(100):
-            sol = _agrees_with_highs(make(rng))
-            crashed += sol.crashed
-            crashed_solves += sol.crashed > 0
-    assert crashed > 100
+            crashed += _agrees_with_highs(make(rng)).crashed
+    assert crashed > 100 and starts
     for basis, B, b_tilde, xB, _ in starts:
         tol = 1e-12 * max(1.0, float(np.abs(b_tilde).max()))
         assert np.linalg.matrix_rank(B) == len(basis)
         assert xB.min() >= -tol
         assert np.allclose(B @ xB, b_tilde, rtol=0, atol=tol)
-    # a start is inverted, once, exactly when the crash placed a column
-    assert [s[4] for s in starts].count(1) == crashed_solves
-    assert all(s[4] in (0, 1) for s in starts)
+    # every start is inverted exactly once, the identity too
+    assert all(s[4] == 1 for s in starts)
 
 
 def test_crash_never_pivots_on_a_tiny_entry(monkeypatch):
@@ -960,7 +999,7 @@ def test_crash_never_pivots_on_a_tiny_entry(monkeypatch):
 
 def test_identity_start_when_the_crash_places_nothing(monkeypatch):
     # x and y would each take the row of its own bound, whose basic is a
-    # slack, so the start is the identity and is not inverted
+    # slack, so the start is the identity, inverted once like any other
     inverted = []
     real_refactor = lp._Simplex.refactor
 
@@ -977,15 +1016,14 @@ def test_identity_start_when_the_crash_places_nothing(monkeypatch):
     sol = solve(m)
     assert sol.objective == pytest.approx(1.5)
     assert sol.pivots > 0 and sol.crashed == 0
-    assert 0 not in inverted
+    assert inverted.count(0) == 1
 
 
 def test_nan_reduced_cost_raises():
     # argmin picks the first NaN; read as "nothing prices below -OPT_TOL" it
     # would pass as optimal, and NaN < -DUAL_TOL is false in the final check
     A = lp._SparseCols(1, 2, np.array([0, 0]), np.array([0, 1]), np.array([2.0, 1.0]))
-    sx = lp._Simplex(A, np.array([1.0]))
-    sx.set_basis([1], identity=True)
+    sx = lp._Simplex(A, np.array([1.0]), [1])
     everything = np.ones(2, dtype=bool)
     with pytest.raises(LpNumericalError, match="NaN"):
         sx.run(np.array([np.nan, 0.0]), everything)
