@@ -1,6 +1,6 @@
-"""Sparse linear-program model, a self-contained two-phase revised simplex
-solver with a spanning-tree path for transportation problems, and a
-deterministic LP text format.
+"""Sparse linear-program model, a self-contained revised simplex solver (a
+dual simplex, then a primal cleanup) with a spanning-tree path for
+transportation problems, and a deterministic LP text format.
 
 All variables are nonnegative.  Before the simplex, an exact presolve
 shrinks the program, and logs each step: it fixes the variables the model
@@ -16,30 +16,29 @@ per class of variables, one row per class of rows, the remaining finite
 upper bounds as rows.  Its answer is basic in the quotient and, lifted back,
 constant on each class; a program without symmetry reaches the simplex as
 the presolve left it.  The folded variables are then recovered from the log,
-last fold first.  Phase 1 starts from a least-cost triangular crash basis
-(``_crash``): the cheapest structural columns take the places of
-artificials, each in the row of its minimum ratio.  Each placed column
-misses the rows taken before it, so the basis is triangular and
-nonsingular, and the ratio rule keeps every basic value nonnegative: the
-start is a feasible basis of phase 1, which runs from it unchanged.  The
-solver keeps an explicit basis inverse: it inverts the starting basis once
-(the slack and artificial identity, when the crash places nothing),
-reinverts periodically and before every verdict, and reuses an inverse it
-has just built (the dual simplex and the final polish) instead of building
-it again.  After phase 1 every artificial that can leave the basis does
-(``_drive_out_artificials``); one that cannot sits on a redundant row,
-where phase 2 leaves its value alone.
-It enters one column per iteration: the most negative reduced cost
-(Dantzig's rule), leaving by the plain minimum ratio.  Degeneracy has one
-defence: the simplex runs on a right-hand side raised by a fixed tiny
-pattern (Wolfe's perturbation), which makes ratio ties, zero steps and hence
-cycling vanish with probability 1.  Infeasibility is decided, and the answer
-taken, on the exact right-hand side: where a basis found on the perturbed
-one is infeasible on it, a dual simplex re-optimizes.  Every answer is then
-certified: primal by its residuals on the original model, dual by the
-reduced costs of the quotient's final basis (the quotient has the model's
-optimum).  The pattern is fixed, so repeated solves of the same model are
-bit-identical.
+last fold first.
+
+Each row the simplex gets has one logical: a slack for ``<=``, a surplus for
+``>=``, and for ``=`` one fixed at 0, which may leave the basis but never
+enters.  Negative costs are shifted to 0, so the all-logical basis is dual
+feasible with y = 0.  A least-cost triangular crash (``_crash``) puts
+structural columns of cost 0 in place of the logicals of ``=`` and ``>=``
+rows, each in the row of its minimum ratio; each placed column misses the
+rows taken before it, so the basis is triangular and nonsingular, and y
+stays 0.  The other structural costs are raised by a fixed tiny pattern,
+against ties in the dual ratio test.  From that start a dual simplex
+(``_Simplex.dual``) runs on the exact right-hand side until the basis is
+primal feasible, or a row with no column to mend it proves the program
+infeasible.  The primal simplex (``_Simplex.run``) then takes that basis to
+the optimum of the true costs: it enters the most negative reduced cost
+(Dantzig's rule), leaving by the plain minimum ratio, and after a step of 0
+takes Bland's rule, which makes every run of such steps finite.  The solver
+keeps an explicit basis inverse: it inverts the starting basis once,
+reinverts periodically and before every verdict, and the final polish
+reuses the last inverse.  Every answer is then certified: primal by its
+residuals on the original model, dual by the reduced costs of the
+quotient's final basis (the quotient has the model's optimum).  The pattern
+is fixed, so repeated solves of the same model are bit-identical.
 
 A program that the presolve leaves as a transportation problem
 (``_transportation``: only equations, every coefficient 1, every live
@@ -75,17 +74,16 @@ __all__ = ["LpModel", "LpSolution", "solve", "export_lp", "parse_lp"]
 INF = math.inf
 
 # Tolerances.  A "relative" one is scaled by max(1, |v|) of the value v it
-# names (PERTURB by 1 + |b_i|); the others are absolute.
-PIVOT_TOL = 1e-10  # smallest direction entry the ratio test pivots on
-FEAS_TOL = 1e-7  # residual _recheck allows; artificial mass that means infeasible
+# names; the others are absolute.
+PIVOT_TOL = 1e-10  # smallest direction or tableau-row entry the ratio tests pivot on
+FEAS_TOL = 1e-7  # residual _recheck allows; a violation (or tree artificial mass) that means infeasible
 OPT_TOL = 1e-11  # a reduced cost below -OPT_TOL enters the basis (the tree's: relative to max|c|)
 DUAL_TOL = 1e-9  # relative to max|c|: the final basis's reduced costs must reach -DUAL_TOL
-GUARD_TOL = 1e-7  # smallest |element| the drive-out or the crash pivots on
-PRIMAL_TOL = 1e-9  # a basic value on the exact b below -max(PRIMAL_TOL,
-ROUND_TOL = 1e-14  # ROUND_TOL * max|b|) is repaired; the 2nd term covers rounding
+GUARD_TOL = 1e-7  # smallest element the crash pivots on
+PRIMAL_TOL = 1e-9  # a basic value out of its bounds by more than max(PRIMAL_TOL,
+ROUND_TOL = 1e-14  # ROUND_TOL * max|b|) leaves in the dual simplex; the 2nd term covers rounding
 SNAP_TOL = 1e-12  # relative to max x_B: smaller polished basic values are exact zeros
-BLEND = 1e-4  # relative to max|c|: weight of the real objective in phase 1
-PERTURB = 1e-9  # relative to 1 + |b_i|: size of the right-hand-side perturbation
+PERTURB = 1e-7  # relative to c_j: size of the cost perturbation of the dual simplex
 REFACTOR_EVERY = 256
 LOOP_PRICING = 64  # the tree prices at most this many variables in a Python loop
 
@@ -162,14 +160,13 @@ class LpSolution:
     # of their class: the quotient program has that many fewer of each
     merged_vars: int = 0
     merged_rows: int = 0
-    pivots: int = 0  # simplex (or tree) pivots, both phases and the dual simplex
-    # the pivots of phase 1 (with its dual-simplex checks on the exact b and
-    # the drive-out of artificials), of phase 2 and of the final repair;
-    # they sum to ``pivots``.  A tree pivot that enters on a negative
-    # artificial price counts in phase 1, any other in phase 2.
-    phase_pivots: tuple[int, int, int] = (0, 0, 0)
+    pivots: int = 0  # simplex (or tree) pivots, of both passes
+    # the pivots of the two passes, which sum to ``pivots``: on the simplex
+    # path those of the dual simplex and of the primal cleanup; on the tree
+    # path those that enter on a negative artificial price and the others
+    phase_pivots: tuple[int, int] = (0, 0)
     refactors: int = 0  # basis inversions (0 on the tree path)
-    # columns the crash put into the starting basis in place of artificials;
+    # columns the crash put into the starting basis in place of logicals;
     # not pivots (on the tree path: the cells of the least-cost start)
     crashed: int = 0
     # which solver answered: "simplex", or "transport" for a program the
@@ -224,7 +221,8 @@ def _iteration_cap(m):
 class _Simplex:
     """Revised simplex on rows A x = b, x >= 0, with sparse columns and an
     explicit, periodically rebuilt basis inverse.  It starts from ``basis``,
-    one column per row, which it inverts."""
+    one column per row, which it inverts.  The columns that ``fixed`` marks
+    are held at 0: one may be basic, and leaves, but never enters."""
 
     def __init__(self, A: _SparseCols, b, basis):
         self.A = A
@@ -268,19 +266,66 @@ class _Simplex:
             self.dirty = True
             self.xB -= step * d
             self.xB[leave_pos] = step
-            np.maximum(self.xB, 0.0, out=self.xB)
 
-    def run(self, c, allowed):
-        """Minimize c.x over the current system; returns 'optimal' or 'unbounded'.
+    def dual(self, c, fixed):
+        """Dual simplex from a basis whose reduced costs under c are all
+        >= 0, until no basic value is out of its bounds by more than
+        primal_tol; returns 'optimal' or 'infeasible'.
+
+        The leaving row is the one whose violation v (-x_B below 0, |x_B|
+        for a fixed column) has the largest v^2 / w, w the squared norm of
+        its row of B^-1 (dual steepest edge, with exact weights; Forrest &
+        Goldfarb, Math. Prog. 57, 1992).  The entering column is the plain
+        dual ratio test's over the columns whose entry in that tableau row
+        moves the value back towards its bound, the first of equal ratios.
+        A row violated by more than FEAS_TOL with no such column proves the
+        program infeasible: ±(its row of B^-1) is a Farkas ray.  A smaller
+        violation with none is rounding: the dual stops there, and the snap
+        after the polish zeroes it and ``_recheck`` judges the point.  Both
+        verdicts rest on a fresh inverse."""
+        blocked = fixed.nonzero()[0]
+        for _ in range(self.max_iter):
+            held = fixed[self.basis]
+            viol = np.where(held, np.abs(self.xB), -self.xB)
+            weights = np.einsum("ij,ij->i", self.Binv, self.Binv)
+            score = np.where(viol > self.primal_tol, viol * viol / weights, 0.0)
+            r = int(score.argmax())
+            if not score[r] > 0.0:
+                if self.dirty:
+                    self.refactor()
+                    continue
+                return "optimal"
+            sign = -1.0 if held[r] and self.xB[r] > 0.0 else 1.0
+            alpha = sign * self.A.transpose_dot(self.Binv[r])
+            alpha[blocked] = 0.0
+            alpha[self.basis] = 0.0
+            cand = (alpha < -PIVOT_TOL).nonzero()[0]
+            if cand.size == 0:
+                if self.dirty:
+                    self.refactor()
+                    continue
+                return "infeasible" if viol[r] > FEAS_TOL else "optimal"
+            reduced = c[cand] - self.A.transpose_dot(c[self.basis] @ self.Binv)[cand]
+            j = int(cand[np.argmin(np.maximum(reduced, 0.0) / -alpha[cand])])
+            d = self.direction(j)
+            self.pivot(r, j, d, self.xB[r] / d[r])
+        raise LpNumericalError(f"dual simplex exceeded {self.max_iter} iterations")
+
+    def run(self, c, fixed):
+        """Minimize c.x over the current system from a primal feasible basis;
+        returns 'optimal' or 'unbounded'.
 
         Each iteration prices once and enters the column with the most
         negative reduced cost (Dantzig's rule), the first of equal ones.  The
-        leaving row is the plain minimum ratio, the first of equal ones: on
-        the perturbed right-hand side ties and zero steps are accidents of
-        measure zero, so no tie-break or anti-cycling rule is needed.
-        Before "optimal" or "unbounded" is returned the inverse is
-        rebuilt and the iteration re-priced, so both verdicts rest on a fresh
-        inverse.  A NaN reduced cost raises.
+        leaving row is the plain minimum ratio, the first of equal ones; a
+        basic fixed column blocks any step that would move it.  A pivot
+        that follows a step of 0 takes Bland's rule instead (Bland, 1977):
+        the first column that prices below -OPT_TOL enters, and the least
+        basic column among the minimum ratios leaves, so a run of such
+        steps is finite.  Basic values are clipped at 0.  Before "optimal"
+        or "unbounded" is returned the inverse is rebuilt and the iteration
+        re-priced, so both verdicts rest on a fresh inverse.  A NaN reduced
+        cost raises.
 
         The iteration is written for few array calls, since on small
         programs their dispatch, not arithmetic, is the cost: the columns
@@ -289,9 +334,12 @@ class _Simplex:
         and one ``argmin`` picks the leaving one.
         """
         cB = c[self.basis]
-        blocked = (~allowed).nonzero()[0]
+        blocked = fixed.nonzero()[0]
+        held = fixed[self.basis].nonzero()[0]
         ratios = self._ratios
+        bland = False
         for _ in range(self.max_iter):
+            np.maximum(self.xB, 0.0, out=self.xB)
             reduced = c - self.A.transpose_dot(cB @ self.Binv)
             reduced[blocked] = 0.0
             reduced[self.basis] = 0.0
@@ -303,9 +351,13 @@ class _Simplex:
                     self.refactor()
                     continue
                 return "optimal"
+            if bland:
+                j = int((reduced < -OPT_TOL).argmax())
             d = self.direction(j)
             ratios.fill(INF)
             np.divide(self.xB, d, out=ratios, where=d > PIVOT_TOL)
+            if held.size:
+                ratios[held[np.abs(d[held]) > PIVOT_TOL]] = 0.0
             leave_pos = int(ratios.argmin())
             step = float(ratios[leave_pos])
             if step == INF:
@@ -313,42 +365,14 @@ class _Simplex:
                     self.refactor()
                     continue
                 return "unbounded"
-            self.pivot(leave_pos, j, d, max(step, 0.0))
+            if bland:
+                ties = (ratios == step).nonzero()[0]
+                leave_pos = int(ties[self.basis[ties].argmin()])
+            self.pivot(leave_pos, j, d, step)
             cB[leave_pos] = c[j]
+            held = held[held != leave_pos]
+            bland = step == 0.0
         raise LpNumericalError(f"simplex exceeded {self.max_iter} iterations")
-
-    def repair(self, b, c, allowed):
-        """Move to right-hand side b and run the dual simplex from the basis
-        that ``run`` left optimal for c, until no basic value is below
-        -primal_tol: the basis is then optimal for c on b.  Bland's rule for
-        the dual (the least basic column among the negative values leaves,
-        the least index among the minimum ratios enters) rules out cycling.
-        The inverse must be fresh, as an "optimal" from ``run`` leaves it, so
-        only x_B moves to b.  Ends on a fresh inverse."""
-        self.b = b
-        self.xB = self.Binv @ b
-        for _ in range(self.max_iter):
-            neg = (self.xB < -self.primal_tol).nonzero()[0]
-            if neg.size == 0:
-                break
-            r = int(neg[np.argmin(self.basis[neg])])
-            alpha = self.A.transpose_dot(self.Binv[r])
-            alpha[self.basis] = 0.0
-            cand = (allowed & (alpha < -PIVOT_TOL)).nonzero()[0]
-            if cand.size == 0:
-                # no column can raise this value, so it is negative by
-                # rounding (or the program is infeasible); the snap after
-                # the polish zeroes it and _recheck judges the point
-                break
-            reduced = c - self.A.transpose_dot(c[self.basis] @ self.Binv)
-            ratios = np.maximum(reduced[cand], 0.0) / -alpha[cand]
-            j = int(cand[np.argmin(ratios)])
-            self.pivot(r, j, self.direction(j), 0.0)
-            self.xB = self.Binv @ self.b
-        else:
-            raise LpNumericalError(f"dual simplex exceeded {self.max_iter} iterations")
-        if self.dirty:
-            self.refactor()
 
 
 @dataclass
@@ -897,12 +921,12 @@ class _Tree:
 
 
 def solve(model: LpModel) -> LpSolution:
-    """Presolve, then a two-phase simplex on what is left, solved on its
-    colour classes (``_columns``) and started from a least-cost triangular
-    crash basis (``_crash``), which is nonsingular and has nonnegative basic
-    values on the perturbed right-hand side, so phase 1 starts feasible from
-    it; where the crash places nothing, the start is the slack and
-    artificial identity.  An optimal solution is basic in that
+    """Presolve, then the simplex on what is left, solved on its colour
+    classes (``_columns``): a dual simplex from a least-cost triangular
+    crash basis of columns of cost 0 (``_crash``), on costs shifted to 0 or
+    above and slightly perturbed, which decides feasibility on the exact
+    right-hand side; then a primal cleanup on the true costs, which decides
+    boundedness and the optimum.  An optimal solution is basic in that
     quotient program and constant on each class, so where classes merge it
     need not be a vertex of the model; the variables the presolve folded
     into others are recovered from them (``_Presolved.recover``).  It
@@ -921,7 +945,7 @@ def solve(model: LpModel) -> LpSolution:
         c_orig[idx] = coef
     merged, crashed = (0, 0), 0
 
-    def answer(status, values=None, sx=None, phase_pivots=(0, 0, 0), method="simplex"):
+    def answer(status, values=None, sx=None, phase_pivots=(0, 0), method="simplex"):
         objective = None
         if values is not None:
             pre.recover(values)
@@ -944,7 +968,7 @@ def solve(model: LpModel) -> LpSolution:
         scale = max(1.0, max(map(abs, tree.cost)))
         tree.run(OPT_TOL * scale)
         flows, mass, worst = tree.finish()
-        phases = (*tree.phase_pivots, 0)
+        phases = tuple(tree.phase_pivots)
         if mass > FEAS_TOL:
             return answer("infeasible", sx=tree, phase_pivots=phases, method="transport")
         if worst < -DUAL_TOL * scale:
@@ -967,20 +991,15 @@ def solve(model: LpModel) -> LpSolution:
             return answer("unbounded")
         return answer("optimal", values)
 
-    # slack for <=, surplus for >=, artificial for >= and =
-    n_slack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
-    total = n + n_slack + m
+    # one logical per row: a slack for <=, a surplus for >=, and for = one
+    # fixed at 0, which may leave the basis but never enters
     coo_r: list[int] = []
     coo_c: list[int] = []
     coo_v: list[float] = []
     b = np.zeros(m)
-    c2 = np.zeros(total)
-    column = np.array([col[idx] for idx in live], dtype=int)
-    c2[:n] = np.bincount(column, weights=c_live, minlength=n)
-    basis = []
-    art_cols = []
+    fixed = np.zeros(n + m, dtype=bool)
     entries = [[] for _ in range(n)]  # each column's (row, coef), for the crash
-    s = 0
+    open_rows = [rel != "<=" for _, rel, _ in rows]  # the rows the crash may take
     for i, (terms, rel, rhs) in enumerate(rows):
         for idx, coef in terms.items():
             k = col[idx]
@@ -989,71 +1008,41 @@ def solve(model: LpModel) -> LpSolution:
             coo_v.append(coef)
             entries[k].append((i, coef))
         b[i] = rhs
-        if rel == "<=":
-            coo_r.append(i), coo_c.append(n + s), coo_v.append(1.0)
-            basis.append(n + s)
-            s += 1
-        elif rel == ">=":
-            coo_r.append(i), coo_c.append(n + s), coo_v.append(-1.0)
-            s += 1
-            art = n + n_slack + i
-            coo_r.append(i), coo_c.append(art), coo_v.append(1.0)
-            basis.append(art)
-            art_cols.append(art)
-        else:
-            art = n + n_slack + i
-            coo_r.append(i), coo_c.append(art), coo_v.append(1.0)
-            basis.append(art)
-            art_cols.append(art)
+        coo_r.append(i), coo_c.append(n + i), coo_v.append(-1.0 if rel == ">=" else 1.0)
+        fixed[n + i] = rel == "="
     A = _SparseCols(
         m,
-        total,
+        n + m,
         np.asarray(coo_r, dtype=int),
         np.asarray(coo_c, dtype=int),
         np.asarray(coo_v, dtype=float),
     )
-    is_artificial = np.zeros(total, dtype=bool)
-    is_artificial[art_cols] = True
+    c = np.zeros(n + m)
+    column = np.array([col[idx] for idx in live], dtype=int)
+    c[:n] = np.bincount(column, weights=c_live, minlength=n)
 
-    # the primal simplex runs on b raised by a fixed pattern, so ratio ties
-    # and zero steps vanish with probability 1; the questions on the exact b
-    # (is the program feasible, which point is the answer) go to the dual
-    b_tilde = b + PERTURB * (1.0 + np.abs(b)) * _perturbation(m)
-    if art_cols:
-        crashed = _crash(entries, c2[:n].tolist(), b_tilde.tolist(), basis, n + n_slack,
-                         len(art_cols))
-    sx = _Simplex(A, b_tilde, basis)
-    scale = max(1.0, float(np.abs(c2).max()))
+    # the dual simplex runs on costs >= 0, negative ones shifted to 0, so the
+    # all-logical basis is dual feasible with y = 0; the crash keeps y = 0 by
+    # placing only columns of cost 0, and the other structural columns are
+    # raised by a fixed tiny pattern, against ties in the dual ratio test
+    shifted = np.maximum(c[:n], 0.0)
+    basis = list(range(n, n + m))
+    crashed = _crash(entries, shifted.tolist(), b.tolist(), basis, open_rows)
+    c_dual = np.zeros(n + m)
+    c_dual[:n] = shifted + PERTURB * np.maximum(1.0, shifted) * _perturbation(n)
+    c_dual[basis] = 0.0
+    sx = _Simplex(A, b, basis)
+    if sx.dual(c_dual, fixed) == "infeasible":
+        return answer("infeasible", sx=sx, phase_pivots=(sx.pivots, 0))
+    dual = sx.pivots
 
-    phase1 = 0
-    if art_cols:
-        art_cost = np.zeros(total)
-        art_cost[art_cols] = 1.0
-        # blending in a little of the real objective steers phase 1 toward a
-        # near-optimal vertex (degenerate plateaus otherwise make phase 2
-        # start far away); a blended optimum that keeps artificial mass is
-        # re-run with the pure artificial objective, so the blend cannot mask
-        # feasibility or fake infeasibility
-        c1 = art_cost + (BLEND / scale) * c2
-        everything = np.ones(total, dtype=bool)
-        status = sx.run(c1, allowed=everything)
-        if status != "optimal" or _exact_mass(sx, b, c1, art_cost) > FEAS_TOL:
-            if sx.run(art_cost, allowed=everything) != "optimal":
-                raise LpNumericalError("phase 1 reported unbounded; this cannot happen")
-            if _exact_mass(sx, b, art_cost, art_cost) > FEAS_TOL:
-                return answer("infeasible", sx=sx, phase_pivots=(sx.pivots, 0, 0))
-        _drive_out_artificials(sx, is_artificial)
-        phase1 = sx.pivots
+    # the dual's basis is primal feasible: the primal simplex takes it to
+    # the optimum of the true costs
+    if sx.run(c, fixed) == "unbounded":
+        return answer("unbounded", sx=sx, phase_pivots=(dual, sx.pivots - dual))
 
-    status = sx.run(c2, allowed=~is_artificial)
-    phase2 = sx.pivots - phase1
-    if status == "unbounded":
-        return answer("unbounded", sx=sx, phase_pivots=(phase1, phase2, 0))
-
-    # re-optimize the final basis on the exact b, then polish on the basis
-    # the repair left inverted: two rounds of iterative refinement kill the
-    # drift of incremental updates
-    sx.repair(b, c2, ~is_artificial)
+    # polish on the basis run left inverted: two rounds of iterative
+    # refinement kill the drift of incremental updates
     for _ in range(2):
         sx.xB += sx.Binv @ (sx.b - sx.B @ sx.xB)
     # basic values this far below the solver's resolution are exact zeros,
@@ -1063,15 +1052,15 @@ def solve(model: LpModel) -> LpSolution:
     sx.xB[sx.xB < snap] = 0.0
     # dual certificate: y = c_B B^-1 must price every column the program
     # may use at a nonnegative reduced cost, else the basis is not optimal
-    reduced = c2 - sx.A.transpose_dot(c2[sx.basis] @ sx.Binv)
-    worst = float(reduced[~is_artificial].min(initial=0.0))
-    if worst < -DUAL_TOL * scale:
+    reduced = c - sx.A.transpose_dot(c[sx.basis] @ sx.Binv)
+    worst = float(reduced[~fixed].min(initial=0.0))
+    if worst < -DUAL_TOL * max(1.0, float(np.abs(c).max())):
         raise LpNumericalError(f"final basis is not dual feasible: reduced cost {worst:.3e}")
 
     x = np.zeros(sx.n)
     x[sx.basis] = sx.xB
     values[live] = x[column]
-    return answer("optimal", values, sx, (phase1, phase2, sx.pivots - phase1 - phase2))
+    return answer("optimal", values, sx, (dual, sx.pivots - dual))
 
 
 def _least_cost(entries, cost, r, taken, fits):
@@ -1101,30 +1090,32 @@ def _least_cost(entries, cost, r, taken, fits):
                 yield j, p, step
 
 
-def _crash(entries, cost, r, basis, first_art, n_art):
+def _crash(entries, cost, r, basis, open_rows):
     """Least-cost triangular crash (Bixby, *Implementing the simplex
     method: the initial basis*, ORSA J. Computing 4, 1992): put structural
-    columns into the starting basis in place of artificials, cheapest first,
-    by the least-cost rule (``_least_cost``).  A column takes its row ``p``
-    at ``x_j = r_p / a_p`` only if ``a_p > GUARD_TOL`` and ``p``'s basic
-    variable is an artificial.  A tiny entry with the least ratio blocks its
-    column rather than drop out of the test, since a step past its ratio
-    would drive its row's basic value negative.
+    columns of cost 0 into the starting basis in place of logicals, by the
+    least-cost rule (``_least_cost``).  A column takes its row ``p`` at
+    ``x_j = r_p / a_p`` only if ``a_p > GUARD_TOL`` and ``open_rows[p]``:
+    rows whose logical is out of its bounds at the all-logical start.  A
+    tiny entry with the least ratio blocks its column rather than drop out
+    of the test, since a step past its ratio would drive its row's basic
+    value negative.
 
     Each placed column misses the rows taken before it, so the basis is a
     permuted triangle with nonzero diagonal, hence nonsingular; and no row
-    of ``r`` goes below 0 (up to rounding), so every basic value is
-    nonnegative, slacks and artificials included.  Updates ``basis`` in
-    place; returns the number of columns placed."""
+    of ``r`` goes below 0 (up to rounding), so no slack of a ``<=`` row
+    turns negative.  Every basic column costs 0, so y = 0 stays the dual
+    solution of the start.  Updates ``basis`` in place; returns the number
+    of columns placed."""
     def fits(p, a_p, step):
-        return a_p > GUARD_TOL and basis[p] >= first_art
+        return a_p > GUARD_TOL and open_rows[p]
 
     placed = 0
     for j, p, _ in _least_cost(entries, cost, r, [False] * len(r), fits):
+        if cost[j] > 0.0:  # the columns come by ascending cost
+            break
         basis[p] = j
         placed += 1
-        if placed == n_art:
-            break
     return placed
 
 
@@ -1145,49 +1136,6 @@ def _perturbation(m):
         pattern.flags.writeable = False
         _pattern = pattern
     return pattern[:m]
-
-
-def _exact_mass(sx: _Simplex, b, c, art_cost):
-    """Artificial mass of the optimum of c on the exact b, from a basis that
-    ``run`` left optimal for c on the perturbed b.  If the basis is
-    infeasible on the exact b, the dual simplex finds that optimum on the
-    side, and the basis comes back for the runs on the perturbed b, with
-    the fresh inverse ``run`` left (the dual simplex updates ``basis`` and
-    ``Binv`` in place, so those two are copied)."""
-    exact = sx.Binv @ b
-    if exact.min() >= -sx.primal_tol:
-        return float(art_cost[sx.basis] @ exact)
-    saved = sx.b, sx.basis.copy(), sx.B, sx.Binv.copy(), sx.xB
-    sx.repair(b, c, np.ones(sx.n, dtype=bool))
-    mass = float(art_cost[sx.basis] @ sx.xB)
-    sx.b, sx.basis, sx.B, sx.Binv, sx.xB = saved
-    return mass
-
-
-def _drive_out_artificials(sx: _Simplex, is_artificial):
-    """Pivot zero-level artificials out of the basis where possible: each
-    basic artificial leaves for the first non-artificial column whose entry
-    in its tableau row exceeds GUARD_TOL in magnitude.
-
-    An artificial whose tableau row has no such entry sits on a redundant
-    constraint, a combination of the other rows, so the entries are zero but
-    for rounding; it stays basic.  Phase 2 enters only non-artificial
-    columns, and a pivot moves the artificial by the step times the entering
-    column's entry in its row, so the artificial keeps the level phase 1
-    left it at: zero on the exact right-hand side.  Should it drift anyway,
-    the answer misses that row by the drift, and ``_recheck`` raises.
-    """
-    for pos in range(len(sx.basis)):
-        if not is_artificial[sx.basis[pos]]:
-            continue
-        row = sx.A.transpose_dot(sx.Binv[pos])
-        row[is_artificial] = 0.0
-        row[sx.basis] = 0.0
-        cand = (np.abs(row) > GUARD_TOL).nonzero()[0]
-        if cand.size:
-            j = int(cand[0])
-            d = sx.direction(j)
-            sx.pivot(pos, j, d, sx.xB[pos] / d[pos])
 
 
 def _recheck(model: LpModel, x):

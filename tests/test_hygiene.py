@@ -1,7 +1,8 @@
 """Source hygiene: every library module uses each name it imports, every
 function defined inside another function is referenced there, small
 tolerances are named once, the package exports only public names, and every
-method and ``self`` attribute of a library class has a reader."""
+method and ``self`` attribute of a library class and every module-level
+name of a library module has a reader."""
 
 import ast
 from pathlib import Path
@@ -155,3 +156,29 @@ def test_no_unread_attributes():
         and n.attr not in read
     })
     assert not unread, "attributes set but never read:\n" + "\n".join(unread)
+
+
+def test_no_unread_module_names():
+    """Every module-level constant, function and class of a library module,
+    dunders aside, is read somewhere in the library or the tests: as a
+    name, as an attribute, or as a string (for ``getattr``,
+    ``monkeypatch`` or ``__all__``).  Defining or assigning one is not
+    reading it, so a constant or helper that has lost its last reader
+    shows up here."""
+    library, trees = _parsed()
+    read = _referenced(trees, loads_only=True)
+    for tree in trees.values():
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for path in library:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno}: {name}" for name in names
+                       if not (name.startswith("__") and name.endswith("__")) and name not in read]
+    assert not unread, "module-level names never read:\n" + "\n".join(unread)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cset_transport import lp
+from cset_transport import lp, relax
 from cset_transport.errors import LpError, LpNumericalError
 from cset_transport.lp import LpModel, export_lp, parse_lp, solve
 
 from oracles import brute_force_lp, highs_solve
+from test_pivot_path import _digraph
 
 
 def minx_model():
@@ -156,8 +157,9 @@ def test_deterministic_resolve():
 @pytest.mark.parametrize("bound_as_row", [True, False])
 def test_beale_cycling_example(bound_as_row):
     # Beale's degenerate program: Dantzig pricing with ratio ties broken by
-    # the first row cycles on it forever; the right-hand-side perturbation
-    # must break those ties
+    # the first row cycles on it forever.  Its start is primal feasible, so
+    # the dual simplex makes no pivot and the cleanup solves it; the
+    # cleanup's Bland's rule after a step of 0 must break the cycle
     m = LpModel()
     x6_upper = np.inf if bound_as_row else 1.0
     x = [m.add_variable(f"x{i}", upper=x6_upper if i == 6 else np.inf) for i in (4, 5, 6, 7)]
@@ -298,8 +300,9 @@ def test_random_lps_with_zero_bounds_against_vertex_enumeration():
 
 @pytest.mark.parametrize("scale", [1e3, 1e5])
 def test_scaled_duplicate_row_stays_feasible(scale):
-    # the perturbation makes a+b = 5s and 2a+2b = 10s disagree by more than
-    # FEAS_TOL at this scale, so feasibility must be judged on the exact b
+    # a+b = 5s and 2a+2b = 10s are one row twice: the fixed logical of the
+    # twin stays basic at 0 on the exact b, and the answer must not read
+    # the pair as contradictory at this scale
     m = LpModel()
     a, b = m.add_variable("a"), m.add_variable("b")
     m.add_objective(a, 1.0)
@@ -314,9 +317,9 @@ def test_scaled_duplicate_row_stays_feasible(scale):
 
 
 @pytest.mark.parametrize("gap", [1e-5, 1e-4])
-def test_infeasible_within_the_perturbation(gap):
-    # x <= 5e6 and x >= 5e6 + gap: infeasible by more than FEAS_TOL but by
-    # less than the perturbation of these rows, which can close the gap
+def test_infeasible_by_a_gap_far_below_the_scale(gap):
+    # x <= 5e6 and x >= 5e6 + gap: infeasible by more than FEAS_TOL, though
+    # the gap is about 1e-12 of the right-hand sides
     m = LpModel()
     x = m.add_variable("x")
     m.add_objective(x, 1.0)
@@ -326,10 +329,10 @@ def test_infeasible_within_the_perturbation(gap):
 
 
 @pytest.mark.parametrize("tight_first", [True, False])
-def test_phase2_answer_is_feasible_on_exact_b(tight_first):
-    # min -x over x <= 5e6 and x <= 5e6 + 1e-5: in one of the two orders the
-    # perturbed right-hand sides make the looser row bind, and that basis
-    # must be repaired on the exact b, not clipped into a violation
+def test_the_tighter_of_two_close_caps_binds(tight_first):
+    # min -x over x <= 5e6 and x <= 5e6 + 1e-5, in either order: the answer
+    # is the tighter cap exactly, not the looser one clipped into a
+    # violation
     m = LpModel()
     x = m.add_variable("x")
     m.add_objective(x, -1.0)
@@ -341,11 +344,11 @@ def test_phase2_answer_is_feasible_on_exact_b(tight_first):
     assert sol.value("x") == 5e6
 
 
-def _beale_phase1_model(k, tight_first):
-    """Beale's cycling program moved into phase 1: the artificial of row e
-    equals k + (Beale's objective), so the pure artificial objective prices
-    like Beale's.  Rows capping z make the blended phase 1 end on a basis
-    that is infeasible on the exact b in one of the two orders."""
+def _beale_equation_model(k, tight_first):
+    """Beale's cycling program as a feasibility question: row e reads
+    (Beale's objective) = -k, so whether it holds turns on Beale's
+    degenerate rows.  Two close caps on z, in either order, decide the
+    optimum."""
     m = LpModel()
     x = [m.add_variable(f"x{i}") for i in (4, 5, 6, 7)]
     z = m.add_variable("z")
@@ -361,12 +364,12 @@ def _beale_phase1_model(k, tight_first):
 
 
 @pytest.mark.parametrize("tight_first", [True, False])
-def test_phase1_rerun_on_degenerate_program(tight_first):
+def test_beale_rows_decide_an_equation(tight_first):
     # Beale's objective reaches at least -0.05, so row e is infeasible for
-    # k = 1 and feasible for k = 0.04; both verdicts go through the pure
-    # artificial re-run, which must not cycle
-    assert solve(_beale_phase1_model(1.0, tight_first)).status == "infeasible"
-    sol = solve(_beale_phase1_model(0.04, tight_first))
+    # k = 1 and feasible for k = 0.04; both verdicts come from a dual
+    # simplex over Beale's degenerate rows, which must not cycle
+    assert solve(_beale_equation_model(1.0, tight_first)).status == "infeasible"
+    sol = solve(_beale_equation_model(0.04, tight_first))
     assert sol.status == "optimal"
     assert sol.value("z") == 5e6
 
@@ -416,52 +419,10 @@ def test_degenerate_lps_against_highs():
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
-def test_artificials_left_basic_stay_put_in_phase_2(monkeypatch):
-    # an artificial the drive-out cannot pivot out sits on a redundant row,
-    # such as a twin row of _degenerate_model: its tableau row is zero on
-    # every column phase 2 may enter, so no phase-2 pivot raises its value
-    from cset_transport.gallery import directed_cycle
-    from cset_transport.relax import wasserstein_cset_lp
-
-    left, watched, rises = [], [], []
-    phase2 = {}  # id of each simplex past its drive-out: (is_artificial, its b)
-    real_drive, real_pivot = lp._drive_out_artificials, lp._Simplex.pivot
-
-    def drive_out(sx, is_artificial):
-        real_drive(sx, is_artificial)
-        for pos in is_artificial[sx.basis].nonzero()[0]:
-            row = sx.A.transpose_dot(sx.Binv[pos])
-            left.append(float(np.abs(row[~is_artificial]).max(initial=0.0)))
-        phase2[id(sx)] = is_artificial, sx.b
-
-    def pivot(self, leave_pos, enter_col, d, step):
-        is_artificial, b = phase2.get(id(self), (None, None))
-        if self.b is not b:  # phase 1, or the repair on the exact b
-            return real_pivot(self, leave_pos, enter_col, d, step)
-        before = self.xB.copy()
-        real_pivot(self, leave_pos, enter_col, d, step)
-        stay = is_artificial[self.basis]
-        stay[leave_pos] = False
-        watched.append(int(stay.sum()))
-        delta = (self.xB - before)[stay]
-        rises.extend(delta[delta > 0])
-
-    monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
-    monkeypatch.setattr(lp._Simplex, "pivot", pivot)
-    rng = np.random.default_rng(53)
-    models = [_degenerate_model(rng) for _ in range(300)]
-    models += [wasserstein_cset_lp(directed_cycle(5), directed_cycle(6), p).model
-               for p in (1.0, 2.0)]
-    for model in models:
-        solve(model)
-    assert left and any(watched), "no artificial stayed basic through a phase-2 pivot"
-    assert max(left) <= lp.GUARD_TOL
-    assert not rises
-
-
 def test_dual_certificate_rejects_a_suboptimal_basis(monkeypatch):
-    # min -x - y over x + 2y <= 4, 3x + y <= 6: the slack basis is feasible
-    # but not optimal, and stopping the simplex there must not pass
+    # min -x - y over x + 2y <= 4, 3x + y <= 6: the slack basis is the
+    # dual simplex's answer (on costs shifted to 0), feasible but not
+    # optimal, and stopping the cleanup there must not pass
     m = LpModel()
     x, y = m.add_variable("x"), m.add_variable("y")
     m.add_objective(x, -1.0)
@@ -469,7 +430,7 @@ def test_dual_certificate_rejects_a_suboptimal_basis(monkeypatch):
     m.add_constraint("r1", [(x, 1.0), (y, 2.0)], "<=", 4.0)
     m.add_constraint("r2", [(x, 3.0), (y, 1.0)], "<=", 6.0)
     assert solve(m).objective == pytest.approx(-2.8)
-    monkeypatch.setattr(lp._Simplex, "run", lambda self, c, allowed: "optimal")
+    monkeypatch.setattr(lp._Simplex, "run", lambda self, c, fixed: "optimal")
     with pytest.raises(LpNumericalError, match="not dual feasible"):
         solve(m)
 
@@ -790,7 +751,7 @@ def test_random_lps_with_doubletons_and_forcing_rows_against_highs():
 
 
 def test_simplex_decides_infeasibility_without_singleton_rows():
-    # no row is a singleton, so the phase-1 simplex must find x + y = 1 and
+    # no row is a singleton, so the dual simplex must find x + y = 1 and
     # x + y = 2 incompatible
     m = LpModel()
     x, y = m.add_variable("x"), m.add_variable("y")
@@ -800,63 +761,6 @@ def test_simplex_decides_infeasibility_without_singleton_rows():
     assert sol.status == "infeasible"
     assert (sol.fixed, sol.dropped_rows) == (0, 0)
     assert sol.pivots + sol.crashed > 0
-
-
-def test_repair_on_a_fresh_inverse_does_not_refactor(monkeypatch):
-    # min -x - y over x + 2y <= 4, 3x + y <= 6: the phase-2 optimum is
-    # feasible on the exact b, so the repair neither pivots nor re-inverts
-    m = LpModel()
-    x, y = m.add_variable("x"), m.add_variable("y")
-    m.add_objective(x, -1.0)
-    m.add_objective(y, -1.0)
-    m.add_constraint("r1", [(x, 1.0), (y, 2.0)], "<=", 4.0)
-    m.add_constraint("r2", [(x, 3.0), (y, 1.0)], "<=", 6.0)
-    refactors, repairs = [], []
-    real_refactor, real_repair = lp._Simplex.refactor, lp._Simplex.repair
-
-    def refactor(self):
-        refactors.append(self.pivots)
-        real_refactor(self)
-
-    def repair(self, b, c, allowed):
-        fresh, before, pivots = not self.dirty, len(refactors), self.pivots
-        real_repair(self, b, c, allowed)
-        repairs.append((fresh, len(refactors) - before, self.pivots - pivots))
-
-    monkeypatch.setattr(lp._Simplex, "refactor", refactor)
-    monkeypatch.setattr(lp._Simplex, "repair", repair)
-    sol = solve(m)
-    assert sol.objective == pytest.approx(-2.8)
-    assert repairs == [(True, 0, 0)]
-
-
-@pytest.mark.parametrize("k, status", [(1.0, "infeasible"), (0.04, "optimal")])
-def test_exact_mass_restores_the_inverse_run_left(monkeypatch, k, status):
-    # these phase-1 bases are infeasible on the exact b, so the dual simplex
-    # runs on the side; afterwards the basis, its inverse and x_B are those
-    # that run left, bit for bit, with no inversion to restore them
-    restored, inverted = [], []
-    real_mass, real_refactor = lp._exact_mass, lp._Simplex.refactor
-
-    def exact_mass(sx, b, c, art_cost):
-        before = sx.b, sx.basis.copy(), sx.B, sx.Binv.copy(), sx.xB.copy()
-        side = (sx.Binv @ b).min() < -sx.primal_tol
-        mass = real_mass(sx, b, c, art_cost)
-        if side:
-            b0, basis, B, Binv, xB = before
-            assert sx.b is b0 and not sx.dirty
-            assert np.array_equal(sx.basis, basis) and sx.B is B
-            assert np.array_equal(sx.Binv, Binv) and np.array_equal(sx.xB, xB)
-            # what inverting the basis again would give
-            assert np.array_equal(np.linalg.inv(sx.A.dense_submatrix(basis)), Binv)
-            restored.append(len(inverted))
-        return mass
-
-    monkeypatch.setattr(lp, "_exact_mass", exact_mass)
-    monkeypatch.setattr(lp._Simplex, "refactor", lambda sx: inverted.append(1) or real_refactor(sx))
-    sol = solve(_beale_phase1_model(k, tight_first=False))
-    assert restored
-    assert (sol.status, sol.refactors) == (status, len(inverted))
 
 
 def test_dense_submatrix_gathers_like_a_column_loop():
@@ -874,9 +778,11 @@ def test_dense_submatrix_gathers_like_a_column_loop():
 
 
 def test_starting_basis_is_not_inverted(monkeypatch):
-    # the crash puts y in place of r1's artificial (x would take r2, whose
-    # basic is a slack); that basis is inverted once, and no other before
-    # the first pivot
+    # the crash puts x, which costs 0, in place of r1's surplus (its ratio
+    # in r1, 1, is below the 2 of r2, a <= row, which it never takes); that
+    # basis is inverted once, and no other before the first pivot, which
+    # here is the cleanup's: the start is feasible but z, costing -1, and
+    # then y improve on it
     inverted = []
     real_refactor = lp._Simplex.refactor
 
@@ -886,27 +792,26 @@ def test_starting_basis_is_not_inverted(monkeypatch):
 
     monkeypatch.setattr(lp._Simplex, "refactor", refactor)
     m = LpModel()
-    x, y = m.add_variable("x"), m.add_variable("y")
-    m.add_objective(x, 1.0)
-    m.add_objective(y, 2.0)
+    x, y, z = m.add_variable("x"), m.add_variable("y"), m.add_variable("z")
+    m.add_objective(z, -1.0)
     m.add_constraint("r1", [(x, 1.0), (y, 1.0)], ">=", 1.0)
-    m.add_constraint("r2", [(x, 1.0), (y, -1.0)], "<=", 0.5)
+    m.add_constraint("r2", [(x, 1.0), (z, 1.0)], "<=", 2.0)
     sol = solve(m)
-    assert sol.objective == pytest.approx(1.25)
-    assert sol.pivots > 0 and sol.crashed == 1
+    assert sol.objective == pytest.approx(-2.0)
+    assert (sol.pivots, sol.phase_pivots, sol.crashed) == (2, (0, 2), 1)
     assert inverted.count(0) == 1
 
 
 def _starts(monkeypatch):
     """The starting basis of every solve, as the ``_Simplex`` constructor
-    leaves it: (basis, B, the perturbed b, x_B, inversions made)."""
+    leaves it: (basis, B, b, x_B, inversions made, structural columns)."""
     starts = []
     real = lp._Simplex.__init__
 
     def init(self, A, b, basis):
         real(self, A, b, basis)
         starts.append((self.basis.tolist(), self.A.dense_submatrix(self.basis), self.b.copy(),
-                       self.xB.copy(), self.refactors))
+                       self.xB.copy(), self.refactors, self.n - self.m))
 
     monkeypatch.setattr(lp._Simplex, "__init__", init)
     return starts
@@ -934,17 +839,22 @@ def _least_cost_example():
 
 
 def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
-    # a finite bound on x03, which the start leaves out, keeps the program
-    # off the tree path (test_transport_path.py runs it there) and adds a
-    # bound row whose basic is a slack
+    # the crash places only columns of cost 0: with the cells of the
+    # least-cost start made free, it visits them by index, (0,1) first, and
+    # the minimum ratio gives each the value that method gives it; a finite
+    # bound on x03, which the start leaves out, keeps the program off the
+    # tree path (test_transport_path.py runs it there) and adds a bound row
+    # whose basic is a slack
     pytest.importorskip("scipy")
     m, x, want = _least_cost_example()
+    for i, j in want:
+        m.objective[x[i][j]] = 0.0
     m.var_upper[x[0][3]] = 100.0
     starts = _starts(monkeypatch)
     sol = _agrees_with_highs(m)
     assert sol.method == "simplex"
-    basis, _, _, xB, inverted = starts[0]
-    placed = {k: v for k, v in zip(basis, xB) if k < 12}
+    basis, _, _, xB, inverted, n = starts[0]
+    placed = {k: v for k, v in zip(basis, xB) if k < n}
     assert sorted(placed) == sorted(x[i][j] for i, j in want)
     for (i, j), v in want.items():
         assert placed[x[i][j]] == pytest.approx(v, abs=1e-6)
@@ -953,6 +863,10 @@ def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
 
 @pytest.mark.parametrize("seed", [50, 51, 52])
 def test_crash_basis_is_nonsingular_and_feasible(monkeypatch, seed):
+    # the start is nonsingular, solves B x_B = b, and keeps every placed
+    # column and every logical of coefficient +1 (a slack, or one fixed at
+    # 0) at 0 or above; a surplus may start below 0, and a fixed logical
+    # above it, for the dual simplex to mend
     pytest.importorskip("scipy")
     rng = np.random.default_rng(seed)
     starts = _starts(monkeypatch)
@@ -960,46 +874,46 @@ def test_crash_basis_is_nonsingular_and_feasible(monkeypatch, seed):
     for make in (_random_model, _presolve_model, _doubleton_model):
         for _ in range(100):
             crashed += _agrees_with_highs(make(rng)).crashed
-    assert crashed > 100 and starts
-    for basis, B, b_tilde, xB, _ in starts:
-        tol = 1e-12 * max(1.0, float(np.abs(b_tilde).max()))
+    assert crashed > 60 and starts
+    for basis, B, b, xB, _, n in starts:
+        tol = 1e-12 * max(1.0, float(np.abs(b).max()))
         assert np.linalg.matrix_rank(B) == len(basis)
-        assert xB.min() >= -tol
-        assert np.allclose(B @ xB, b_tilde, rtol=0, atol=tol)
-    # every start is inverted exactly once, the identity too
+        assert np.allclose(B @ xB, b, rtol=0, atol=tol)
+        slack = [pos for pos, k in enumerate(basis) if k < n or B[pos, pos] == 1.0]
+        assert xB[slack].min(initial=0.0) >= -tol
+    # every start is inverted exactly once, the all-logical one too
     assert all(s[4] == 1 for s in starts)
 
 
 def test_crash_never_pivots_on_a_tiny_entry(monkeypatch):
     starts = _starts(monkeypatch)
-    # x is free and its only positive entry is 1e-8: it is not placed, y is
+    # x and y cost 0, and x's only positive entry is 1e-8: it is not
+    # placed, y is
     m = LpModel()
     x, y = m.add_variable("x"), m.add_variable("y")
-    m.add_objective(y, 1.0)
     m.add_constraint("a", [(x, 1e-8), (y, 1.0)], "=", 1.0)
     sol = solve(m)
     assert (sol.status, sol.crashed) == ("optimal", 1)
     assert starts[0][0] == [y]
     # x's tiny entry in row a has the least ratio, so x is not placed, though
     # its entry 1 in row b passes GUARD_TOL: taking b at x = 5 would push
-    # a's artificial to 5e-10 - 5e-8 < 0
+    # a's logical, fixed at 0, to 5e-10 - 5e-8; y takes b, and the start is
+    # feasible as it stands
     m = LpModel()
     x, y, w, v = (m.add_variable(name) for name in "xywv")
-    m.add_objective(y, 1.0)
     m.add_objective(w, 2.0)
     m.add_objective(v, 3.0)
     m.add_constraint("a", [(x, 1e-8), (w, -1.0), (v, 1.0)], "=", 0.0)
     m.add_constraint("b", [(x, 1.0), (y, 1.0)], "=", 5.0)
     sol = solve(m)
-    assert (sol.status, sol.crashed) == ("optimal", 2)
-    assert sol.objective == pytest.approx(1e-7)
-    basis, _, _, xB, _ = starts[1]
-    assert basis == [v, y] and xB.min() >= 0.0
+    assert (sol.status, sol.crashed, sol.pivots, sol.objective) == ("optimal", 1, 0, 0.0)
+    basis, _, _, xB, _, n = starts[1]
+    assert basis == [n, y] and xB.tolist() == [0.0, 5.0]
 
 
 def test_identity_start_when_the_crash_places_nothing(monkeypatch):
-    # x and y would each take the row of its own bound, whose basic is a
-    # slack, so the start is the identity, inverted once like any other
+    # x and y cost more than 0, so the crash places neither: the start is
+    # the logicals' diagonal, inverted once like any other
     inverted = []
     real_refactor = lp._Simplex.refactor
 
@@ -1019,16 +933,81 @@ def test_identity_start_when_the_crash_places_nothing(monkeypatch):
     assert inverted.count(0) == 1
 
 
+def _solved_programs():
+    """300 seeded ``_degenerate_model`` programs and W_2 of a seeded
+    digraph pair (one of the pinned paths of ``test_pivot_path.py``)."""
+    rng = np.random.default_rng(54)
+    models = [_degenerate_model(rng) for _ in range(300)]
+    rng = np.random.default_rng(4)
+    x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
+    return models + [relax.wasserstein_cset_lp(x, y, 2.0).model]
+
+
+def test_the_dual_simplex_starts_dual_feasible(monkeypatch):
+    # the dual simplex gets costs >= 0 (negative ones shifted to 0, the rest
+    # raised a little) and a start whose basic columns all cost 0, so y = 0
+    # and every reduced cost is >= 0; the crash places only columns that
+    # cost 0 before the raise
+    placed, starts = [], []
+    real_crash, real_dual = lp._crash, lp._Simplex.dual
+
+    def crash(entries, cost, r, basis, open_rows):
+        k = real_crash(entries, cost, r, basis, open_rows)
+        placed.extend(cost[j] for j in basis if j < len(cost))
+        return k
+
+    def dual(self, c, fixed):
+        reduced = c - self.A.transpose_dot(c[self.basis] @ self.Binv)
+        starts.append((float(reduced[~fixed].min()), float(np.abs(c[self.basis]).max())))
+        return real_dual(self, c, fixed)
+
+    monkeypatch.setattr(lp, "_crash", crash)
+    monkeypatch.setattr(lp._Simplex, "dual", dual)
+    negative = 0
+    for model in _solved_programs():
+        solve(model)
+        negative += min(model.objective.values(), default=0.0) < 0
+    assert len(starts) > 200 and negative > 100 and len(placed) > 100
+    assert set(placed) == {0.0}
+    assert all(worst >= 0.0 and basic == 0.0 for worst, basic in starts)
+
+
+def test_infeasible_verdicts_carry_a_farkas_row(monkeypatch):
+    # y = ±(row r of B^-1) with y.A <= 0 on every column that may enter and
+    # y.b > FEAS_TOL: then no x >= 0 with the fixed columns at 0 solves
+    # A x = b, so the program is infeasible
+    gaps = []  # the largest y.b over the Farkas rows of each verdict
+    real_dual = lp._Simplex.dual
+
+    def dual(self, c, fixed):
+        status = real_dual(self, c, fixed)
+        if status == "infeasible":
+            A = self.A.dense_submatrix(range(self.n))
+            gap = -math.inf
+            for r in range(self.m):
+                for y in (self.Binv[r], -self.Binv[r]):
+                    if (y @ A)[~fixed].max() <= lp.PIVOT_TOL:
+                        gap = max(gap, float(y @ self.b))
+            gaps.append(gap)
+        return status
+
+    monkeypatch.setattr(lp._Simplex, "dual", dual)
+    for model in _solved_programs():
+        solve(model)
+    assert len(gaps) > 30
+    assert min(gaps) > lp.FEAS_TOL
+
+
 def test_nan_reduced_cost_raises():
     # argmin picks the first NaN; read as "nothing prices below -OPT_TOL" it
     # would pass as optimal, and NaN < -DUAL_TOL is false in the final check
     A = lp._SparseCols(1, 2, np.array([0, 0]), np.array([0, 1]), np.array([2.0, 1.0]))
     sx = lp._Simplex(A, np.array([1.0]), [1])
-    everything = np.ones(2, dtype=bool)
+    free = np.zeros(2, dtype=bool)
     with pytest.raises(LpNumericalError, match="NaN"):
-        sx.run(np.array([np.nan, 0.0]), everything)
+        sx.run(np.array([np.nan, 0.0]), free)
     # a NaN cost on the basic column reaches every reduced cost through y
     with pytest.raises(LpNumericalError, match="NaN"):
-        sx.run(np.array([-1.0, np.nan]), everything)
-    # a blocked NaN column is never priced
-    assert sx.run(np.array([np.nan, 0.0]), np.array([False, True])) == "optimal"
+        sx.run(np.array([-1.0, np.nan]), free)
+    # a fixed NaN column is never priced
+    assert sx.run(np.array([np.nan, 0.0]), np.array([True, False])) == "optimal"
