@@ -25,20 +25,24 @@ feasible with y = 0.  A least-cost triangular crash (``_crash``) puts
 structural columns of cost 0 in place of the logicals of ``=`` and ``>=``
 rows, each in the row of its minimum ratio; each placed column misses the
 rows taken before it, so the basis is triangular and nonsingular, and y
-stays 0.  The other structural costs are raised by a fixed tiny pattern,
-against ties in the dual ratio test.  From that start a dual simplex
-(``_Simplex.dual``) runs on the exact right-hand side until the basis is
-primal feasible, or a row with no column to mend it proves the program
-infeasible.  The primal simplex (``_Simplex.run``) then takes that basis to
-the optimum of the true costs: it enters the most negative reduced cost
-(Dantzig's rule), leaving by the plain minimum ratio, and after a step of 0
-takes Bland's rule, which makes every run of such steps finite.  The solver
-keeps an explicit basis inverse: it inverts the starting basis once,
-reinverts periodically and before every verdict, and the final polish
-reuses the last inverse.  Every answer is then certified: primal by its
-residuals on the original model, dual by the reduced costs of the
-quotient's final basis (the quotient has the model's optimum).  The pattern
-is fixed, so repeated solves of the same model are bit-identical.
+stays 0.  Where no cost is negative and the start is primal feasible, it
+is the answer (``_start_is_optimal``): its basic columns cost 0, so it
+attains the bound ``c.x >= 0``, and y = 0 certifies it.  No inverse is
+built for it, and no BLAS call is made.  Otherwise the other structural
+costs are raised by a fixed tiny pattern, against ties in the dual ratio
+test.  From that start a dual simplex (``_Simplex.dual``) runs on the exact
+right-hand side until the basis is primal feasible, or a row with no column
+to mend it proves the program infeasible.  The primal simplex
+(``_Simplex.run``) then takes that basis to the optimum of the true costs:
+it enters the most negative reduced cost (Dantzig's rule), leaving by the
+plain minimum ratio, and after a step of 0 takes Bland's rule, which makes
+every run of such steps finite.  The simplex keeps an explicit basis
+inverse: it inverts the starting basis once, reinverts periodically and
+before every verdict, and the final polish reuses the last inverse.  Every
+answer is then certified: primal by its residuals on the original model,
+dual by the reduced costs of the quotient's final basis (the quotient has
+the model's optimum).  The pattern is fixed, so repeated solves of the same
+model are bit-identical.
 
 A program that the presolve leaves as a transportation problem
 (``_transportation``: only equations, every coefficient 1, every live
@@ -165,7 +169,9 @@ class LpSolution:
     # path those of the dual simplex and of the primal cleanup; on the tree
     # path those that enter on a negative artificial price and the others
     phase_pivots: tuple[int, int] = (0, 0)
-    refactors: int = 0  # basis inversions (0 on the tree path)
+    # basis inversions: 0 on the tree path, and on the simplex path when the
+    # crash start is already optimal (``_start_is_optimal``)
+    refactors: int = 0
     # columns the crash put into the starting basis in place of logicals;
     # not pivots (on the tree path: the cells of the least-cost start)
     crashed: int = 0
@@ -212,6 +218,12 @@ class _SparseCols:
         return out
 
 
+def _primal_tol(bmax):
+    """How far a basic value may be out of its bounds at the dual simplex's
+    verdict, on a right-hand side of largest magnitude ``bmax``."""
+    return max(PRIMAL_TOL, ROUND_TOL * bmax)
+
+
 def _iteration_cap(m):
     """The most iterations a simplex or tree run on m rows may take: a
     guard against numerical breakdown, not a limit the rules rely on."""
@@ -230,7 +242,7 @@ class _Simplex:
         self.m = A.m
         self.n = A.ncols
         self.max_iter = _iteration_cap(self.m)
-        self.primal_tol = max(PRIMAL_TOL, ROUND_TOL * float(np.abs(b).max(initial=0.0)))
+        self.primal_tol = _primal_tol(float(np.abs(b).max(initial=0.0)))
         self.pivots = 0
         self.refactors = 0
         self._ratios = np.empty(self.m)
@@ -735,7 +747,8 @@ class _Tree:
         row has left.  Returns the number of variables placed."""
         n, r, taken = self.n, list(self.rhs), [False] * self.m
         entries = [((a, 1.0), (b, 1.0)) for a, b in self.ends]
-        for e, _, x in _least_cost(entries, self.cost, r, taken, lambda p, a_p, step: step >= 0.0):
+        order = sorted(range(n), key=self.cost.__getitem__)  # a stable sort
+        for e, _, x in _least_cost(entries, order, r, taken, lambda p, a_p, step: step >= 0.0):
             self.flow[e] = x
             self.tree.append(e)
         cells = len(self.tree)
@@ -922,16 +935,18 @@ class _Tree:
 
 def solve(model: LpModel) -> LpSolution:
     """Presolve, then the simplex on what is left, solved on its colour
-    classes (``_columns``): a dual simplex from a least-cost triangular
-    crash basis of columns of cost 0 (``_crash``), on costs shifted to 0 or
-    above and slightly perturbed, which decides feasibility on the exact
-    right-hand side; then a primal cleanup on the true costs, which decides
-    boundedness and the optimum.  An optimal solution is basic in that
-    quotient program and constant on each class, so where classes merge it
-    need not be a vertex of the model; the variables the presolve folded
-    into others are recovered from them (``_Presolved.recover``).  It
-    satisfies every constraint of the original model within ``FEAS_TOL``,
-    and the quotient's final basis is dual feasible.  A program the
+    classes (``_columns``): a least-cost triangular crash basis of columns
+    of cost 0 (``_crash``), which is the answer as it stands when no cost is
+    negative and it is primal feasible (``_start_is_optimal``); else a dual
+    simplex from it, on costs shifted to 0 or above and slightly perturbed,
+    which decides feasibility on the exact right-hand side, then a primal
+    cleanup on the true costs, which decides boundedness and the optimum.
+    An optimal solution is basic in that quotient program and constant on
+    each class, so where classes merge it need not be a vertex of the
+    model; the variables the presolve folded into others are recovered from
+    them (``_Presolved.recover``).  It satisfies every constraint of the
+    original model within ``FEAS_TOL``, and the quotient's final basis is
+    dual feasible.  A program the
     presolve leaves as a transportation problem (``_transportation``) is
     solved on a spanning tree instead (``_Tree``): its answer passes the
     same residual check, and every live variable prices at -DUAL_TOL
@@ -991,47 +1006,55 @@ def solve(model: LpModel) -> LpSolution:
             return answer("unbounded")
         return answer("optimal", values)
 
-    # one logical per row: a slack for <=, a surplus for >=, and for = one
-    # fixed at 0, which may leave the basis but never enters
-    coo_r: list[int] = []
-    coo_c: list[int] = []
-    coo_v: list[float] = []
-    b = np.zeros(m)
-    fixed = np.zeros(n + m, dtype=bool)
-    entries = [[] for _ in range(n)]  # each column's (row, coef), for the crash
-    open_rows = [rel != "<=" for _, rel, _ in rows]  # the rows the crash may take
+    # each column's (row, coefficient) terms, in row order
+    entries = [[] for _ in range(n)]
+    rels, b = [], []
     for i, (terms, rel, rhs) in enumerate(rows):
         for idx, coef in terms.items():
-            k = col[idx]
-            coo_r.append(i)
-            coo_c.append(k)
-            coo_v.append(coef)
-            entries[k].append((i, coef))
-        b[i] = rhs
-        coo_r.append(i), coo_c.append(n + i), coo_v.append(-1.0 if rel == ">=" else 1.0)
-        fixed[n + i] = rel == "="
+            entries[col[idx]].append((i, coef))
+        rels.append(rel)
+        b.append(rhs)
+    column = np.array([col[idx] for idx in live], dtype=int)
+    c = np.zeros(n + m)
+    c[:n] = np.bincount(column, weights=c_live, minlength=n)
+    shifted = np.maximum(c[:n], 0.0)  # negative costs shifted to 0
+    basis, xB = _crash(entries, shifted.tolist(), b, rels)
+    crashed = sum(j < n for j in basis)
+
+    def lift(basis, xB):
+        # basic values this far below the solver's resolution are exact
+        # zeros, negative ones included; without the snap, p-th roots
+        # downstream amplify femto-scale noise
+        xB[xB < SNAP_TOL * max(1.0, float(np.max(xB, initial=0.0)))] = 0.0
+        x = np.zeros(n + m)
+        x[basis] = xB
+        values[live] = x[column]
+        return values
+
+    if _start_is_optimal(c, b, basis, xB, rels):
+        return answer("optimal", lift(basis, np.array(xB)))
+
+    # one logical per row: a slack for <=, a surplus for >=, and for = one
+    # fixed at 0, which may leave the basis but never enters
+    flat = [term for terms in entries for term in terms]
     A = _SparseCols(
         m,
         n + m,
-        np.asarray(coo_r, dtype=int),
-        np.asarray(coo_c, dtype=int),
-        np.asarray(coo_v, dtype=float),
+        np.array([i for i, _ in flat] + list(range(m)), dtype=int),
+        np.repeat(np.arange(n + m), [len(terms) for terms in entries] + [1] * m),
+        np.array([a for _, a in flat] + [-1.0 if rel == ">=" else 1.0 for rel in rels]),
     )
-    c = np.zeros(n + m)
-    column = np.array([col[idx] for idx in live], dtype=int)
-    c[:n] = np.bincount(column, weights=c_live, minlength=n)
+    fixed = np.zeros(n + m, dtype=bool)
+    fixed[n:] = [rel == "=" for rel in rels]
 
-    # the dual simplex runs on costs >= 0, negative ones shifted to 0, so the
-    # all-logical basis is dual feasible with y = 0; the crash keeps y = 0 by
-    # placing only columns of cost 0, and the other structural columns are
-    # raised by a fixed tiny pattern, against ties in the dual ratio test
-    shifted = np.maximum(c[:n], 0.0)
-    basis = list(range(n, n + m))
-    crashed = _crash(entries, shifted.tolist(), b.tolist(), basis, open_rows)
+    # the dual simplex runs on the shifted costs, so the all-logical basis
+    # is dual feasible with y = 0; the crash keeps y = 0 by placing only
+    # columns of cost 0, and the other structural columns are raised by a
+    # fixed tiny pattern, against ties in the dual ratio test
     c_dual = np.zeros(n + m)
     c_dual[:n] = shifted + PERTURB * np.maximum(1.0, shifted) * _perturbation(n)
     c_dual[basis] = 0.0
-    sx = _Simplex(A, b, basis)
+    sx = _Simplex(A, np.array(b), basis)
     if sx.dual(c_dual, fixed) == "infeasible":
         return answer("infeasible", sx=sx, phase_pivots=(sx.pivots, 0))
     dual = sx.pivots
@@ -1045,35 +1068,29 @@ def solve(model: LpModel) -> LpSolution:
     # refinement kill the drift of incremental updates
     for _ in range(2):
         sx.xB += sx.Binv @ (sx.b - sx.B @ sx.xB)
-    # basic values this far below the solver's resolution are exact zeros,
-    # negative ones included; without the snap, p-th roots downstream
-    # amplify femto-scale noise
-    snap = SNAP_TOL * max(1.0, float(np.max(sx.xB, initial=0.0)))
-    sx.xB[sx.xB < snap] = 0.0
     # dual certificate: y = c_B B^-1 must price every column the program
-    # may use at a nonnegative reduced cost, else the basis is not optimal
+    # may use at a nonnegative reduced cost, else the basis is not optimal;
+    # a basic column's is 0 by definition, and what is computed for it is
+    # rounding noise
     reduced = c - sx.A.transpose_dot(c[sx.basis] @ sx.Binv)
+    reduced[sx.basis] = 0.0
     worst = float(reduced[~fixed].min(initial=0.0))
     if worst < -DUAL_TOL * max(1.0, float(np.abs(c).max())):
         raise LpNumericalError(f"final basis is not dual feasible: reduced cost {worst:.3e}")
-
-    x = np.zeros(sx.n)
-    x[sx.basis] = sx.xB
-    values[live] = x[column]
-    return answer("optimal", values, sx, (dual, sx.pivots - dual))
+    return answer("optimal", lift(sx.basis, sx.xB), sx, (dual, sx.pivots - dual))
 
 
-def _least_cost(entries, cost, r, taken, fits):
+def _least_cost(entries, order, r, taken, fits):
     """The least-cost rule of the transportation problem, from which both
     ``_crash`` and ``_Tree`` start.
 
-    Columns are visited by ascending ``cost``, ties by index.  One with an
-    entry in a row already ``taken`` is skipped.  Otherwise its row ``p`` is
-    the minimum ratio ``r_p / a_p`` over its positive entries, the first on
-    a tie; if ``fits(p, a_p, step)`` for ``step = r_p / a_p``, ``r`` drops by
-    ``a * step`` along the column, ``p`` is taken, and ``(j, p, step)`` is
-    yielded.  Updates ``r`` and ``taken`` in place."""
-    for j in sorted(range(len(cost)), key=cost.__getitem__):  # a stable sort
+    Columns are visited in ``order``, by ascending cost with ties by index.
+    One with an entry in a row already ``taken`` is skipped.  Otherwise its
+    row ``p`` is the minimum ratio ``r_p / a_p`` over its positive entries,
+    the first on a tie; if ``fits(p, a_p, step)`` for ``step = r_p / a_p``,
+    ``r`` drops by ``a * step`` along the column, ``p`` is taken, and ``(j,
+    p, step)`` is yielded.  Updates ``r`` and ``taken`` in place."""
+    for j in order:
         terms = entries[j]
         for i, _ in terms:
             if taken[i]:
@@ -1090,33 +1107,55 @@ def _least_cost(entries, cost, r, taken, fits):
                 yield j, p, step
 
 
-def _crash(entries, cost, r, basis, open_rows):
+def _crash(entries, cost, b, rels):
     """Least-cost triangular crash (Bixby, *Implementing the simplex
     method: the initial basis*, ORSA J. Computing 4, 1992): put structural
-    columns of cost 0 into the starting basis in place of logicals, by the
-    least-cost rule (``_least_cost``).  A column takes its row ``p`` at
-    ``x_j = r_p / a_p`` only if ``a_p > GUARD_TOL`` and ``open_rows[p]``:
-    rows whose logical is out of its bounds at the all-logical start.  A
-    tiny entry with the least ratio blocks its column rather than drop out
-    of the test, since a step past its ratio would drive its row's basic
-    value negative.
+    columns of cost 0 (``cost`` is 0 or more) into the starting basis in
+    place of logicals, by the least-cost rule (``_least_cost``) on the
+    rows' residual ``r``, which starts as the right-hand side ``b``.  A
+    column takes its row ``p`` at ``x_j = r_p / a_p`` only if ``a_p >
+    GUARD_TOL`` and ``p`` is an ``=`` or ``>=`` row, whose logical is out of
+    its bounds at the all-logical start.  A tiny entry with the least ratio
+    blocks its column rather than drop out of the test, since a step past
+    its ratio would drive its row's basic value negative.
 
     Each placed column misses the rows taken before it, so the basis is a
     permuted triangle with nonzero diagonal, hence nonsingular; and no row
     of ``r`` goes below 0 (up to rounding), so no slack of a ``<=`` row
     turns negative.  Every basic column costs 0, so y = 0 stays the dual
-    solution of the start.  Updates ``basis`` in place; returns the number
-    of columns placed."""
-    def fits(p, a_p, step):
-        return a_p > GUARD_TOL and open_rows[p]
+    solution of the start.  Returns the basis, the logical ``n + i`` in
+    each row ``i`` left untaken, and the value of each basic column: ``x_j``
+    for a placed one, and for a logical the residual of its row, negated
+    for a surplus."""
+    n, m = len(entries), len(b)
+    basis, xB, r = list(range(n, n + m)), [0.0] * m, list(b)
 
-    placed = 0
-    for j, p, _ in _least_cost(entries, cost, r, [False] * len(r), fits):
-        if cost[j] > 0.0:  # the columns come by ascending cost
-            break
+    def fits(p, a_p, step):
+        return a_p > GUARD_TOL and rels[p] != "<="
+
+    zero = [j for j, cj in enumerate(cost) if cj == 0.0]
+    for j, p, step in _least_cost(entries, zero, r, [False] * m, fits):
         basis[p] = j
-        placed += 1
-    return placed
+        xB[p] = step
+    for i, rel in enumerate(rels):
+        if basis[i] >= n:
+            xB[i] = -r[i] if rel == ">=" else r[i]
+    return basis, xB
+
+
+def _start_is_optimal(c, b, basis, xB, rels):
+    """Whether ``_crash``'s start is optimal as it stands, with no simplex
+    at all: every cost ``c`` is 0 or more, and no basic value is out of its
+    bounds (0 for a logical of an ``=`` row, 0 and up for any other column)
+    by more than the dual simplex leaves at its verdict on right-hand side
+    ``b`` (``b >= 0``).  Its basic columns cost 0, so the point attains the
+    bound ``c.x >= 0``, and y = 0 is its dual certificate, pricing every
+    column at ``c_j >= 0``."""
+    if c.min() < 0.0:
+        return False
+    n, tol = c.size - len(b), _primal_tol(max(b))
+    return all((abs(v) if j >= n and rel == "=" else -v) <= tol
+               for j, v, rel in zip(basis, xB, rels))
 
 
 # The perturbation pattern: a prefix of one fixed stream, drawn at the first

@@ -63,7 +63,7 @@ from .cset import Instance, _check_fixed, _check_same_theory
 from .errors import CsetTransportError, InstanceError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
 from .lp import FEAS_TOL, LpModel, LpSolution, solve
-from .markov import FiniteKernel, MarkovTransformation, embed_function, identity_kernel
+from .markov import FiniteKernel, MarkovTransformation, identity_kernel
 from .mm import (
     CHECK_TOL,
     INF,
@@ -189,7 +189,9 @@ def markov_feasible(
     comps = _extract_phi(sol, layout, x.theory.objects)
     for g in x.theory.generators:
         lhs = comps[g.cod].p[x.maps[g.name], :]
-        rhs = comps[g.dom].p @ embed_function(y.maps[g.name], y.sets[g.cod]).p
+        # Phi_dom . Y(g): column k sums Phi_dom's columns over Y(g)'s preimage of k
+        rhs = np.zeros(lhs.shape)
+        np.add.at(rhs.T, y.maps[g.name], comps[g.dom].p.T)
         if np.abs(lhs - rhs).max(initial=0.0) > CHECK_TOL:
             raise LpNumericalError(
                 f"extracted kernels violate naturality at {g.name!r}"

@@ -10,6 +10,7 @@ a from-scratch weight formula.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -169,6 +170,32 @@ def highs_solve(model):
     if status is None:
         raise RuntimeError(f"HiGHS failed: {res.message}")
     return status, float(res.fun) if status == "optimal" else None
+
+
+# -- solve recorder ------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def recorded_solves():
+    """Every LpSolution that ``relax`` and ``transport`` get from
+    ``lp.solve`` inside the ``with`` block, in order: their ``solve`` is
+    swapped for a recording one and restored on exit, so the recorder needs
+    no pytest fixture and runs in a child process too."""
+    from cset_transport import lp, relax, transport
+
+    seen = []
+
+    def recording(model):
+        sol = lp.solve(model)
+        seen.append(sol)
+        return sol
+
+    saved = relax.solve, transport.solve
+    relax.solve = transport.solve = recording
+    try:
+        yield seen
+    finally:
+        relax.solve, transport.solve = saved
 
 
 # -- transport oracle ----------------------------------------------------------

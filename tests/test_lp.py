@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import cset_transport as ct
 from cset_transport import lp, relax
-from cset_transport.errors import LpError, LpNumericalError
+from cset_transport.errors import CsetTransportError, LpError, LpNumericalError
+from cset_transport.gallery import BUILTIN_INSTANCE_NAMES
 from cset_transport.lp import LpModel, export_lp, parse_lp, solve
 
 from oracles import brute_force_lp, highs_solve
@@ -435,6 +437,28 @@ def test_dual_certificate_rejects_a_suboptimal_basis(monkeypatch):
         solve(m)
 
 
+def test_dual_certificate_skips_basic_columns():
+    # an ill-scaled program: the cleanup ends optimal, every nonbasic
+    # column prices at 77 or more, but the reduced cost computed for basic
+    # x4 is -2.3e-9, rounding of |y| |B| eps; priced, it would raise "not
+    # dual feasible" (HiGHS: optimal, 312204.2912473955)
+    m = LpModel()
+    for k in range(5):
+        m.add_variable(f"x{k}")
+    m.var_upper[4] = 0.0004483733399663746
+    for k, v in {0: -0.00039604117080803555, 1: -0.0021745781511706207,
+                 2: 0.046410919241244165, 4: 0.007775097601056176}.items():
+        m.add_objective(k, v)
+    m.add_constraint("r0", [(3, -185.92157719190823), (1, 0.003358080531852913),
+                            (0, -0.009242067844662444), (4, 1754.301893366865)],
+                     "=", 38.0567778783492)
+    m.add_constraint("r1", [(4, -73.48132989463552), (2, -2.031233846073934),
+                            (1, 1231.2369268280822)], "=", 0.09844178358400345)
+    sol = solve(m)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(312204.2912473955, rel=1e-12)
+
+
 def _agrees_with_highs(model):
     status, want = highs_solve(model)
     sol = solve(model)
@@ -803,17 +827,24 @@ def test_starting_basis_is_not_inverted(monkeypatch):
 
 
 def _starts(monkeypatch):
-    """The starting basis of every solve, as the ``_Simplex`` constructor
-    leaves it: (basis, B, b, x_B, inversions made, structural columns)."""
+    """The starting basis of every solve that reaches the crash, as
+    ``_crash`` returns it: (basis, B, b, x_B, structural columns), with B
+    gathered from the crash's columns and the rows' logicals."""
     starts = []
-    real = lp._Simplex.__init__
+    real = lp._crash
 
-    def init(self, A, b, basis):
-        real(self, A, b, basis)
-        starts.append((self.basis.tolist(), self.A.dense_submatrix(self.basis), self.b.copy(),
-                       self.xB.copy(), self.refactors, self.n - self.m))
+    def crash(entries, cost, b, rels):
+        basis, xB = real(entries, cost, b, rels)
+        n, m = len(entries), len(b)
+        A = np.zeros((m, n + m))
+        for j, terms in enumerate(entries):
+            for i, a in terms:
+                A[i, j] = a
+        A[range(m), range(n, n + m)] = [-1.0 if rel == ">=" else 1.0 for rel in rels]
+        starts.append((list(basis), A[:, basis], np.array(b), np.array(xB), n))
+        return basis, xB
 
-    monkeypatch.setattr(lp._Simplex, "__init__", init)
+    monkeypatch.setattr(lp, "_crash", crash)
     return starts
 
 
@@ -844,7 +875,8 @@ def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
     # the minimum ratio gives each the value that method gives it; a finite
     # bound on x03, which the start leaves out, keeps the program off the
     # tree path (test_transport_path.py runs it there) and adds a bound row
-    # whose basic is a slack
+    # whose basic is a slack; the start costs 0 and is feasible, so it is
+    # the answer, and no basis is inverted
     pytest.importorskip("scipy")
     m, x, want = _least_cost_example()
     for i, j in want:
@@ -853,20 +885,21 @@ def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
     starts = _starts(monkeypatch)
     sol = _agrees_with_highs(m)
     assert sol.method == "simplex"
-    basis, _, _, xB, inverted, n = starts[0]
+    basis, _, _, xB, n = starts[0]
     placed = {k: v for k, v in zip(basis, xB) if k < n}
     assert sorted(placed) == sorted(x[i][j] for i, j in want)
     for (i, j), v in want.items():
         assert placed[x[i][j]] == pytest.approx(v, abs=1e-6)
-    assert (sol.crashed, inverted) == (6, 1)
+        assert sol.value(f"x{i}{j}") == pytest.approx(v, abs=1e-6)
+    assert (sol.crashed, sol.pivots, sol.refactors) == (6, 0, 0)
 
 
 @pytest.mark.parametrize("seed", [50, 51, 52])
 def test_crash_basis_is_nonsingular_and_feasible(monkeypatch, seed):
-    # the start is nonsingular, solves B x_B = b, and keeps every placed
-    # column and every logical of coefficient +1 (a slack, or one fixed at
-    # 0) at 0 or above; a surplus may start below 0, and a fixed logical
-    # above it, for the dual simplex to mend
+    # the start is nonsingular, its values solve B x_B = b, and it keeps
+    # every placed column and every logical of coefficient +1 (a slack, or
+    # one fixed at 0) at 0 or above; a surplus may start below 0, and a
+    # fixed logical above it, for the dual simplex to mend
     pytest.importorskip("scipy")
     rng = np.random.default_rng(seed)
     starts = _starts(monkeypatch)
@@ -875,14 +908,12 @@ def test_crash_basis_is_nonsingular_and_feasible(monkeypatch, seed):
         for _ in range(100):
             crashed += _agrees_with_highs(make(rng)).crashed
     assert crashed > 60 and starts
-    for basis, B, b, xB, _, n in starts:
+    for basis, B, b, xB, n in starts:
         tol = 1e-12 * max(1.0, float(np.abs(b).max()))
         assert np.linalg.matrix_rank(B) == len(basis)
         assert np.allclose(B @ xB, b, rtol=0, atol=tol)
         slack = [pos for pos, k in enumerate(basis) if k < n or B[pos, pos] == 1.0]
         assert xB[slack].min(initial=0.0) >= -tol
-    # every start is inverted exactly once, the all-logical one too
-    assert all(s[4] == 1 for s in starts)
 
 
 def test_crash_never_pivots_on_a_tiny_entry(monkeypatch):
@@ -907,7 +938,7 @@ def test_crash_never_pivots_on_a_tiny_entry(monkeypatch):
     m.add_constraint("b", [(x, 1.0), (y, 1.0)], "=", 5.0)
     sol = solve(m)
     assert (sol.status, sol.crashed, sol.pivots, sol.objective) == ("optimal", 1, 0, 0.0)
-    basis, _, _, xB, _, n = starts[1]
+    basis, _, _, xB, n = starts[1]
     assert basis == [n, y] and xB.tolist() == [0.0, 5.0]
 
 
@@ -933,6 +964,98 @@ def test_identity_start_when_the_crash_places_nothing(monkeypatch):
     assert inverted.count(0) == 1
 
 
+def _crash_model(cost_x, cost_y):
+    """min cost_x x + cost_y y + z over x + y >= 1, x + 2z <= 3, y <= 2.
+    Where x costs 0, the crash puts it in place of the first row's
+    surplus, at x = 1, and the other rows' slacks stay at 2."""
+    m = LpModel()
+    x, y, z = m.add_variable("x"), m.add_variable("y"), m.add_variable("z")
+    m.add_objective(x, cost_x)
+    m.add_objective(y, cost_y)
+    m.add_objective(z, 1.0)
+    m.add_constraint("r1", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+    m.add_constraint("r2", [(x, 1.0), (z, 2.0)], "<=", 3.0)
+    m.add_constraint("r3", [(y, 1.0)], "<=", 2.0)
+    return m
+
+
+def test_crash_optimal_program_needs_no_linear_algebra(monkeypatch):
+    # every cost is 0 or more and the crash start is feasible: it is the
+    # answer, found without an inverse, a _Simplex or any np.linalg call
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called or _Simplex built")
+
+    for name in ("inv", "solve", "lstsq", "matrix_rank"):
+        monkeypatch.setattr(lp.np.linalg, name, refuse)
+    monkeypatch.setattr(lp, "_Simplex", refuse)
+    sol = solve(_crash_model(0.0, 1.0))
+    assert (sol.status, sol.objective, sol.values.tolist()) == ("optimal", 0.0, [1.0, 0.0, 0.0])
+    assert (sol.method, sol.pivots, sol.refactors, sol.crashed) == ("simplex", 0, 0, 1)
+    load = ct.load_instance
+    sol = solve(relax.markov_feasibility_lp(load("builtin:fig5x"), load("builtin:fig5y")))
+    assert (sol.status, sol.pivots, sol.refactors, sol.crashed) == ("optimal", 0, 0, 1)
+
+
+def test_certified_values_are_snapped_like_the_simplex(monkeypatch):
+    # u takes row b at 0.3 / 3 = 0.09999999999999999, which leaves row a a
+    # residual of 1.4e-17, and v takes row a at that value: rounding, which
+    # the snap makes an exact 0, on this path as on the simplex's
+    m = LpModel()
+    u, v, w = (m.add_variable(name) for name in "uvw")
+    m.add_objective(w, 1.0)
+    m.add_constraint("a", [(u, 1.0), (v, 1.0)], "=", 0.1)
+    m.add_constraint("b", [(u, 3.0), (w, 1.0)], "=", 0.3)
+    sol = solve(m)
+    assert (sol.crashed, sol.refactors) == (2, 0)
+    assert sol.values.tolist() == [0.3 / 3, 0.0, 0.0]
+    monkeypatch.setattr(lp, "_start_is_optimal", lambda *args: False)
+    assert solve(m).values.tobytes() == sol.values.tobytes()
+
+
+@pytest.mark.parametrize("costs, objective", [
+    ((0.0, -1.0), -2.0),  # a negative cost: y = 2 improves on the start
+    ((1.0, 1.0), 1.0),  # nothing costs 0: the start leaves x + y >= 1 unmet
+])
+def test_starts_that_are_not_optimal_still_pivot(costs, objective):
+    sol = solve(_crash_model(*costs))
+    assert (sol.status, sol.objective) == ("optimal", objective)
+    assert sol.pivots > 0 and sol.refactors > 0
+
+
+def test_certified_answers_match_the_simplex(monkeypatch):
+    # the feasibility program of every ordered pair of builtin instances of
+    # one theory: where the crash start is the answer, it is the one the
+    # simplex reaches from that start with 0 pivots, bit for bit
+    models = []
+    for a in BUILTIN_INSTANCE_NAMES:
+        for b in BUILTIN_INSTANCE_NAMES:
+            try:
+                models.append(relax.markov_feasibility_lp(ct.load_instance(f"builtin:{a}"),
+                                                          ct.load_instance(f"builtin:{b}")))
+            except CsetTransportError:  # instances of different theories
+                pass
+    real, verdicts, certified = lp._start_is_optimal, [], []
+
+    def check(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lp, "_start_is_optimal", check)
+    for model in models:
+        verdicts.clear()
+        sol = solve(model)
+        if verdicts == [True]:
+            certified.append((model, sol))
+    assert len(certified) > 100
+    monkeypatch.setattr(lp, "_start_is_optimal", lambda *args: False)
+    for model, got in certified:
+        want = solve(model)
+        assert (want.status, want.pivots, want.crashed) == ("optimal", 0, got.crashed)
+        assert got.refactors == 0 and want.refactors > 0
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.objective == want.objective
+
+
 def _solved_programs():
     """300 seeded ``_degenerate_model`` programs and W_2 of a seeded
     digraph pair (one of the pinned paths of ``test_pivot_path.py``)."""
@@ -951,10 +1074,10 @@ def test_the_dual_simplex_starts_dual_feasible(monkeypatch):
     placed, starts = [], []
     real_crash, real_dual = lp._crash, lp._Simplex.dual
 
-    def crash(entries, cost, r, basis, open_rows):
-        k = real_crash(entries, cost, r, basis, open_rows)
+    def crash(entries, cost, b, rels):
+        basis, xB = real_crash(entries, cost, b, rels)
         placed.extend(cost[j] for j in basis if j < len(cost))
-        return k
+        return basis, xB
 
     def dual(self, c, fixed):
         reduced = c - self.A.transpose_dot(c[self.basis] @ self.Binv)

@@ -41,6 +41,8 @@ from cset_transport import lp, relax, transport
 from cset_transport.gallery import directed_cycle
 from cset_transport.theory import builtin_theory
 
+from oracles import recorded_solves
+
 HERE = Path(__file__).resolve().parent
 
 # (n, m, pivots, objective) of optimal_coupling on _ot_problems()
@@ -66,21 +68,6 @@ OT_PATHS = [
     (2, 4, 0, 4.916440231075441),
     (4, 2, 0, 10.414021385744595),
 ]
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """Every LpSolution that relax and transport get from lp.solve."""
-    seen = []
-
-    def recording(model):
-        sol = lp.solve(model)
-        seen.append(sol)
-        return sol
-
-    monkeypatch.setattr(relax, "solve", recording)
-    monkeypatch.setattr(transport, "solve", recording)
-    return seen
 
 
 def _same_path(path, status, pivots, objective):
@@ -146,20 +133,9 @@ FAMILIES = {
 def _record(family):
     """What one family's calls answer, and the (status, pivots, objective)
     of each solve they make."""
-    seen = []
-
-    def recording(model):
-        sol = lp.solve(model)
-        seen.append((sol.status, sol.pivots, sol.objective))
-        return sol
-
-    saved = relax.solve, transport.solve
-    relax.solve = transport.solve = recording
-    try:
+    with recorded_solves() as seen:
         answers = FAMILIES[family]()
-    finally:
-        relax.solve, transport.solve = saved
-    return answers, seen
+    return answers, [(sol.status, sol.pivots, sol.objective) for sol in seen]
 
 
 def _child(code, threads):
@@ -213,65 +189,70 @@ def _empty_graph(nv):
     return x.with_data(measures={"V": ct.counting_measure(nv), "E": ct.counting_measure(0)})
 
 
-def _tree_solves():
-    """(status, method, pivots, values) of the transport programs and of a
-    measure-preserving feasibility program between edgeless graphs, whose
-    rows are those of an assignment problem."""
-    seen = []
-    real = lp.solve
+# builtin pairs whose feasibility program the crash start answers
+CERTIFIED_PAIRS = (("fig5x", "fig5y"), ("c6", "c3"), ("c2", "fig9x"))
 
-    def recording(model):
-        sol = real(model)
-        seen.append((sol.status, sol.method, sol.pivots, sol.values.tolist()))
-        return sol
 
-    saved = relax.solve, transport.solve
-    relax.solve = transport.solve = recording
-    try:
+def _solves_without_an_inverse():
+    """(status, method, pivots, refactors, crashed, values) of the transport
+    programs, of a measure-preserving feasibility program between edgeless
+    graphs, whose rows are those of an assignment problem, and of the
+    feasibility programs of ``CERTIFIED_PAIRS``."""
+    load = ct.load_instance
+    with recorded_solves() as seen:
         _transport_solves()
         relax.markov_feasible(_empty_graph(4), _empty_graph(4), measure_preserving=True)
-    finally:
-        relax.solve, transport.solve = saved
-    return seen
+        for x, y in CERTIFIED_PAIRS:
+            relax.markov_feasible(load(f"builtin:{x}"), load(f"builtin:{y}"))
+    return [(sol.status, sol.method, sol.pivots, sol.refactors, sol.crashed,
+             sol.values.tolist()) for sol in seen]
 
 
-def test_tree_answers_do_not_depend_on_the_blas_thread_count():
-    # the tree path makes no BLAS call: status, pivots and every value
+def test_answers_without_an_inverse_do_not_depend_on_the_blas_thread_count():
+    # the tree path makes no BLAS call, and neither does a simplex solve
+    # whose crash start is already optimal: status, pivots and every value
     # agree bit for bit between one and two threads
-    code = "import json, test_pivot_path as t; print(json.dumps(t._tree_solves()))"
+    code = ("import json, test_pivot_path as t; "
+            "print(json.dumps(t._solves_without_an_inverse()))")
     one, two = _child(code, "1"), _child(code, "2")
-    assert len(one) == len(OT_PATHS) + 1
-    assert all(method == "transport" for _, method, _, _ in one)
+    assert len(one) == len(OT_PATHS) + 1 + len(CERTIFIED_PAIRS)
+    tree, certified = one[:len(OT_PATHS) + 1], one[len(OT_PATHS) + 1:]
+    assert all(sol[1] == "transport" for sol in tree)
+    # the crash placed columns, so these programs reached it
+    assert all(sol[:4] == ["optimal", "simplex", 0, 0] and sol[4] > 0 for sol in certified)
     assert one == two
 
 
-def test_merged_counts(solves):
+def test_merged_counts():
     # the transport programs have distinct costs, so nothing merges; the
     # cycle program folds onto a handful of classes
-    for problem in _ot_problems():
-        transport.optimal_coupling(*problem)
-    assert [(sol.merged_vars, sol.merged_rows) for sol in solves] == [(0, 0)] * len(OT_PATHS)
-    relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
+    with recorded_solves() as solves:
+        for problem in _ot_problems():
+            transport.optimal_coupling(*problem)
+        assert [(sol.merged_vars, sol.merged_rows) for sol in solves] == [(0, 0)] * len(OT_PATHS)
+        relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
     sol = solves[-1]
     assert sol.merged_vars > 0 and sol.merged_rows > 0
     assert all(type(k) is int for k in (sol.merged_vars, sol.merged_rows))
 
 
-def test_solution_counts(solves):
+def test_solution_counts():
     # pivots split in two: on the simplex into the dual simplex's and the
     # cleanup's, on the tree into those that enter on a negative artificial
     # price and the others; a simplex solve that pivoted has inverted a
     # basis before its verdict, and a tree is never inverted
-    relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
     rng = np.random.default_rng(4)
     x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
-    for p in (1.0, 2.0):
-        relax.wasserstein_cset_distance(x, y, p)
-    for problem in _ot_problems():
-        transport.optimal_coupling(*problem)
-    relax.markov_feasible(ct.load_instance("builtin:fig5x"), ct.load_instance("builtin:fig5y"))
-    relax.markov_feasible(ct.load_instance("builtin:loop"),
-                          ct.load_instance("builtin:c3undirected"))
+    with recorded_solves() as solves:
+        relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
+        for p in (1.0, 2.0):
+            relax.wasserstein_cset_distance(x, y, p)
+        for problem in _ot_problems():
+            transport.optimal_coupling(*problem)
+        relax.markov_feasible(ct.load_instance("builtin:fig5x"),
+                              ct.load_instance("builtin:fig5y"))
+        relax.markov_feasible(ct.load_instance("builtin:loop"),
+                              ct.load_instance("builtin:c3undirected"))
     for sol in solves:
         assert len(sol.phase_pivots) == 2
         assert all(type(k) is int and k >= 0 for k in sol.phase_pivots)

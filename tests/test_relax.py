@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cset_transport.cset import Instance, find_homomorphism
-from cset_transport.errors import CsetTransportError, InstanceError, TheoryError
+from cset_transport.errors import CsetTransportError, InstanceError, LpNumericalError, TheoryError
 from cset_transport.gallery import (
     attributed_set,
     diamond,
@@ -20,7 +20,7 @@ from cset_transport.gallery import (
 )
 from cset_transport.hausdorff import HausdorffConfig
 from cset_transport.lp import export_lp, parse_lp, solve
-from cset_transport.markov import compose_kernels, embed_function, identity_kernel
+from cset_transport.markov import compose_kernels, embed_function, identity_kernel, uniform_kernel
 from cset_transport.mm import (
     INF,
     MeasureData,
@@ -70,6 +70,17 @@ def test_fig5_feasible_and_mixtures():
             lhs = mixV[x.maps[g], :]
             rhs = mixE @ _generator_matrix(y, g)
             assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+def test_extracted_kernels_that_are_not_natural_raise(monkeypatch):
+    # uniform kernels from the path into the diamond: every row of Phi_V
+    # is 1/4 each, but Phi_E . Y(src) puts 1/2 on the diamond's source
+    # vertex, which two edges leave
+    x, y = path_graph(3), diamond()
+    uniform = {ob: uniform_kernel(x.sets[ob], y.sets[ob]) for ob in ("V", "E")}
+    monkeypatch.setattr(relax, "_extract_phi", lambda sol, layout, objects: uniform)
+    with pytest.raises(LpNumericalError, match="violate naturality at 'src'"):
+        markov_feasible(x, y)
 
 
 def test_fig6_infeasible():
