@@ -16,6 +16,7 @@ import sys
 from .cset import (
     SEARCH_NODE_GUARD,
     _check_numbers,
+    _json_fields,
     _matrix_from_json,
     load_instance,
     validate_instance,
@@ -59,12 +60,6 @@ def _emit(args, text_lines, payload):
             print(line)
 
 
-def _parse_p(text: str) -> float:
-    if text == "inf":
-        return INF
-    return float(text)
-
-
 def cmd_validate(args):
     inst = load_instance(args.instance)
     validate_instance(inst)
@@ -102,7 +97,7 @@ def cmd_markov_feasible(args):
 def cmd_hausdorff(args):
     x, y = load_instance(args.x), load_instance(args.y)
     cfg = HausdorffConfig(
-        p=_parse_p(args.p),
+        p=args.p,
         component_class=args.component_class,
         symmetrize=args.symmetrize,
         guard=args.guard,
@@ -132,7 +127,7 @@ def cmd_hausdorff(args):
 
 def cmd_wasserstein(args):
     x, y = load_instance(args.x), load_instance(args.y)
-    dist, cert = wasserstein_cset_distance(x, y, _parse_p(args.p), args.component_class)
+    dist, cert = wasserstein_cset_distance(x, y, args.p, args.component_class)
     lines = [_num(dist)]
     payload = {"distance": _json_num(dist)}
     if cert is not None:
@@ -148,7 +143,7 @@ def cmd_gap(args):
     cfg = HausdorffConfig(
         component_class=args.component_class, guard=args.guard, force=args.force
     )
-    dw, dh = relaxation_gap(x, y, _parse_p(args.p), cfg)
+    dw, dh = relaxation_gap(x, y, args.p, cfg)
     _emit(
         args,
         [f"wasserstein: {_num(dw)}", f"hausdorff: {_num(dh)}"],
@@ -169,9 +164,10 @@ def _measure_from_json(what, weights):
 
 def cmd_ot(args):
     data = _load_json_file(args.problem_file)
-    mu = _measure_from_json("mu", data["mu"])
-    nu = _measure_from_json("nu", data["nu"])
-    res = optimal_coupling(mu, nu, _matrix_from_json(data["cost"]))
+    mu, nu, cost = _json_fields("problem", data, ("mu", "nu", "cost"))
+    mu = _measure_from_json("mu", mu)
+    nu = _measure_from_json("nu", nu)
+    res = optimal_coupling(mu, nu, _matrix_from_json(cost))
     lines = [_num(res.cost)]
     payload = {"cost": _json_num(res.cost)}
     if res.coupling is not None:
@@ -184,12 +180,13 @@ def cmd_ot(args):
 
 def cmd_wk(args):
     data = _load_json_file(args.problem_file)
-    m = FiniteKernel.from_json(data["m"])
-    n = FiniteKernel.from_json(data["n"])
-    mu = _measure_from_json("mu", data["mu"])
-    d = MetricData(len(data["d"]), _matrix_from_json(data["d"]))
-    p = args.p if args.p is not None else data.get("p", 1)
-    res = wasserstein_kernels(m, n, mu, d, _parse_p(str(p)))
+    m, n, mu, d = _json_fields("problem", data, ("m", "n", "mu", "d"))
+    m, n = FiniteKernel.from_json(m), FiniteKernel.from_json(n)
+    mu = _measure_from_json("mu", mu)
+    d = _matrix_from_json(d)
+    # the file's p is a number or "inf"; read through str(), true is refused, not taken as 1
+    p = args.p if args.p is not None else float(str(data.get("p", 1)))
+    res = wasserstein_kernels(m, n, mu, MetricData(len(d), d), p)
     payload = {"cost": _json_num(res.cost)}
     _emit(args, [_num(res.cost)], payload)
     return 0
@@ -200,7 +197,7 @@ def cmd_export_lp(args):
     if args.problem == "feasibility":
         model = markov_feasibility_lp(x, y, measure_preserving=args.measure_preserving)
     else:
-        model = wasserstein_cset_lp(x, y, _parse_p(args.p), args.component_class).model
+        model = wasserstein_cset_lp(x, y, args.p, args.component_class).model
     sys.stdout.write(export_lp(model))
     return 0
 
@@ -232,6 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("x")
         sp.add_argument("y")
 
+    def arg_p(sp):
+        sp.add_argument("--p", type=float, default=1.0, help="order p, or inf")
+
     def arg_guard(sp):
         sp.add_argument(
             "--guard", type=int, default=SEARCH_NODE_GUARD,
@@ -249,17 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--measure-preserving", action="store_true")
 
     sp = add("hausdorff", cmd_hausdorff, arg_xy, help="exact Hausdorff distance")
-    sp.add_argument("--p", default="1", help="order p, or inf")
+    arg_p(sp)
     sp.add_argument("--class", dest="component_class", choices=("met", "mm", "all"), default="mm")
     sp.add_argument("--symmetrize", choices=("none", "max", "mean"), default="none")
     arg_guard(sp)
 
     sp = add("wasserstein", cmd_wasserstein, arg_xy, help="Wasserstein distance (LP)")
-    sp.add_argument("--p", default="1")
+    arg_p(sp)
     sp.add_argument("--class", dest="component_class", choices=("mm", "noshort"), default="mm")
 
     sp = add("gap", cmd_gap, arg_xy, help="Wasserstein vs Hausdorff on the same pair")
-    sp.add_argument("--p", default="1")
+    arg_p(sp)
     sp.add_argument("--class", dest="component_class", choices=("mm", "all"), default="mm")
     arg_guard(sp)
 
@@ -269,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wk", help="Wasserstein distance between two kernels")
     sp.add_argument("problem_file", help="JSON with m, n, mu, d, p")
-    sp.add_argument("--p", help="order p (default: the file's p, else 1)")
+    sp.add_argument("--p", type=float, help="order p, or inf (default: the file's p, else 1)")
     sp.set_defaults(fn=cmd_wk)
 
     sp = add("export-lp", cmd_export_lp, arg_xy, help="print a program in LP text form")
     sp.add_argument("--problem", choices=("feasibility", "wasserstein"), default="feasibility")
-    sp.add_argument("--p", default="1")
+    arg_p(sp)
     sp.add_argument("--class", dest="component_class", choices=("mm", "noshort"), default="mm")
     sp.add_argument("--measure-preserving", action="store_true")
 

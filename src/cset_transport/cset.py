@@ -285,6 +285,17 @@ def _measure_from_json(obj, entry, inst_sets):
     raise InstanceError(f"unknown measure kind {kind!r} on object {obj!r}")
 
 
+def _json_fields(what: str, data, keys) -> list:
+    """``data[key]`` for each of ``keys``; raise unless ``data`` is a JSON
+    object that has every one of them."""
+    if not isinstance(data, dict):
+        raise InstanceError(f"{what} must be a JSON object, got {data!r}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InstanceError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return [data[key] for key in keys]
+
+
 def _check_integers(what: str, values) -> None:
     """Raise unless ``values`` is a list of JSON integers: 0.7, "1" and true
     are refused, not truncated."""

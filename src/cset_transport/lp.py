@@ -13,10 +13,13 @@ bound ("agg"); and it drops every row left without a live term, after
 checking it ("drop").  Colour refinement then finds the coarsest equitable
 partition of what is left, and the simplex runs on the quotient: one column
 per class of variables, one row per class of rows, the remaining finite
-upper bounds as rows.  Its answer is basic in the quotient and, lifted back,
-constant on each class; a program without symmetry reaches the simplex as
-the presolve left it.  The folded variables are then recovered from the log,
-last fold first.
+upper bounds as rows.  ``_columns`` builds it in one pass over the
+presolved rows, straight into the simplex's columns: each column's terms in
+row order, a row with a negative right-hand side negated, the bound rows
+last.  Its answer is basic in the quotient and, lifted back, constant on
+each class; a program without symmetry reaches the simplex as the presolve
+left it.  The folded variables are then recovered from the log, last fold
+first.
 
 Each row the simplex gets has one logical: a slack for ``<=``, a surplus for
 ``>=``, and for ``=`` one fixed at 0, which may leave the basis but never
@@ -184,17 +187,17 @@ class LpSolution:
 
 
 class _SparseCols:
-    """Column-compressed matrix: just enough for simplex pricing."""
+    """Column-compressed matrix: just enough for simplex pricing.  Built
+    from each column's (row, coefficient) terms, in row order."""
 
-    def __init__(self, m, ncols, coo_rows, coo_cols, coo_vals):
-        order = np.lexsort((coo_rows, coo_cols))
+    def __init__(self, m, cols):
+        counts = [len(terms) for terms in cols]
         self.m = m
-        self.ncols = ncols
-        self.rows = coo_rows[order]
-        self.vals = coo_vals[order]
-        self.colids = coo_cols[order]
-        counts = np.bincount(coo_cols, minlength=ncols)
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.ncols = len(cols)
+        self.rows = np.array([i for terms in cols for i, _ in terms], dtype=int)
+        self.vals = np.array([a for terms in cols for _, a in terms], dtype=float)
+        self.colids = np.repeat(np.arange(self.ncols), counts)
+        self.indptr = np.cumsum([0] + counts)
 
     def column(self, j):
         sl = slice(self.indptr[j], self.indptr[j + 1])
@@ -551,7 +554,7 @@ def _presolve(model: LpModel) -> _Presolved:
     return out
 
 
-def _refine(pre: _Presolved, live, objective, upper):
+def _refine(pre: _Presolved, live):
     """The coarsest equitable partition of the live variables and the
     surviving rows, by colour refinement (Grohe, Kersting, Mladenov &
     Selman, *Dimension reduction via colour refinement*, ESA 2014).
@@ -567,10 +570,10 @@ def _refine(pre: _Presolved, live, objective, upper):
     ``pre.rows``, or None when every live variable is alone in its class,
     which the starting colours often show at once."""
     n = len(live)
-    vcol = [0] * len(upper)
+    vcol = [0] * len(pre.upper)
     ids = {}
     for j in live:
-        vcol[j] = ids.setdefault((objective.get(j, 0.0), upper[j]), len(ids))
+        vcol[j] = ids.setdefault((pre.objective.get(j, 0.0), pre.upper[j]), len(ids))
     if len(ids) == n:
         return None
     nv = len(ids)
@@ -607,57 +610,60 @@ def _refine(pre: _Presolved, live, objective, upper):
         nv, stable = len(ids), True
 
 
-def _columns(pre: _Presolved, live, objective, upper):
+def _columns(pre: _Presolved, live):
     """The program the simplex solves, one column per class of
-    ``_refine``'s partition.  Returns its rows, the column of each variable
-    (0 where fixed) and the first member of each column, which stands for
-    its class in the rows.
+    ``_refine``'s partition, built in one pass over ``pre.rows``.  Returns
+    each column's (row, coefficient) terms, in row order; each column's
+    cost; each row's relation and right-hand side; the column of each live
+    variable; and the variables and rows that the classes merged.
 
     A column costs the sum of its members' costs and has their common upper
     bound.  Each row class keeps its first row, with the coefficients of
-    each variable class summed; classes keep their order of first
-    appearance.  The partition is equitable, so averaging any solution over
-    it gives one of equal cost that is constant on each class: the
-    quotient has the same optimum, and ``x_j = x̄[column of j]`` lifts its
-    solution back (Mladenov, Ahmadi & Kersting, *Lifted linear
-    programming*, AISTATS 2012).  Without symmetry each live variable is its
-    own column and the presolved rows are the rows, in their order."""
-    part = _refine(pre, live, objective, upper)
+    each variable class summed and those that cancel dropped; classes keep
+    their order of first appearance.  A row with a negative right-hand side
+    is negated and its relation flipped, so every right-hand side is 0 or
+    more, and the columns' finite upper bounds follow as ``<=`` rows.  The
+    partition is equitable, so averaging any solution over it gives one of
+    equal cost that is constant on each class: the quotient has the same
+    optimum, and ``x_j = x̄[column of j]`` lifts its solution back
+    (Mladenov, Ahmadi & Kersting, *Lifted linear programming*, AISTATS
+    2012).  Without symmetry every live variable and every row is its own
+    class, so the simplex sees the presolved program in its order."""
+    part = _refine(pre, live)
     if part is None:
-        col = [0] * len(upper)
+        col, rcol = [0] * len(pre.upper), range(len(pre.rows))
         for k, j in enumerate(live):
             col[j] = k
-        return pre.rows, col, live
-    col, rcol = part
-    firsts = []
-    for j in live:
-        if col[j] == len(firsts):
+    else:
+        col, rcol = part
+    column = [col[j] for j in live]
+    firsts, cost = [], []  # the first member of each column, whose bound it has
+    for j, k in zip(live, column):
+        if k == len(firsts):
             firsts.append(j)
-    rows = []
-    for r, (coef, rel, rhs) in enumerate(pre.rows):
-        if rcol[r] == len(rows):  # the first row of its class
+            cost.append(0.0)
+        cost[k] += pre.objective.get(j, 0.0)
+    terms = [[] for _ in firsts]
+    rels, rhs = [], []
+    flip = {"<=": ">=", ">=": "<=", "=": "="}
+    for r, (coef, rel, b) in enumerate(pre.rows):
+        if rcol[r] == len(rels):  # the first row of its class
             summed = {}
             for j, a in coef.items():
-                first = firsts[col[j]]
-                summed[first] = summed.get(first, 0.0) + a
-            rows.append(({j: a for j, a in summed.items() if a != 0.0}, rel, rhs))
-    return rows, col, firsts
-
-
-def _standardize(rows, columns, upper):
-    """Rows A x (rel) b with b >= 0, plus the rows of the columns' finite
-    upper bounds, in sparse terms."""
-    out = []
-    flip = {"<=": ">=", ">=": "<=", "=": "="}
-    for coef, rel, rhs in rows:
-        if rhs < 0:
-            out.append(({j: -a for j, a in coef.items()}, flip[rel], -rhs))
-        else:
-            out.append((coef, rel, rhs))
-    for j in columns:
-        if math.isfinite(upper[j]):
-            out.append(({j: 1.0}, "<=", upper[j]))
-    return out
+                summed[col[j]] = summed.get(col[j], 0.0) + a
+            sign = -1.0 if b < 0 else 1.0
+            for k, a in summed.items():
+                if a != 0.0:
+                    terms[k].append((len(rels), sign * a))
+            rels.append(flip[rel] if b < 0 else rel)
+            rhs.append(sign * b)
+    merged = (len(live) - len(firsts), len(pre.rows) - len(rels))
+    for k, j in enumerate(firsts):
+        if math.isfinite(pre.upper[j]):
+            terms[k].append((len(rels), 1.0))
+            rels.append("<=")
+            rhs.append(pre.upper[j])
+    return terms, cost, rels, rhs, column, merged
 
 
 def _transportation(pre: _Presolved, live):
@@ -935,7 +941,8 @@ class _Tree:
 
 def solve(model: LpModel) -> LpSolution:
     """Presolve, then the simplex on what is left, solved on its colour
-    classes (``_columns``): a least-cost triangular crash basis of columns
+    classes, whose columns ``_columns`` hands it directly, each row's logical
+    appended: a least-cost triangular crash basis of columns
     of cost 0 (``_crash``), which is the answer as it stands when no cost is
     negative and it is primal feasible (``_start_is_optimal``); else a dual
     simplex from it, on costs shifted to 0 or above and slightly perturbed,
@@ -993,32 +1000,19 @@ def solve(model: LpModel) -> LpSolution:
         values[live] = [x if x >= snap else 0.0 for x in flows]
         return answer("optimal", values, tree, phases, "transport")
 
-    rows, col, columns = _columns(pre, live, pre.objective, pre.upper)
-    n = len(columns)
-    merged = (len(live) - n, len(pre.rows) - len(rows))
-    rows = _standardize(rows, columns, pre.upper)
-    m = len(rows)
-    c_live = np.array([pre.objective.get(idx, 0.0) for idx in live])
+    terms, cost, rels, b, column, merged = _columns(pre, live)
+    n, m = len(terms), len(rels)
 
     if m == 0:
         # no row is left, so every live variable is unbounded above
-        if np.any(c_live < 0):
+        if min(cost, default=0.0) < 0:
             return answer("unbounded")
         return answer("optimal", values)
 
-    # each column's (row, coefficient) terms, in row order
-    entries = [[] for _ in range(n)]
-    rels, b = [], []
-    for i, (terms, rel, rhs) in enumerate(rows):
-        for idx, coef in terms.items():
-            entries[col[idx]].append((i, coef))
-        rels.append(rel)
-        b.append(rhs)
-    column = np.array([col[idx] for idx in live], dtype=int)
     c = np.zeros(n + m)
-    c[:n] = np.bincount(column, weights=c_live, minlength=n)
+    c[:n] = cost
     shifted = np.maximum(c[:n], 0.0)  # negative costs shifted to 0
-    basis, xB = _crash(entries, shifted.tolist(), b, rels)
+    basis, xB = _crash(terms, shifted.tolist(), b, rels)
     crashed = sum(j < n for j in basis)
 
     def lift(basis, xB):
@@ -1036,14 +1030,7 @@ def solve(model: LpModel) -> LpSolution:
 
     # one logical per row: a slack for <=, a surplus for >=, and for = one
     # fixed at 0, which may leave the basis but never enters
-    flat = [term for terms in entries for term in terms]
-    A = _SparseCols(
-        m,
-        n + m,
-        np.array([i for i, _ in flat] + list(range(m)), dtype=int),
-        np.repeat(np.arange(n + m), [len(terms) for terms in entries] + [1] * m),
-        np.array([a for _, a in flat] + [-1.0 if rel == ">=" else 1.0 for rel in rels]),
-    )
+    A = _SparseCols(m, terms + [[(i, -1.0 if rel == ">=" else 1.0)] for i, rel in enumerate(rels)])
     fixed = np.zeros(n + m, dtype=bool)
     fixed[n:] = [rel == "=" for rel in rels]
 
@@ -1234,7 +1221,14 @@ def export_lp(model: LpModel) -> str:
 _TERM_RE = re.compile(r"\s*\+\s*")
 
 
-def _parse_terms(text, var):
+def _number(text, line):
+    try:
+        return float(text)
+    except ValueError:
+        raise LpError(f"cannot parse number {text!r} in line {line!r}") from None
+
+
+def _parse_terms(text, var, line):
     terms = []
     text = text.strip()
     if text == "0":
@@ -1243,7 +1237,7 @@ def _parse_terms(text, var):
         pieces = part.split()
         if len(pieces) != 2:
             raise LpError(f"cannot parse term {part!r}")
-        terms.append((var(pieces[1]), float(pieces[0])))
+        terms.append((var(pieces[1]), _number(pieces[0], line)))
     return terms
 
 
@@ -1272,7 +1266,7 @@ def parse_lp(text: str) -> LpModel:
             index[name] = model.add_variable(name)
         return index[name]
 
-    for idx, coef in _parse_terms(lines[0][len("MINIMIZE"):] or "0", var):
+    for idx, coef in _parse_terms(lines[0][len("MINIMIZE"):] or "0", var, lines[0]):
         model.add_objective(idx, coef)
     for ln in lines[sub_at + 1 : bounds_at]:
         if ":" not in ln:
@@ -1281,12 +1275,12 @@ def parse_lp(text: str) -> LpModel:
         mrel = re.search(r"(<=|>=|=)\s*([^<>=]+)$", rest)
         if not mrel:
             raise LpError(f"cannot parse constraint {ln!r}")
-        terms = _parse_terms(rest[: mrel.start()], var)
-        model.add_constraint(cname.strip(), terms, mrel.group(1), float(mrel.group(2)))
+        terms = _parse_terms(rest[: mrel.start()], var, ln)
+        model.add_constraint(cname.strip(), terms, mrel.group(1), _number(mrel.group(2), ln))
     for ln in lines[bounds_at + 1 : -1]:
         pieces = ln.split()
         if len(pieces) != 3 or pieces[1] != "<=":
             raise LpError(f"cannot parse bound {ln!r}")
-        model.var_upper[var(pieces[0])] = float(pieces[2])
+        model.var_upper[var(pieces[0])] = _number(pieces[2], ln)
     model.validate()
     return model

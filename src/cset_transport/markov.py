@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cset import _check_integers, _matrix_from_json
+from .cset import _check_integers, _json_fields, _matrix_from_json
 from .errors import DimensionError, InstanceError
 from .mm import TOL, MeasureData
 
@@ -59,11 +59,12 @@ class FiniteKernel:
     def from_json(cls, data: dict) -> "FiniteKernel":
         """The kernel of ``to_json``'s form; sizes must be JSON integers and
         entries JSON numbers (0.7, "1" and true are refused)."""
-        _check_integers("kernel rows and cols", [data["rows"], data["cols"]])
-        p = _matrix_from_json(data["p"])
-        if not data["p"] and data["cols"] >= 0:  # [] says nothing of cols
-            p = p.reshape(0, data["cols"])
-        return cls(data["rows"], data["cols"], p)
+        rows, cols, entries = _json_fields("kernel", data, ("rows", "cols", "p"))
+        _check_integers("kernel rows and cols", [rows, cols])
+        p = _matrix_from_json(entries)
+        if not entries and cols >= 0:  # [] says nothing of cols
+            p = p.reshape(0, cols)
+        return cls(rows, cols, p)
 
 
 @dataclass(frozen=True, eq=False)

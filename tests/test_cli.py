@@ -126,6 +126,26 @@ def test_hausdorff_rejects_nan_order(capsys):
     assert "order p" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hausdorff", "builtin:fig9x", "builtin:fig9y"],
+        ["wasserstein", "builtin:c2", "builtin:c4"],
+        ["gap", "builtin:fig9x", "builtin:fig9y"],
+        ["export-lp", "builtin:c2", "builtin:c3", "--problem", "wasserstein"],
+        ["wk", "problem.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_number_order_is_a_usage_error(capsys, argv):
+    # it used to exit 1 with float()'s message; an out-of-range number such
+    # as nan still exits 1 (test_hausdorff_rejects_nan_order)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--p", "abc"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "argument --p" in out.err
+
+
 def test_hausdorff_infinite(capsys):
     code, out, _ = run_cli(
         capsys, "hausdorff", "builtin:c4discrete", "builtin:c2", "--class", "mm"
@@ -316,12 +336,16 @@ def _wk_problem():
 
 
 def _set(path, value):
-    """A change of a problem: the entry at ``path`` becomes ``value``."""
+    """A change of a problem: the entry at ``path`` becomes ``value``, or
+    is removed if ``value`` is None."""
     def apply(problem):
         target = problem
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
         return problem
     return apply
 
@@ -337,6 +361,18 @@ def _set(path, value):
         ("wk", _wk_problem, _set(["m", "p"], [["1", 0.0]]), "matrix rows must be numbers"),
         ("wk", _wk_problem, _set(["n", "p"], [[0.0, True]]), "matrix rows must be numbers"),
         ("wk", _wk_problem, _set(["n", "p"], "[[0, 1]]"), "a matrix must be a list of rows"),
+        # a problem or kernel that is not a JSON object, or lacks a key,
+        # used to crash with a KeyError or TypeError traceback
+        ("ot", _ot_problem, lambda problem: [problem], "problem must be a JSON object"),
+        ("ot", _ot_problem, _set(["nu"], None), "problem lacks 'nu'"),
+        ("ot", _ot_problem, _set(["cost"], None), "problem lacks 'cost'"),
+        ("wk", _wk_problem, lambda problem: 1, "problem must be a JSON object"),
+        ("wk", _wk_problem, _set(["m"], None), "problem lacks 'm'"),
+        ("wk", _wk_problem, _set(["d"], None), "problem lacks 'd'"),
+        ("wk", _wk_problem, _set(["n"], [1, 2]), "kernel must be a JSON object"),
+        ("wk", _wk_problem, _set(["m", "rows"], None), "kernel lacks 'rows'"),
+        ("wk", _wk_problem, _set(["n", "cols"], None), "kernel lacks 'cols'"),
+        ("wk", _wk_problem, _set(["m", "p"], None), "kernel lacks 'p'"),
     ],
 )
 def test_ot_and_wk_reject_non_number_fields(tmp_path, capsys, command, problem, change, message):

@@ -182,3 +182,29 @@ def test_no_unread_module_names():
             unread += [f"{path.name}:{node.lineno}: {name}" for name in names
                        if not (name.startswith("__") and name.endswith("__")) and name not in read]
     assert not unread, "module-level names never read:\n" + "\n".join(unread)
+
+
+def test_no_unread_parameters():
+    """Every parameter of a module-level function or of a method of a
+    library module, ``self`` aside, is read in its body (a nested function
+    or lambda there may read it).  Nested functions and lambdas are not
+    checked: their caller fixes their signature, as ``_least_cost`` fixes
+    that of its ``fits``."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        functions += [
+            f for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for f in functions:
+            args = f.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None
+            ]
+            read = {n.id for stmt in f.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{f.lineno}: {f.name}({a.arg})"
+                       for a in params if a.arg != "self" and a.arg not in read]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)

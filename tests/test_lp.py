@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ def test_nan_upper_bound_rejected():
     m.add_variable("x", upper=float("nan"))
     with pytest.raises(LpError, match="NaN upper bound"):
         solve(m)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("MINIMIZE zz x\nSUBJECT TO\nEND\n", "MINIMIZE zz x"),
+        ("MINIMIZE\nSUBJECT TO\nc: 1 x <= abc\nEND\n", "c: 1 x <= abc"),
+        ("MINIMIZE 1 x\nSUBJECT TO\nBOUNDS\nx <= oops\nEND\n", "x <= oops"),
+    ],
+)
+def test_parse_lp_rejects_non_numbers(text, line):
+    # float() used to raise a bare ValueError that named no line
+    with pytest.raises(LpError, match=re.escape(repr(line))):
+        parse_lp(text)
 
 
 def test_export_empty_model():
@@ -791,8 +806,9 @@ def test_dense_submatrix_gathers_like_a_column_loop():
     rng = np.random.default_rng(48)
     m, ncols = 7, 12
     cells = [(i, j) for i in range(m) for j in range(ncols) if rng.random() < 0.3]
-    r, c = (np.array(v, dtype=int) for v in zip(*cells))
-    A = lp._SparseCols(m, ncols, r, c, rng.uniform(-2, 2, len(cells)))
+    vals = rng.uniform(-2, 2, len(cells))
+    columns = [[(i, a) for (i, k), a in zip(cells, vals) if k == j] for j in range(ncols)]
+    A = lp._SparseCols(m, columns)
     for cols in ([], [3], [11, 0, 5, 5], list(range(ncols))[::-1]):
         want = np.zeros((m, len(cols)))
         for k, j in enumerate(cols):
@@ -1124,7 +1140,7 @@ def test_infeasible_verdicts_carry_a_farkas_row(monkeypatch):
 def test_nan_reduced_cost_raises():
     # argmin picks the first NaN; read as "nothing prices below -OPT_TOL" it
     # would pass as optimal, and NaN < -DUAL_TOL is false in the final check
-    A = lp._SparseCols(1, 2, np.array([0, 0]), np.array([0, 1]), np.array([2.0, 1.0]))
+    A = lp._SparseCols(1, [[(0, 2.0)], [(0, 1.0)]])
     sx = lp._Simplex(A, np.array([1.0]), [1])
     free = np.zeros(2, dtype=bool)
     with pytest.raises(LpNumericalError, match="NaN"):

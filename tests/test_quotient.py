@@ -121,7 +121,7 @@ def test_discrete_colouring_keeps_the_full_program():
     m.add_constraint("c", [(x[2], 1.0), (x[3], 1.0), (x[4], -1.0)], "=", 1.5)
     m.add_constraint("d", [(x[0], 1.0), (x[4], 1.0)], "<=", 4.0)
     pre = lp._presolve(m)
-    assert lp._refine(pre, list(range(5)), m.objective, m.var_upper) is None
+    assert lp._refine(pre, list(range(5))) is None
     sol = _agrees(m)
     assert (sol.status, sol.objective) == ("optimal", 2.5)
     assert sol.var_names == ["x0", "x1", "x2", "x3", "x4"]
@@ -129,6 +129,29 @@ def test_discrete_colouring_keeps_the_full_program():
     # every cost is 1, so the crash places nothing and the dual simplex
     # pivots from the all-logical start
     assert (sol.pivots, sol.phase_pivots, sol.refactors, sol.crashed) == (3, (3, 0), 2, 0)
+
+
+def test_columns_build_the_quotient_in_simplex_form():
+    # x0, x1 (cost 1, bound 3) and x2, x3 (cost 2, no bound) merge into
+    # columns A and B, and r0, r1 into one row class.  By hand: r0 gives
+    # -A - B >= -5, negated to A + B <= 5; r2 gives 2A + 2B = 4; then A's
+    # bound, A <= 3, as the last row.  The bound row is not a row class:
+    # 3 presolved rows in 2 classes merge 1
+    m = LpModel()
+    x = [m.add_variable(f"x{i}", upper=3.0 if i < 2 else math.inf) for i in range(4)]
+    for i, cost in zip(x, (1.0, 1.0, 2.0, 2.0)):
+        m.add_objective(i, cost)
+    m.add_constraint("r0", [(x[0], -1.0), (x[2], -1.0)], ">=", -5.0)
+    m.add_constraint("r1", [(x[1], -1.0), (x[3], -1.0)], ">=", -5.0)
+    m.add_constraint("r2", [(i, 1.0) for i in x], "=", 4.0)
+    terms, cost, rels, rhs, column, merged = lp._columns(lp._presolve(m), x)
+    assert terms == [[(0, 1.0), (1, 2.0), (2, 1.0)], [(0, 1.0), (1, 2.0)]]
+    assert cost == [2.0, 4.0]
+    assert (rels, rhs) == (["<=", "=", "<="], [5.0, 4.0, 3.0])
+    assert (column, merged) == ([0, 0, 1, 1], (2, 1))
+    sol = _agrees(m)
+    assert (sol.status, sol.objective) == ("optimal", 4.0)
+    assert (sol.merged_vars, sol.merged_rows) == (2, 1)
 
 
 def test_cycle_program_solves_on_a_handful_of_classes():
@@ -148,7 +171,7 @@ def test_classes_are_equitable_and_numbered_by_first_appearance():
     model = relax.wasserstein_cset_lp(directed_cycle(4), directed_cycle(5), 1.0).model
     pre = lp._presolve(model)
     live = [j for j in range(model.num_vars) if not pre.is_fixed[j]]
-    vcol, rcol = lp._refine(pre, live, model.objective, model.var_upper)
+    vcol, rcol = lp._refine(pre, live)
     firsts = [vcol[j] for j in live]
     assert sorted(set(firsts)) == list(range(max(firsts) + 1))
     assert [c for k, c in enumerate(firsts) if c not in firsts[:k]] == sorted(set(firsts))
