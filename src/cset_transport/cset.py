@@ -315,6 +315,7 @@ def _check_numbers(what: str, values, inf_spelled: bool = False) -> None:
 
 def instance_from_json(data: dict, theory: TheoryPresentation | None = None) -> Instance:
     """Build and validate an Instance from its JSON dict form."""
+    _json_fields("instance", data, ())
     if theory is None:
         entry = data.get("theory")
         if isinstance(entry, str):

@@ -32,8 +32,10 @@ naturality terms, hence the same aggregate.  So the lexicographically first
 minimizer takes, at the first entry, the least value of its orbit, and the
 search skips a first-entry candidate onto which a known automorphism maps an
 earlier candidate (the lex-leader rule): every distance and witness stays
-the same.  Automorphisms come from colour refinement of Y alone, and count
-only once checked on their own (:class:`_Orbits`).
+the same.  Automorphisms come from Y alone: its colour refinement, and a pin
+of one point to another that propagates along Y's maps (McKay & Piperno,
+*Practical graph isomorphism II*, 2014).  They count only once checked on
+their own (:class:`_Orbits`).
 They are looked for only when the search comes back to the first entry from
 a subtree of at least |Y| nodes, the sum of Y's set sizes, so that small
 searches pay little for them.
@@ -174,23 +176,28 @@ def _is_automorphism(y: Instance, sigma: dict) -> bool:
 class _Orbits:
     """Orbits of one object of Y under the automorphisms of Y found so far,
     kept in a union-find whose roots are the least points of their orbits,
-    and the colour refinement of Y that finds those automorphisms.
+    and the colour refinement of Y that guides the search for those
+    automorphisms.
 
-    Points of Y are numbered object by object, ``0..N-1``, and those of a
-    second copy of Y, used to pair points, ``N..2N-1``.  Points start
+    Points of Y are numbered object by object, ``0..N-1``.  Points start
     coloured by object, measure and (on fixed objects) index, and a colour
     class splits until, for every class, its points agree on how many of
     their images and preimages under each generator lie in it and on the
     multiset of metric distances to and from it.  Y's colours are refined
     fully once, when the orbits are built, and no automorphism joins points
     of two colours.  To look for one sending ``r`` to ``v`` of the same
-    colour, ``r`` in the first copy and ``v`` in the second get a colour of
-    their own and the refinement runs again; while a class holds more than
-    one point per copy, its least points are paired off the same way.  When
-    every class holds one point of each copy, the pairing is a bijection of
-    Y (parallel edges, say, are paired like any other points).  It counts
-    only once :func:`_is_automorphism` has checked it on its own; when no
-    check passes, the points stay apart, which is always sound.
+    colour, ``r`` is pinned to ``v``, and a pin carries each image of a
+    point along to the same image of its partner.  The pins then propagate
+    along Y's maps in the order they were made: a pinned point's preimages
+    under each generator go to its partner's, each to the least one of its
+    colour whose images agree with the pins so far.  When nothing is left
+    to propagate, the least point not yet pinned goes to the least free
+    point of its colour (parallel edges and disjoint copies, say, are paired
+    like any other points).  A clash (a point taken twice, two colours, no
+    preimage that fits) ends the try.  The
+    bijection counts only once :func:`_is_automorphism` has checked it on
+    its own; when no check passes, the points stay apart, which is always
+    sound.
     """
 
     def __init__(self, y: Instance, ob: str):
@@ -202,25 +209,26 @@ class _Orbits:
             start[c] = n
             n += y.sets[c]
         self.start, self.n = start, n
-        # per point, (token, point) for each point that a class holding it
-        # marks with a generator token
-        touch = [[] for _ in range(n)]
-        for code, g in enumerate(y.theory.generators):
-            # p's image lies in the class; a preimage of q does
-            image_in, preimage_in = (2 * code, 0.0), (2 * code + 1, 0.0)
+        # per point, its image under each generator out of its object and its
+        # preimages under each generator into it, generators in their order
+        images = [[] for _ in range(n)]
+        preimages = [[] for _ in range(n)]
+        for g in y.theory.generators:
+            s, t = start[g.dom], start[g.cod]
+            into = [[] for _ in range(y.sets[g.cod])]
             for a, b in enumerate(y.maps[g.name].tolist()):
-                p, q = start[g.dom] + a, start[g.cod] + b
-                touch[q].append((image_in, p))
-                touch[p].append((preimage_in, q))
-        self.touch = touch
+                images[s + a].append(t + b)
+                into[b].append(s + a)
+            for b, ps in enumerate(into):
+                preimages[t + b].append(ps)
+        self.images, self.preimages = images, preimages
         # metric rows of the objects whose points are not told apart from the
         # start; a metric constant off the diagonal holds for every bijection
         self.rows = {}
         for c, metric in y.metrics.items():
-            d = metric.d.tolist()
-            off = {v for i, row in enumerate(d) for j, v in enumerate(row) if i != j}
-            if c not in y.fixed and len(off) > 1:
-                self.rows[c] = d
+            off = metric.d[~np.eye(metric.n, dtype=bool)]
+            if c not in y.fixed and off.size and off.min() < off.max():
+                self.rows[c] = metric.d.tolist()
         self.object_of = [c for c in objects for _ in range(y.sets[c])]
         keys = {}
         for c in objects:
@@ -232,7 +240,7 @@ class _Orbits:
         for k, cell in enumerate(self.cells):
             for p in cell:
                 self.cell_of[p] = k
-        self._refine(self.cell_of, self.cells, list(range(len(self.cells))))
+        self._refine()
         self.colour = self.cell_of[start[ob]:start[ob] + y.sets[ob]]
 
     def _find(self, v: int) -> int:
@@ -240,21 +248,28 @@ class _Orbits:
             v = self.parent[v]
         return v
 
-    def _refine(self, cell_of, cells, queue):
-        """Split the colour classes until none splits another; ``queue``
-        holds the classes still to split by.  A class that splits keeps its
-        number for its unmarked part (or else its largest part), which is
-        queued only if the class was; the other parts are queued."""
-        touch, object_of, rows, n = self.touch, self.object_of, self.rows, self.n
+    def _refine(self):
+        """Split the colour classes until none splits another.  A class that
+        splits keeps its number for its unmarked part (or else its largest
+        part), which is queued only if the class was; the other parts are
+        queued."""
+        images, preimages = self.images, self.preimages
+        object_of, rows, start = self.object_of, self.rows, self.start
+        cell_of, cells = self.cell_of, self.cells
+        queue = list(range(len(cells)))
         while queue:
+            # a class lies in one object, so a generator's place in a point's
+            # lists names it
             tokens = defaultdict(list)
             for p in cells[queue.pop()]:
-                copy = p - p % n  # 0, or n for the second copy
-                for token, q in touch[p - copy]:
-                    tokens[copy + q].append(token)
-                c = object_of[p - copy]
+                for i, q in enumerate(images[p]):
+                    tokens[q].append((1, i))  # a preimage lies in the class
+                for i, qs in enumerate(preimages[p]):
+                    for q in qs:
+                        tokens[q].append((2, i))  # the image lies in the class
+                c = object_of[p]
                 if c in rows:
-                    first = copy + self.start[c]
+                    first = start[c]
                     d, i = rows[c], p - first
                     for j, row in enumerate(d):
                         tokens[first + j] += (-1, row[i]), (-2, d[i][j])
@@ -279,34 +294,60 @@ class _Orbits:
                     cells.append(frag)
 
     def pairing(self, r: int, v: int) -> dict[str, list[int]] | None:
-        """The bijection of Y read off refinement with point ``r`` of the
-        object pinned to ``v``, or None when the refinement finds the two
-        unlike."""
-        n = self.n
-        cell_of = self.cell_of * 2
-        cells = [cell | {p + n for p in cell} for cell in self.cells]
-        a, b = self.start[self.ob] + r, n + self.start[self.ob] + v
-        while True:
-            for p in (a, b):
-                cells[cell_of[p]].discard(p)
-                cell_of[p] = len(cells)
-            cells.append({a, b})
-            self._refine(cell_of, cells, [len(cells) - 1])
-            wide = [cell for cell in cells if len(cell) > 2]
-            if not wide:
-                break
-            cell = min(wide, key=min)
-            a, b = min(cell), max(cell)
-            if a >= n or b < n:
-                return None
-            b = min(p for p in cell if p >= n)
-        image = [0] * n
-        for cell in cells:
-            p, q = min(cell), max(cell)
-            if len(cell) != 2 or p >= n or q < n:
-                return None
-            image[p] = q - n
-        return {c: [v - s for v in image[s:s + self.y.sets[c]]] for c, s in self.start.items()}
+        """The bijection of Y that pinning point ``r`` of the object to ``v``
+        propagates to, or None when the propagation clashes."""
+        images, preimages, colour, n = self.images, self.preimages, self.cell_of, self.n
+        image, used, queue = [-1] * n, [False] * n, []
+
+        def fits(a, b):
+            # b is free and of a's colour, and each of its images is the one
+            # a's image is pinned to, or free where a's is not pinned
+            if used[b] or colour[a] != colour[b]:
+                return False
+            for s, t in zip(images[a], images[b]):
+                if (t != image[s]) if image[s] >= 0 else used[t]:
+                    return False
+            return True
+
+        def pin(a, b):
+            # a goes to b and each image of a to the same image of b; False
+            # on a clash
+            todo = [(a, b)]
+            while todo:
+                a, b = todo.pop()
+                if image[a] < 0:
+                    if not fits(a, b):
+                        return False
+                    image[a], used[b] = b, True
+                    queue.append(a)
+                    todo += zip(images[a], images[b])
+                elif image[a] != b:
+                    return False
+            return True
+
+        p, q = self.start[self.ob] + r, self.start[self.ob] + v
+        least = done = 0
+        while pin(p, q):
+            # a pinned point's images are pinned; its preimages go to those
+            # of its image, each to the least that fits, in the order the
+            # points were pinned.  Two points of one colour have as many
+            # preimages under each generator, so none is left over
+            while done < len(queue):
+                p = queue[done]
+                done += 1
+                for ps, qs in zip(preimages[p], preimages[image[p]]):
+                    for a in ps:
+                        if image[a] < 0:
+                            b = next((b for b in qs if fits(a, b)), -1)
+                            if b < 0 or not pin(a, b):
+                                return None
+            while least < n and image[least] >= 0:
+                least += 1
+            if least == n:
+                return {c: [b - s for b in image[s:s + self.y.sets[c]]] for c, s in self.start.items()}
+            p = least
+            q = min(b for b in self.cells[colour[p]] if not used[b])
+        return None
 
     def covered(self, v: int, earlier: list[int], test: bool) -> bool:
         """True when a known automorphism maps a point below ``v`` onto it.
@@ -391,21 +432,24 @@ class _Search:
                 elif s_cod < s_dom:
                     pushes[s_cod].append((s_dom, fixes[s_dom], w, rows, yf, False))
         # shortness against the earlier entries of each component, per slot,
-        # only for pairs that X's metric bounds one way or the other: an
-        # infinite bound both ways holds for every candidate
+        # only for pairs that X's metric bounds one way or the other (an
+        # infinite bound both ways holds for every candidate); and, for each
+        # object with such checks, Y's metric and its transpose, as lists
         checks = [[] for _ in range(n)]
+        dys = {}
         for ob in t.objects if short else ():
             d = x.metric(ob).d
-            dx, first = d.tolist(), self.spans[ob][0]
+            dx, (first, size) = d.tolist(), self.spans[ob]
             bounded = np.isfinite(d)
             ends = np.nonzero(bounded | bounded.T)
             for i, j in zip(ends[0].tolist(), ends[1].tolist()):
                 if j < i:
                     checks[first + i].append((first + j, dx[i][j] + TOL, dx[j][i] + TOL))
-        # per object: Y's metric and its transpose, as lists, the mass pushed
-        # onto each point of Y so far, each point's capacity, and X's masses
-        dys = {ob: (y.metric(ob).d.tolist(), y.metric(ob).d.T.tolist())
-               for ob in t.objects} if short else {}
+            if any(checks[first:first + size]):
+                dy = y.metric(ob).d
+                dys[ob] = (dy.tolist(), dy.T.tolist())
+        # per object: the mass pushed onto each point of Y so far, each
+        # point's capacity, and X's masses
         pushed = {ob: ([0.0] * y.sets[ob], [w + TOL for w in y.measure(ob).w.tolist()],
                        x.measure(ob).w.tolist()) for ob in t.objects} if meas else {}
         # lists that are only ever replaced, never changed, are shared
@@ -414,7 +458,7 @@ class _Search:
         self.info = []
         for k, (ob, i) in enumerate(slots):
             values = [i] if fixes[k] >= 0 else every[ob]
-            dy, dyt = dys[ob] if short else (None, None)
+            dy, dyt = dys.get(ob, (None, None))
             push = cap = mass = None
             if meas:
                 push, cap, masses = pushed[ob]
@@ -423,11 +467,10 @@ class _Search:
         self.n = n
         self.val = [-1] * n
         # per slot, the sum (max at p = inf) of its charges per candidate,
-        # and the slot's share of lb
+        # and the slot's share of lb: nothing is charged yet, and an empty
+        # set of Y has no candidate
         self.sums = [zeros[ob] for ob, _ in slots]
-        self.mins = [
-            s[f] if f >= 0 else min(s, default=INF) for s, f in zip(self.sums, fixes)
-        ]
+        self.mins = [0.0 if y.sets[ob] else INF for ob, _ in slots]
         # each sum adds at most n + nterms non-negative floats, so it lies
         # within (n + nterms) * eps / 2 of its exact value, relatively
         self.slack = 1.0 + 2 * (n + nterms + 1) * sys.float_info.epsilon

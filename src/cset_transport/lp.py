@@ -460,8 +460,9 @@ def _presolve(model: LpModel) -> _Presolved:
     * an equality row ``a x_k + b x_j = 0`` with ``k < j`` and ``a``, ``b``
       of opposite sign gives ``x_j = t x_k`` with ``t = -a / b > 0``: ``t
       x_k`` is substituted for ``x_j`` in every row, a coefficient that
-      cancels exactly is dropped, ``x_k`` takes ``c_k + t c_j`` as its cost
-      and ``min(u_k, u_j / t)`` as its bound, and the row is dropped.
+      cancels exactly or underflows to 0 is dropped, ``x_k`` takes ``c_k +
+      t c_j`` as its cost and ``min(u_k, u_j / t)`` as its bound, and the
+      row is dropped.
 
     Fixed values are substituted into every row.  A row with no live term
     left is dropped once its residual passes the FEAS_TOL check, else the
@@ -508,14 +509,13 @@ def _presolve(model: LpModel) -> _Presolved:
         for i in occurs[j]:
             coef = rows[i][0]
             if alive[i] and j in coef:
-                a = coef.pop(j) * t
-                if k not in coef:
-                    coef[k] = a
-                    occurs[k].append(i)
-                elif coef[k] + a == 0.0:
-                    del coef[k]
+                a = coef.get(k, 0.0) + coef.pop(j) * t
+                if a == 0.0:  # cancels exactly, or the product underflows
+                    coef.pop(k, None)
                 else:
-                    coef[k] += a
+                    if k not in coef:
+                        occurs[k].append(i)
+                    coef[k] = a
                 if len(coef) <= 2 or rows[i][2] == 0.0:
                     queue.append(i)
         if j in cost:

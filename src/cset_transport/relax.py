@@ -377,7 +377,14 @@ def wasserstein_cset_lp(
     self-product blocks are omitted entirely; the value is then a general
     cost optimum, not a metric.
     """
-    infinite = _structural_infinity(x, y, p, component_class)
+    return _assemble(x, y, p, component_class, _structural_infinity(x, y, p, component_class))
+
+
+def _assemble(
+    x: Instance, y: Instance, p: float, component_class: str, infinite: str | None
+) -> WassersteinProgram:
+    """The program of :func:`wasserstein_cset_lp` for checked arguments,
+    with ``infinite`` what :func:`_structural_infinity` said of them."""
     t = x.theory
     model = LpModel()
     movable = [ob for ob in t.objects if ob not in x.fixed]
@@ -550,7 +557,7 @@ def wasserstein_cset_distance(
     that the mass tests already answer is not built."""
     if _structural_infinity(x, y, p, component_class) is not None:
         return INF, None
-    prog = wasserstein_cset_lp(x, y, p, component_class)
+    prog = _assemble(x, y, p, component_class, None)
     if prog.structurally_infinite is not None:
         return INF, None
     sol = solve(prog.model)

@@ -44,6 +44,15 @@ def test_validate_invalid_instance(tmp_path, capsys):
     assert "error" in err
 
 
+def test_validate_non_object_instance(tmp_path, capsys):
+    # a JSON list at the top level is refused with one error line
+    f = tmp_path / "list.json"
+    f.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "validate", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: instance must be a JSON object, got [1, 2]\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "validate", "nope.json")
     assert code == 2

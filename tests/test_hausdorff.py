@@ -252,6 +252,77 @@ def test_symmetry_keeps_witnesses_on_disjoint_copies():
     assert skips > 0
 
 
+def test_pairing_rotates_weak_pair_codomains():
+    # pinning edge 0 to edge k, src and tgt force the rotation by k
+    for n in (7, 8, 10):
+        _, y = weak_pair(2, n)
+        orbits = _Orbits(y, "E")
+        for k in range(1, n):
+            rotation = [(i + k) % n for i in range(n)]
+            sigma = orbits.pairing(0, k)
+            assert sigma == {"E": rotation, "V": rotation}
+            assert _is_automorphism(y, sigma)
+
+
+def test_pairing_swaps_disjoint_copies():
+    # nothing links the copy that edge 0 went to back to copy 0: the least
+    # point left goes to the least free point of its colour
+    swap = [3, 4, 5, 0, 1, 2]
+    y = _copies(directed_cycle(3, "plain"), 2)
+    assert _Orbits(y, "E").pairing(0, 3) == {"E": swap, "V": swap}
+    y = _copies(directed_cycle(3, "plain"), 3)
+    sigma = _Orbits(y, "E").pairing(1, 4)
+    assert sigma == {"E": swap + [6, 7, 8], "V": swap + [6, 7, 8]}
+    assert _is_automorphism(y, sigma)
+
+
+def test_metric_that_breaks_every_rotation_gets_no_skip():
+    # C4's maps are symmetric under rotation, and every row and column of
+    # this vertex metric holds 0, 1, 2 and 3, so colour refinement keeps all
+    # points alike; but the metric is the cycle 0 -> 2 -> 1 -> 3 -> 0, and no
+    # rotation of C4 keeps it, so the check refuses every pairing
+    d = np.array([[0, 2, 1, 3], [2, 0, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0]], dtype=float)
+    x, y = weak_pair(2, 4)
+    assert hausdorff_distance(x, y).symmetry_skips > 0
+    y = y.with_data(metrics={"V": MetricData(4, d), "E": discrete_metric(4)})
+    orbits = _Orbits(y, "E")
+    assert orbits.colour == [orbits.colour[0]] * 4
+    assert orbits.pairing(0, 1) == {"E": [1, 2, 3, 0], "V": [1, 2, 3, 0]}
+    assert _orbits(y, "E") == [0, 1, 2, 3]
+    for p in (1.0, INF):
+        assert _same_as_unbounded(x, y, HausdorffConfig(p=p, component_class="mm")).symmetry_skips == 0
+
+
+def test_search_counts_on_a_seeded_family():
+    # small Graph and VGraph searches into disjoint copies of a random
+    # component: the nodes searched and the candidates skipped, in all
+    rng = np.random.default_rng(39)
+    attr = line_metric(2)
+    nodes = skips = 0
+    for trial in range(40):
+        k = 2 + trial % 2
+        nv, ne = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        src, tgt = rng.integers(0, nv, ne), rng.integers(0, nv, ne)
+        src = np.concatenate([src + i * nv for i in range(k)])
+        tgt = np.concatenate([tgt + i * nv for i in range(k)])
+        x = random_graph(rng, 3, 4)
+        if trial % 4 < 2:
+            y = Instance(builtin_theory("Graph"), {"E": k * ne, "V": k * nv}, {"src": src, "tgt": tgt})
+            y = y.with_data(metrics={"V": shortest_path_metric(y), "E": discrete_metric(k * ne)},
+                            measures={ob: counting_measure(y.sets[ob]) for ob in ("V", "E")})
+            x = x.with_data(metrics={ob: discrete_metric(x.sets[ob]) for ob in ("V", "E")},
+                            measures={ob: counting_measure(x.sets[ob]) for ob in ("V", "E")})
+        else:
+            y = vertex_attributed_graph(k * nv, src, tgt, np.tile(rng.integers(0, 2, nv), k), attr)
+            x = vertex_attributed_graph(x.sets["V"], x.maps["src"], x.maps["tgt"],
+                                        rng.integers(0, 2, x.sets["V"]), attr)
+        for p in (1.0, INF):
+            res = hausdorff_distance(x, y, HausdorffConfig(p=p, component_class="mm"))
+            nodes += res.nodes
+            skips += res.symmetry_skips
+    assert (nodes, skips) == (2142, 80)
+
+
 def test_hom_symmetry_matches_enumeration():
     # find_homomorphism is the lexicographically first natural map
     rng = np.random.default_rng(38)

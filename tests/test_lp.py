@@ -654,6 +654,22 @@ def test_presolve_substitution_cancels_exactly():
     assert sol.values.tolist() == [2.0, 2.0, 1.0]
 
 
+def test_presolve_drops_an_underflowing_coefficient():
+    # 1e-300 x0 - 1e-10 x1 = 0 gives x1 = 1e-290 x0, and 1e-40 x1 then
+    # becomes 1e-330 x0, which underflows to 0: no zero term is left
+    m = LpModel()
+    x0, x1, x2, x3 = (m.add_variable(f"x{i}") for i in range(4))
+    m.add_objective(x2, 1.0)
+    m.add_constraint("r0", [(x0, 1e-300), (x1, -1e-10)], "=", 0.0)
+    m.add_constraint("r1", [(x1, 1e-40), (x2, 1.0), (x3, 1.0)], ">=", 1.0)
+    pre = lp._presolve(m)
+    ((kind, j, k, t, row),) = pre.eliminations
+    assert (kind, j, k, row) == ("agg", x1, x0, 0) and t == pytest.approx(1e-290)
+    assert pre.rows == [[{x2: 1.0, x3: 1.0}, ">=", 1.0]]
+    sol = solve(m)
+    assert sol.status == "optimal" and sol.objective == 0.0
+
+
 @pytest.mark.parametrize("u0, bound", [(math.inf, 6.0), (5.0, 5.0)])
 def test_presolve_carries_the_bound_over(u0, bound):
     # x1 = x0 / 2 with x1 <= 3 caps x0 at 3 / 0.5 = 6, or at its own bound

@@ -219,12 +219,31 @@ def test_wasserstein_mass_precheck():
     assert prog.structurally_infinite is not None
 
 
+def test_arguments_are_checked_once_per_call(monkeypatch):
+    # a distance checks its arguments once, before it builds or answers inf;
+    # wasserstein_cset_lp checks them once too
+    calls = []
+    check = relax._structural_infinity
+
+    def counted(*args):
+        calls.append(args[2:])
+        return check(*args)
+
+    monkeypatch.setattr(relax, "_structural_infinity", counted)
+    assert wasserstein_cset_distance(directed_cycle(2), directed_cycle(3), 1.0)[0] == 0.0
+    assert calls == [(1.0, "mm")]
+    assert wasserstein_cset_distance(directed_cycle(3), directed_cycle(2), 2.0) == (INF, None)
+    assert calls == [(1.0, "mm"), (2.0, "mm")]
+    prog = wasserstein_cset_lp(directed_cycle(3), directed_cycle(2), 1.0, "noshort")
+    assert prog.structurally_infinite is None and calls[2:] == [(1.0, "noshort")]
+
+
 def test_wasserstein_distance_answers_structural_infinity_unbuilt(monkeypatch):
     # the mass tests answer these pairs, so no program is assembled for them
     def no_build(*args):
         raise AssertionError("the program was built")
 
-    monkeypatch.setattr(relax, "wasserstein_cset_lp", no_build)
+    monkeypatch.setattr(relax, "_assemble", no_build)
     assert wasserstein_cset_distance(directed_cycle(4), directed_cycle(2), 1.0) == (INF, None)
     attrs = line_metric(2)
     x = vertex_attributed_graph(1, [], [], [0], attrs)
