@@ -255,6 +255,7 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 
 def _metric_from_json(obj, entry, inst_sets, inst_maps, theory):
+    _json_fields(f"metric on {obj!r}", entry, ())
     kind = entry.get("kind")
     n = inst_sets[obj]
     if kind == "discrete":
@@ -268,11 +269,13 @@ def _metric_from_json(obj, entry, inst_sets, inst_maps, theory):
             _check_numbers("shortest_path weights", weights)
         return shortest_path_metric(stub, weights)
     if kind == "explicit":
-        return MetricData(n, _matrix_from_json(entry["matrix"]))
+        (matrix,) = _json_fields(f"explicit metric on {obj!r}", entry, ("matrix",))
+        return MetricData(n, _matrix_from_json(matrix))
     raise InstanceError(f"unknown metric kind {kind!r} on object {obj!r}")
 
 
 def _measure_from_json(obj, entry, inst_sets):
+    _json_fields(f"measure on {obj!r}", entry, ())
     kind = entry.get("kind")
     n = inst_sets[obj]
     if kind == "counting":
@@ -280,8 +283,9 @@ def _measure_from_json(obj, entry, inst_sets):
     if kind == "uniform":
         return uniform_measure(n)
     if kind == "explicit":
-        _check_numbers(f"measure weights on {obj!r}", entry["weights"])
-        return MeasureData(n, np.asarray(entry["weights"], dtype=float))
+        (weights,) = _json_fields(f"explicit measure on {obj!r}", entry, ("weights",))
+        _check_numbers(f"measure weights on {obj!r}", weights)
+        return MeasureData(n, np.asarray(weights, dtype=float))
     raise InstanceError(f"unknown measure kind {kind!r} on object {obj!r}")
 
 

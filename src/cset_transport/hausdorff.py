@@ -607,12 +607,12 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
     _check_same_theory(x, y)
     _check_fixed(x, y)
     _check_data(x, y, cfg)
-    # d^p of each codomain metric (d itself at p = inf), as nested lists by
-    # rows and by columns
+    # d^p of each codomain metric (d itself at p = 1, where v ** 1.0 is v,
+    # and at p = inf), as nested lists by rows and by columns
     tables = {}
     for ob in {g.cod for g in x.theory.generators}:
         d = y.metric(ob).d.tolist()
-        if cfg.p != INF:
+        if cfg.p not in (1, INF):
             d = [[ext_pow(v, cfg.p) for v in row] for row in d]
         tables[ob] = (d, [list(c) for c in zip(*d)])
     search = _Search(x, y, cfg, tables)

@@ -125,31 +125,13 @@ class LpModel:
         return len(self.var_names)
 
     def validate(self) -> None:
-        if len(set(self.var_names)) != len(self.var_names):
-            raise LpError("variable names are not unique")
-        n = self.num_vars
-        names = set()
-        for cname, terms, rel, rhs in self.constraints:
-            if cname in names:
-                raise LpError(f"duplicate constraint name {cname!r}")
-            names.add(cname)
-            if rel not in _RELATIONS:
-                raise LpError(f"bad relation {rel!r} in constraint {cname!r}")
-            if not math.isfinite(rhs):
-                raise LpError(f"non-finite right-hand side in constraint {cname!r}")
-            for idx, coef in terms:
-                if not 0 <= idx < n:
-                    raise LpError(f"constraint {cname!r} references unknown variable {idx}")
-                if not math.isfinite(coef):
-                    raise LpError(f"non-finite coefficient in constraint {cname!r}")
-        for idx, coef in self.objective.items():
-            if not 0 <= idx < n:
-                raise LpError(f"objective references unknown variable {idx}")
-            if not math.isfinite(coef):
-                raise LpError("non-finite objective coefficient")
-        for u in self.var_upper:
-            if not u >= 0:  # NaN fails this comparison too
-                raise LpError("negative or NaN upper bound")
+        """Raise LpError at the model's first fault, in this order: variable
+        names that repeat; then constraint by constraint a repeated name, a
+        bad relation, a non-finite right-hand side, and term by term an
+        unknown variable or a non-finite coefficient; then the objective's
+        terms; then a negative or NaN upper bound.  The checks are those of
+        ``_read_rows``, the presolve's first walk."""
+        _read_rows(self)
 
 
 @dataclass(eq=False)
@@ -416,9 +398,6 @@ class _Presolved:
     eliminations: list
     infeasible: bool = False
 
-    def count(self, kind):
-        return sum(1 for e in self.eliminations if e[0] == kind)
-
     def recover(self, values):
         """Set each aggregated variable from the one that took its place,
         in reverse elimination order, so that a chain resolves from its
@@ -443,12 +422,59 @@ def _forces_zero(coef, rel):
     return (rel != ">=" and min(values) > 0.0) or (rel != "<=" and max(values) < 0.0)
 
 
+def _read_rows(model: LpModel):
+    """The presolve's first walk, which also checks the model as
+    ``LpModel.validate`` says, raising at its first fault.  Returns each
+    row as ``[coef, rel, rhs]``, ``coef`` a dict from each variable of the
+    row to the sum of its coefficients, zero sums dropped, and the rows that
+    each variable occurs in."""
+    if len(set(model.var_names)) != len(model.var_names):
+        raise LpError("variable names are not unique")
+    n = model.num_vars
+    names = set()
+    rows, occurs = [], [[] for _ in range(n)]
+    for i, (cname, terms, rel, rhs) in enumerate(model.constraints):
+        if cname in names:
+            raise LpError(f"duplicate constraint name {cname!r}")
+        names.add(cname)
+        if rel not in _RELATIONS:
+            raise LpError(f"bad relation {rel!r} in constraint {cname!r}")
+        if not math.isfinite(rhs):
+            raise LpError(f"non-finite right-hand side in constraint {cname!r}")
+        for idx, a in terms:
+            if not 0 <= idx < n:
+                raise LpError(f"constraint {cname!r} references unknown variable {idx}")
+            if not math.isfinite(a):
+                raise LpError(f"non-finite coefficient in constraint {cname!r}")
+        coef = dict(terms)
+        if len(coef) < len(terms):
+            coef = dict.fromkeys(coef, 0.0)
+            for idx, a in terms:
+                coef[idx] += a
+        if 0.0 in coef.values():
+            coef = {idx: a for idx, a in coef.items() if a != 0.0}
+        for idx in coef:
+            occurs[idx].append(i)
+        rows.append([coef, rel, rhs])
+    for idx, coef in model.objective.items():
+        if not 0 <= idx < n:
+            raise LpError(f"objective references unknown variable {idx}")
+        if not math.isfinite(coef):
+            raise LpError("non-finite objective coefficient")
+    for u in model.var_upper:
+        if not u >= 0:  # NaN fails this comparison too
+            raise LpError("negative or NaN upper bound")
+    return rows, occurs
+
+
 def _presolve(model: LpModel) -> _Presolved:
     """Fix the variables the model forces, fold those a doubleton equation
     ties to another into it, and drop the rows that empties (Andersen &
     Andersen, *Presolving in linear programming*, Math. Programming 71,
     1995).  Every rule is exact.
 
+    The first walk over the rows (``_read_rows``) also validates the model:
+    a faulty one raises ``LpModel.validate``'s error before any reduction.
     Each row's duplicate terms are summed and zero coefficients dropped.
     Then, until nothing changes:
 
@@ -471,20 +497,9 @@ def _presolve(model: LpModel) -> _Presolved:
     a substitution leaves it with two live terms or fewer or with
     right-hand side 0."""
     n = model.num_vars
+    rows, occurs = _read_rows(model)
     upper = list(model.var_upper)
     cost = dict(model.objective)
-    rows, occurs = [], [[] for _ in range(n)]
-    for i, (_, terms, rel, rhs) in enumerate(model.constraints):
-        coef = dict(terms)
-        if len(coef) < len(terms):
-            coef = dict.fromkeys(coef, 0.0)
-            for idx, a in terms:
-                coef[idx] += a
-        if 0.0 in coef.values():
-            coef = {idx: a for idx, a in coef.items() if a != 0.0}
-        for idx in coef:
-            occurs[idx].append(i)
-        rows.append([coef, rel, rhs])
     out = _Presolved([], [0.0] * n, [False] * n, cost, upper, [])
     alive = [True] * len(rows)
     queue = deque(range(len(rows)))
@@ -677,10 +692,11 @@ def _transportation(pre: _Presolved, live):
     rows = pre.rows
     if not rows:
         return None
-    ends = {j: [] for j in live}
-    for i, (coef, rel, _) in enumerate(rows):
+    for coef, rel, _ in rows:
         if rel != "=" or set(coef.values()) != {1.0}:
             return None
+    ends = {j: [] for j in live}
+    for i, (coef, _, _) in enumerate(rows):
         for j in coef:
             ends[j].append(i)
     adj = [[] for _ in rows]
@@ -959,8 +975,9 @@ def solve(model: LpModel) -> LpSolution:
     same residual check, and every live variable prices at -DUAL_TOL
     relative or above under the final tree's potentials.
     ``LpSolution.method`` names the path that answered.  Numerical
-    breakdown raises, never passes silently."""
-    model.validate()
+    breakdown raises, never passes silently.  The model is validated in the
+    presolve's first walk over its rows, which raises ``LpModel.validate``'s
+    error on a faulty one, so no separate walk checks it."""
     pre = _presolve(model)
     c_orig = np.zeros(model.num_vars)
     for idx, coef in model.objective.items():
@@ -974,8 +991,11 @@ def solve(model: LpModel) -> LpSolution:
             _recheck(model, values)
             objective = float(c_orig @ values)
         pivots, refactors = (0, 0) if sx is None else (sx.pivots, sx.refactors)
+        kinds = {"fix": 0, "drop": 0, "agg": 0}
+        for e in pre.eliminations:
+            kinds[e[0]] += 1
         return LpSolution(status, objective, values, list(model.var_names),
-                          pre.count("fix"), pre.count("drop"), pre.count("agg"),
+                          kinds["fix"], kinds["drop"], kinds["agg"],
                           *merged, pivots, phase_pivots, refactors, crashed, method)
 
     if pre.infeasible:
@@ -1168,7 +1188,7 @@ def _recheck(model: LpModel, x):
     """Independent residual check of a claimed-optimal point."""
     x = x.tolist()  # Python floats index and multiply faster than numpy scalars
     for cname, terms, rel, rhs in model.constraints:
-        resid = sum(coef * x[idx] for idx, coef in terms) - rhs
+        resid = sum([coef * x[idx] for idx, coef in terms]) - rhs
         if not _row_ok(rel, resid):
             raise LpNumericalError(f"solution violates constraint {cname!r} by {abs(resid):.3e}")
     for idx, u in enumerate(model.var_upper):
@@ -1218,7 +1238,9 @@ def export_lp(model: LpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TERM_RE = re.compile(r"\s*\+\s*")
+# a "+" between terms; the one of an exponent ("1e+20") follows a mantissa's
+# digit or point and an "e"
+_TERM_RE = re.compile(r"\s*(?<![0-9.][eE])\+\s*")
 
 
 def _number(text, line):

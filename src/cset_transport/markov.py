@@ -46,9 +46,9 @@ class FiniteKernel:
         object.__setattr__(self, "p", p)
         if p.shape != (self.rows, self.cols):
             raise DimensionError(f"kernel must be {self.rows}x{self.cols}, got {p.shape}")
-        if not np.all(p >= -TOL):  # NaN fails this test, and inf the row sums
+        if not (p >= -TOL).all():  # NaN fails this test, and inf the row sums
             raise InstanceError("kernel entries must be finite and nonnegative")
-        if self.rows and np.any(np.abs(p.sum(axis=1) - 1.0) > TOL):
+        if self.rows and (np.abs(p.sum(axis=1) - 1.0) > TOL).any():
             bad = int(np.argmax(np.abs(p.sum(axis=1) - 1.0)))
             raise InstanceError(f"kernel row {bad} does not sum to 1")
 

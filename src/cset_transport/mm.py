@@ -118,7 +118,7 @@ class MetricData:
     def is_discrete(self) -> bool:
         """True when the metric is 0 on the diagonal and inf everywhere else."""
         off = ~np.eye(self.n, dtype=bool)
-        return bool(np.all(np.isinf(self.d[off])))
+        return bool(np.isinf(self.d[off]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,7 @@ class MeasureData:
         object.__setattr__(self, "w", w)
         if w.shape != (self.n,):
             raise DimensionError(f"measure must have length {self.n}, got {w.shape}")
-        if np.any(np.isnan(w)) or np.any(np.isinf(w)) or np.any(w < 0):
+        if not (np.isfinite(w).all() and (w >= 0).all()):
             raise InstanceError("measure weights must be finite and nonnegative")
 
     def total(self) -> float:
@@ -244,7 +244,7 @@ def is_measure_decreasing(k, muX: MeasureData, muY: MeasureData, tol: float = TO
                 f"kernel shape {p.shape} does not match measures ({muX.n}, {muY.n})"
             )
         push = muX.w @ p
-    return bool(np.all(push <= muY.w + tol))
+    return bool((push <= muY.w + tol).all())
 
 
 def lp_distance(f, g, muX: MeasureData | None, dY: MetricData, p: float) -> float:

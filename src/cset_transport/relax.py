@@ -110,6 +110,15 @@ def _phi_var(layout, ob, i, j):
     return start + i * ny_ + j
 
 
+def _preimages(f: np.ndarray, n: int) -> list[list[int]]:
+    """The preimage of each point 0..n-1 under the map ``f``, each in
+    increasing order, from one pass over ``f``."""
+    pre = [[] for _ in range(n)]
+    for j, k in enumerate(f.tolist()):
+        pre[k].append(j)
+    return pre
+
+
 def _feasibility_program(x: Instance, y: Instance, measure_preserving: bool):
     _check_same_theory(x, y)
     _check_fixed(x, y)
@@ -117,36 +126,35 @@ def _feasibility_program(x: Instance, y: Instance, measure_preserving: bool):
     model = LpModel()
     layout = _phi_blocks(model, x, y, t.objects)
 
+    # Phi's entry (i, j) at ob is variable start + i * ny_ + j
     for ob in t.objects:
-        _, nx_, ny_ = layout[ob]
+        start, nx_, ny_ = layout[ob]
         for i in range(nx_):
-            terms = [(_phi_var(layout, ob, i, j), 1.0) for j in range(ny_)]
+            row = start + i * ny_
+            terms = [(row + j, 1.0) for j in range(ny_)]
             model.add_constraint(f"row_{ob}_{i}", terms, "=", 1.0)
     for ob in sorted(x.fixed):
+        start, _, ny_ = layout[ob]
         for i in range(x.sets[ob]):
-            model.add_constraint(
-                f"pin_{ob}_{i}", [(_phi_var(layout, ob, i, i), 1.0)], "=", 1.0
-            )
+            model.add_constraint(f"pin_{ob}_{i}", [(start + i * ny_ + i, 1.0)], "=", 1.0)
     for g in t.generators:
-        xf = x.maps[g.name]
-        yf = y.maps[g.name]
-        preim = [np.flatnonzero(yf == k) for k in range(y.sets[g.cod])]
+        xf = x.maps[g.name].tolist()
+        cod, _, ncod = layout[g.cod]
+        dom, _, ndom = layout[g.dom]
+        preim = _preimages(y.maps[g.name], y.sets[g.cod])
         for i in range(x.sets[g.dom]):
-            for k in range(y.sets[g.cod]):
+            row_cod, row_dom = cod + xf[i] * ncod, dom + i * ndom
+            for k, js in enumerate(preim):
                 # (Xf . Phi_cod)[i,k] = (Phi_dom . Yf)[i,k]
-                terms = [(_phi_var(layout, g.cod, int(xf[i]), k), 1.0)]
-                for j in preim[k]:
-                    terms.append((_phi_var(layout, g.dom, i, int(j)), -1.0))
+                terms = [(row_cod + k, 1.0)] + [(row_dom + j, -1.0) for j in js]
                 model.add_constraint(f"nat_{g.name}_{i}_{k}", terms, "=", 0.0)
     if measure_preserving:
         for ob in t.objects:
-            mux, muy = x.measure(ob), y.measure(ob)
-            for k in range(y.sets[ob]):
-                terms = [
-                    (_phi_var(layout, ob, i, k), float(mux.w[i]))
-                    for i in range(x.sets[ob])
-                ]
-                model.add_constraint(f"mp_{ob}_{k}", terms, "=", float(muy.w[k]))
+            start, nx_, ny_ = layout[ob]
+            w, muy = x.measure(ob).w.tolist(), y.measure(ob).w.tolist()
+            for k in range(ny_):
+                terms = [(start + i * ny_ + k, w[i]) for i in range(nx_)]
+                model.add_constraint(f"mp_{ob}_{k}", terms, "=", muy[k])
     return model, layout
 
 
@@ -162,10 +170,10 @@ def _extract_phi(sol: LpSolution, layout, objects) -> dict[str, FiniteKernel]:
     for ob in objects:
         start, nx_, ny_ = layout[ob]
         mat = sol.values[start : start + nx_ * ny_].reshape(nx_, ny_)
-        mat = np.clip(mat, 0.0, None)
+        mat = np.maximum(mat, 0.0)
         if nx_:
             sums = mat.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > FEAS_TOL):
+            if (np.abs(sums - 1.0) > FEAS_TOL).any():
                 raise LpNumericalError(
                     f"solver returned a row of {ob!r} off-stochastic by "
                     f"{np.abs(sums - 1.0).max():.2e}"
@@ -189,9 +197,9 @@ def markov_feasible(
     comps = _extract_phi(sol, layout, x.theory.objects)
     for g in x.theory.generators:
         lhs = comps[g.cod].p[x.maps[g.name], :]
-        # Phi_dom . Y(g): column k sums Phi_dom's columns over Y(g)'s preimage of k
-        rhs = np.zeros(lhs.shape)
-        np.add.at(rhs.T, y.maps[g.name], comps[g.dom].p.T)
+        # Phi_dom . Y(g), with Y(g) as its 0/1 matrix; einsum calls no BLAS
+        onehot = np.eye(y.sets[g.cod])[y.maps[g.name]]
+        rhs = np.einsum("ij,jk->ik", comps[g.dom].p, onehot)
         if np.abs(lhs - rhs).max(initial=0.0) > CHECK_TOL:
             raise LpNumericalError(
                 f"extracted kernels violate naturality at {g.name!r}"
@@ -447,7 +455,7 @@ def _assemble(
             # stochastic rows admit a coupling), so its sub-block is not
             # materialized: the diagonal, pairs at infinite domain distance,
             # and pairs dominating every finite codomain cost
-            if ny_ and not np.any(np.isinf(dY)):
+            if ny_ and not np.isinf(dY).any():
                 dominated = float(np.max(dY))
             else:
                 dominated = INF
@@ -521,7 +529,7 @@ def _assemble(
         net = builder(g.cod)
         elements = [i for i in range(x.sets[g.dom]) if mux.w[i] > 0]
         layout["pi_gen"][g.name] = (model.num_vars, elements, net.width)
-        preim = [np.flatnonzero(yf == yv) for yv in range(nyc)]
+        preim = _preimages(yf, nyc)
         for i in elements:
             # the marginals (Xf . Phi_cod)(i) and (Phi_dom . Yf)(i), the
             # latter Yf's point indicator when g.dom is fixed
@@ -530,8 +538,8 @@ def _assemble(
                 second = [([], 1.0 if int(yf[i]) == yv else 0.0) for yv in range(nyc)]
             else:
                 second = [
-                    ([(_phi_var(phi, g.dom, i, int(j)), -1.0) for j in preim[yv]], 0.0)
-                    for yv in range(nyc)
+                    ([(_phi_var(phi, g.dom, i, j), -1.0) for j in js], 0.0)
+                    for js in preim
                 ]
             w = float(mux.w[i])
             for idx, c in net.add_block(model, "gen", f"{g.name}_{i}", first, second):

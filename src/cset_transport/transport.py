@@ -54,7 +54,7 @@ def _check_cost(cost, n, m):
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (n, m):
         raise DimensionError(f"cost must be {n}x{m}, got {cost.shape}")
-    if np.any(np.isnan(cost)) or np.any(cost < 0):
+    if np.isnan(cost).any() or (cost < 0).any():
         raise DimensionError("cost entries must be in [0, inf]")
     return cost
 

@@ -53,6 +53,26 @@ def test_validate_non_object_instance(tmp_path, capsys):
     assert err == "error: instance must be a JSON object, got [1, 2]\n"
 
 
+@pytest.mark.parametrize(
+    "field, entry, message",
+    [
+        # these used to crash with a KeyError or AttributeError traceback
+        ("metrics", {"kind": "explicit"}, "explicit metric on 'V' lacks 'matrix'"),
+        ("measures", {"kind": "explicit"}, "explicit measure on 'V' lacks 'weights'"),
+        ("metrics", "discrete", "metric on 'V' must be a JSON object, got 'discrete'"),
+        ("measures", "counting", "measure on 'V' must be a JSON object, got 'counting'"),
+    ],
+)
+def test_validate_malformed_metric_or_measure(tmp_path, capsys, field, entry, message):
+    f = tmp_path / "x.json"
+    data = {"theory": "Graph", "sets": {"V": 2, "E": 1}, "maps": {"src": [0], "tgt": [1]}}
+    data[field] = {"V": entry}
+    f.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate", str(f))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "validate", "nope.json")
     assert code == 2

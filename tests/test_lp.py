@@ -85,6 +85,141 @@ def test_validation_errors():
         m.validate()
 
 
+def _sound_model():
+    m = LpModel()
+    x, y = m.add_variable("x"), m.add_variable("y", upper=4.0)
+    m.add_objective(x, 1.0)
+    m.add_constraint("c", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+    m.add_constraint("d", [(y, 2.0)], "<=", 3.0)
+    return m
+
+
+def _set_term(row, term):
+    def fault(m):
+        name, terms, rel, rhs = m.constraints[row]
+        m.constraints[row] = (name, terms + [term], rel, rhs)
+    return fault
+
+
+def _set_row(row, **fields):
+    def fault(m):
+        new = dict(zip(("name", "terms", "rel", "rhs"), m.constraints[row]))
+        new.update(fields)
+        m.constraints[row] = tuple(new.values())
+    return fault
+
+
+# each kind of fault that LpModel.validate refuses, with its message
+_FAULTS = {
+    "repeated variable name": (lambda m: m.var_names.__setitem__(1, "x"),
+                               "variable names are not unique"),
+    "repeated constraint name": (_set_row(1, name="c"), "duplicate constraint name 'c'"),
+    "bad relation": (_set_row(1, rel="<"), "bad relation '<' in constraint 'd'"),
+    "infinite right-hand side": (_set_row(0, rhs=math.inf),
+                                 "non-finite right-hand side in constraint 'c'"),
+    "NaN right-hand side": (_set_row(1, rhs=math.nan),
+                            "non-finite right-hand side in constraint 'd'"),
+    "index past the variables": (_set_term(0, (2, 1.0)),
+                                 "constraint 'c' references unknown variable 2"),
+    "negative index": (_set_term(1, (-1, 1.0)), "constraint 'd' references unknown variable -1"),
+    "infinite coefficient": (_set_term(0, (1, -math.inf)), "non-finite coefficient in constraint 'c'"),
+    "NaN coefficient": (_set_term(1, (0, math.nan)), "non-finite coefficient in constraint 'd'"),
+    "objective index": (lambda m: m.objective.__setitem__(5, 1.0),
+                        "objective references unknown variable 5"),
+    "objective coefficient": (lambda m: m.objective.__setitem__(1, math.nan),
+                              "non-finite objective coefficient"),
+    "negative bound": (lambda m: m.var_upper.__setitem__(1, -1.0), "negative or NaN upper bound"),
+    "NaN bound": (lambda m: m.var_upper.__setitem__(0, math.nan), "negative or NaN upper bound"),
+}
+
+
+@pytest.mark.parametrize("kind", _FAULTS)
+def test_solve_raises_what_validate_raises(kind):
+    # solve checks the model in the presolve's first walk, not by calling
+    # validate; it must refuse each fault with validate's error
+    fault, message = _FAULTS[kind]
+    m = _sound_model()
+    fault(m)
+    for refuse in (LpModel.validate, solve, export_lp):
+        with pytest.raises(LpError) as err:
+            refuse(m)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        # applied in this order; the walk's order, not theirs, decides
+        (("NaN coefficient", "repeated variable name"), "variable names are not unique"),
+        (("bad relation", "repeated constraint name"), "duplicate constraint name 'c'"),
+        (("NaN right-hand side", "infinite right-hand side"),
+         "non-finite right-hand side in constraint 'c'"),
+        (("negative bound", "objective index", "NaN coefficient"),
+         "non-finite coefficient in constraint 'd'"),
+        (("negative bound", "objective coefficient"), "non-finite objective coefficient"),
+        # two faulty terms of one row: the first term's fault
+        (("index past the variables", "infinite coefficient"),
+         "constraint 'c' references unknown variable 2"),
+        (("infinite coefficient", "index past the variables"),
+         "non-finite coefficient in constraint 'c'"),
+    ],
+)
+def test_first_fault_is_raised_first(faults, message):
+    m = _sound_model()
+    for kind in faults:
+        _FAULTS[kind][0](m)
+    for refuse in (LpModel.validate, solve):
+        with pytest.raises(LpError) as err:
+            refuse(m)
+        assert str(err.value) == message
+
+
+def test_solve_checks_the_model_once(monkeypatch):
+    walks = []
+    read = lp._read_rows
+    monkeypatch.setattr(lp, "_read_rows", lambda m: walks.append(m) or read(m))
+    monkeypatch.setattr(LpModel, "validate", lambda m: pytest.fail("validate called"))
+    m = _sound_model()
+    assert solve(m).status == "optimal"
+    assert walks == [m]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("MINIMIZE 1 x\nSUBJECT TO\nc: 1 x >= 1\nc: 1 x <= 2\nEND\n", "duplicate constraint name 'c'"),
+        ("MINIMIZE 1 x\nSUBJECT TO\nc: inf x >= 1\nEND\n", "non-finite coefficient in constraint 'c'"),
+        ("MINIMIZE nan x\nSUBJECT TO\nEND\n", "non-finite objective coefficient"),
+        ("MINIMIZE 1 x\nSUBJECT TO\nBOUNDS\nx <= -1\nEND\n", "negative or NaN upper bound"),
+    ],
+)
+def test_parse_lp_refuses_faulty_models(text, message):
+    with pytest.raises(LpError, match=re.escape(message)):
+        parse_lp(text)
+
+
+def test_round_trip_of_exponents_with_plus_signs():
+    # "1e+20" used to be split at its "+" into the terms "1e" and "20 x"
+    m = LpModel()
+    big, tiny = 1e20, -2.5e-300
+    huge = 1.0000000000000001e25
+    x, y = m.add_variable("x"), m.add_variable("y", upper=huge)
+    m.add_objective(x, big)
+    m.add_objective(y, huge)
+    m.add_constraint("c0", [(x, huge), (y, tiny)], ">=", big)
+    m.add_constraint("c1", [(x, tiny), (y, big)], "<=", huge)
+    text = export_lp(m)
+    assert "1e+20 x + 1.0000000000000001e+25 y" in text
+    again = parse_lp(text)
+    assert export_lp(again) == text
+    assert again.objective == m.objective
+    assert again.constraints == m.constraints
+    assert again.var_upper == m.var_upper
+    # a term glued to its "+" still splits
+    glued = parse_lp("MINIMIZE 1e+2 x+2 y +3E+1 z\nSUBJECT TO\nEND\n")
+    assert glued.objective == {0: 100.0, 1: 2.0, 2: 30.0}
+
+
 def test_nan_upper_bound_rejected():
     # a NaN bound fails "u < 0" as it fails every comparison, so it used to
     # pass for +inf: this model answered "unbounded"

@@ -19,7 +19,7 @@ from cset_transport.gallery import (
     weak_pair,
 )
 from cset_transport.hausdorff import HausdorffConfig
-from cset_transport.lp import export_lp, parse_lp, solve
+from cset_transport.lp import LpSolution, export_lp, parse_lp, solve
 from cset_transport.markov import compose_kernels, embed_function, identity_kernel, uniform_kernel
 from cset_transport.mm import (
     INF,
@@ -81,6 +81,42 @@ def test_extracted_kernels_that_are_not_natural_raise(monkeypatch):
     monkeypatch.setattr(relax, "_extract_phi", lambda sol, layout, objects: uniform)
     with pytest.raises(LpNumericalError, match="violate naturality at 'src'"):
         markov_feasible(x, y)
+
+
+@pytest.mark.parametrize("natural", [True, False])
+def test_solved_values_that_are_not_natural_raise(monkeypatch, natural):
+    # the solver's values pass through the extraction: Phi_V the identity on
+    # C2, and Phi_E the identity (natural) or the swap of the two edges,
+    # row-stochastic but not natural, since each edge's source then moves
+    # and its vertex does not
+    x = y = directed_cycle(2, "plain")
+
+    def solved(model):
+        values = []
+        for name in model.var_names:
+            _, ob, i, j = name.split("_")
+            values.append(float((i == j) == (natural or ob == "V")))
+        return LpSolution("optimal", 0.0, np.array(values), list(model.var_names))
+
+    monkeypatch.setattr(relax, "solve", solved)
+    if natural:
+        cert = markov_feasible(x, y)
+        assert np.array_equal(cert.components["E"].p, np.eye(2))
+    else:
+        with pytest.raises(LpNumericalError, match="violate naturality at 'src'"):
+            markov_feasible(x, y)
+
+
+def test_preimages_on_seeded_maps():
+    rng = np.random.default_rng(11)
+    cases = [(np.zeros(0, dtype=int), 0), (np.zeros(0, dtype=int), 3)]
+    cases += [(rng.integers(0, n, size), n) for n in (1, 3, 6) for size in (1, 4, 9)]
+    for f, n in cases:
+        pre = relax._preimages(f, n)
+        assert pre == [np.flatnonzero(f == k).tolist() for k in range(n)]
+        assert all(type(j) is int for js in pre for j in js)
+    # points 0 and 2 of four have no preimage
+    assert relax._preimages(np.array([3, 1, 1]), 4) == [[], [1, 2], [], [0]]
 
 
 def test_fig6_infeasible():
