@@ -257,7 +257,7 @@ def _matrix_from_json(rows) -> np.ndarray:
 def _metric_from_json(obj, entry, inst_sets, inst_maps, theory):
     _json_fields(f"metric on {obj!r}", entry, ())
     kind = entry.get("kind")
-    n = inst_sets[obj]
+    (n,) = _json_fields(f"sets (for the metric on {obj!r})", inst_sets, (obj,))
     if kind == "discrete":
         return discrete_metric(n)
     if kind == "shortest_path":
@@ -277,7 +277,7 @@ def _metric_from_json(obj, entry, inst_sets, inst_maps, theory):
 def _measure_from_json(obj, entry, inst_sets):
     _json_fields(f"measure on {obj!r}", entry, ())
     kind = entry.get("kind")
-    n = inst_sets[obj]
+    (n,) = _json_fields(f"sets (for the measure on {obj!r})", inst_sets, (obj,))
     if kind == "counting":
         return counting_measure(n)
     if kind == "uniform":

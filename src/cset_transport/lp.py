@@ -2,24 +2,24 @@
 dual simplex, then a primal cleanup) with a spanning-tree path for
 transportation problems, and a deterministic LP text format.
 
-All variables are nonnegative.  Before the simplex, an exact presolve
+All variables are nonnegative; the first walk over the model
+(``_read_rows``) turns each finite upper bound into a row ``x_j <= u``, and
+no later stage reads a bound.  Before the simplex, an exact presolve
 shrinks the program, and logs each step: it fixes the variables the model
-forces ("fix": those with upper bound 0, those an equality row with one live
-term pins, and every variable of a row with right-hand side 0 whose terms
-all forbid a positive value), substituting each value into the other rows;
-it folds a variable that a doubleton equation ``a x_k + b x_j = 0`` ties to
-another as ``x_j = t x_k``, ``t > 0``, into that one, with its cost and
-bound ("agg"); and it drops every row left without a live term, after
-checking it ("drop").  Colour refinement then finds the coarsest equitable
-partition of what is left, and the simplex runs on the quotient: one column
-per class of variables, one row per class of rows, the remaining finite
-upper bounds as rows.  ``_columns`` builds it in one pass over the
-presolved rows, straight into the simplex's columns: each column's terms in
-row order, a row with a negative right-hand side negated, the bound rows
-last.  Its answer is basic in the quotient and, lifted back, constant on
-each class; a program without symmetry reaches the simplex as the presolve
-left it.  The folded variables are then recovered from the log, last fold
-first.
+forces ("fix": those an equality row with one live term pins, and every
+variable of a row with right-hand side 0 whose terms all forbid a positive
+value), substituting each value into the other rows; it folds a variable
+that a doubleton equation ``a x_k + b x_j = 0`` ties to another as ``x_j =
+t x_k``, ``t > 0``, into that one, with its cost ("agg"); and it drops
+every row left without a live term, after checking it ("drop").  Colour
+refinement then finds the coarsest equitable partition of what is left,
+and the simplex runs on the quotient: one column per class of variables,
+one row per class of rows.  ``_columns`` builds it in one pass over the
+presolved rows, straight into the simplex's columns: each column's terms
+in row order, a row with a negative right-hand side negated.  Its answer
+is basic in the quotient and, lifted back, constant on each class; a
+program without symmetry reaches the simplex as the presolve left it.  The
+folded variables are then recovered from the log, last fold first.
 
 Each row the simplex gets has one logical: a slack for ``<=``, a surplus for
 ``>=``, and for ``=`` one fixed at 0, which may leave the basis but never
@@ -49,8 +49,8 @@ model are bit-identical.
 
 A program that the presolve leaves as a transportation problem
 (``_transportation``: only equations, every coefficient 1, every live
-variable unbounded above and in exactly two rows, the rows split into
-supplies and demands by a 2-colouring) takes neither the quotient nor the
+variable in exactly two rows, the rows split into supplies and demands by
+a 2-colouring) takes neither the quotient nor the
 simplex.  A transportation simplex on a spanning-tree basis (``_Tree``)
 solves it with no inverse and no BLAS call (numpy only prices the
 variables of a larger program, elementwise), so its answer does not depend
@@ -379,13 +379,12 @@ class _Presolved:
     ``rows`` holds the surviving rows as ``(coef, rel, rhs)``, ``coef`` a dict
     from each live variable of the row to its nonzero coefficient, fixed
     values substituted into ``rhs`` and aggregated variables into ``coef``.
-    ``objective`` and ``upper`` are the live variables' costs and bounds,
-    with those of the aggregated ones folded in.  ``eliminations`` lists the
-    reductions in the order they were made:
+    ``objective`` holds the live variables' costs, with those of the
+    aggregated ones folded in.  ``eliminations`` lists the reductions in the
+    order they were made:
 
     * ``("fix", var, value, row)``: ``row`` is the row that forced the
-      value, an equality with one live term or a zero-forcing row, or None
-      for an upper bound of 0;
+      value, an equality with one live term or a zero-forcing row;
     * ``("agg", j, k, t, row)``: the doubleton ``row`` gave ``x_j = t x_k``
       with ``t > 0``, and ``x_k`` took ``x_j``'s place;
     * ``("drop", row)``: a row left without a live term."""
@@ -394,7 +393,6 @@ class _Presolved:
     values: list  # the fixed value of each fixed variable, 0 elsewhere
     is_fixed: list  # fixed or aggregated: no longer a variable of the program
     objective: dict
-    upper: list
     eliminations: list
     infeasible: bool = False
 
@@ -427,7 +425,7 @@ def _read_rows(model: LpModel):
     ``LpModel.validate`` says, raising at its first fault.  Returns each
     row as ``[coef, rel, rhs]``, ``coef`` a dict from each variable of the
     row to the sum of its coefficients, zero sums dropped, and the rows that
-    each variable occurs in."""
+    each variable occurs in; a row ``x_j <= u`` per finite bound comes last."""
     if len(set(model.var_names)) != len(model.var_names):
         raise LpError("variable names are not unique")
     n = model.num_vars
@@ -461,9 +459,12 @@ def _read_rows(model: LpModel):
             raise LpError(f"objective references unknown variable {idx}")
         if not math.isfinite(coef):
             raise LpError("non-finite objective coefficient")
-    for u in model.var_upper:
+    for j, u in enumerate(model.var_upper):
         if not u >= 0:  # NaN fails this comparison too
             raise LpError("negative or NaN upper bound")
+        if u != INF:
+            occurs[j].append(len(rows))
+            rows.append([{j: 1.0}, "<=", u])
     return rows, occurs
 
 
@@ -475,32 +476,28 @@ def _presolve(model: LpModel) -> _Presolved:
 
     The first walk over the rows (``_read_rows``) also validates the model:
     a faulty one raises ``LpModel.validate``'s error before any reduction.
-    Each row's duplicate terms are summed and zero coefficients dropped.
-    Then, until nothing changes:
+    Each row's duplicate terms are summed, zero coefficients dropped, and
+    each finite upper bound made a row.  Then, until nothing changes:
 
-    * a variable with upper bound 0 is fixed at 0;
     * an equality row with one live term ``a x = r`` fixes ``x`` at
-      ``r / a``, clipped into its bounds;
+      ``max(r / a, 0)``;
     * a row whose right-hand side is exactly 0 and whose terms all forbid a
       positive value (``_forces_zero``) fixes each of its variables at 0;
     * an equality row ``a x_k + b x_j = 0`` with ``k < j`` and ``a``, ``b``
       of opposite sign gives ``x_j = t x_k`` with ``t = -a / b > 0``: ``t
       x_k`` is substituted for ``x_j`` in every row, a coefficient that
       cancels exactly or underflows to 0 is dropped, ``x_k`` takes ``c_k +
-      t c_j`` as its cost and ``min(u_k, u_j / t)`` as its bound, and the
-      row is dropped.
+      t c_j`` as its cost, and the row is dropped.
 
     Fixed values are substituted into every row.  A row with no live term
     left is dropped once its residual passes the FEAS_TOL check, else the
-    model is infeasible, which also judges a forced value outside the
-    bounds by its forcing row.  A row is looked at once, and again each time
-    a substitution leaves it with two live terms or fewer or with
-    right-hand side 0."""
+    model is infeasible; a bound row so judges a value forced above it.  A
+    row is looked at once, and again each time a substitution leaves it
+    with two live terms or fewer or with right-hand side 0."""
     n = model.num_vars
     rows, occurs = _read_rows(model)
-    upper = list(model.var_upper)
     cost = dict(model.objective)
-    out = _Presolved([], [0.0] * n, [False] * n, cost, upper, [])
+    out = _Presolved([], [0.0] * n, [False] * n, cost, [])
     alive = [True] * len(rows)
     queue = deque(range(len(rows)))
 
@@ -535,13 +532,7 @@ def _presolve(model: LpModel) -> _Presolved:
                     queue.append(i)
         if j in cost:
             cost[k] = cost.get(k, 0.0) + t * cost.pop(j)
-        upper[k] = min(upper[k], upper[j] / t)
-        if upper[k] == 0.0:
-            fix(k, 0.0, None)
 
-    for j, u in enumerate(upper):
-        if u == 0.0:
-            fix(j, 0.0, None)
     while queue:
         i = queue.popleft()
         if not alive[i]:
@@ -555,7 +546,7 @@ def _presolve(model: LpModel) -> _Presolved:
             out.eliminations.append(("drop", i))
         elif rel == "=" and len(coef) == 1:
             ((j, a),) = coef.items()
-            fix(j, min(max(rhs / a, 0.0), upper[j]), i)
+            fix(j, max(rhs / a, 0.0), i)
         elif rhs == 0.0 and _forces_zero(coef, rel):
             for j in list(coef):
                 fix(j, 0.0, i)
@@ -574,9 +565,9 @@ def _refine(pre: _Presolved, live):
     surviving rows, by colour refinement (Grohe, Kersting, Mladenov &
     Selman, *Dimension reduction via colour refinement*, ESA 2014).
 
-    A variable starts coloured by its (cost, upper bound), a row by its
-    (relation, right-hand side).  Then rows and variables take turns: each
-    is recoloured by its colour and the sorted multiset of (colour,
+    A variable starts coloured by its cost, a row by its (relation,
+    right-hand side).  Then rows and variables take turns: each is
+    recoloured by its colour and the sorted multiset of (colour,
     coefficient) over its terms, comparing floats exactly.  Colours are
     numbered in order of first appearance, so the classes are
     deterministic.  After the variables' first turn, the first turn that
@@ -585,10 +576,10 @@ def _refine(pre: _Presolved, live):
     ``pre.rows``, or None when every live variable is alone in its class,
     which the starting colours often show at once."""
     n = len(live)
-    vcol = [0] * len(pre.upper)
+    vcol = [0] * len(pre.values)
     ids = {}
     for j in live:
-        vcol[j] = ids.setdefault((pre.objective.get(j, 0.0), pre.upper[j]), len(ids))
+        vcol[j] = ids.setdefault(pre.objective.get(j, 0.0), len(ids))
     if len(ids) == n:
         return None
     nv = len(ids)
@@ -632,12 +623,11 @@ def _columns(pre: _Presolved, live):
     cost; each row's relation and right-hand side; the column of each live
     variable; and the variables and rows that the classes merged.
 
-    A column costs the sum of its members' costs and has their common upper
-    bound.  Each row class keeps its first row, with the coefficients of
-    each variable class summed and those that cancel dropped; classes keep
-    their order of first appearance.  A row with a negative right-hand side
-    is negated and its relation flipped, so every right-hand side is 0 or
-    more, and the columns' finite upper bounds follow as ``<=`` rows.  The
+    A column costs the sum of its members' costs.  Each row class keeps its
+    first row, with the coefficients of each variable class summed and
+    those that cancel dropped; classes keep their order of first
+    appearance.  A row with a negative right-hand side is negated and its
+    relation flipped, so every right-hand side is 0 or more.  The
     partition is equitable, so averaging any solution over it gives one of
     equal cost that is constant on each class: the quotient has the same
     optimum, and ``x_j = x̄[column of j]`` lifts its solution back
@@ -646,19 +636,18 @@ def _columns(pre: _Presolved, live):
     class, so the simplex sees the presolved program in its order."""
     part = _refine(pre, live)
     if part is None:
-        col, rcol = [0] * len(pre.upper), range(len(pre.rows))
+        col, rcol = [0] * len(pre.values), range(len(pre.rows))
         for k, j in enumerate(live):
             col[j] = k
     else:
         col, rcol = part
     column = [col[j] for j in live]
-    firsts, cost = [], []  # the first member of each column, whose bound it has
+    cost = []
     for j, k in zip(live, column):
-        if k == len(firsts):
-            firsts.append(j)
+        if k == len(cost):  # the first member of its class
             cost.append(0.0)
         cost[k] += pre.objective.get(j, 0.0)
-    terms = [[] for _ in firsts]
+    terms = [[] for _ in cost]
     rels, rhs = [], []
     flip = {"<=": ">=", ">=": "<=", "=": "="}
     for r, (coef, rel, b) in enumerate(pre.rows):
@@ -672,19 +661,14 @@ def _columns(pre: _Presolved, live):
                     terms[k].append((len(rels), sign * a))
             rels.append(flip[rel] if b < 0 else rel)
             rhs.append(sign * b)
-    merged = (len(live) - len(firsts), len(pre.rows) - len(rels))
-    for k, j in enumerate(firsts):
-        if math.isfinite(pre.upper[j]):
-            terms[k].append((len(rels), 1.0))
-            rels.append("<=")
-            rhs.append(pre.upper[j])
+    merged = (len(live) - len(cost), len(pre.rows) - len(rels))
     return terms, cost, rels, rhs, column, merged
 
 
 def _transportation(pre: _Presolved, live):
     """The presolved program as a transportation problem, or None if it is
     not one.  It is one when every row is an equation, every coefficient is
-    exactly 1, and every live variable is unbounded above and sits in
+    exactly 1 (so no bound row is left), and every live variable sits in
     exactly two rows, which a 2-colouring of the rows puts on opposite sides
     (the supplies and the demands).  Returns the two rows of each live
     variable, lower first, and the first row of each row's connected
@@ -701,7 +685,7 @@ def _transportation(pre: _Presolved, live):
             ends[j].append(i)
     adj = [[] for _ in rows]
     for j, e in ends.items():
-        if len(e) != 2 or pre.upper[j] != INF:
+        if len(e) != 2:
             return None
         a, b = e
         adj[a].append(b)

@@ -3,9 +3,9 @@ measure-preserving variant) and the Wasserstein metric on metric measure
 instances.
 
 Infinite metric entries never reach the solver.  A coupling cell of
-infinite cost gets upper bound 0, which the presolve of ``lp.solve`` fixes,
-answering "infeasible" where that forbids every image of a point (the flows
-of p = 1 have no such cells).  Distance rows with an infinite right-hand
+infinite cost is no variable, so the presolve of ``lp.solve`` answers
+"infeasible" where that forbids every image of a point (the flows of p = 1
+have no such cells).  Distance rows with an infinite right-hand
 side are dropped as vacuous.  Total mass that would have to shrink, and the
 identity on a fixed object that is not measure-decreasing, give an infinite
 distance before the program is built; an infinite defect of a generator
@@ -48,9 +48,9 @@ Every transport block, coupling (``transport._Coupling``) or flow
 which takes each marginal per codomain point as ``(terms, rhs)`` and returns
 the block's cost terms, so one loop builds the self-product blocks and one
 the generator blocks, at every p.  A generator element of zero mass gets no
-block: it costs nothing, while conservation rows, or a coupling with its
-infinite cells bounded, would demand that its two marginals reach each
-other.  A distance row with no cost term is not added.
+block: it costs nothing, while conservation rows, or a coupling without
+its infinite cells, would demand that its two marginals reach each other.
+A distance row with no cost term is not added.
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ class WassersteinProgram:
 
     @property
     def pins(self) -> list[str]:
-        """The variables of infinite cost, bounded above by 0, which the
-        presolve of ``lp.solve`` fixes at 0."""
+        """The kernel cells of infinite closed-form cost into a fixed object,
+        bounded above by 0, which the presolve of ``lp.solve`` fixes at 0."""
         model = self.model
         return [name for name, u in zip(model.var_names, model.var_upper) if u == 0.0]
 
@@ -361,25 +361,25 @@ def wasserstein_cset_lp(
       objective in the domain kernel instead of a coupling block;
     * distance rows with infinite right-hand side are dropped, and so is a
       distance row with no cost term;
-    * variables multiplying an infinite cost get upper bound 0, which the
-      presolve of ``lp.solve`` fixes; ``pins`` lists them;
+    * a coupling cell of infinite cost gets no variable, and a kernel cell
+      of infinite closed-form cost upper bound 0 (``pins`` lists those);
     * distance rows implied through an intermediate point by the triangle
       inequality are dropped (see the module docstring);
     * a generator element of zero mass gets no block;
     * for p = 1 each transport block is a min-cost flow on the irreducible
       edges of the codomain metric instead of a coupling (see the module
       docstring): per block, one variable per edge and one conservation row
-      per codomain point, where a coupling has one variable per cell and two
-      marginal rows per codomain point.  Nothing is pinned.  Either block's
+      per codomain point, where a coupling has one variable per finite cell
+      and two marginal rows per codomain point.  Either block's
       cost goes into the distance row or, weighted by the element's mass,
       into the objective.
 
     ``layout["pi_obj"][ob]`` is ``(start, pairs, width)`` and
     ``layout["pi_gen"][g]`` is ``(start, elements, width)``: the block of the
     k-th pair or element holds variables ``start + k*width`` up to
-    ``start + (k+1)*width``.  A coupling block is ``n_y^2`` wide; a flow
-    block has one variable per edge of ``layout["edges"][ob]``.  Only the
-    elements of positive mass have blocks.
+    ``start + (k+1)*width``.  A coupling block has one variable per finite
+    cost cell, a flow block one per edge of ``layout["edges"][ob]``.  Only
+    the elements of positive mass have blocks.
 
     With ``component_class="noshort"`` the measure-decreasing rows and the
     self-product blocks are omitted entirely; the value is then a general

@@ -2,10 +2,10 @@
 on finite Markov kernels.
 
 A coupling is built by ``_Coupling``, the one coupling builder, which the
-Wasserstein program of ``relax`` shares.  An infinite-cost cell gets upper
-bound 0, which the presolve of ``lp.solve`` fixes before the simplex; a
-positive-mass row or column left without a finite cell then empties its
-marginal row, the presolve answers "infeasible", and the cost is inf.
+Wasserstein program of ``relax`` shares.  A cell of infinite cost is no
+variable of the program: no coupling may use it.  A positive-mass row or
+column without a finite cell therefore has an empty marginal row, the
+presolve of ``lp.solve`` answers "infeasible", and the cost is inf.
 """
 
 from __future__ import annotations
@@ -63,36 +63,44 @@ class _Coupling:
     """Coupling blocks priced by one cost matrix, with the interface of the
     flow blocks of the Wasserstein program at p = 1 (``relax._EdgeFlow``).
 
-    A block has one variable per cell, ``width`` in all; an infinite cell
-    gets upper bound 0 and no cost term."""
+    A block has one variable per finite cell (``cells``, indices into the
+    flattened matrix), ``width`` in all; ``rows[a]`` and ``cols[b]`` hold
+    the offsets in the block of row a's and column b's."""
 
     def __init__(self, cost: np.ndarray):
-        self.shape = cost.shape
+        n1, n2 = cost.shape
         flat = cost.reshape(-1).tolist()
+        if INF in flat:
+            self.cells = [k for k, c in enumerate(flat) if c != INF]
+            self.rows, self.cols = [[] for _ in range(n1)], [[] for _ in range(n2)]
+            for v, k in enumerate(self.cells):
+                self.rows[k // n2].append(v)
+                self.cols[k % n2].append(v)
+            flat = [flat[k] for k in self.cells]  # the costs, in variable order
+        else:  # cell k is variable k
+            self.cells = range(len(flat))
+            self.rows = [range(a * n2, a * n2 + n2) for a in range(n1)]
+            self.cols = [range(b, len(flat), n2) for b in range(n2)]
         self.width = len(flat)
-        self.pinned = [k for k, c in enumerate(flat) if c == INF]
-        self.costs = [(k, c) for k, c in enumerate(flat) if c != 0.0 and c != INF]
+        self.costs = [(v, c) for v, c in enumerate(flat) if c != 0.0]
 
     def add_block(self, model: LpModel, kind: str, key: str, first, second) -> list:
         """Add one coupling block: a variable ``pi<kind>_<key>_<cell>`` >= 0
-        per cell and, for each row a with ``first[a] = (terms, rhs)``, the
-        marginal row sum_b pi(a, b) + terms = rhs, named
-        ``p<k>m1_<key>_<a>`` with <k> the first letter of ``kind``; ``second``
-        gives the column marginals (``p<k>m2``) the same way.  Returns the
-        block's cost terms."""
-        n1, n2 = self.shape
+        per finite cell and, for each row a with ``first[a] = (terms, rhs)``,
+        the marginal row sum_b pi(a, b) + terms = rhs over the finite cells,
+        named ``p<k>m1_<key>_<a>`` with <k> the first letter of ``kind``;
+        ``second`` gives the column marginals (``p<k>m2``) the same way.
+        Returns the block's cost terms."""
         start = model.num_vars
-        for k in range(self.width):
+        for k in self.cells:
             model.add_variable(f"pi{kind}_{key}_{k}")
-        for k in self.pinned:
-            model.var_upper[start + k] = 0.0
         for a, (terms, rhs) in enumerate(first):
-            row = [(start + a * n2 + b, 1.0) for b in range(n2)]
+            row = [(start + v, 1.0) for v in self.rows[a]]
             model.add_constraint(f"p{kind[0]}m1_{key}_{a}", row + terms, "=", rhs)
         for b, (terms, rhs) in enumerate(second):
-            row = [(start + a * n2 + b, 1.0) for a in range(n1)]
+            row = [(start + v, 1.0) for v in self.cols[b]]
             model.add_constraint(f"p{kind[0]}m2_{key}_{b}", row + terms, "=", rhs)
-        return [(start + k, c) for k, c in self.costs]
+        return [(start + v, c) for v, c in self.costs]
 
 
 def optimal_coupling(mu: MeasureData, nu: MeasureData, cost) -> OtResult:
@@ -105,14 +113,19 @@ def optimal_coupling(mu: MeasureData, nu: MeasureData, cost) -> OtResult:
     model = LpModel()
     rows = [([], w) for w in mu.w.tolist()]
     cols = [([], w) for w in nu.w.tolist()]
-    for idx, c in _Coupling(cost).add_block(model, "ot", "mu_nu", rows, cols):
+    net = _Coupling(cost)
+    for idx, c in net.add_block(model, "ot", "mu_nu", rows, cols):
         model.add_objective(idx, c)
     sol = solve(model)
     if sol.status == "infeasible":
         return OtResult(INF, None)
     if sol.status != "optimal":
         raise DimensionError(f"transport LP reported {sol.status}")
-    return OtResult(float(sol.objective), sol.values.reshape(mu.n, nu.n))
+    coupling = sol.values
+    if net.width < mu.n * nu.n:  # scatter onto the finite cells; the others are 0
+        coupling = np.zeros(mu.n * nu.n)
+        coupling[net.cells] = sol.values
+    return OtResult(float(sol.objective), coupling.reshape(mu.n, nu.n))
 
 
 def wasserstein_measures(mu: MeasureData, nu: MeasureData, d: MetricData, p: float) -> float:

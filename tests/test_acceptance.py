@@ -320,6 +320,27 @@ def test_criterion_9_lp_solver_oracle():
             done += 1
 
 
+def test_bounds_are_rows_to_the_solver():
+    # one bound mechanism: criterion 9's programs, solved as given and with
+    # every finite bound written as an explicit <= row in variable order,
+    # give the same status, objective and bits
+    rng = np.random.default_rng(609)
+    bounded = 0
+    for _ in range(500):
+        model = _random_lp(rng)
+        rows = LpModel(list(model.var_names), [INF] * model.num_vars, dict(model.objective),
+                       list(model.constraints))
+        for j, u in enumerate(model.var_upper):
+            if u != INF:
+                rows.add_constraint(f"bound_{j}", [(j, 1.0)], "<=", u)
+                bounded += 1
+        got, want = solve(model), solve(rows)
+        assert (got.status, got.objective) == (want.status, want.objective)
+        if want.values is not None:
+            assert got.values.tobytes() == want.values.tobytes()
+    assert bounded > 200
+
+
 def test_criterion_10_markov_algebra_suite():
     with criterion(10, "kernel algebra: composition, mass, disintegration, gluing"):
         rng = np.random.default_rng(610)

@@ -61,12 +61,14 @@ def test_validate_non_object_instance(tmp_path, capsys):
         ("measures", {"kind": "explicit"}, "explicit measure on 'V' lacks 'weights'"),
         ("metrics", "discrete", "metric on 'V' must be a JSON object, got 'discrete'"),
         ("measures", "counting", "measure on 'V' must be a JSON object, got 'counting'"),
+        ("metrics", {"kind": "discrete"}, "sets (for the metric on 'W') lacks 'W'"),
+        ("measures", {"kind": "counting"}, "sets (for the measure on 'W') lacks 'W'"),
     ],
 )
 def test_validate_malformed_metric_or_measure(tmp_path, capsys, field, entry, message):
     f = tmp_path / "x.json"
     data = {"theory": "Graph", "sets": {"V": 2, "E": 1}, "maps": {"src": [0], "tgt": [1]}}
-    data[field] = {"V": entry}
+    data[field] = {message.split("'")[1]: entry}  # on the object the message names
     f.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "validate", str(f))
     assert (code, out) == (1, "")

@@ -609,6 +609,24 @@ def test_dual_certificate_skips_basic_columns():
     assert sol.objective == pytest.approx(312204.2912473955, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="the cleanup's plain ratio test skips a tiny "
+                   "direction entry and answers unbounded; Harris's ratio test should mend it")
+def test_ill_scaled_program_is_not_unbounded():
+    # after one dual pivot the primal cleanup finds no entry above
+    # PIVOT_TOL in the entering column and calls the program unbounded
+    # (HiGHS: optimal, -5002)
+    m = LpModel()
+    x0, x1, x2 = (m.add_variable(f"x{i}") for i in range(3))
+    m.add_objective(x0, -2.0)
+    m.add_objective(x2, -2.0)
+    m.add_constraint("r0", [(x0, -30000.0), (x1, 0.1), (x2, -0.0002)], "=", -0.0002)
+    m.add_constraint("r1", [(x2, 200.0)], ">=", 200.0)
+    m.add_constraint("r2", [(x0, -1.0), (x1, -2000.0)], ">=", -10000.0)
+    sol = solve(m)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-5002.0, rel=1e-9)
+
+
 def _agrees_with_highs(model):
     status, want = highs_solve(model)
     sol = solve(model)
@@ -642,6 +660,8 @@ def test_presolve_cascade_of_singleton_rows():
 
 
 def test_presolve_eliminations_keep_their_order():
+    # z's bound of 0 is row 2, z <= 0, after the model's rows: it forces z
+    # when the queue reaches it, and is dropped like any emptied row
     m = LpModel()
     x, y, z = (m.add_variable(v) for v in "xyz")
     m.var_upper[z] = 0.0
@@ -649,24 +669,25 @@ def test_presolve_eliminations_keep_their_order():
     m.add_constraint("b", [(x, 2.0), (z, 1.0)], "=", 4.0)
     pre = lp._presolve(m)
     assert pre.eliminations == [
-        ("fix", z, 0.0, None), ("fix", x, 2.0, 1), ("drop", 1), ("fix", y, 3.0, 0), ("drop", 0),
+        ("fix", z, 0.0, 2), ("fix", x, 2.0, 1), ("drop", 2), ("fix", y, 3.0, 0), ("drop", 1),
+        ("drop", 0),
     ]
     assert pre.rows == []
     # a doubleton ties w to y, and u + 2v <= 0 forces both of its variables,
-    # each logged with its row
+    # each logged with its row; z's bound row is now row 4
     u, v, w = (m.add_variable(name) for name in "uvw")
     m.add_constraint("c", [(y, 1.0), (w, -3.0)], "=", 0.0)
     m.add_constraint("d", [(u, 1.0), (v, 2.0)], "<=", 0.0)
     pre = lp._presolve(m)
     assert pre.eliminations == [
-        ("fix", z, 0.0, None), ("fix", x, 2.0, 1), ("agg", w, y, 1 / 3, 2),
-        ("fix", u, 0.0, 3), ("fix", v, 0.0, 3), ("drop", 1), ("fix", y, 3.0, 0),
-        ("drop", 3), ("drop", 0),
+        ("agg", w, y, 1 / 3, 2), ("fix", u, 0.0, 3), ("fix", v, 0.0, 3), ("fix", z, 0.0, 4),
+        ("drop", 3), ("fix", x, 2.0, 1), ("drop", 4), ("fix", y, 3.0, 0), ("drop", 1),
+        ("drop", 0),
     ]
     assert pre.rows == []
     sol = solve(m)
     assert sol.values.tolist() == [2.0, 3.0, 0.0, 0.0, 0.0, 1.0]
-    assert (sol.fixed, sol.dropped_rows, sol.aggregated, sol.pivots) == (5, 3, 1, 0)
+    assert (sol.fixed, sol.dropped_rows, sol.aggregated, sol.pivots) == (5, 4, 1, 0)
 
 
 def _presolve_model(rng):
@@ -807,7 +828,8 @@ def test_presolve_drops_an_underflowing_coefficient():
 
 @pytest.mark.parametrize("u0, bound", [(math.inf, 6.0), (5.0, 5.0)])
 def test_presolve_carries_the_bound_over(u0, bound):
-    # x1 = x0 / 2 with x1 <= 3 caps x0 at 3 / 0.5 = 6, or at its own bound
+    # x1 = x0 / 2 with x1 <= 3 caps x0 at 3 / 0.5 = 6, or at its own bound:
+    # the fold substitutes 0.5 x0 into x1's bound row, after x0's own
     pytest.importorskip("scipy")
     m = LpModel()
     x0, x1 = m.add_variable("x0", upper=u0), m.add_variable("x1", upper=3.0)
@@ -816,7 +838,8 @@ def test_presolve_carries_the_bound_over(u0, bound):
     m.add_constraint("r", [(x0, 1.0), (x1, -2.0)], "=", 0.0)
     pre = lp._presolve(m)
     assert pre.eliminations == [("agg", x1, x0, 0.5, 0)]
-    assert pre.upper[x0] == bound and pre.objective == {x0: -1.5}
+    own = [[{x0: 1.0}, "<=", u0]] if u0 != math.inf else []
+    assert pre.rows == own + [[{x0: 0.5}, "<=", 3.0]] and pre.objective == {x0: -1.5}
     sol = _agrees_with_highs(m)
     assert sol.values.tolist() == [bound, bound / 2]
     # without the bound, the ray x0 = 2 x1 is unbounded

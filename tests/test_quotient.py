@@ -86,9 +86,9 @@ def test_different_upper_bounds_stay_apart():
     sol = _agrees(_symmetric_pair(1.0, 0.2, 0.2))
     assert (sol.status, sol.merged_vars) == ("optimal", 0)
     assert sol.objective == pytest.approx(15.0)
-    # with equal bounds the two are one class
+    # with equal bounds the two are one class, and so are their bound rows
     sol = _agrees(_symmetric_pair(20.0, 2.0, 2.0))
-    assert (sol.status, sol.merged_vars, sol.merged_rows) == ("optimal", 1, 0)
+    assert (sol.status, sol.merged_vars, sol.merged_rows) == ("optimal", 1, 1)
     assert sol.values.tolist() == [0.75, 0.75]
 
 
@@ -107,9 +107,10 @@ def test_coefficients_compare_exactly():
 
 
 def test_discrete_colouring_keeps_the_full_program():
-    # one starting colour for x0, x1, x2, x4 (x3 has a bound), which the
-    # rows split into singletons: the simplex sees the presolved program as
-    # it did before the quotient, with nothing merged.  The program has
+    # one starting colour for all five (every cost is 1; x3's bound is the
+    # row x3 <= 2), which the rows split into singletons: the simplex sees
+    # the presolved program as it did before the quotient, with nothing
+    # merged.  The program has
     # several optimal vertices of objective 2.5, so the test checks the
     # objective and that the point is one of them, not which one
     m = LpModel()
@@ -133,10 +134,10 @@ def test_discrete_colouring_keeps_the_full_program():
 
 def test_columns_build_the_quotient_in_simplex_form():
     # x0, x1 (cost 1, bound 3) and x2, x3 (cost 2, no bound) merge into
-    # columns A and B, and r0, r1 into one row class.  By hand: r0 gives
-    # -A - B >= -5, negated to A + B <= 5; r2 gives 2A + 2B = 4; then A's
-    # bound, A <= 3, as the last row.  The bound row is not a row class:
-    # 3 presolved rows in 2 classes merge 1
+    # columns A and B, r0, r1 into one row class, and the bound rows x0 <=
+    # 3, x1 <= 3 into another.  By hand: r0 gives -A - B >= -5, negated to
+    # A + B <= 5; r2 gives 2A + 2B = 4; then A's bound, A <= 3, as the last
+    # row.  5 presolved rows in 3 classes merge 2
     m = LpModel()
     x = [m.add_variable(f"x{i}", upper=3.0 if i < 2 else math.inf) for i in range(4)]
     for i, cost in zip(x, (1.0, 1.0, 2.0, 2.0)):
@@ -148,10 +149,10 @@ def test_columns_build_the_quotient_in_simplex_form():
     assert terms == [[(0, 1.0), (1, 2.0), (2, 1.0)], [(0, 1.0), (1, 2.0)]]
     assert cost == [2.0, 4.0]
     assert (rels, rhs) == (["<=", "=", "<="], [5.0, 4.0, 3.0])
-    assert (column, merged) == ([0, 0, 1, 1], (2, 1))
+    assert (column, merged) == ([0, 0, 1, 1], (2, 2))
     sol = _agrees(m)
     assert (sol.status, sol.objective) == ("optimal", 4.0)
-    assert (sol.merged_vars, sol.merged_rows) == (2, 1)
+    assert (sol.merged_vars, sol.merged_rows) == (2, 2)
 
 
 def test_cycle_program_solves_on_a_handful_of_classes():

@@ -349,28 +349,34 @@ def test_wasserstein_rejects_infinite_p():
 
 def test_pins_match_infinite_cost_cells():
     # codomain with discrete vertex metric: every off-diagonal coupling cell
-    # costs inf and must be pinned to zero (p = 2: at p = 1 the blocks are
-    # flows, which need no pins)
+    # costs inf, so at p = 2 (at p = 1 the blocks are flows) no coupling
+    # variable exists for it, and nothing is pinned
     x = directed_cycle(2)
     y = directed_cycle(2, "discrete")
     prog = wasserstein_cset_lp(x, y, 2.0)
     dY = prog.cost_vectors["V"]["delta_y"]
     assert np.isinf(dY).sum() == 2  # two off-diagonal cells
-    pinned = set(prog.pins)
-    for name in pinned:
-        assert name.startswith(("pigen_", "piobj_"))
-    # each generator block row pins exactly the infinite cells
+    finite = np.flatnonzero(np.isfinite(dY)).tolist()
     ne = x.sets["E"]
-    expected = {
-        f"pigen_{g}_{i}_{yy}"
-        for g in ("src", "tgt")
-        for i in range(ne)
-        for yy in np.flatnonzero(np.isinf(dY))
-    }
-    assert expected <= pinned
+    expected = {f"pigen_{g}_{i}_{k}" for g in ("src", "tgt") for i in range(ne) for k in finite}
+    expected |= {f"piobj_V_{a}_{b}_{k}" for a, b in ((0, 1), (1, 0)) for k in finite}
+    assert {n for n in prog.model.var_names if n.startswith("pi")} == expected
+    assert prog.layout["pi_gen"]["src"][2] == len(finite)
+    assert prog.pins == []
     for ob in prog.cost_vectors:
         assert np.all(np.diag(prog.cost_vectors[ob]["delta_x"].reshape(
             x.sets[ob], x.sets[ob])) == 0.0)
+    # into a fixed attribute object the closed form pins the kernel cells
+    # of infinite cost, and those are all that ``pins`` lists
+    attrm = discrete_metric(2)
+    x = vertex_attributed_graph(2, [0], [1], [0, 1], attrm)
+    y = vertex_attributed_graph(3, [0, 1], [1, 2], [0, 1, 1], attrm)
+    prog = wasserstein_cset_lp(x, y, 2.0)
+    pi = [n for n in prog.model.var_names if n.startswith(("pigen_", "piobj_"))]
+    assert pi and all(int(n.rsplit("_", 1)[1]) in (0, 4, 8) for n in pi)
+    assert prog.pins == [
+        f"phi_V_{i}_{j}" for i in range(2) for j in range(3) if [0, 1][i] != [0, 1, 1][j]
+    ]
 
 
 def test_flow_on_discrete_codomain_keeps_only_conservation_rows():
@@ -414,7 +420,7 @@ def test_zero_mass_element_gets_no_flow_block(p):
     # codomain vertex 1 and its image onto the loop at vertex 0, which cannot
     # reach each other.  A zero-mass element costs nothing, so the distance
     # is 0; a flow block for it would demand the unreachable transport, and
-    # a coupling block with its infinite cells pinned would too, and either
+    # a coupling block without its infinite cells would too, and either
     # would make the distance infinite
     t = builtin_theory("Graph")
     x = Instance(t, {"E": 1, "V": 1}, {"src": [0], "tgt": [0]}).with_data(

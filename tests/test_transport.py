@@ -72,6 +72,7 @@ def test_optimal_coupling_mass_mismatch():
 
 def test_optimal_coupling_matches_brute_force():
     rng = np.random.default_rng(21)
+    infinite = 0  # finite-cost problems with an infinite cell
     for _ in range(30):
         n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         mu = rng.uniform(0.1, 1, n)
@@ -86,6 +87,11 @@ def test_optimal_coupling_matches_brute_force():
             assert got.cost == INF
         else:
             assert got.cost == pytest.approx(want, abs=1e-6)
+            # the coupling is n x m, exactly 0 where no coupling may go
+            assert got.coupling.shape == (n, m)
+            assert (got.coupling[np.isinf(cost)] == 0.0).all()
+            infinite += np.isinf(cost).any()
+    assert infinite > 0
 
 
 def test_wasserstein_measures_identity():
