@@ -491,15 +491,18 @@ def _presolve(model: LpModel) -> _Presolved:
 
     Fixed values are substituted into every row.  A row with no live term
     left is dropped once its residual passes the FEAS_TOL check, else the
-    model is infeasible; a bound row so judges a value forced above it.  A
-    row is looked at once, and again each time a substitution leaves it
+    model is infeasible; a bound row so judges a value forced above it,
+    and keeps one above it by no more than that check allows.  A row is
+    looked at once, the bound rows first, so a zero bound fixes its
+    variable at exactly 0; and again each time a substitution leaves it
     with two live terms or fewer or with right-hand side 0."""
     n = model.num_vars
     rows, occurs = _read_rows(model)
     cost = dict(model.objective)
     out = _Presolved([], [0.0] * n, [False] * n, cost, [])
     alive = [True] * len(rows)
-    queue = deque(range(len(rows)))
+    m = len(model.constraints)
+    queue = deque([*range(m, len(rows)), *range(m)])
 
     # a variable's occurrence list may name rows it has since left, by an
     # exact cancellation, so each visit checks that the term is still there

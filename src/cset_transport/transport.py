@@ -121,10 +121,8 @@ def optimal_coupling(mu: MeasureData, nu: MeasureData, cost) -> OtResult:
         return OtResult(INF, None)
     if sol.status != "optimal":
         raise DimensionError(f"transport LP reported {sol.status}")
-    coupling = sol.values
-    if net.width < mu.n * nu.n:  # scatter onto the finite cells; the others are 0
-        coupling = np.zeros(mu.n * nu.n)
-        coupling[net.cells] = sol.values
+    coupling = np.zeros(mu.n * nu.n)  # exact 0 on the forbidden cells
+    coupling[net.cells] = sol.values
     return OtResult(float(sol.objective), coupling.reshape(mu.n, nu.n))
 
 

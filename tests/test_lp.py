@@ -660,8 +660,9 @@ def test_presolve_cascade_of_singleton_rows():
 
 
 def test_presolve_eliminations_keep_their_order():
-    # z's bound of 0 is row 2, z <= 0, after the model's rows: it forces z
-    # when the queue reaches it, and is dropped like any emptied row
+    # z's bound of 0 is row 2, z <= 0, after the model's rows; the queue
+    # takes the bound rows first, so it fixes z, and is dropped like any
+    # emptied row
     m = LpModel()
     x, y, z = (m.add_variable(v) for v in "xyz")
     m.var_upper[z] = 0.0
@@ -669,7 +670,7 @@ def test_presolve_eliminations_keep_their_order():
     m.add_constraint("b", [(x, 2.0), (z, 1.0)], "=", 4.0)
     pre = lp._presolve(m)
     assert pre.eliminations == [
-        ("fix", z, 0.0, 2), ("fix", x, 2.0, 1), ("drop", 2), ("fix", y, 3.0, 0), ("drop", 1),
+        ("fix", z, 0.0, 2), ("fix", x, 2.0, 1), ("drop", 1), ("drop", 2), ("fix", y, 3.0, 0),
         ("drop", 0),
     ]
     assert pre.rows == []
@@ -680,14 +681,25 @@ def test_presolve_eliminations_keep_their_order():
     m.add_constraint("d", [(u, 1.0), (v, 2.0)], "<=", 0.0)
     pre = lp._presolve(m)
     assert pre.eliminations == [
-        ("agg", w, y, 1 / 3, 2), ("fix", u, 0.0, 3), ("fix", v, 0.0, 3), ("fix", z, 0.0, 4),
-        ("drop", 3), ("fix", x, 2.0, 1), ("drop", 4), ("fix", y, 3.0, 0), ("drop", 1),
-        ("drop", 0),
+        ("fix", z, 0.0, 4), ("fix", x, 2.0, 1), ("agg", w, y, 1 / 3, 2),
+        ("fix", u, 0.0, 3), ("fix", v, 0.0, 3), ("drop", 1), ("drop", 4), ("fix", y, 3.0, 0),
+        ("drop", 3), ("drop", 0),
     ]
     assert pre.rows == []
     sol = solve(m)
     assert sol.values.tolist() == [2.0, 3.0, 0.0, 0.0, 0.0, 1.0]
     assert (sol.fixed, sol.dropped_rows, sol.aggregated, sol.pivots) == (5, 4, 1, 0)
+    # a row x = 1e-9, within FEAS_TOL of 0, does not move x off its zero
+    # bound: the bound row fixes x at exactly 0 first, and the forcing row
+    # keeps the residual
+    m = LpModel()
+    x = m.add_variable("x")
+    m.var_upper[x] = 0.0
+    m.add_constraint("r", [(x, 1.0)], "=", 1e-9)
+    assert lp._presolve(m).eliminations == [("fix", x, 0.0, 1), ("drop", 0), ("drop", 1)]
+    sol = solve(m)
+    assert sol.status == "optimal"
+    assert sol.values.tolist() == [0.0]
 
 
 def _presolve_model(rng):
