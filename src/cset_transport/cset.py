@@ -190,16 +190,19 @@ def is_natural(x: Instance, y: Instance, t: Transformation) -> bool:
     return True
 
 
-class _Diagonal:
-    """The cost table on ``n`` points that reads 0 on the diagonal and inf
-    elsewhere.  It is symmetric, so its rows are its columns; a row is built
-    when it is read, so the table takes no memory of its own."""
+class _ZeroRows:
+    """Rows of ``n`` costs that read 0 at the points ``hits[v]`` of row
+    ``v`` and inf elsewhere.  A row is built when it is read, so the rows
+    take no memory of their own."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, hits, n: int):
+        self.hits, self.n = hits, n
 
-    def __getitem__(self, i: int) -> list[float]:
-        return [INF] * i + [0.0] + [INF] * (self.n - i - 1)
+    def __getitem__(self, v: int) -> list[float]:
+        row = [INF] * self.n
+        for c in self.hits[v]:
+            row[c] = 0.0
+        return row
 
 
 def find_homomorphism(
@@ -228,13 +231,22 @@ def find_homomorphism(
 
     _check_same_theory(x, y)
     _check_fixed(x, y)
-    tables = {}
-    for ob in {g.cod for g in x.theory.generators}:
-        diagonal = _Diagonal(y.sets[ob])
-        tables[ob] = (diagonal, diagonal)
+
+    def charges(g, dom_first):
+        # with the dom entry at v, the square commutes only where the cod
+        # entry is Y(g)(v); with the cod entry at u, only where the dom entry
+        # is a preimage of u under Y(g)
+        yf = y.maps[g.name].tolist()
+        if dom_first:
+            return _ZeroRows([(b,) for b in yf], y.sets[g.cod])
+        hits = [[] for _ in range(y.sets[g.cod])]
+        for c, b in enumerate(yf):
+            hits[b].append(c)
+        return _ZeroRows(hits, len(yf))
+
     cfg = HausdorffConfig(p=INF, component_class="all", guard=node_guard)
     try:
-        return _Search(x.with_data(measures={}), y, cfg, tables).run()[1]
+        return _Search(x.with_data(measures={}), y, cfg, charges).run()[1]
     except GuardExceeded as exc:
         raise GuardExceeded(
             f"homomorphism search exceeded {node_guard} nodes", exc.count
@@ -251,6 +263,9 @@ def _matrix_from_json(rows) -> np.ndarray:
         raise InstanceError(f"a matrix must be a list of rows, got {rows!r}")
     for row in rows:
         _check_numbers("matrix rows", row, inf_spelled=True)
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise InstanceError(f"matrix rows must have one length, got lengths {lengths}")
     return np.asarray([[INF if v == "inf" else float(v) for v in row] for row in rows])
 
 
@@ -300,6 +315,16 @@ def _json_fields(what: str, data, keys) -> list:
     return [data[key] for key in keys]
 
 
+def _json_object(data: dict, key: str) -> dict:
+    """``data[key]``, which must be a JSON object; an absent or null one
+    reads as empty."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    _json_fields(key, value, ())
+    return value
+
+
 def _check_integers(what: str, values) -> None:
     """Raise unless ``values`` is a list of JSON integers: 0.7, "1" and true
     are refused, not truncated."""
@@ -325,24 +350,37 @@ def instance_from_json(data: dict, theory: TheoryPresentation | None = None) -> 
         if isinstance(entry, str):
             theory = builtin_theory(entry)
         elif isinstance(entry, dict) and "dsl" in entry:
+            if not isinstance(entry["dsl"], str):
+                raise InstanceError(f"a theory's 'dsl' must be a string, got {entry['dsl']!r}")
             theory = parse_theory(entry["dsl"])
         else:
             raise InstanceError("instance JSON needs a 'theory' (builtin name or {'dsl': ...})")
-    sets, maps = dict(data.get("sets", {})), dict(data.get("maps", {}))
+    sets, maps = _json_object(data, "sets"), _json_object(data, "maps")
+    for ob in sets:
+        if ob not in theory.objects:
+            raise InstanceError(f"set {ob!r} names no object of theory {theory.name}")
+    generators = {g.name for g in theory.generators}
+    for name in maps:
+        if name not in generators:
+            raise InstanceError(f"map {name!r} names no generator of theory {theory.name}")
     _check_integers("set sizes", list(sets.values()))
     for k, v in maps.items():
         _check_integers(f"map {k!r}", v)
     maps = {k: np.asarray(v, dtype=int) for k, v in maps.items()}
     metrics = {
         ob: _metric_from_json(ob, entry, sets, maps, theory)
-        for ob, entry in (data.get("metrics") or {}).items()
+        for ob, entry in _json_object(data, "metrics").items()
     }
     measures = {
         ob: _measure_from_json(ob, entry, sets)
-        for ob, entry in (data.get("measures") or {}).items()
+        for ob, entry in _json_object(data, "measures").items()
     }
-    fixed = frozenset(data.get("fixed") or [])
-    inst = Instance(theory, sets, maps, metrics, measures, fixed)
+    fixed = data.get("fixed")
+    if fixed is None:
+        fixed = []
+    elif not isinstance(fixed, list) or any(not isinstance(ob, str) for ob in fixed):
+        raise InstanceError(f"fixed must be a list of object names, got {fixed!r}")
+    inst = Instance(theory, dict(sets), maps, metrics, measures, frozenset(fixed))
     validate_instance(inst)
     return inst
 

@@ -51,6 +51,8 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -99,16 +101,18 @@ class HausdorffConfig:
 @dataclass(frozen=True, eq=False)
 class HausdorffResult:
     """The distance, the lexicographically first minimizing transformation
-    (None when the distance is infinite), its defect per generator, and the
-    search nodes visited and the first entry's candidates skipped because an
-    automorphism of Y maps an earlier candidate onto them (each the sum of
-    both searches when symmetrized)."""
+    (None when the distance is infinite), its defect per generator, the
+    search nodes visited, the first entry's candidates skipped because an
+    automorphism of Y maps an earlier candidate onto them, and the
+    admissible candidates whose subtree the bound cut (each the sum of both
+    searches when symmetrized)."""
 
     distance: float
     witness: Transformation | None
     per_generator_weights: dict[str, float]
     nodes: int
     symmetry_skips: int
+    prunes: int
 
 
 def _weight_measure(x: Instance, ob: str, p: float) -> MeasureData | None:
@@ -372,19 +376,27 @@ class _Search:
     ascending; candidates per slot ascend, which makes the traversal
     lexicographic.  A term ``(g, e)`` joins the slot of ``e`` at ``g.dom`` with
     the slot of ``X(g)(e)`` at ``g.cod``.  It fires when the later of the two
-    is assigned, adding its mu-weighted cost to the aggregate ``acc``.  The
-    costs between points of ``Y(c)`` come from the caller as ``tables[c] =
-    (rows, cols)``, where ``rows[a][b]`` is the cost from ``a`` to ``b`` and
-    ``cols[b][a]`` is the same number (``d^p`` for the Hausdorff distance,
-    0/inf for the homomorphism search).  Admissibility (shortness, measure
-    decrease) filters each slot's candidates exactly.  Every candidate value
-    tried at a slot, admissible or not, is one node of the budget
-    ``cfg.guard``.
+    is assigned, adding its mu-weighted cost to the aggregate ``acc``.
+    Admissibility (shortness, measure decrease) filters each slot's
+    candidates exactly.  Every candidate value tried at a slot, admissible
+    or not, is one node of the budget ``cfg.guard``.
+
+    The costs come from the caller, per generator, as ``charges(g,
+    dom_first)``: rows indexed by the value of the entry assigned first,
+    each indexed by the candidates of the other entry.  With ``dom_first``,
+    row ``v`` holds the cost from each candidate to ``Y(g)(v)``; otherwise
+    row ``u`` holds the cost from ``u`` to ``Y(g)`` of each candidate.  The
+    cost is ``d^p`` for the Hausdorff distance, whose caller returns a shared
+    column of its table per ``v`` and builds the rows read through ``Y(g)``
+    once, |Y(g.dom)|·|Y(g.cod)| entries; and 0/inf for the homomorphism
+    search, whose rows are built when read, so that its memory stays linear
+    in ``|Y|``.  The search asks for each generator's rows once, and only for
+    the kinds its terms need.
 
     A term is pending when exactly one of its slots is assigned.  It charges
-    the other slot, per candidate, the value it would add: a column of the
-    table when its dom entry is known, a row read through ``Y(g)`` when its
-    cod entry is known.  ``lb`` sums over the unassigned slots the least,
+    the other slot, per candidate, the value it would add: the row of the
+    value assigned first, and the fire reads the same row at the candidate
+    it takes.  ``lb`` sums over the unassigned slots the least,
     over candidates, of the summed charges (at p = inf: the max over slots of
     the least of the maxed charges), and a branch is cut when ``acc + lb``
     cannot strictly beat the incumbent.  At finite p the cut keeps a relative
@@ -392,14 +404,17 @@ class _Search:
     branch where the plain search would find a strict improvement.  Assigning
     a slot pushes its charges onto the later slots; backtracking restores the
     saved sums and minimums instead of subtracting, since ``inf - inf`` is
-    NaN.  Each push builds one list over the candidates, so a node costs time
-    linear in ``|Y|``; the setup keeps no table of its own.  The traversal
-    keeps one frame per assigned slot on an explicit stack.  Slot 0's
-    candidates come through :meth:`_first_slot`, which drops those that a
-    known automorphism of Y maps an earlier candidate onto.
+    NaN.  A push is one C-level map that adds a row (times the term's weight,
+    when that is not 1) to the slot's sums, the same floats in the same order
+    as an element-by-element loop, so a node costs time linear in ``|Y|``.
+    An admissible candidate whose subtree the bound cuts counts in
+    ``prunes``.  The traversal keeps one frame per assigned slot on an
+    explicit stack.  Slot 0's candidates come through :meth:`_first_slot`,
+    which drops those that a known automorphism of Y maps an earlier
+    candidate onto.
     """
 
-    def __init__(self, x, y, cfg, tables):
+    def __init__(self, x, y, cfg, charges):
         self.cfg = cfg
         self.inf_p = cfg.p == INF
         short = cfg.component_class in ("met", "mm")
@@ -417,20 +432,25 @@ class _Search:
         pushes = [[] for _ in range(n)]
         nterms = 0
         for g in t.generators:
-            rows, cols = tables[g.cod]
-            xf, yf = x.maps[g.name].tolist(), y.maps[g.name].tolist()
+            xf = x.maps[g.name].tolist()
             mu = _weight_measure(x, g.dom, cfg.p)
             weights = [1.0] * x.sets[g.dom] if mu is None else mu.w.tolist()
+            tables = {}  # the generator's rows, per kind, asked for once
             for e, w in enumerate(weights):
                 if w <= 0:
                     continue  # adds and charges nothing
                 nterms += 1
                 s_dom, s_cod = slot_of[g.dom, e], slot_of[g.cod, xf[e]]
-                fire[max(s_dom, s_cod)].append((s_dom, s_cod, w, rows, yf))
-                if s_dom < s_cod:
-                    pushes[s_dom].append((s_cod, fixes[s_cod], w, cols, yf, True))
-                elif s_cod < s_dom:
-                    pushes[s_cod].append((s_dom, fixes[s_dom], w, rows, yf, False))
+                dom_first = s_dom <= s_cod
+                if dom_first not in tables:
+                    tables[dom_first] = charges(g, dom_first)
+                first, later = (s_dom, s_cod) if dom_first else (s_cod, s_dom)
+                table = tables[dom_first]
+                fire[later].append((first, w, table))
+                if first < later:
+                    # c and 1.0 * c are the same float, and p = inf reads no weight
+                    scale = None if w == 1.0 or self.inf_p else w
+                    pushes[first].append((later, fixes[later], scale, table))
         # shortness against the earlier entries of each component, per slot,
         # only for pairs that X's metric bounds one way or the other (an
         # infinite bound both ways holds for every candidate); and, for each
@@ -501,7 +521,8 @@ class _Search:
     def run(self):
         n, info, val = self.n, self.info, self.val
         sums, mins, inf_p, slack = self.sums, self.mins, self.inf_p, self.slack
-        best, best_val = INF, None
+        combine = max if inf_p else add
+        best, best_val, prunes = INF, None, 0
         # one frame per assigned slot: its candidates left, the aggregate
         # before the slot, the candidate it holds and what assigning that
         # changed (the saved sums, the mass it had before)
@@ -552,8 +573,8 @@ class _Search:
                     before = push[v]
                     push[v] = before + mass
                 added = acc
-                for s_dom, s_cod, w, table, yf in fire:
-                    term = table[val[s_cod]][yf[val[s_dom]]]
+                for j, w, table in fire:
+                    term = table[val[j]][v]
                     if inf_p:
                         added = max(added, term)
                     else:
@@ -562,18 +583,12 @@ class _Search:
                         break
                 if added < best:
                     saved = []
-                    for s, f, w, table, yf, col in pushes:
-                        # column Y(g)(v) of the table, or row v read through Y(g)
-                        if col:
-                            vec = table[yf[v]]
-                        else:
-                            row = table[v]
-                            vec = [row[c] for c in yf]
+                    for s, f, scale, table in pushes:
+                        row = table[v]
+                        if scale is not None:
+                            row = map(mul, repeat(scale), row)
                         old = sums[s]
-                        if inf_p:
-                            new = [max(a, c) for a, c in zip(old, vec)]
-                        else:
-                            new = [a + w * c for a, c in zip(old, vec)]
+                        new = list(map(combine, old, row))
                         saved.append((s, old, mins[s]))
                         sums[s] = new
                         mins[s] = new[f] if f >= 0 else min(new, default=INF)
@@ -586,10 +601,12 @@ class _Search:
                         break
                     for s, old, m in reversed(saved):
                         sums[s], mins[s] = old, m
+                prunes += 1
                 if push is not None:
                     push[v] = before
             else:
                 frames.pop()
+        self.prunes = prunes
         if best_val is None:
             return INF, None
         witness = Transformation({
@@ -615,7 +632,17 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
         if cfg.p not in (1, INF):
             d = [[ext_pow(v, cfg.p) for v in row] for row in d]
         tables[ob] = (d, [list(c) for c in zip(*d)])
-    search = _Search(x, y, cfg, tables)
+
+    def charges(g, dom_first):
+        # a column of the table per dom value, shared; or a row of the table
+        # read through Y(g), built once
+        rows, cols = tables[g.cod]
+        yf = y.maps[g.name].tolist()
+        if dom_first:
+            return [cols[b] for b in yf]
+        return [[row[c] for c in yf] for row in rows]
+
+    search = _Search(x, y, cfg, charges)
     agg, witness = search.run()
     distance = agg if cfg.p == INF else ext_root(agg, cfg.p)
     weights = {}
@@ -624,7 +651,9 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
             g.name: transformation_weight(x, y, witness, g.name, cfg.p)
             for g in x.theory.generators
         }
-    result = HausdorffResult(distance, witness, weights, search.nodes, search.symmetry_skips)
+    result = HausdorffResult(
+        distance, witness, weights, search.nodes, search.symmetry_skips, search.prunes
+    )
 
     if cfg.symmetrize != "none":
         back = hausdorff_distance(
@@ -640,7 +669,7 @@ def hausdorff_distance(x: Instance, y: Instance, cfg: HausdorffConfig | None = N
             )
         return HausdorffResult(
             combined, result.witness, result.per_generator_weights, result.nodes + back.nodes,
-            result.symmetry_skips + back.symmetry_skips,
+            result.symmetry_skips + back.symmetry_skips, result.prunes + back.prunes,
         )
     return result
 

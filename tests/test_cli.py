@@ -75,6 +75,44 @@ def test_validate_malformed_metric_or_measure(tmp_path, capsys, field, entry, me
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # these used to crash with a TypeError or AttributeError traceback
+        ("maps", [0], "maps must be a JSON object, got [0]"),
+        ("sets", [2, 1], "sets must be a JSON object, got [2, 1]"),
+        ("metrics", [1], "metrics must be a JSON object, got [1]"),
+        ("measures", "x", "measures must be a JSON object, got 'x'"),
+        ("fixed", 5, "fixed must be a list of object names, got 5"),
+        ("theory", {"dsl": 5}, "a theory's 'dsl' must be a string, got 5"),
+        # this one was read letter by letter as the set {V, E}
+        ("fixed", "VE", "fixed must be a list of object names, got 'VE'"),
+        # these were accepted silently
+        ("sets", {"V": 2, "E": 1, "W": 3}, "set 'W' names no object of theory Graph"),
+        ("maps", {"src": [0], "tgt": [1], "foo": [0]}, "map 'foo' names no generator of theory Graph"),
+        # this one passed numpy's message about an inhomogeneous shape through
+        ("metrics", {"V": {"kind": "explicit", "matrix": [[0, 1], [1, 0, 2]]}},
+         "matrix rows must have one length, got lengths [2, 3]"),
+    ],
+)
+def test_validate_fields_of_the_wrong_json_type(tmp_path, capsys, field, value, message):
+    f = tmp_path / "x.json"
+    data = {"theory": "Graph", "sets": {"V": 2, "E": 1}, "maps": {"src": [0], "tgt": [1]}}
+    data[field] = value
+    f.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate", str(f))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_ragged_cost_matrix_is_named(tmp_path, capsys):
+    f = tmp_path / "ot.json"
+    f.write_text(json.dumps({"mu": [1, 1], "nu": [1, 1], "cost": [[0, 1], [1]]}))
+    code, out, err = run_cli(capsys, "ot", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: matrix rows must have one length, got lengths [1, 2]\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "validate", "nope.json")
     assert code == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from cset_transport.mm import (
     discrete_metric,
     shortest_path_metric,
 )
-from cset_transport.theory import Path, builtin_theory
+from cset_transport.theory import Path, builtin_theory, parse_theory
 
 from oracles import (
     all_transformations,
@@ -298,7 +299,7 @@ def test_search_counts_on_a_seeded_family():
     # component: the nodes searched and the candidates skipped, in all
     rng = np.random.default_rng(39)
     attr = line_metric(2)
-    nodes = skips = 0
+    nodes = skips = prunes = 0
     for trial in range(40):
         k = 2 + trial % 2
         nv, ne = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -320,7 +321,8 @@ def test_search_counts_on_a_seeded_family():
             res = hausdorff_distance(x, y, HausdorffConfig(p=p, component_class="mm"))
             nodes += res.nodes
             skips += res.symmetry_skips
-    assert (nodes, skips) == (2142, 80)
+            prunes += res.prunes
+    assert (nodes, skips, prunes) == (2142, 80, 1002)
 
 
 def test_hom_symmetry_matches_enumeration():
@@ -600,11 +602,61 @@ def test_symmetrized_nodes_sum_both_searches():
     fwd = hausdorff_distance(x, y, MM1)
     back = hausdorff_distance(y, x, MM1)
     assert fwd.symmetry_skips == 3 and back.symmetry_skips == 1
+    assert fwd.prunes == 17 and back.prunes == 0  # C4 has no admissible map into C2
     for mode in ("max", "mean"):
         cfg = HausdorffConfig(p=1.0, component_class="mm", symmetrize=mode)
         res = hausdorff_distance(x, y, cfg)
         assert res.nodes == fwd.nodes + back.nodes
         assert res.symmetry_skips == fwd.symmetry_skips + back.symmetry_skips
+        assert res.prunes == fwd.prunes + back.prunes
+
+
+@pytest.mark.parametrize(
+    "m, n, distance, witness, weights, nodes, skips, prunes",
+    [
+        # the weak pairs of the hausdorff-search benchmark, at p = 1, class mm
+        (4, 8, 4.0, [0, 1, 2, 3], {"src": 0.0, "tgt": 4.0}, 1224, 7, 823),
+        (5, 7, 2.0, [5, 1, 2, 3, 4], {"src": 2.0, "tgt": 0.0}, 644, 6, 353),
+        (5, 8, 3.0, [5, 1, 2, 3, 4], {"src": 3.0, "tgt": 0.0}, 1536, 7, 942),
+        (4, 10, 4.0, [0, 1, 2, 3], {"src": 0.0, "tgt": 4.0}, 470, 9, 309),
+    ],
+)
+def test_search_counts_on_the_weak_pairs(m, n, distance, witness, weights, nodes, skips, prunes):
+    # the guard is not reached, so the guarded and the forced search agree
+    for force in (False, True):
+        res = hausdorff_distance(*weak_pair(m, n), HausdorffConfig(p=1.0, component_class="mm", force=force))
+        assert repr(res.distance) == repr(distance)
+        assert res.witness.components["E"].tolist() == list(range(m))
+        assert res.witness.components["V"].tolist() == witness
+        assert repr(res.per_generator_weights) == repr(weights)
+        assert (res.nodes, res.symmetry_skips, res.prunes) == (nodes, skips, prunes)
+
+
+def test_charge_rows_take_memory_once_per_generator():
+    # 24 loops on one vertex, each of its own weight, into C100.  The theory
+    # orders V before E, so every charge row is a row of the table read
+    # through Y(g), built by the search.  The peak stays linear in the table
+    # and the rows (one set per generator), and is the same with one weight
+    # as with 24: a row set per distinct weight would add about 15 MB here
+    vfirst = parse_theory("theory VGraph { ob V, E\n hom src: E -> V\n hom tgt: E -> V }")
+    c = directed_cycle(100, "mm")
+    y = Instance(vfirst, c.sets, c.maps, c.metrics, c.measures)
+    m = 24
+    peaks = []
+    for w in ([1.0] * m, [(k + 1) / m for k in range(m)]):
+        x = Instance(vfirst, {"V": 1, "E": m}, {"src": [0] * m, "tgt": [0] * m},
+                     measures={"V": counting_measure(1), "E": MeasureData(m, np.array(w))})
+        tracemalloc.start()
+        try:
+            res = hausdorff_distance(x, y, HausdorffConfig(p=1.0, component_class="all"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # each loop goes onto an edge of C100 and pays 1 at its target
+        assert res.distance == pytest.approx(sum(w))
+    cells = 100 * 100 + 2 * 100 * 100  # the table, and one row set per generator
+    assert max(peaks) < 250 * cells
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def test_fixed_attribute_graph_formula():

@@ -1,15 +1,18 @@
-"""Source hygiene: every library module uses each name it imports, every
-function defined inside another function is referenced there, small
-tolerances are named once, the package exports only public names, and every
-method and ``self`` attribute of a library class and every module-level
-name of a library module has a reader."""
+"""Source hygiene: every library module parses at the oldest Python the
+package declares, uses each name it imports, every function defined inside
+another function is referenced there, small tolerances are named once, the
+package exports only public names, and every method and ``self`` attribute
+of a library class and every module-level name of a library module has a
+reader."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cset_transport"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cset_transport"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,6 +38,16 @@ def _exported(tree):
 
 def test_modules_found():
     assert len(MODULES) >= 10
+
+
+def test_modules_parse_at_the_declared_python_floor():
+    # syntax newer than ``requires-python`` fails here, on any newer interpreter
+    tomllib = pytest.importorskip("tomllib")
+    spec = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    floor = re.fullmatch(r">=\s*3\.(\d+)", spec)
+    assert floor, f"requires-python {spec!r} is not of the form >=3.N"
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
