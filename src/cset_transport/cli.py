@@ -21,7 +21,7 @@ from .cset import (
     load_instance,
     validate_instance,
 )
-from .errors import CsetTransportError, LpNumericalError
+from .errors import CsetTransportError, InstanceError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
 from .lp import export_lp
 from .markov import FiniteKernel
@@ -184,8 +184,13 @@ def cmd_wk(args):
     m, n = FiniteKernel.from_json(m), FiniteKernel.from_json(n)
     mu = _measure_from_json("mu", mu)
     d = _matrix_from_json(d)
-    # the file's p is a number or "inf"; read through str(), true is refused, not taken as 1
-    p = args.p if args.p is not None else float(str(data.get("p", 1)))
+    p = args.p
+    if p is None:
+        p = data.get("p", 1)
+        # a JSON number or "inf": "2.5" and true are refused, not converted
+        if type(p) not in (int, float) and p != "inf":
+            raise InstanceError(f'p must be a number or "inf", got {p!r}')
+        p = float(p)
     res = wasserstein_kernels(m, n, mu, MetricData(len(d), d), p)
     payload = {"cost": _json_num(res.cost)}
     _emit(args, [_num(res.cost)], payload)

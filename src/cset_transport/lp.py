@@ -50,11 +50,11 @@ model are bit-identical.
 A program that the presolve leaves as a transportation problem
 (``_transportation``: only equations, every coefficient 1, every live
 variable in exactly two rows, the rows split into supplies and demands by
-a 2-colouring) takes neither the quotient nor the
-simplex.  A transportation simplex on a spanning-tree basis (``_Tree``)
-solves it with no inverse and no BLAS call (numpy only prices the
-variables of a larger program, elementwise), so its answer does not depend
-on the BLAS thread count.  It starts from the least-cost rule that the crash uses too
+a 2-colouring, ``_components``) takes neither the quotient nor the
+simplex.  A transportation simplex on a spanning-tree basis (``_Tree``,
+run by ``_solve_tree``) solves it with no inverse and no BLAS call (numpy
+only prices the variables of a larger program, elementwise), so its
+answer does not depend on the BLAS thread count.  It starts from the least-cost rule that the crash uses too
 (``_least_cost``), and hangs every row the start leaves open from a root
 by an artificial edge; artificials cost (1, 0) against a variable's
 (0, c), compared lexicographically, so one pass decides feasibility.  After
@@ -63,6 +63,9 @@ finite.  The flows are read off the final tree from the exact right-hand
 sides, and the answer is certified as the simplex's is: by its residuals
 on the original model, and by the reduced costs ``c_ij - u_i - v_j`` under
 the potentials that solve ``u_i + v_j = c_ij`` on the final tree.
+``transport.optimal_coupling`` calls ``_solve_tree`` on its coupling
+directly, with no model, presolve or structural test, and checks the
+coupling's marginals itself.
 """
 
 from __future__ import annotations
@@ -673,9 +676,9 @@ def _transportation(pre: _Presolved, live):
     not one.  It is one when every row is an equation, every coefficient is
     exactly 1 (so no bound row is left), and every live variable sits in
     exactly two rows, which a 2-colouring of the rows puts on opposite sides
-    (the supplies and the demands).  Returns the two rows of each live
-    variable, lower first, and the first row of each row's connected
-    component."""
+    (the supplies and the demands; ``_components``).  Returns the two rows
+    of each live variable, lower first, and the first row of each row's
+    connected component."""
     rows = pre.rows
     if not rows:
         return None
@@ -686,15 +689,24 @@ def _transportation(pre: _Presolved, live):
     for i, (coef, _, _) in enumerate(rows):
         for j in coef:
             ends[j].append(i)
-    adj = [[] for _ in rows]
-    for j, e in ends.items():
-        if len(e) != 2:
-            return None
-        a, b = e
+    ends = list(ends.values())
+    if any(len(e) != 2 for e in ends):
+        return None
+    first = _components(len(rows), ends)
+    return None if first is None else (ends, first)
+
+
+def _components(m, ends):
+    """The first row of each of ``m`` rows' connected component, in the
+    graph whose edges join the two rows ``ends[e]`` of each variable; or
+    None if a component holds an odd cycle of rows, which no 2-colouring
+    splits into supplies and demands."""
+    adj = [[] for _ in range(m)]
+    for a, b in ends:
         adj[a].append(b)
         adj[b].append(a)
-    side, first = [-1] * len(rows), [0] * len(rows)
-    for s in range(len(rows)):
+    side, first = [-1] * m, [0] * m
+    for s in range(m):
         if side[s] >= 0:
             continue
         side[s], first[s] = 0, s
@@ -706,7 +718,7 @@ def _transportation(pre: _Presolved, live):
                     queue.append(w)
                 elif side[w] == side[v]:  # an odd cycle of rows
                     return None
-    return list(ends.values()), first
+    return first
 
 
 class _Tree:
@@ -958,9 +970,11 @@ def solve(model: LpModel) -> LpSolution:
     original model within ``FEAS_TOL``, and the quotient's final basis is
     dual feasible.  A program the
     presolve leaves as a transportation problem (``_transportation``) is
-    solved on a spanning tree instead (``_Tree``): its answer passes the
-    same residual check, and every live variable prices at -DUAL_TOL
-    relative or above under the final tree's potentials.
+    solved on a spanning tree instead (``_solve_tree``): its answer passes
+    the same residual check, and every live variable prices at -DUAL_TOL
+    relative or above under the final tree's potentials.  The test stays
+    here for direct callers and the library's other programs;
+    ``transport.optimal_coupling`` goes to the tree without it.
     ``LpSolution.method`` names the path that answered.  Numerical
     breakdown raises, never passes silently.  The model is validated in the
     presolve's first walk over its rows, which raises ``LpModel.validate``'s
@@ -991,20 +1005,13 @@ def solve(model: LpModel) -> LpSolution:
     values = np.array(pre.values)
     shape = _transportation(pre, live)
     if shape is not None:
-        tree = _Tree([rhs for _, _, rhs in pre.rows], [pre.objective.get(j, 0.0) for j in live],
-                     *shape)
+        tree, flows = _solve_tree([rhs for _, _, rhs in pre.rows],
+                                  [pre.objective.get(j, 0.0) for j in live], *shape)
         crashed = tree.cells
-        scale = max(1.0, max(map(abs, tree.cost)))
-        tree.run(OPT_TOL * scale)
-        flows, mass, worst = tree.finish()
         phases = tuple(tree.phase_pivots)
-        if mass > FEAS_TOL:
+        if flows is None:
             return answer("infeasible", sx=tree, phase_pivots=phases, method="transport")
-        if worst < -DUAL_TOL * scale:
-            raise LpNumericalError(f"final tree is not dual feasible: reduced cost {worst:.3e}")
-        # flows this far below the largest are exact zeros, as in the polish
-        snap = SNAP_TOL * max(1.0, max(flows))
-        values[live] = [x if x >= snap else 0.0 for x in flows]
+        values[live] = flows
         return answer("optimal", values, tree, phases, "transport")
 
     terms, cost, rels, b, column, merged = _columns(pre, live)
@@ -1072,6 +1079,35 @@ def solve(model: LpModel) -> LpSolution:
     if worst < -DUAL_TOL * max(1.0, float(np.abs(c).max())):
         raise LpNumericalError(f"final basis is not dual feasible: reduced cost {worst:.3e}")
     return answer("optimal", lift(sx.basis, sx.xB), sx, (dual, sx.pivots - dual))
+
+
+def _solve_tree(rhs, cost, ends, first):
+    """A transportation problem solved on a spanning tree (``_Tree``): rows
+    with right-hand sides ``rhs``, and variable ``e``, of cost ``cost[e]``,
+    in the two rows ``ends[e]``, which lie on opposite sides; ``first``
+    names the first row of each row's component (``_components``).  This
+    is the tree path of ``solve``, and ``transport.optimal_coupling``
+    calls it on its coupling with no model at all.
+
+    Returns the tree, for its counts, and each variable's value, or None
+    when the program is infeasible: its artificials end with mass above
+    ``FEAS_TOL``.  Raises LpNumericalError unless every variable prices at
+    ``-DUAL_TOL`` relative to ``max(1, max|c|)`` or above under the final
+    tree's potentials.  Values below ``SNAP_TOL`` relative to the largest
+    are exact zeros.  The primal check is the caller's: ``solve`` rechecks
+    the point on its model, ``optimal_coupling`` the coupling's
+    marginals."""
+    tree = _Tree(rhs, cost, ends, first)
+    scale = max(1.0, max(map(abs, cost), default=0.0))
+    tree.run(OPT_TOL * scale)
+    flows, mass, worst = tree.finish()
+    if mass > FEAS_TOL:
+        return tree, None
+    if worst < -DUAL_TOL * scale:
+        raise LpNumericalError(f"final tree is not dual feasible: reduced cost {worst:.3e}")
+    # flows this far below the largest are exact zeros, as in the polish
+    snap = SNAP_TOL * max(1.0, max(flows, default=0.0))
+    return tree, [x if x >= snap else 0.0 for x in flows]
 
 
 def _least_cost(entries, order, r, taken, fits):

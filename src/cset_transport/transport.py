@@ -3,9 +3,11 @@ on finite Markov kernels.
 
 A coupling is built by ``_Coupling``, the one coupling builder, which the
 Wasserstein program of ``relax`` shares.  A cell of infinite cost is no
-variable of the program: no coupling may use it.  A positive-mass row or
-column without a finite cell therefore has an empty marginal row, the
-presolve of ``lp.solve`` answers "infeasible", and the cost is inf.
+variable: no coupling may use it.  ``optimal_coupling`` hands the coupling
+straight to the spanning-tree transportation simplex of ``lp`` (no
+``LpModel``, no presolve).  A positive-mass row or column without a finite
+cell therefore keeps its mass on its artificial edge, as does any row that
+Hall's condition leaves short, and the cost is inf.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .lp import LpModel, solve
+from . import lp
+from .errors import DimensionError, LpNumericalError
+from .lp import FEAS_TOL, LpModel
 from .markov import FiniteKernel
 from .mm import (
     INF,
@@ -36,6 +39,11 @@ __all__ = [
     "wasserstein_kernels",
     "wasserstein_deterministic",
 ]
+
+# ``optimal_coupling`` calls no ``lp.solve``; the name is kept only because
+# the benchmark's tracer (perfbench/tracing.py) wraps ``transport.solve``
+solve = lp.solve
+
 
 @dataclass(frozen=True, eq=False)
 class OtResult:
@@ -82,6 +90,7 @@ class _Coupling:
             self.rows = [range(a * n2, a * n2 + n2) for a in range(n1)]
             self.cols = [range(b, len(flat), n2) for b in range(n2)]
         self.width = len(flat)
+        self.cost = flat  # each variable's cost
         self.costs = [(v, c) for v, c in enumerate(flat) if c != 0.0]
 
     def add_block(self, model: LpModel, kind: str, key: str, first, second) -> list:
@@ -104,26 +113,37 @@ class _Coupling:
 
 
 def optimal_coupling(mu: MeasureData, nu: MeasureData, cost) -> OtResult:
-    """Minimize sum(cost * pi) over pi >= 0 with row sums mu and column sums nu."""
+    """Minimize sum(cost * pi) over pi >= 0 with row sums mu and column sums nu.
+
+    The coupling goes straight to the spanning-tree transportation simplex
+    (``lp._solve_tree``): one variable per finite cell, the rows mu's points
+    and then nu's, cell (a, b) joining rows a and mu.n + b.  Infeasible (mass
+    left on an artificial edge) is cost inf with no coupling.  The answer
+    is checked here, outside the solver: each row sum must lie within
+    ``FEAS_TOL`` of mu, each column sum within it of nu, and no entry below
+    ``-FEAS_TOL``, else LpNumericalError is raised."""
     cost = _check_cost(cost, mu.n, nu.n)
     if abs(mu.total() - nu.total()) > TOL:
         raise DimensionError(
             f"couplings need equal mass: |mu| = {mu.total()}, |nu| = {nu.total()}"
         )
-    model = LpModel()
-    rows = [([], w) for w in mu.w.tolist()]
-    cols = [([], w) for w in nu.w.tolist()]
+    n1, n2 = mu.n, nu.n
     net = _Coupling(cost)
-    for idx, c in net.add_block(model, "ot", "mu_nu", rows, cols):
-        model.add_objective(idx, c)
-    sol = solve(model)
-    if sol.status == "infeasible":
+    ends = [(k // n2, n1 + k % n2) for k in net.cells]
+    _, flows = lp._solve_tree(mu.w.tolist() + nu.w.tolist(), net.cost, ends,
+                              lp._components(n1 + n2, ends))
+    if flows is None:
         return OtResult(INF, None)
-    if sol.status != "optimal":
-        raise DimensionError(f"transport LP reported {sol.status}")
-    coupling = np.zeros(mu.n * nu.n)  # exact 0 on the forbidden cells
-    coupling[net.cells] = sol.values
-    return OtResult(float(sol.objective), coupling.reshape(mu.n, nu.n))
+    values = np.array(flows)
+    # exact 0 on the forbidden cells; one array, no reshaped view of another
+    coupling = np.zeros((n1, n2))
+    np.put(coupling, net.cells, values)
+    gap = np.abs(np.concatenate([coupling.sum(axis=1) - mu.w, coupling.sum(axis=0) - nu.w]))
+    if not gap.max(initial=0.0) <= FEAS_TOL:
+        raise LpNumericalError(f"coupling misses its marginals by {gap.max():.3e}")
+    if not coupling.min(initial=0.0) >= -FEAS_TOL:
+        raise LpNumericalError(f"coupling has an entry of {coupling.min():.3e}")
+    return OtResult(float(np.array(net.cost) @ values), coupling)
 
 
 def wasserstein_measures(mu: MeasureData, nu: MeasureData, d: MetricData, p: float) -> float:

@@ -177,11 +177,12 @@ def highs_solve(model):
 
 @contextlib.contextmanager
 def recorded_solves():
-    """Every LpSolution that ``relax`` and ``transport`` get from
-    ``lp.solve`` inside the ``with`` block, in order: their ``solve`` is
-    swapped for a recording one and restored on exit, so the recorder needs
-    no pytest fixture and runs in a child process too."""
-    from cset_transport import lp, relax, transport
+    """Every LpSolution that ``relax`` gets from ``lp.solve`` inside the
+    ``with`` block, in order: its ``solve`` is swapped for a recording one
+    and restored on exit, so the recorder needs no pytest fixture and runs
+    in a child process too.  (``optimal_coupling`` calls no ``lp.solve``:
+    ``coupling_solve`` solves its program.)"""
+    from cset_transport import lp, relax
 
     seen = []
 
@@ -190,12 +191,45 @@ def recorded_solves():
         seen.append(sol)
         return sol
 
-    saved = relax.solve, transport.solve
-    relax.solve = transport.solve = recording
+    saved = relax.solve
+    relax.solve = recording
     try:
         yield seen
     finally:
-        relax.solve, transport.solve = saved
+        relax.solve = saved
+
+
+def coupling_solve(mu, nu, cost):
+    """The linear program that ``transport._Coupling`` builds for
+    ``optimal_coupling(mu, nu, cost)``, which ``optimal_coupling`` solved
+    with ``lp.solve`` before it called the tree directly; ``lp.solve``'s
+    solution of it; and that solution as an OtResult (cost inf and no
+    coupling when infeasible, the coupling exact 0 on forbidden cells)."""
+    from cset_transport import lp
+    from cset_transport.transport import OtResult, _Coupling
+
+    model = lp.LpModel()
+    net = _Coupling(np.asarray(cost, dtype=float))
+    rows = [([], w) for w in mu.w.tolist()]
+    cols = [([], w) for w in nu.w.tolist()]
+    for idx, c in net.add_block(model, "ot", "mu_nu", rows, cols):
+        model.add_objective(idx, c)
+    sol = lp.solve(model)
+    if sol.status == "infeasible":
+        return model, sol, OtResult(INF, None)
+    coupling = np.zeros(mu.n * nu.n)
+    coupling[net.cells] = sol.values
+    return model, sol, OtResult(sol.objective, coupling.reshape(mu.n, nu.n))
+
+
+def same_bits(a, b):
+    """Whether two OtResults have the same cost, by repr, and the same
+    coupling, byte for byte."""
+    if repr(a.cost) != repr(b.cost) or (a.coupling is None) != (b.coupling is None):
+        return False
+    return a.coupling is None or (
+        a.coupling.shape == b.coupling.shape and a.coupling.tobytes() == b.coupling.tobytes()
+    )
 
 
 # -- transport oracle ----------------------------------------------------------

@@ -284,6 +284,45 @@ def test_wk_explicit_p_wins_over_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "1"
 
 
+@pytest.mark.parametrize("p", ["2.5", "1", [2], None, True, {"p": 2}])
+def test_wk_refuses_a_file_p_that_is_no_number(tmp_path, capsys, p):
+    # the file's p used to be read through float(str(...)): "2.5" passed as
+    # 2.5, and [2] or null failed with a message that did not name p
+    problem = {
+        "m": {"rows": 1, "cols": 2, "p": [[0.5, 0.5]]},
+        "n": {"rows": 1, "cols": 2, "p": [[0.0, 1.0]]},
+        "mu": [1.0],
+        "d": [[0, 2], [2, 0]],
+        "p": p,
+    }
+    wk = tmp_path / "wk.json"
+    wk.write_text(json.dumps(problem))
+    code, out, err = run_cli(capsys, "wk", str(wk))
+    assert code == 1 and out == ""
+    assert err.startswith("error: p must be a number") and err.count("\n") == 1
+    # an explicit --p does not read the file's
+    code, out, _ = run_cli(capsys, "wk", str(wk), "--p", "1")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_wk_file_p_may_be_a_number_or_inf(tmp_path, capsys):
+    problem = {
+        "m": {"rows": 1, "cols": 2, "p": [[0.5, 0.5]]},
+        "n": {"rows": 1, "cols": 2, "p": [[0.0, 1.0]]},
+        "mu": [1.0],
+        "d": [[0, 2], [2, 0]],
+    }
+    wk = tmp_path / "wk.json"
+    for p, want in ((2, "1.4142135623730951"), (2.0, "1.4142135623730951"), (1.5, None)):
+        wk.write_text(json.dumps(dict(problem, p=p)))
+        code, out, _ = run_cli(capsys, "wk", str(wk))
+        assert code == 0 and (want is None or out.strip() == want)
+    # "inf" is read as a number, then refused as an order: W_inf is no LP
+    wk.write_text(json.dumps(dict(problem, p="inf")))
+    code, out, err = run_cli(capsys, "wk", str(wk))
+    assert code == 1 and out == "" and "order p must be finite" in err
+
+
 def test_wk_rejects_a_metric_breaking_the_triangle_inequality(tmp_path, capsys):
     wk = tmp_path / "wk.json"
     wk.write_text(json.dumps({

@@ -3,9 +3,10 @@ package declares, uses each name it imports, every function defined inside
 another function is referenced there, small tolerances are named once, the
 package exports only public names, and every method and ``self`` attribute
 of a library class and every module-level name of a library module has a
-reader."""
+reader, and every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -221,3 +222,21 @@ def test_no_unread_parameters():
             unread += [f"{path.name}:{f.lineno}: {f.name}({a.arg})"
                        for a in params if a.arg != "self" and a.arg not in read]
     assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def test_tracer_targets_exist():
+    """``perfbench/tracing.py`` wraps library functions by module and name
+    (its ``TARGETS``); a name that is gone makes ``perfbench/run.py --trace
+    1`` stop with AttributeError, which no other test runs into."""
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [
+        f"{module.__name__}.{attr} ({layer})"
+        for layer, modules, attr in tracing.TARGETS
+        for module in modules
+        if not callable(getattr(module, attr, None))
+    ]
+    assert not missing, "names the tracer wraps but the library lacks:\n" + "\n".join(missing)

@@ -25,7 +25,11 @@ the 4x5 one with objective 1.688..., which went from 2 to 1; the pinned
 objectives still hold within 1e-12.  The Wasserstein programs were
 re-recorded, with one thread, when a dual simplex from the crash start
 replaced phase 1: C5->C6 went from 2 pivots to 1 and the W_2 pair from 91
-to 28 (objective 0.5); fig5 stays at 0."""
+to 28 (objective 0.5); fig5 stays at 0.  Since ``optimal_coupling``
+calls the tree directly, with no model, the transport programs are the
+models it built before (``oracles.coupling_solve``), solved by
+``lp.solve``, which still answers them on the tree; ``optimal_coupling``
+must give each one's cost and coupling bit for bit."""
 
 import json
 import os
@@ -41,7 +45,7 @@ from cset_transport import lp, relax, transport
 from cset_transport.gallery import directed_cycle
 from cset_transport.theory import builtin_theory
 
-from oracles import recorded_solves
+from oracles import coupling_solve, recorded_solves, same_bits
 
 HERE = Path(__file__).resolve().parent
 
@@ -102,25 +106,35 @@ def _ot_problems():
         yield ct.MeasureData(n, mu), ct.MeasureData(m, nu), rng.uniform(0.0, 4.0, (n, m))
 
 
+# each family returns what its calls answer and the solves they make
+
 def _wasserstein_solves():
     rng = np.random.default_rng(4)
     x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
-    return [relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)[0],
-            relax.wasserstein_cset_distance(x, y, 2.0)[0]]
+    with recorded_solves() as seen:
+        answers = [relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)[0],
+                   relax.wasserstein_cset_distance(x, y, 2.0)[0]]
+    return answers, seen
 
 
 def _transport_solves():
-    sizes = []
+    sizes, seen = [], []
     for mu, nu, cost in _ot_problems():
-        transport.optimal_coupling(mu, nu, cost)
+        _, sol, want = coupling_solve(mu, nu, cost)
+        assert same_bits(transport.optimal_coupling(mu, nu, cost), want)
         sizes.append((mu.n, nu.n))
-    return sizes
+        seen.append(sol)
+    return sizes, seen
 
 
 def _feasibility_solves():
     load = ct.load_instance
-    return [relax.markov_feasible(load("builtin:fig5x"), load("builtin:fig5y")) is not None,
-            relax.markov_feasible(load("builtin:loop"), load("builtin:c3undirected")) is None]
+    with recorded_solves() as seen:
+        answers = [
+            relax.markov_feasible(load("builtin:fig5x"), load("builtin:fig5y")) is not None,
+            relax.markov_feasible(load("builtin:loop"), load("builtin:c3undirected")) is None,
+        ]
+    return answers, seen
 
 
 FAMILIES = {
@@ -133,8 +147,7 @@ FAMILIES = {
 def _record(family):
     """What one family's calls answer, and the (status, pivots, objective)
     of each solve they make."""
-    with recorded_solves() as seen:
-        answers = FAMILIES[family]()
+    answers, seen = FAMILIES[family]()
     return answers, [(sol.status, sol.pivots, sol.objective) for sol in seen]
 
 
@@ -200,7 +213,7 @@ def _solves_without_an_inverse():
     feasibility programs of ``CERTIFIED_PAIRS``."""
     load = ct.load_instance
     with recorded_solves() as seen:
-        _transport_solves()
+        seen.extend(_transport_solves()[1])
         relax.markov_feasible(_empty_graph(4), _empty_graph(4), measure_preserving=True)
         for x, y in CERTIFIED_PAIRS:
             relax.markov_feasible(load(f"builtin:{x}"), load(f"builtin:{y}"))
@@ -227,8 +240,7 @@ def test_merged_counts():
     # the transport programs have distinct costs, so nothing merges; the
     # cycle program folds onto a handful of classes
     with recorded_solves() as solves:
-        for problem in _ot_problems():
-            transport.optimal_coupling(*problem)
+        solves.extend(_transport_solves()[1])
         assert [(sol.merged_vars, sol.merged_rows) for sol in solves] == [(0, 0)] * len(OT_PATHS)
         relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
     sol = solves[-1]
@@ -247,8 +259,7 @@ def test_solution_counts():
         relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
         for p in (1.0, 2.0):
             relax.wasserstein_cset_distance(x, y, p)
-        for problem in _ot_problems():
-            transport.optimal_coupling(*problem)
+        solves.extend(_transport_solves()[1])
         relax.markov_feasible(ct.load_instance("builtin:fig5x"),
                               ct.load_instance("builtin:fig5y"))
         relax.markov_feasible(ct.load_instance("builtin:loop"),

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cset_transport.errors import DimensionError
+from cset_transport import lp, transport
+from cset_transport.errors import DimensionError, LpNumericalError
 from cset_transport.markov import FiniteKernel, compose_kernels, embed_function
 from cset_transport.mm import (
     INF,
@@ -21,7 +22,14 @@ from cset_transport.transport import (
     wasserstein_measures,
 )
 
-from oracles import brute_transport, random_kernel, random_measure, random_metric
+from oracles import (
+    brute_transport,
+    coupling_solve,
+    random_kernel,
+    random_measure,
+    random_metric,
+    same_bits,
+)
 
 
 def line(n):
@@ -50,8 +58,8 @@ def test_optimal_coupling_all_infinite():
     res = optimal_coupling(MeasureData(1, [1.0]), MeasureData(1, [1.0]), [[INF]])
     assert res.cost == INF
     assert res.coupling is None
-    # a positive-mass row, or column, with only infinite cells: the presolve
-    # fixes those cells at 0, which empties its marginal row
+    # a positive-mass row, or column, with only infinite cells: no variable
+    # can carry its mass, which stays on its artificial edge
     mu = MeasureData(2, [0.5, 0.5])
     for cost in ([[1.0, 2.0], [INF, INF]], [[1.0, INF], [2.0, INF]]):
         res = optimal_coupling(mu, mu, cost)
@@ -92,6 +100,136 @@ def test_optimal_coupling_matches_brute_force():
             assert (got.coupling[np.isinf(cost)] == 0.0).all()
             infinite += np.isinf(cost).any()
     assert infinite > 0
+
+
+def _transport_problem(rng, n1, n2):
+    mu, nu = rng.uniform(0.1, 2.0, n1), rng.uniform(0.1, 2.0, n2)
+    nu *= mu.sum() / nu.sum()
+    return MeasureData(n1, mu), MeasureData(n2, nu), rng.uniform(0.0, 4.0, (n1, n2))
+
+
+def _marginals_hold(res, mu, nu):
+    return (np.abs(res.coupling.sum(axis=1) - mu.w).max(initial=0.0) <= lp.FEAS_TOL
+            and np.abs(res.coupling.sum(axis=0) - nu.w).max(initial=0.0) <= lp.FEAS_TOL
+            and res.coupling.min(initial=0.0) >= -lp.FEAS_TOL)
+
+
+def test_optimal_coupling_is_bit_identical_to_lp_solve_without_presolve():
+    # every mass positive and every cost finite: the presolve leaves the
+    # program as it is, so the tree gets the same input from the model and
+    # from optimal_coupling, and both answer with the same bits
+    rng = np.random.default_rng(71)
+    problems = [_transport_problem(rng, n1, n2) for n1 in range(2, 7) for n2 in range(2, 7)]
+    problems += [_transport_problem(rng, 30, 30), _transport_problem(rng, 100, 100)]
+    for mu, nu, cost in problems:
+        _, sol, want = coupling_solve(mu, nu, cost)
+        assert (sol.method, sol.fixed, sol.dropped_rows, sol.aggregated) == ("transport", 0, 0, 0)
+        assert same_bits(optimal_coupling(mu, nu, cost), want)
+
+
+def _seeded_problem(rng):
+    """As ``test_transport_path._seeded_model``: sometimes a line of zero
+    mass, sometimes a mass imbalance within TOL, and some cells of infinite
+    cost, with many of them breaking Hall's condition."""
+    n1, n2 = (int(v) for v in rng.integers(2, 7, 2))
+    mu, nu = rng.uniform(0.1, 2.0, n1), rng.uniform(0.1, 2.0, n2)
+    if rng.random() < 0.25:
+        mu[rng.integers(n1)] = 0.0
+    if rng.random() < 0.25:
+        nu[rng.integers(n2)] = 0.0
+    nu *= mu.sum() / nu.sum()
+    imbalanced = rng.random() < 0.2
+    if imbalanced:
+        nu[nu.argmax()] += float(rng.choice([-5e-10, 5e-10]))
+    share = float(rng.choice([0.0, 0.25, 0.5]))
+    cost = rng.uniform(0.0, 4.0, (n1, n2))
+    cost[rng.random((n1, n2)) < share] = INF
+    return MeasureData(n1, mu), MeasureData(n2, nu), cost, imbalanced
+
+
+def test_optimal_coupling_agrees_with_lp_solve_where_the_presolve_acts():
+    # zero-mass lines and lines with one finite cell let the presolve fix
+    # cells, and a positive-mass line without a finite cell lets it answer
+    # infeasible; the tree alone must reach the same status and cost.  An
+    # imbalance leaves no exact solution: where the presolve acted, the
+    # residual may land elsewhere, which moves the cost by up to the
+    # imbalance times the largest cost
+    rng = np.random.default_rng(72)
+    seen = []
+    for _ in range(400):
+        mu, nu, cost, imbalanced = _seeded_problem(rng)
+        _, sol, want = coupling_solve(mu, nu, cost)
+        got = optimal_coupling(mu, nu, cost)
+        acted = sol.fixed + sol.dropped_rows + sol.aggregated > 0
+        seen.append((sol.method, sol.status, acted, imbalanced))
+        if not acted:
+            assert same_bits(got, want)
+        elif want.cost == INF:
+            assert (got.cost, got.coupling) == (INF, None)
+        else:
+            slack = 5e-10 * 4.0 if imbalanced else 0.0
+            assert got.cost == pytest.approx(want.cost, rel=1e-12, abs=1e-12 + slack)
+            assert _marginals_hold(got, mu, nu)
+    assert seen.count(("transport", "optimal", True, False)) > 30
+    assert seen.count(("transport", "optimal", True, True)) > 10
+    verdicts = [case[:2] for case in seen]
+    assert verdicts.count(("transport", "infeasible")) > 10  # Hall's condition fails
+    assert verdicts.count(("simplex", "infeasible")) > 10  # the presolve's verdict
+
+
+def test_optimal_coupling_on_empty_and_zero_mass_problems():
+    # no point on either side, or none on one side and zero mass on the
+    # other: cost 0 and an empty coupling, as lp.solve answered them
+    empty = MeasureData(0, [])
+    for other in (empty, MeasureData(2, [0.0, 0.0]), MeasureData(2, [4e-10, 0.0])):
+        for mu, nu in ((empty, other), (other, empty)):
+            cost = np.zeros((mu.n, nu.n))
+            res = optimal_coupling(mu, nu, cost)
+            assert res.cost == 0.0 and res.coupling.shape == (mu.n, nu.n)
+            assert same_bits(res, coupling_solve(mu, nu, cost)[2])
+    # every cost infinite, with mass and without; a zero-mass row whose
+    # cells are all infinite
+    for w, want in (([0.5, 0.5], INF), ([0.0, 0.0], 0.0)):
+        mu, cost = MeasureData(2, w), np.full((2, 2), INF)
+        res = optimal_coupling(mu, mu, cost)
+        assert res.cost == want and same_bits(res, coupling_solve(mu, mu, cost)[2])
+    mu, nu = MeasureData(2, [1.0, 0.0]), MeasureData(2, [0.5, 0.5])
+    cost = np.array([[1.0, 3.0], [INF, INF]])
+    res = optimal_coupling(mu, nu, cost)
+    assert res.cost == pytest.approx(coupling_solve(mu, nu, cost)[2].cost, rel=1e-12)
+    assert res.coupling.tolist() == [[0.5, 0.5], [0.0, 0.0]]
+
+
+def test_marginal_check_refuses_corrupted_flows(monkeypatch):
+    mu, nu = MeasureData(2, [0.7, 0.3]), MeasureData(2, [0.4, 0.6])
+    cost = [[0, 1], [1, 0]]
+    finish = lp._Tree.finish
+
+    def corrupted(self):
+        flows, mass, worst = finish(self)
+        flows[0] += 1e-6
+        return flows, mass, worst
+
+    monkeypatch.setattr(lp._Tree, "finish", corrupted)
+    with pytest.raises(LpNumericalError, match="marginals"):
+        optimal_coupling(mu, nu, cost)
+    # a negative entry that keeps the marginals exact
+    monkeypatch.setattr(lp, "_solve_tree", lambda *args: (None, [0.5, -0.1, -0.1, 0.5]))
+    with pytest.raises(LpNumericalError, match="entry"):
+        optimal_coupling(MeasureData(2, [0.4, 0.4]), MeasureData(2, [0.4, 0.4]), cost)
+
+
+def test_optimal_coupling_builds_no_model_and_calls_no_lp_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called")
+
+    for module in (lp, transport):
+        monkeypatch.setattr(module, "solve", refuse)
+        monkeypatch.setattr(module, "LpModel", refuse)
+    res = optimal_coupling(MeasureData(2, [0.7, 0.3]), MeasureData(2, [0.4, 0.6]), [[0, 1], [1, 0]])
+    assert res.cost == pytest.approx(0.3)
+    k = FiniteKernel(1, 2, [[1.0, 0.0]])
+    assert wasserstein_kernels(k, k, MeasureData(1, [1.0]), line(2), 1.0).cost == 0.0
 
 
 def test_wasserstein_measures_identity():
