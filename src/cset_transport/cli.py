@@ -190,6 +190,7 @@ def cmd_wk(args):
         # a JSON number or "inf": "2.5" and true are refused, not converted
         if type(p) not in (int, float) and p != "inf":
             raise InstanceError(f'p must be a number or "inf", got {p!r}')
+        _check_numbers("p", [p], inf_spelled=True)
         p = float(p)
     res = wasserstein_kernels(m, n, mu, MetricData(len(d), d), p)
     payload = {"cost": _json_num(res.cost)}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,20 +327,24 @@ def _json_object(data: dict, key: str) -> dict:
 
 
 def _check_integers(what: str, values) -> None:
-    """Raise unless ``values`` is a list of JSON integers: 0.7, "1" and true
-    are refused, not truncated."""
+    """Raise unless ``values`` is a list of JSON integers that fit in 64
+    bits: 0.7, "1" and true are refused, not truncated."""
     if not isinstance(values, list) or any(type(v) is not int for v in values):
         raise InstanceError(f"{what} must be integers, got {values!r}")
+    if any(not -(2**63) <= v < 2**63 for v in values):
+        raise InstanceError(f"{what} must fit in 64 bits")
 
 
 def _check_numbers(what: str, values, inf_spelled: bool = False) -> None:
-    """Raise unless ``values`` is a list of JSON numbers: "2.5" and true are
-    refused, not converted.  With ``inf_spelled`` the string "inf" counts
-    as a number."""
+    """Raise unless ``values`` is a list of JSON numbers within the float
+    range: "2.5" and true are refused, not converted.  With ``inf_spelled``
+    the string "inf" counts as a number."""
     if not isinstance(values, list) or any(
         type(v) not in (int, float) and not (inf_spelled and v == "inf") for v in values
     ):
         raise InstanceError(f"{what} must be numbers, got {values!r}")
+    if any(type(v) is int and abs(v) > sys.float_info.max for v in values):
+        raise InstanceError(f"{what} must lie within the float range")
 
 
 def instance_from_json(data: dict, theory: TheoryPresentation | None = None) -> Instance:

@@ -483,7 +483,7 @@ def _presolve(model: LpModel) -> _Presolved:
     each finite upper bound made a row.  Then, until nothing changes:
 
     * an equality row with one live term ``a x = r`` fixes ``x`` at
-      ``max(r / a, 0)``;
+      ``max(0.0, r / a)``, which is ``0.0`` where ``r / a`` is ``-0.0``;
     * a row whose right-hand side is exactly 0 and whose terms all forbid a
       positive value (``_forces_zero``) fixes each of its variables at 0;
     * an equality row ``a x_k + b x_j = 0`` with ``k < j`` and ``a``, ``b``
@@ -552,7 +552,7 @@ def _presolve(model: LpModel) -> _Presolved:
             out.eliminations.append(("drop", i))
         elif rel == "=" and len(coef) == 1:
             ((j, a),) = coef.items()
-            fix(j, max(rhs / a, 0.0), i)
+            fix(j, max(0.0, rhs / a), i)
         elif rhs == 0.0 and _forces_zero(coef, rel):
             for j in list(coef):
                 fix(j, 0.0, i)
@@ -975,7 +975,8 @@ def solve(model: LpModel) -> LpSolution:
     relative or above under the final tree's potentials.  The test stays
     here for direct callers and the library's other programs;
     ``transport.optimal_coupling`` goes to the tree without it.
-    ``LpSolution.method`` names the path that answered.  Numerical
+    ``LpSolution.method`` names the path that answered.  On every path
+    the ``values`` are >= 0 and hold no ``-0.0``.  Numerical
     breakdown raises, never passes silently.  The model is validated in the
     presolve's first walk over its rows, which raises ``LpModel.validate``'s
     error on a faulty one, so no separate walk checks it."""
@@ -1208,7 +1209,13 @@ def _perturbation(m):
 
 
 def _recheck(model: LpModel, x):
-    """Independent residual check of a claimed-optimal point."""
+    """Independent residual check of a claimed-optimal point: every row
+    and bound of ``model`` within ``FEAS_TOL``, else LpNumericalError
+    naming the first one violated.  This is the one check of what the
+    library's programs state as rows: in ``relax``, the stochastic rows
+    (``row_``, ``phirow_``), the pins (``pin_``), naturality (``nat_``),
+    the measure rows (``meas_``, ``mp_``) and the distance rows (``pod_``)
+    with their transport blocks."""
     x = x.tolist()  # Python floats index and multiply faster than numpy scalars
     for cname, terms, rel, rhs in model.constraints:
         resid = sum([coef * x[idx] for idx, coef in terms]) - rhs

@@ -9,11 +9,10 @@ range is inf in numpy (with a warning) but raises OverflowError on Python
 floats, so powers go through ``ext_pow`` (floats) or ``ext_pow_array``
 (arrays), which return inf silently.
 
-The library's tolerances outside the solver are the table below.  ``TOL``
-judges data handed in (metric axioms, kernel rows, masses, short maps).
-Solver output is judged by ``lp.FEAS_TOL``, the residual ``lp.solve``
-certifies, and identities recomputed from several solved values by
-``CHECK_TOL``.  ``lp.py`` keeps the solver's own table.
+The library has two tolerance conventions.  ``TOL``, below, judges data
+handed in (metric axioms, kernel rows, masses, short maps).  Solver output
+is judged by ``lp.FEAS_TOL``, the residual ``lp.solve`` certifies on every
+row of its model; ``lp.py`` keeps the solver's own table.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .errors import DimensionError, InstanceError
 __all__ = [
     "INF",
     "TOL",
-    "CHECK_TOL",
     "check_order",
     "ext_mul",
     "ext_pow",
@@ -47,9 +45,6 @@ __all__ = [
 
 INF = math.inf
 TOL = 1e-9
-# a naturality entry sums up to |Y| solved values, each off by up to
-# lp.FEAS_TOL, and the p-th root in W <= H magnifies the error of an LP value
-CHECK_TOL = 1e-6
 
 
 def check_order(p: float, finite: bool = False) -> None:
@@ -229,8 +224,9 @@ def is_short_map(f, dX: MetricData, dY: MetricData) -> bool:
     return bool(np.all(dff <= dX.d + TOL))
 
 
-def is_measure_decreasing(k, muX: MeasureData, muY: MeasureData, tol: float = TOL) -> bool:
-    """Pushforward of muX along a function or kernel is <= muY entrywise."""
+def is_measure_decreasing(k, muX: MeasureData, muY: MeasureData) -> bool:
+    """Pushforward of muX along a function or kernel is <= muY entrywise,
+    within ``TOL``."""
     p = _as_matrix(k)
     if p.ndim == 1:
         if p.shape != (muX.n,):
@@ -244,7 +240,7 @@ def is_measure_decreasing(k, muX: MeasureData, muY: MeasureData, tol: float = TO
                 f"kernel shape {p.shape} does not match measures ({muX.n}, {muY.n})"
             )
         push = muX.w @ p
-    return bool((push <= muY.w + tol).all())
+    return bool((push <= muY.w + TOL).all())
 
 
 def lp_distance(f, g, muX: MeasureData | None, dY: MetricData, p: float) -> float:

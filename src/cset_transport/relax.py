@@ -60,12 +60,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cset import Instance, _check_fixed, _check_same_theory
-from .errors import CsetTransportError, InstanceError, LpNumericalError
+from .errors import InstanceError, LpNumericalError
 from .hausdorff import HausdorffConfig, hausdorff_distance
-from .lp import FEAS_TOL, LpModel, LpSolution, solve
+from .lp import LpModel, LpSolution, solve
 from .markov import FiniteKernel, MarkovTransformation, identity_kernel
 from .mm import (
-    CHECK_TOL,
     INF,
     TOL,
     check_order,
@@ -166,19 +165,16 @@ def markov_feasibility_lp(x: Instance, y: Instance, measure_preserving: bool = F
 
 
 def _extract_phi(sol: LpSolution, layout, objects) -> dict[str, FiniteKernel]:
+    """The kernel of each object in ``objects``, read off a solved point.
+    ``lp.solve`` has checked its rows (stochastic, natural, measure) within
+    ``FEAS_TOL`` and its values are >= 0; each row is divided by its sum, so
+    that it meets ``FiniteKernel``'s own check at ``TOL``."""
     comps = {}
     for ob in objects:
         start, nx_, ny_ = layout[ob]
         mat = sol.values[start : start + nx_ * ny_].reshape(nx_, ny_)
-        mat = np.maximum(mat, 0.0)
         if nx_:
-            sums = mat.sum(axis=1)
-            if (np.abs(sums - 1.0) > FEAS_TOL).any():
-                raise LpNumericalError(
-                    f"solver returned a row of {ob!r} off-stochastic by "
-                    f"{np.abs(sums - 1.0).max():.2e}"
-                )
-            mat = mat / sums[:, None]
+            mat = mat / mat.sum(axis=1)[:, None]
         comps[ob] = FiniteKernel(nx_, ny_, mat)
     return comps
 
@@ -186,25 +182,15 @@ def _extract_phi(sol: LpSolution, layout, objects) -> dict[str, FiniteKernel]:
 def markov_feasible(
     x: Instance, y: Instance, measure_preserving: bool = False
 ) -> MarkovTransformation | None:
-    """Solve the feasibility LP; on success return verified row-stochastic
-    components, else None."""
+    """Solve the feasibility LP; on success return its row-stochastic,
+    natural components, whose rows ``lp.solve`` has checked, else None."""
     model, layout = _feasibility_program(x, y, measure_preserving)
     sol = solve(model)
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":
         raise LpNumericalError(f"feasibility LP reported {sol.status}")
-    comps = _extract_phi(sol, layout, x.theory.objects)
-    for g in x.theory.generators:
-        lhs = comps[g.cod].p[x.maps[g.name], :]
-        # Phi_dom . Y(g), with Y(g) as its 0/1 matrix; einsum calls no BLAS
-        onehot = np.eye(y.sets[g.cod])[y.maps[g.name]]
-        rhs = np.einsum("ij,jk->ik", comps[g.dom].p, onehot)
-        if np.abs(lhs - rhs).max(initial=0.0) > CHECK_TOL:
-            raise LpNumericalError(
-                f"extracted kernels violate naturality at {g.name!r}"
-            )
-    return MarkovTransformation(comps)
+    return MarkovTransformation(_extract_phi(sol, layout, x.theory.objects))
 
 
 # -- Wasserstein program -------------------------------------------------------
@@ -577,14 +563,6 @@ def wasserstein_cset_distance(
     comps = _extract_phi(sol, prog.layout["phi"], list(prog.layout["phi"]))
     for ob in sorted(x.fixed):
         comps[ob] = identity_kernel(x.sets[ob])
-    if component_class == "mm":
-        for ob in prog.layout["phi"]:
-            if not is_measure_decreasing(
-                comps[ob], x.measure(ob), y.measure(ob), tol=FEAS_TOL
-            ):
-                raise LpNumericalError(
-                    f"extracted kernel at {ob!r} is not measure-decreasing"
-                )
     return ext_root(value, p), MarkovTransformation(comps)
 
 
@@ -599,9 +577,4 @@ def relaxation_gap(
     wcls = "mm" if cfg.component_class == "mm" else "noshort"
     hcfg = HausdorffConfig(p, cfg.component_class, "none", cfg.guard, cfg.force)
     dw, _ = wasserstein_cset_distance(x, y, p, wcls)
-    dh = hausdorff_distance(x, y, hcfg).distance
-    if not (dw <= dh + CHECK_TOL):
-        raise CsetTransportError(
-            f"relaxation inequality violated: W = {dw} > H = {dh}; this is a bug"
-        )
-    return dw, dh
+    return dw, hausdorff_distance(x, y, hcfg).distance

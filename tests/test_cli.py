@@ -491,6 +491,34 @@ def test_ot_and_wk_reject_non_number_fields(tmp_path, capsys, command, problem, 
     assert code == 1 and out == "" and message in err
 
 
+def _validate_problem():
+    return {"theory": "Graph", "sets": {"V": 2, "E": 1}, "maps": {"src": [0], "tgt": [1]}}
+
+
+@pytest.mark.parametrize(
+    "command, problem, change, message",
+    [
+        ("ot", _ot_problem, _set(["cost", 0, 1], 10**400), "matrix rows must lie within the float range"),
+        ("ot", _ot_problem, _set(["mu", 1], 10**400), "mu must lie within the float range"),
+        ("wk", _wk_problem, _set(["p"], 10**400), "p must lie within the float range"),
+        ("validate", _validate_problem,
+         _set(["measures"], {"V": {"kind": "explicit", "weights": [1, 10**400]}}),
+         "measure weights on 'V' must lie within the float range"),
+        ("validate", _validate_problem, _set(["maps", "src", 0], 10**30),
+         "map 'src' must fit in 64 bits"),
+    ],
+)
+def test_integers_past_the_float_or_int64_range_are_named(
+    tmp_path, capsys, command, problem, change, message
+):
+    # each of these used to print an OverflowError traceback
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(change(problem())))
+    code, out, err = run_cli(capsys, command, str(f))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

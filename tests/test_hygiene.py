@@ -1,6 +1,7 @@
 """Source hygiene: every library module parses at the oldest Python the
 package declares, uses each name it imports, every function defined inside
-another function is referenced there, small tolerances are named once, the
+another function is referenced there, small tolerances are named once,
+``FEAS_TOL`` is read only by the two owners of a solved point's check, the
 package exports only public names, and every method and ``self`` attribute
 of a library class and every module-level name of a library module has a
 reader, and every name the benchmark's tracer wraps exists."""
@@ -100,6 +101,23 @@ def test_small_literals_are_named_tolerances():
             and 0 < n.value < 1e-3 and id(n) not in named
         ]
     assert not stray, "tolerance literals outside the tables:\n" + "\n".join(stray)
+
+
+def test_feas_tol_is_read_only_by_its_owners():
+    """``lp.FEAS_TOL`` judges solver output, and two functions own that
+    check: ``lp._recheck`` on every row of a solved model, and
+    ``transport.optimal_coupling`` on the marginals of a coupling it solves
+    with no model.  No other module reads it, so a property a model row
+    states is not checked again downstream."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Name) and n.id == "FEAS_TOL"
+                    or isinstance(n, ast.Attribute) and n.attr == "FEAS_TOL"
+                    or isinstance(n, ast.alias) and n.name == "FEAS_TOL"):
+                readers.add(path.name)
+    assert readers == {"lp.py", "transport.py"}
 
 
 def test_package_imports_are_exported():

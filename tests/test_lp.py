@@ -7,7 +7,7 @@ import pytest
 import cset_transport as ct
 from cset_transport import lp, relax
 from cset_transport.errors import CsetTransportError, LpError, LpNumericalError
-from cset_transport.gallery import BUILTIN_INSTANCE_NAMES
+from cset_transport.gallery import BUILTIN_INSTANCE_NAMES, directed_cycle
 from cset_transport.lp import LpModel, export_lp, parse_lp, solve
 
 from oracles import brute_force_lp, highs_solve
@@ -1336,3 +1336,66 @@ def test_nan_reduced_cost_raises():
         sx.run(np.array([-1.0, np.nan]), free)
     # a fixed NaN column is never priced
     assert sx.run(np.array([np.nan, 0.0]), np.array([True, False])) == "optimal"
+
+
+@pytest.mark.parametrize(
+    "program, cells, row",
+    [
+        # Phi_E the swap of C2's two edges: row-stochastic, but each edge's
+        # source moves and its vertex does not
+        ("feasibility", ["E_0_1", "E_1_0", "V_0_0", "V_1_1"], "nat_src_0_0"),
+        # both edges onto edge 0: its pushforward, 2, exceeds its mass, 1
+        ("wasserstein", ["E_0_0", "E_1_0", "V_0_0", "V_1_1"], "meas_E_0"),
+        # edge 0's row sums to 0
+        ("wasserstein", ["E_1_1", "V_0_0", "V_1_1"], "phirow_E_0"),
+    ],
+    ids=["nat", "meas", "phirow"],
+)
+def test_recheck_names_the_row_a_kernel_breaks(program, cells, row):
+    # _recheck is the one check of the kernel properties the library's
+    # programs state as rows; the point sets the listed kernel cells to 1
+    # and every other variable to 0
+    if program == "feasibility":
+        c2 = directed_cycle(2, "plain")
+        model = relax.markov_feasibility_lp(c2, c2)
+    else:
+        c2 = directed_cycle(2)
+        model = relax.wasserstein_cset_lp(c2, c2, 1.0).model
+    x = np.array([float(name[4:] in cells) for name in model.var_names])
+    with pytest.raises(LpNumericalError, match=f"constraint '{row}' by 1.000e"):
+        lp._recheck(model, x)
+
+
+def _negative_zero_row():
+    """min x subject to -x = 0: the presolve fixes x at 0 / -1, -0.0 in
+    floats."""
+    m = LpModel()
+    x = m.add_variable("x")
+    m.add_objective(x, 1.0)
+    m.add_constraint("a", [(x, -1.0)], "=", 0.0)
+    return m
+
+
+def _unconstrained():
+    m = LpModel()
+    m.add_objective(m.add_variable("x"), 1.0)
+    return m
+
+
+@pytest.mark.parametrize(
+    "make, took_path",
+    [
+        (_negative_zero_row, lambda sol: sol.fixed == 1),
+        (_unconstrained, lambda sol: (sol.fixed, sol.crashed, sol.pivots) == (0, 0, 0)),
+        (lambda: _crash_model(0.0, 1.0), lambda sol: (sol.crashed, sol.pivots) == (1, 0)),
+        (lambda: _crash_model(-1.0, 1.0), lambda sol: sol.method == "simplex" and sol.pivots > 0),
+        (lambda: _least_cost_example()[0], lambda sol: sol.method == "transport"),
+    ],
+    ids=["presolve-fix", "no-row-left", "crash-optimal", "simplex", "tree"],
+)
+def test_values_are_never_negative_zero(make, took_path):
+    # a value of -0.0 passes every check but pickles, prints and divides
+    # differently from 0.0, so every path of solve returns 0.0 instead
+    sol = solve(make())
+    assert sol.status == "optimal" and took_path(sol)
+    assert sol.values.min() >= 0 and not np.signbit(sol.values).any()
