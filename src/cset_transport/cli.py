@@ -167,7 +167,10 @@ def cmd_ot(args):
     mu, nu, cost = _json_fields("problem", data, ("mu", "nu", "cost"))
     mu = _measure_from_json("mu", mu)
     nu = _measure_from_json("nu", nu)
-    res = optimal_coupling(mu, nu, _matrix_from_json(cost))
+    cost = _matrix_from_json(cost)
+    if mu.n == 0 and cost.size == 0:  # JSON [] has no row to give a width
+        cost = cost.reshape(0, nu.n)
+    res = optimal_coupling(mu, nu, cost)
     lines = [_num(res.cost)]
     payload = {"cost": _json_num(res.cost)}
     if res.coupling is not None:
@@ -298,7 +301,7 @@ def main(argv=None) -> int:
     except LpNumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1
-    except (CsetTransportError, ValueError) as exc:
+    except (CsetTransportError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

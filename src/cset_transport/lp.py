@@ -1,5 +1,5 @@
 """Sparse linear-program model, a self-contained revised simplex solver (a
-dual simplex, then a primal cleanup) with a spanning-tree path for
+dual simplex, then a primal cleanup), a spanning-tree solver for
 transportation problems, and a deterministic LP text format.
 
 All variables are nonnegative; the first walk over the model
@@ -47,25 +47,22 @@ dual by the reduced costs of the quotient's final basis (the quotient has
 the model's optimum).  The pattern is fixed, so repeated solves of the same
 model are bit-identical.
 
-A program that the presolve leaves as a transportation problem
-(``_transportation``: only equations, every coefficient 1, every live
-variable in exactly two rows, the rows split into supplies and demands by
-a 2-colouring, ``_components``) takes neither the quotient nor the
-simplex.  A transportation simplex on a spanning-tree basis (``_Tree``,
-run by ``_solve_tree``) solves it with no inverse and no BLAS call (numpy
-only prices the variables of a larger program, elementwise), so its
-answer does not depend on the BLAS thread count.  It starts from the least-cost rule that the crash uses too
-(``_least_cost``), and hangs every row the start leaves open from a root
-by an artificial edge; artificials cost (1, 0) against a variable's
-(0, c), compared lexicographically, so one pass decides feasibility.  After
-a step of 0 it enters by Bland's rule, which makes every run of such steps
-finite.  The flows are read off the final tree from the exact right-hand
-sides, and the answer is certified as the simplex's is: by its residuals
-on the original model, and by the reduced costs ``c_ij - u_i - v_j`` under
-the potentials that solve ``u_i + v_j = c_ij`` on the final tree.
-``transport.optimal_coupling`` calls ``_solve_tree`` on its coupling
-directly, with no model, presolve or structural test, and checks the
-coupling's marginals itself.
+Every program given to ``solve`` takes that route.  A transportation
+problem given as its supplies, demands and cells takes a transportation
+simplex on a spanning-tree basis instead (``_Tree``, run by
+``_solve_tree``), which ``transport.optimal_coupling`` calls directly, with
+no model or presolve.  It needs no inverse and no BLAS call (numpy only
+prices the variables of a larger program, elementwise), so its answer does
+not depend on the BLAS thread count.  It starts from the least-cost rule
+that the crash uses too (``_least_cost``), and hangs every row the start
+leaves open from a root by an artificial edge; artificials cost (1, 0)
+against a variable's (0, c), compared lexicographically, so one pass
+decides feasibility.  After a step of 0 it enters by Bland's rule, which
+makes every run of such steps finite.  The flows are read off the final
+tree from the exact right-hand sides, and the answer is certified by the
+reduced costs ``c_ij - u_i - v_j`` under the potentials that solve ``u_i +
+v_j = c_ij`` on the final tree; ``optimal_coupling`` checks the coupling's
+marginals itself.
 """
 
 from __future__ import annotations
@@ -152,20 +149,16 @@ class LpSolution:
     # of their class: the quotient program has that many fewer of each
     merged_vars: int = 0
     merged_rows: int = 0
-    pivots: int = 0  # simplex (or tree) pivots, of both passes
-    # the pivots of the two passes, which sum to ``pivots``: on the simplex
-    # path those of the dual simplex and of the primal cleanup; on the tree
-    # path those that enter on a negative artificial price and the others
+    pivots: int = 0  # simplex pivots, of both passes
+    # the pivots of the two passes, which sum to ``pivots``: those of the
+    # dual simplex and of the primal cleanup
     phase_pivots: tuple[int, int] = (0, 0)
-    # basis inversions: 0 on the tree path, and on the simplex path when the
-    # crash start is already optimal (``_start_is_optimal``)
+    # basis inversions: 0 when the crash start is already optimal
+    # (``_start_is_optimal``)
     refactors: int = 0
     # columns the crash put into the starting basis in place of logicals;
-    # not pivots (on the tree path: the cells of the least-cost start)
+    # not pivots
     crashed: int = 0
-    # which solver answered: "simplex", or "transport" for a program the
-    # presolve leaves as a transportation problem (``_transportation``)
-    method: str = "simplex"
 
     def value(self, name: str) -> float:
         return float(self.values[self.var_names.index(name)])
@@ -671,53 +664,24 @@ def _columns(pre: _Presolved, live):
     return terms, cost, rels, rhs, column, merged
 
 
-def _transportation(pre: _Presolved, live):
-    """The presolved program as a transportation problem, or None if it is
-    not one.  It is one when every row is an equation, every coefficient is
-    exactly 1 (so no bound row is left), and every live variable sits in
-    exactly two rows, which a 2-colouring of the rows puts on opposite sides
-    (the supplies and the demands; ``_components``).  Returns the two rows
-    of each live variable, lower first, and the first row of each row's
-    connected component."""
-    rows = pre.rows
-    if not rows:
-        return None
-    for coef, rel, _ in rows:
-        if rel != "=" or set(coef.values()) != {1.0}:
-            return None
-    ends = {j: [] for j in live}
-    for i, (coef, _, _) in enumerate(rows):
-        for j in coef:
-            ends[j].append(i)
-    ends = list(ends.values())
-    if any(len(e) != 2 for e in ends):
-        return None
-    first = _components(len(rows), ends)
-    return None if first is None else (ends, first)
-
-
 def _components(m, ends):
     """The first row of each of ``m`` rows' connected component, in the
-    graph whose edges join the two rows ``ends[e]`` of each variable; or
-    None if a component holds an odd cycle of rows, which no 2-colouring
-    splits into supplies and demands."""
+    graph whose edges join the two rows ``ends[e]`` of each variable."""
     adj = [[] for _ in range(m)]
     for a, b in ends:
         adj[a].append(b)
         adj[b].append(a)
-    side, first = [-1] * m, [0] * m
+    first = [-1] * m
     for s in range(m):
-        if side[s] >= 0:
+        if first[s] >= 0:
             continue
-        side[s], first[s] = 0, s
+        first[s] = s
         queue = [s]
         for v in queue:  # breadth first: the queue grows as it is read
             for w in adj[v]:
-                if side[w] < 0:
-                    side[w], first[w] = 1 - side[v], s
+                if first[w] < 0:
+                    first[w] = s
                     queue.append(w)
-                elif side[w] == side[v]:  # an odd cycle of rows
-                    return None
     return first
 
 
@@ -745,8 +709,6 @@ class _Tree:
     every other pivot lowers the objective; the loop bound only guards
     against numerical breakdown."""
 
-    refactors = 0  # a tree basis is never inverted
-
     def __init__(self, rhs, cost, ends, first):
         self.rhs, self.cost, self.ends, self.first = rhs, cost, ends, first
         m, n = len(rhs), len(ends)
@@ -758,27 +720,25 @@ class _Tree:
         self.tree = []  # the basis: m edges
         self.pivots = 0
         self.phase_pivots = [0, 0]
-        self.cells = self._start()
+        self._start()
 
     def _start(self):
         """The least-cost start (``_least_cost``), which never uses a row
         with a negative right-hand side: each placed variable joins the row
         it closes to one still open, so they form a forest; every row left
         open hangs from the root by its artificial, which carries what the
-        row has left.  Returns the number of variables placed."""
+        row has left."""
         n, r, taken = self.n, list(self.rhs), [False] * self.m
         entries = [((a, 1.0), (b, 1.0)) for a, b in self.ends]
         order = sorted(range(n), key=self.cost.__getitem__)  # a stable sort
         for e, _, x in _least_cost(entries, order, r, taken, lambda p, a_p, step: step >= 0.0):
             self.flow[e] = x
             self.tree.append(e)
-        cells = len(self.tree)
         for k in range(self.m):
             if not taken[k]:
                 self.sigma[k] = 1 if r[k] >= 0.0 else -1
                 self.flow[n + k] = abs(r[k])
                 self.tree.append(n + k)
-        return cells
 
     def _hang(self):
         """The tree hung from the root: each node's parent, parent edge and
@@ -968,15 +928,8 @@ def solve(model: LpModel) -> LpSolution:
     model; the variables the presolve folded into others are recovered from
     them (``_Presolved.recover``).  It satisfies every constraint of the
     original model within ``FEAS_TOL``, and the quotient's final basis is
-    dual feasible.  A program the
-    presolve leaves as a transportation problem (``_transportation``) is
-    solved on a spanning tree instead (``_solve_tree``): its answer passes
-    the same residual check, and every live variable prices at -DUAL_TOL
-    relative or above under the final tree's potentials.  The test stays
-    here for direct callers and the library's other programs;
-    ``transport.optimal_coupling`` goes to the tree without it.
-    ``LpSolution.method`` names the path that answered.  On every path
-    the ``values`` are >= 0 and hold no ``-0.0``.  Numerical
+    dual feasible.  On every path the ``values`` are >= 0 and hold no
+    ``-0.0``.  Numerical
     breakdown raises, never passes silently.  The model is validated in the
     presolve's first walk over its rows, which raises ``LpModel.validate``'s
     error on a faulty one, so no separate walk checks it."""
@@ -986,7 +939,7 @@ def solve(model: LpModel) -> LpSolution:
         c_orig[idx] = coef
     merged, crashed = (0, 0), 0
 
-    def answer(status, values=None, sx=None, phase_pivots=(0, 0), method="simplex"):
+    def answer(status, values=None, sx=None, phase_pivots=(0, 0)):
         objective = None
         if values is not None:
             pre.recover(values)
@@ -998,23 +951,12 @@ def solve(model: LpModel) -> LpSolution:
             kinds[e[0]] += 1
         return LpSolution(status, objective, values, list(model.var_names),
                           kinds["fix"], kinds["drop"], kinds["agg"],
-                          *merged, pivots, phase_pivots, refactors, crashed, method)
+                          *merged, pivots, phase_pivots, refactors, crashed)
 
     if pre.infeasible:
         return answer("infeasible")
     live = [idx for idx in range(model.num_vars) if not pre.is_fixed[idx]]
     values = np.array(pre.values)
-    shape = _transportation(pre, live)
-    if shape is not None:
-        tree, flows = _solve_tree([rhs for _, _, rhs in pre.rows],
-                                  [pre.objective.get(j, 0.0) for j in live], *shape)
-        crashed = tree.cells
-        phases = tuple(tree.phase_pivots)
-        if flows is None:
-            return answer("infeasible", sx=tree, phase_pivots=phases, method="transport")
-        values[live] = flows
-        return answer("optimal", values, tree, phases, "transport")
-
     terms, cost, rels, b, column, merged = _columns(pre, live)
     n, m = len(terms), len(rels)
 
@@ -1086,18 +1028,17 @@ def _solve_tree(rhs, cost, ends, first):
     """A transportation problem solved on a spanning tree (``_Tree``): rows
     with right-hand sides ``rhs``, and variable ``e``, of cost ``cost[e]``,
     in the two rows ``ends[e]``, which lie on opposite sides; ``first``
-    names the first row of each row's component (``_components``).  This
-    is the tree path of ``solve``, and ``transport.optimal_coupling``
-    calls it on its coupling with no model at all.
+    names the first row of each row's component (``_components``).
+    ``transport.optimal_coupling`` calls it on its coupling with no model
+    at all.
 
     Returns the tree, for its counts, and each variable's value, or None
     when the program is infeasible: its artificials end with mass above
     ``FEAS_TOL``.  Raises LpNumericalError unless every variable prices at
     ``-DUAL_TOL`` relative to ``max(1, max|c|)`` or above under the final
     tree's potentials.  Values below ``SNAP_TOL`` relative to the largest
-    are exact zeros.  The primal check is the caller's: ``solve`` rechecks
-    the point on its model, ``optimal_coupling`` the coupling's
-    marginals."""
+    are exact zeros.  The primal check is the caller's: ``optimal_coupling``
+    checks the coupling's marginals."""
     tree = _Tree(rhs, cost, ends, first)
     scale = max(1.0, max(map(abs, cost), default=0.0))
     tree.run(OPT_TOL * scale)

@@ -181,7 +181,7 @@ def recorded_solves():
     ``with`` block, in order: its ``solve`` is swapped for a recording one
     and restored on exit, so the recorder needs no pytest fixture and runs
     in a child process too.  (``optimal_coupling`` calls no ``lp.solve``:
-    ``coupling_solve`` solves its program.)"""
+    ``recorded_trees`` records its solves.)"""
     from cset_transport import lp, relax
 
     seen = []
@@ -199,12 +199,60 @@ def recorded_solves():
         relax.solve = saved
 
 
+@contextlib.contextmanager
+def recorded_trees():
+    """Every ``(tree, flows)`` that ``lp._solve_tree`` returns inside the
+    ``with`` block, in order, as ``recorded_solves`` records ``lp.solve``:
+    the tree of each ``optimal_coupling`` call, for its counts."""
+    from cset_transport import lp
+
+    seen = []
+    saved = lp._solve_tree
+
+    def recording(*args):
+        seen.append(saved(*args))
+        return seen[-1]
+
+    lp._solve_tree = recording
+    try:
+        yield seen
+    finally:
+        lp._solve_tree = saved
+
+
+def tree_solve(model):
+    """``lp._solve_tree`` on a transportation program given as a model whose
+    rows are all equations with unit coefficients: the rows as they stand,
+    and one edge per variable that no zero upper bound forbids, joining the
+    two rows it sits in.  Returns the tree, for its counts, and the values
+    of all the model's variables (0 on the forbidden ones), or None where
+    the tree finds the program infeasible."""
+    from cset_transport import lp
+
+    free = [j for j, u in enumerate(model.var_upper) if u != 0.0]
+    rows = {j: [] for j in free}
+    for i, (_, terms, _, _) in enumerate(model.constraints):
+        for j, _ in terms:
+            if j in rows:
+                rows[j].append(i)
+    ends = [tuple(rows[j]) for j in free]
+    m = len(model.constraints)
+    tree, flows = lp._solve_tree([rhs for *_, rhs in model.constraints],
+                                 [model.objective.get(j, 0.0) for j in free],
+                                 ends, lp._components(m, ends))
+    if flows is None:
+        return tree, None
+    values = np.zeros(model.num_vars)
+    values[free] = flows
+    return tree, values
+
+
 def coupling_solve(mu, nu, cost):
     """The linear program that ``transport._Coupling`` builds for
-    ``optimal_coupling(mu, nu, cost)``, which ``optimal_coupling`` solved
-    with ``lp.solve`` before it called the tree directly; ``lp.solve``'s
-    solution of it; and that solution as an OtResult (cost inf and no
-    coupling when infeasible, the coupling exact 0 on forbidden cells)."""
+    ``optimal_coupling(mu, nu, cost)``; ``lp.solve``'s solution of it, by
+    the simplex, which makes it an oracle for ``optimal_coupling``'s tree;
+    and that solution as an OtResult (cost inf and no coupling when
+    infeasible, the coupling exact 0 on forbidden cells)."""
     from cset_transport import lp
     from cset_transport.transport import OtResult, _Coupling
 

@@ -113,6 +113,29 @@ def test_ragged_cost_matrix_is_named(tmp_path, capsys):
     assert err == "error: matrix rows must have one length, got lengths [1, 2]\n"
 
 
+@pytest.mark.parametrize("nu", [[], [0.0, 0.0]])
+def test_ot_accepts_the_empty_problem(tmp_path, capsys, nu):
+    # JSON [] parses to shape (0,): with mu empty it is the 0 x len(nu) cost
+    f = tmp_path / "ot.json"
+    f.write_text(json.dumps({"mu": [], "nu": nu, "cost": []}))
+    code, out, err = run_cli(capsys, "--format", "json", "ot", str(f))
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["cost"], json.loads(out)["coupling"]) == (0.0, [])
+
+
+def test_set_sizes_past_memory_give_one_error_line(tmp_path, capsys):
+    # the size fits in 64 bits, but no counting measure of it fits in
+    # memory; this used to print numpy's MemoryError traceback
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({
+        "theory": "Graph", "sets": {"V": 10**18, "E": 0}, "maps": {"src": [], "tgt": []},
+        "measures": {"V": {"kind": "counting"}, "E": {"kind": "counting"}},
+    }))
+    code, out, err = run_cli(capsys, "validate", str(f))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "validate", "nope.json")
     assert code == 2

@@ -10,7 +10,7 @@ from cset_transport.errors import CsetTransportError, LpError, LpNumericalError
 from cset_transport.gallery import BUILTIN_INSTANCE_NAMES, directed_cycle
 from cset_transport.lp import LpModel, export_lp, parse_lp, solve
 
-from oracles import brute_force_lp, highs_solve
+from oracles import brute_force_lp, highs_solve, tree_solve
 from test_pivot_path import _digraph
 
 
@@ -1075,10 +1075,9 @@ def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
     # the crash places only columns of cost 0: with the cells of the
     # least-cost start made free, it visits them by index, (0,1) first, and
     # the minimum ratio gives each the value that method gives it; a finite
-    # bound on x03, which the start leaves out, keeps the program off the
-    # tree path (test_transport_path.py runs it there) and adds a bound row
-    # whose basic is a slack; the start costs 0 and is feasible, so it is
-    # the answer, and no basis is inverted
+    # bound on x03, which the start leaves out, adds a bound row whose
+    # basic is a slack; the start costs 0 and is feasible, so it is the
+    # answer, and no basis is inverted
     pytest.importorskip("scipy")
     m, x, want = _least_cost_example()
     for i, j in want:
@@ -1086,7 +1085,6 @@ def test_crash_places_the_cells_of_the_least_cost_method(monkeypatch):
     m.var_upper[x[0][3]] = 100.0
     starts = _starts(monkeypatch)
     sol = _agrees_with_highs(m)
-    assert sol.method == "simplex"
     basis, _, _, xB, n = starts[0]
     placed = {k: v for k, v in zip(basis, xB) if k < n}
     assert sorted(placed) == sorted(x[i][j] for i, j in want)
@@ -1192,7 +1190,7 @@ def test_crash_optimal_program_needs_no_linear_algebra(monkeypatch):
     monkeypatch.setattr(lp, "_Simplex", refuse)
     sol = solve(_crash_model(0.0, 1.0))
     assert (sol.status, sol.objective, sol.values.tolist()) == ("optimal", 0.0, [1.0, 0.0, 0.0])
-    assert (sol.method, sol.pivots, sol.refactors, sol.crashed) == ("simplex", 0, 0, 1)
+    assert (sol.pivots, sol.refactors, sol.crashed) == (0, 0, 1)
     load = ct.load_instance
     sol = solve(relax.markov_feasibility_lp(load("builtin:fig5x"), load("builtin:fig5y")))
     assert (sol.status, sol.pivots, sol.refactors, sol.crashed) == ("optimal", 0, 0, 1)
@@ -1382,20 +1380,36 @@ def _unconstrained():
     return m
 
 
+def _solved(make, took_path):
+    """The values of ``solve(make())``, which must be optimal and take the
+    path that ``took_path`` tests for."""
+    def values():
+        sol = solve(make())
+        assert sol.status == "optimal" and took_path(sol)
+        return sol.values
+    return values
+
+
+def _tree_values():
+    tree, values = tree_solve(_least_cost_example()[0])
+    assert tree.pivots > 0
+    return values
+
+
 @pytest.mark.parametrize(
-    "make, took_path",
+    "values",
     [
-        (_negative_zero_row, lambda sol: sol.fixed == 1),
-        (_unconstrained, lambda sol: (sol.fixed, sol.crashed, sol.pivots) == (0, 0, 0)),
-        (lambda: _crash_model(0.0, 1.0), lambda sol: (sol.crashed, sol.pivots) == (1, 0)),
-        (lambda: _crash_model(-1.0, 1.0), lambda sol: sol.method == "simplex" and sol.pivots > 0),
-        (lambda: _least_cost_example()[0], lambda sol: sol.method == "transport"),
+        _solved(_negative_zero_row, lambda sol: sol.fixed == 1),
+        _solved(_unconstrained, lambda sol: (sol.fixed, sol.crashed, sol.pivots) == (0, 0, 0)),
+        _solved(lambda: _crash_model(0.0, 1.0), lambda sol: (sol.crashed, sol.pivots) == (1, 0)),
+        _solved(lambda: _crash_model(-1.0, 1.0), lambda sol: sol.pivots > 0),
+        _tree_values,
     ],
     ids=["presolve-fix", "no-row-left", "crash-optimal", "simplex", "tree"],
 )
-def test_values_are_never_negative_zero(make, took_path):
+def test_values_are_never_negative_zero(values):
     # a value of -0.0 passes every check but pickles, prints and divides
-    # differently from 0.0, so every path of solve returns 0.0 instead
-    sol = solve(make())
-    assert sol.status == "optimal" and took_path(sol)
-    assert sol.values.min() >= 0 and not np.signbit(sol.values).any()
+    # differently from 0.0, so every path of solve, and the tree that
+    # optimal_coupling calls, returns 0.0 instead
+    values = values()
+    assert values.min() >= 0 and not np.signbit(values).any()

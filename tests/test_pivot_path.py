@@ -26,15 +26,16 @@ objectives still hold within 1e-12.  The Wasserstein programs were
 re-recorded, with one thread, when a dual simplex from the crash start
 replaced phase 1: C5->C6 went from 2 pivots to 1 and the W_2 pair from 91
 to 28 (objective 0.5); fig5 stays at 0.  Since ``optimal_coupling``
-calls the tree directly, with no model, the transport programs are the
-models it built before (``oracles.coupling_solve``), solved by
-``lp.solve``, which still answers them on the tree; ``optimal_coupling``
-must give each one's cost and coupling bit for bit."""
+calls the tree directly, with no model, and ``lp.solve`` sends every
+program to the simplex, the transport counts are those of the tree that
+``optimal_coupling`` builds on each problem (``oracles.recorded_trees``);
+its inputs are those the models gave the tree before, so the pins hold."""
 
 import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from cset_transport import lp, relax, transport
 from cset_transport.gallery import directed_cycle
 from cset_transport.theory import builtin_theory
 
-from oracles import coupling_solve, recorded_solves, same_bits
+from oracles import coupling_solve, recorded_solves, recorded_trees
 
 HERE = Path(__file__).resolve().parent
 
@@ -117,13 +118,19 @@ def _wasserstein_solves():
     return answers, seen
 
 
+# what optimal_coupling's tree did on one problem; the objective is its cost
+TreeRun = namedtuple("TreeRun", "status pivots phase_pivots objective values")
+
+
 def _transport_solves():
     sizes, seen = [], []
-    for mu, nu, cost in _ot_problems():
-        _, sol, want = coupling_solve(mu, nu, cost)
-        assert same_bits(transport.optimal_coupling(mu, nu, cost), want)
-        sizes.append((mu.n, nu.n))
-        seen.append(sol)
+    with recorded_trees() as trees:
+        for mu, nu, cost in _ot_problems():
+            res = transport.optimal_coupling(mu, nu, cost)
+            tree, flows = trees[-1]
+            status = "infeasible" if flows is None else "optimal"
+            sizes.append((mu.n, nu.n))
+            seen.append(TreeRun(status, tree.pivots, tuple(tree.phase_pivots), res.cost, flows))
     return sizes, seen
 
 
@@ -207,32 +214,33 @@ CERTIFIED_PAIRS = (("fig5x", "fig5y"), ("c6", "c3"), ("c2", "fig9x"))
 
 
 def _solves_without_an_inverse():
-    """(status, method, pivots, refactors, crashed, values) of the transport
-    programs, of a measure-preserving feasibility program between edgeless
-    graphs, whose rows are those of an assignment problem, and of the
-    feasibility programs of ``CERTIFIED_PAIRS``."""
+    """(status, pivots, values) of the transport problems' trees; then
+    (status, pivots, refactors, crashed, values) of the solves of a
+    measure-preserving feasibility program between edgeless graphs, whose
+    rows are those of an assignment problem, and of the feasibility
+    programs of ``CERTIFIED_PAIRS``."""
     load = ct.load_instance
+    trees = [(run.status, run.pivots, run.values) for run in _transport_solves()[1]]
     with recorded_solves() as seen:
-        seen.extend(_transport_solves()[1])
         relax.markov_feasible(_empty_graph(4), _empty_graph(4), measure_preserving=True)
         for x, y in CERTIFIED_PAIRS:
             relax.markov_feasible(load(f"builtin:{x}"), load(f"builtin:{y}"))
-    return [(sol.status, sol.method, sol.pivots, sol.refactors, sol.crashed,
-             sol.values.tolist()) for sol in seen]
+    return trees, [(sol.status, sol.pivots, sol.refactors, sol.crashed, sol.values.tolist())
+                   for sol in seen]
 
 
 def test_answers_without_an_inverse_do_not_depend_on_the_blas_thread_count():
-    # the tree path makes no BLAS call, and neither does a simplex solve
-    # whose crash start is already optimal: status, pivots and every value
-    # agree bit for bit between one and two threads
+    # the tree makes no BLAS call, and neither does a simplex solve whose
+    # crash start is already optimal: status, pivots and every value agree
+    # bit for bit between one and two threads
     code = ("import json, test_pivot_path as t; "
             "print(json.dumps(t._solves_without_an_inverse()))")
     one, two = _child(code, "1"), _child(code, "2")
-    assert len(one) == len(OT_PATHS) + 1 + len(CERTIFIED_PAIRS)
-    tree, certified = one[:len(OT_PATHS) + 1], one[len(OT_PATHS) + 1:]
-    assert all(sol[1] == "transport" for sol in tree)
+    trees, certified = one
+    assert len(trees) == len(OT_PATHS) and all(run[0] == "optimal" for run in trees)
+    assert len(certified) == 1 + len(CERTIFIED_PAIRS)
     # the crash placed columns, so these programs reached it
-    assert all(sol[:4] == ["optimal", "simplex", 0, 0] and sol[4] > 0 for sol in certified)
+    assert all(sol[:3] == ["optimal", 0, 0] and sol[3] > 0 for sol in certified)
     assert one == two
 
 
@@ -240,7 +248,7 @@ def test_merged_counts():
     # the transport programs have distinct costs, so nothing merges; the
     # cycle program folds onto a handful of classes
     with recorded_solves() as solves:
-        solves.extend(_transport_solves()[1])
+        solves.extend(coupling_solve(*problem)[1] for problem in _ot_problems())
         assert [(sol.merged_vars, sol.merged_rows) for sol in solves] == [(0, 0)] * len(OT_PATHS)
         relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
     sol = solves[-1]
@@ -252,31 +260,27 @@ def test_solution_counts():
     # pivots split in two: on the simplex into the dual simplex's and the
     # cleanup's, on the tree into those that enter on a negative artificial
     # price and the others; a simplex solve that pivoted has inverted a
-    # basis before its verdict, and a tree is never inverted
+    # basis before its verdict
     rng = np.random.default_rng(4)
     x, y = _digraph(rng, 3, 4, strong=True), _digraph(rng, 4, 6)
     with recorded_solves() as solves:
         relax.wasserstein_cset_distance(directed_cycle(5), directed_cycle(6), 1.0)
         for p in (1.0, 2.0):
             relax.wasserstein_cset_distance(x, y, p)
-        solves.extend(_transport_solves()[1])
         relax.markov_feasible(ct.load_instance("builtin:fig5x"),
                               ct.load_instance("builtin:fig5y"))
         relax.markov_feasible(ct.load_instance("builtin:loop"),
                               ct.load_instance("builtin:c3undirected"))
-    for sol in solves:
+    trees = _transport_solves()[1]
+    for sol in solves + trees:
         assert len(sol.phase_pivots) == 2
         assert all(type(k) is int and k >= 0 for k in sol.phase_pivots)
         assert sum(sol.phase_pivots) == sol.pivots
+    for sol in solves:
         assert type(sol.refactors) is int
-        if sol.method == "simplex":
-            assert sol.refactors >= 1 or sol.pivots == 0
-        else:
-            assert sol.refactors == 0
-    simplex = [sol for sol in solves if sol.method == "simplex"]
-    tree = [sol for sol in solves if sol.method == "transport"]
-    assert any(sol.phase_pivots[0] for sol in simplex)
-    assert any(sol.phase_pivots[1] for sol in tree)
+        assert sol.refactors >= 1 or sol.pivots == 0
+    assert any(sol.phase_pivots[0] for sol in solves)
+    assert any(run.phase_pivots[1] for run in trees)
     # the presolve answers this one: no simplex at all
     assert (solves[-1].pivots, solves[-1].refactors) == (0, 0)
 

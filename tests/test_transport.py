@@ -16,6 +16,7 @@ from cset_transport.mm import (
     uniform_measure,
 )
 from cset_transport.transport import (
+    OtResult,
     optimal_coupling,
     wasserstein_deterministic,
     wasserstein_kernels,
@@ -29,6 +30,7 @@ from oracles import (
     random_measure,
     random_metric,
     same_bits,
+    tree_solve,
 )
 
 
@@ -114,17 +116,22 @@ def _marginals_hold(res, mu, nu):
             and res.coupling.min(initial=0.0) >= -lp.FEAS_TOL)
 
 
-def test_optimal_coupling_is_bit_identical_to_lp_solve_without_presolve():
-    # every mass positive and every cost finite: the presolve leaves the
-    # program as it is, so the tree gets the same input from the model and
-    # from optimal_coupling, and both answer with the same bits
+def test_optimal_coupling_is_bit_identical_to_the_tree_on_its_model():
+    # every mass positive and every cost finite: the tree gets the same
+    # input from the model's rows and from optimal_coupling, and answers
+    # both with the same bits.  The simplex, which solves the model whole
+    # (the presolve leaves it as it is), agrees on the cost
     rng = np.random.default_rng(71)
     problems = [_transport_problem(rng, n1, n2) for n1 in range(2, 7) for n2 in range(2, 7)]
     problems += [_transport_problem(rng, 30, 30), _transport_problem(rng, 100, 100)]
     for mu, nu, cost in problems:
-        _, sol, want = coupling_solve(mu, nu, cost)
-        assert (sol.method, sol.fixed, sol.dropped_rows, sol.aggregated) == ("transport", 0, 0, 0)
-        assert same_bits(optimal_coupling(mu, nu, cost), want)
+        model, sol, _ = coupling_solve(mu, nu, cost)
+        assert (sol.fixed, sol.dropped_rows, sol.aggregated) == (0, 0, 0)
+        got = optimal_coupling(mu, nu, cost)
+        values = tree_solve(model)[1]
+        want = OtResult(float(cost.reshape(-1) @ values), values.reshape(mu.n, nu.n))
+        assert same_bits(got, want)
+        assert got.cost == pytest.approx(sol.objective, rel=1e-12)
 
 
 def _seeded_problem(rng):
@@ -150,9 +157,9 @@ def _seeded_problem(rng):
 def test_optimal_coupling_agrees_with_lp_solve_where_the_presolve_acts():
     # zero-mass lines and lines with one finite cell let the presolve fix
     # cells, and a positive-mass line without a finite cell lets it answer
-    # infeasible; the tree alone must reach the same status and cost.  An
-    # imbalance leaves no exact solution: where the presolve acted, the
-    # residual may land elsewhere, which moves the cost by up to the
+    # infeasible; the tree alone must reach the simplex's status and cost.
+    # An imbalance leaves no exact solution: the two solvers may land the
+    # residual on different rows, which moves the cost by up to the
     # imbalance times the largest cost
     rng = np.random.default_rng(72)
     seen = []
@@ -161,20 +168,18 @@ def test_optimal_coupling_agrees_with_lp_solve_where_the_presolve_acts():
         _, sol, want = coupling_solve(mu, nu, cost)
         got = optimal_coupling(mu, nu, cost)
         acted = sol.fixed + sol.dropped_rows + sol.aggregated > 0
-        seen.append((sol.method, sol.status, acted, imbalanced))
-        if not acted:
-            assert same_bits(got, want)
-        elif want.cost == INF:
+        seen.append((sol.status, acted, imbalanced))
+        if want.cost == INF:
             assert (got.cost, got.coupling) == (INF, None)
         else:
             slack = 5e-10 * 4.0 if imbalanced else 0.0
             assert got.cost == pytest.approx(want.cost, rel=1e-12, abs=1e-12 + slack)
             assert _marginals_hold(got, mu, nu)
-    assert seen.count(("transport", "optimal", True, False)) > 30
-    assert seen.count(("transport", "optimal", True, True)) > 10
+    assert seen.count(("optimal", True, False)) > 30
+    assert seen.count(("optimal", True, True)) > 10
+    assert seen.count(("infeasible", False, False)) > 10  # Hall's condition fails
     verdicts = [case[:2] for case in seen]
-    assert verdicts.count(("transport", "infeasible")) > 10  # Hall's condition fails
-    assert verdicts.count(("simplex", "infeasible")) > 10  # the presolve's verdict
+    assert verdicts.count(("infeasible", True)) > 10  # the presolve's verdict
 
 
 def test_optimal_coupling_on_empty_and_zero_mass_problems():
