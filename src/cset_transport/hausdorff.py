@@ -32,9 +32,11 @@ naturality terms, hence the same aggregate.  So the lexicographically first
 minimizer takes, at the first entry, the least value of its orbit, and the
 search skips a first-entry candidate onto which a known automorphism maps an
 earlier candidate (the lex-leader rule): every distance and witness stays
-the same.  Automorphisms come from Y alone: its colour refinement, and a pin
-of one point to another that propagates along Y's maps (McKay & Piperno,
-*Practical graph isomorphism II*, 2014).  They count only once checked on
+the same.  Automorphisms come from Y alone: its colour refinement, the
+coarsest equitable partition that the LP quotient's classes come from too
+(``lp._equitable_partition``), and a pin of one point to another that
+propagates along Y's maps (McKay & Piperno, *Practical graph isomorphism
+II*, 2014).  They count only once checked on
 their own (:class:`_Orbits`).
 They are looked for only when the search comes back to the first entry from
 a subtree of at least |Y| nodes, the sum of Y's set sizes, so that small
@@ -49,7 +51,6 @@ and the lower bound cuts an entry that has no consistent candidate left.
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
@@ -64,6 +65,7 @@ from .cset import (
     _check_same_theory,
 )
 from .errors import GuardExceeded, InstanceError
+from .lp import _equitable_partition
 from .mm import INF, MeasureData, TOL, check_order, ext_pow, ext_root, lp_distance
 
 __all__ = [
@@ -183,13 +185,17 @@ class _Orbits:
     and the colour refinement of Y that guides the search for those
     automorphisms.
 
-    Points of Y are numbered object by object, ``0..N-1``.  Points start
-    coloured by object, measure and (on fixed objects) index, and a colour
-    class splits until, for every class, its points agree on how many of
-    their images and preimages under each generator lie in it and on the
-    multiset of metric distances to and from it.  Y's colours are refined
-    fully once, when the orbits are built, and no automorphism joins points
-    of two colours.  To look for one sending ``r`` to ``v`` of the same
+    Points of Y are numbered object by object, ``0..N-1``.  Y's colours
+    are the coarsest equitable partition (``lp._equitable_partition``) of a
+    graph built with the orbits.  Points start coloured by object, measure
+    and (on fixed objects) index.  An edge joins each point to its image
+    under each generator, both ways, labelled by the generator and the
+    direction; on an object whose metric is not constant off the diagonal,
+    edges join each point to every point, labelled by the distance each
+    way.  So the points of a class agree on how many of their images and
+    preimages under each generator lie in each class, and on the multiset
+    of metric distances to and from it, and no automorphism joins points of
+    two colours.  To look for one sending ``r`` to ``v`` of the same
     colour, ``r`` is pinned to ``v``, and a pin carries each image of a
     point along to the same image of its partner.  The pins then propagate
     along Y's maps in the order they were made: a pinned point's preimages
@@ -214,88 +220,50 @@ class _Orbits:
             n += y.sets[c]
         self.start, self.n = start, n
         # per point, its image under each generator out of its object and its
-        # preimages under each generator into it, generators in their order
+        # preimages under each generator into it, generators in their order;
+        # and the graph whose colour refinement guides the pairing: an edge
+        # each way per image, labelled by the generator and its direction
         images = [[] for _ in range(n)]
         preimages = [[] for _ in range(n)]
-        for g in y.theory.generators:
+        adj = [[] for _ in range(n)]
+        for i, g in enumerate(y.theory.generators):
             s, t = start[g.dom], start[g.cod]
+            up, down = (1, i), (2, i)
             into = [[] for _ in range(y.sets[g.cod])]
             for a, b in enumerate(y.maps[g.name].tolist()):
                 images[s + a].append(t + b)
                 into[b].append(s + a)
+                adj[s + a].append((t + b, up))  # b counts a preimage in a's class
+                adj[t + b].append((s + a, down))  # a counts its image in b's class
             for b, ps in enumerate(into):
                 preimages[t + b].append(ps)
         self.images, self.preimages = images, preimages
-        # metric rows of the objects whose points are not told apart from the
-        # start; a metric constant off the diagonal holds for every bijection
-        self.rows = {}
+        # the metric entries to and from every point of an object whose
+        # points are not told apart from the start; a metric constant off the
+        # diagonal holds for every bijection
         for c, metric in y.metrics.items():
             off = metric.d[~np.eye(metric.n, dtype=bool)]
             if c not in y.fixed and off.size and off.min() < off.max():
-                self.rows[c] = metric.d.tolist()
-        self.object_of = [c for c in objects for _ in range(y.sets[c])]
-        keys = {}
+                first, d = start[c], metric.d.tolist()
+                points = range(first, first + metric.n)
+                for i, row in enumerate(d):
+                    # each point q counts its distance to i, and i's to q
+                    adj[first + i] += zip(points, zip(repeat(-1), [r[i] for r in d]))
+                    adj[first + i] += zip(points, zip(repeat(-2), row))
+        keys = []
         for c in objects:
             masses = y.measures[c].w.tolist() if c in y.measures else [None] * y.sets[c]
-            for i, mass in enumerate(masses):
-                keys.setdefault((c, mass, i if c in y.fixed else -1), []).append(start[c] + i)
-        self.cells = [set(ps) for ps in keys.values()]
-        self.cell_of = [0] * n
-        for k, cell in enumerate(self.cells):
-            for p in cell:
-                self.cell_of[p] = k
-        self._refine()
+            keys += [(c, mass, i if c in y.fixed else -1) for i, mass in enumerate(masses)]
+        self.cell_of = _equitable_partition(keys, adj)
+        self.cells = [[] for _ in range(max(self.cell_of, default=-1) + 1)]
+        for p, k in enumerate(self.cell_of):
+            self.cells[k].append(p)
         self.colour = self.cell_of[start[ob]:start[ob] + y.sets[ob]]
 
     def _find(self, v: int) -> int:
         while self.parent[v] != v:
             v = self.parent[v]
         return v
-
-    def _refine(self):
-        """Split the colour classes until none splits another.  A class that
-        splits keeps its number for its unmarked part (or else its largest
-        part), which is queued only if the class was; the other parts are
-        queued."""
-        images, preimages = self.images, self.preimages
-        object_of, rows, start = self.object_of, self.rows, self.start
-        cell_of, cells = self.cell_of, self.cells
-        queue = list(range(len(cells)))
-        while queue:
-            # a class lies in one object, so a generator's place in a point's
-            # lists names it
-            tokens = defaultdict(list)
-            for p in cells[queue.pop()]:
-                for i, q in enumerate(images[p]):
-                    tokens[q].append((1, i))  # a preimage lies in the class
-                for i, qs in enumerate(preimages[p]):
-                    for q in qs:
-                        tokens[q].append((2, i))  # the image lies in the class
-                c = object_of[p]
-                if c in rows:
-                    first = start[c]
-                    d, i = rows[c], p - first
-                    for j, row in enumerate(d):
-                        tokens[first + j] += (-1, row[i]), (-2, d[i][j])
-            split = defaultdict(lambda: defaultdict(list))
-            for q, ts in tokens.items():
-                ts.sort()
-                split[cell_of[q]][tuple(ts)].append(q)
-            for k, groups in split.items():
-                cell = cells[k]
-                frags = [set(ps) for ps in groups.values()]
-                if len(frags) == 1 and len(frags[0]) == len(cell):
-                    continue
-                for frag in frags:
-                    cell -= frag
-                if not cell:  # every point was marked: the largest part stays
-                    cells[k] = cell = max(frags, key=len)
-                    frags.remove(cell)
-                for frag in frags:
-                    for p in frag:
-                        cell_of[p] = len(cells)
-                    queue.append(len(cells))
-                    cells.append(frag)
 
     def pairing(self, r: int, v: int) -> dict[str, list[int]] | None:
         """The bijection of Y that pinning point ``r`` of the object to ``v``

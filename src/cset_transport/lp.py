@@ -12,8 +12,10 @@ value), substituting each value into the other rows; it folds a variable
 that a doubleton equation ``a x_k + b x_j = 0`` ties to another as ``x_j =
 t x_k``, ``t > 0``, into that one, with its cost ("agg"); and it drops
 every row left without a live term, after checking it ("drop").  Colour
-refinement then finds the coarsest equitable partition of what is left,
-and the simplex runs on the quotient: one column per class of variables,
+refinement (``_equitable_partition``, which splits classes by a queue of
+splitters, and which the exact Hausdorff search uses on Y's points too)
+then finds the coarsest equitable partition of what is left, and the
+simplex runs on the quotient: one column per class of variables,
 one row per class of rows.  ``_columns`` builds it in one pass over the
 presolved rows, straight into the simplex's columns: each column's terms
 in row order, a row with a negative right-hand side negated.  Its answer
@@ -559,60 +561,77 @@ def _presolve(model: LpModel) -> _Presolved:
     return out
 
 
+def _equitable_partition(start, adj):
+    """The coarsest equitable partition of a labelled graph that refines
+    its starting colours, which is unique (Paige & Tarjan, *Three
+    partition refinement algorithms*, SIAM J. Comput. 16, 1987; Berkholz,
+    Bonsma & Grohe, ESA 2013).  ``start[p]`` is node p's starting key, and
+    ``adj[p]`` lists ``(q, token)`` pairs: q counts ``token`` once when p's
+    class is a splitter.  A queue of splitters at first holds every class.
+    A class whose nodes count different multisets of tokens (compared
+    exactly) from the splitter splits by them: it keeps its number for the
+    part that counts none, or else for the part met last, which stays
+    queued only if the class was, and its other parts are queued.  Classes
+    are numbered in order of first appearance over the nodes."""
+    ids = {}
+    cell_of = [ids.setdefault(key, len(ids)) for key in start]
+    cells = [set() for _ in ids]
+    for p, k in enumerate(cell_of):
+        cells[k].add(p)
+    queue = list(range(len(cells)))
+    while queue:
+        tokens = {}  # a class of one node cannot split, so it counts none
+        for p in cells[queue.pop()]:
+            for q, t in adj[p]:
+                if len(cells[cell_of[q]]) > 1:
+                    tokens.setdefault(q, []).append(t)
+        parts = {}  # by multiset of tokens, then class
+        for q, ts in tokens.items():
+            ts.sort()
+            ts.append(cell_of[q])
+            parts.setdefault(tuple(ts), []).append(q)
+        for key, part in parts.items():
+            cell = cells[key[-1]]
+            if len(part) < len(cell):
+                cell.difference_update(part)
+                for p in part:
+                    cell_of[p] = len(cells)
+                queue.append(len(cells))
+                cells.append(set(part))
+    ids = {}
+    return [ids.setdefault(k, len(ids)) for k in cell_of]
+
+
 def _refine(pre: _Presolved, live):
     """The coarsest equitable partition of the live variables and the
-    surviving rows, by colour refinement (Grohe, Kersting, Mladenov &
-    Selman, *Dimension reduction via colour refinement*, ESA 2014).
-
-    A variable starts coloured by its cost, a row by its (relation,
-    right-hand side).  Then rows and variables take turns: each is
-    recoloured by its colour and the sorted multiset of (colour,
-    coefficient) over its terms, comparing floats exactly.  Colours are
-    numbered in order of first appearance, so the classes are
-    deterministic.  After the variables' first turn, the first turn that
-    splits nothing ends it: both partitions are then stable.  Returns the
-    colour of each variable (indexed as in the model) and of each row of
-    ``pre.rows``, or None when every live variable is alone in its class,
-    which the starting colours often show at once."""
+    surviving rows (Grohe, Kersting, Mladenov & Selman, *Dimension
+    reduction via colour refinement*, ESA 2014): a variable starts coloured
+    by its cost, a row by its (relation, right-hand side), and an edge
+    labelled by the coefficient joins each row and each variable of its
+    terms, both ways.  Returns the class of each variable (indexed as in
+    the model) and of each row of ``pre.rows``, each numbered in
+    order of first appearance; or None when every live variable is alone
+    in its class, which the costs often show before any graph is built."""
     n = len(live)
-    vcol = [0] * len(pre.values)
-    ids = {}
-    for j in live:
-        vcol[j] = ids.setdefault(pre.objective.get(j, 0.0), len(ids))
-    if len(ids) == n:
+    costs = [pre.objective.get(j, 0.0) for j in live]
+    if len(set(costs)) == n:
         return None
-    nv = len(ids)
-    rcol = [0] * len(pre.rows)
-    ids, cid = {}, {}
-    # a term's token is its colour times nc plus the id of its coefficient
-    rterms, vterms = [], {j: [] for j in live}
-    for r, (coef, rel, rhs) in enumerate(pre.rows):
-        rcol[r] = ids.setdefault((rel, rhs), len(ids))
-        terms = []
+    node = dict(zip(live, range(n)))
+    start = [(0, c) for c in costs]
+    adj = [[] for _ in live]
+    for r, (coef, rel, rhs) in enumerate(pre.rows, n):
+        start.append((1, rel, rhs))
+        adj.append([(node[j], a) for j, a in coef.items()])
         for j, a in coef.items():
-            c = cid.setdefault(a, len(cid))
-            terms.append((j, c))
-            vterms[j].append((r, c))
-        rterms.append(terms)
-    nr, nc, vterms = len(ids), len(cid), list(vterms.items())
-    stable = False
-    while True:
-        ids = {}
-        for r, terms in enumerate(rterms):
-            key = (rcol[r], *sorted([vcol[j] * nc + c for j, c in terms]))
-            rcol[r] = ids.setdefault(key, len(ids))
-        if stable and len(ids) == nr:
-            return vcol, rcol
-        nr = len(ids)
-        ids = {}
-        for j, terms in vterms:
-            key = (vcol[j], *sorted([rcol[r] * nc + c for r, c in terms]))
-            vcol[j] = ids.setdefault(key, len(ids))
-        if len(ids) == n:
-            return None
-        if len(ids) == nv:
-            return vcol, rcol
-        nv, stable = len(ids), True
+            adj[node[j]].append((r, a))
+    col = _equitable_partition(start, adj)
+    nv = max(col[:n]) + 1  # the variables come first, so the rows' classes follow
+    if nv == n:
+        return None
+    vcol = [0] * len(pre.values)
+    for j, c in zip(live, col):
+        vcol[j] = c
+    return vcol, [c - nv for c in col[n:]]
 
 
 def _columns(pre: _Presolved, live):
@@ -1235,10 +1254,14 @@ def _parse_terms(text, var, line):
 
 
 def parse_lp(text: str) -> LpModel:
-    """Parse the export_lp format back into a model (round-trip inverse).
+    """Parse the export_lp format back into a model.
 
-    Variables are created in their order of first appearance in the
-    objective, constraints, and bounds.
+    The text round-trips: ``export_lp(parse_lp(text)) == text`` for any
+    text ``export_lp`` wrote.  The model need not: variables are created in
+    their order of first appearance in the objective, constraints, and
+    bounds, which need not be the order they were declared in.  So match
+    the parsed model's variables, and the values of its solutions
+    (``LpSolution.value``), by name, not by position.
     """
     lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("MINIMIZE"):

@@ -280,6 +280,29 @@ def same_bits(a, b):
     )
 
 
+# -- colour refinement by rounds ------------------------------------------------
+
+
+def equitable_partition(start, adj):
+    """The coarsest equitable partition by rounds: every node is recoloured
+    at once by its colour and the sorted multiset of (colour, token) over
+    the edges into it, until a round splits nothing.  Same contract as
+    ``lp._equitable_partition``: ``adj[p]`` lists ``(q, token)``, and
+    classes are numbered in order of first appearance."""
+    into = [[] for _ in start]
+    for p, edges in enumerate(adj):
+        for q, t in edges:
+            into[q].append((p, t))
+    ids = {}
+    col = [ids.setdefault(key, len(ids)) for key in start]
+    while True:
+        count, ids = len(ids), {}
+        col = [ids.setdefault((col[q], *sorted((col[p], t) for p, t in edges)), len(ids))
+               for q, edges in enumerate(into)]
+        if len(ids) == count:
+            return col
+
+
 # -- transport oracle ----------------------------------------------------------
 
 

@@ -220,6 +220,22 @@ def test_round_trip_of_exponents_with_plus_signs():
     assert glued.objective == {0: 100.0, 1: 2.0, 2: 30.0}
 
 
+def test_parse_lp_matches_variables_by_name():
+    # only b is in the objective, so the parsed model declares b first: the
+    # text round-trips, but the variables and the values move by position
+    m = LpModel()
+    a, b = m.add_variable("a"), m.add_variable("b")
+    m.add_objective(b, 1.0)
+    m.add_constraint("r", [(a, 1.0), (b, 1.0)], ">=", 1.0)
+    text = export_lp(m)
+    again = parse_lp(text)
+    assert export_lp(again) == text
+    assert (m.var_names, again.var_names) == (["a", "b"], ["b", "a"])
+    want, got = solve(m), solve(again)
+    assert want.values.tolist() == [1.0, 0.0] and got.values.tolist() == [0.0, 1.0]
+    assert [got.value(name) for name in m.var_names] == want.values.tolist()
+
+
 def test_nan_upper_bound_rejected():
     # a NaN bound fails "u < 0" as it fails every comparison, so it used to
     # pass for +inf: this model answered "unbounded"
